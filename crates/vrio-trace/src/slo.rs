@@ -123,7 +123,7 @@ impl TenantSlo {
     }
 }
 
-/// The per-tenant ledger. See the [module docs](self).
+/// The per-tenant ledger. The private `slo` module's docs describe it.
 #[derive(Debug, Clone, Default)]
 pub struct SloLedger {
     /// The latency SLO in microseconds (completions at or under it count

@@ -211,8 +211,8 @@ impl TenantStats {
     }
 }
 
-/// One IOhost's admission controller. See the [module docs](self) for
-/// the three levers and the determinism argument.
+/// One IOhost's admission controller. The private `admission` module's
+/// docs describe the three levers and the determinism argument.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     config: AdmissionConfig,

@@ -167,8 +167,8 @@ impl Inner {
 }
 
 /// The oracle handle: cheap to clone (all clones share state), inert when
-/// the config left the oracle off. See the [module docs](self) for the
-/// invariant catalog and the observe-only construction.
+/// the config left the oracle off. The private `oracle` module's docs
+/// give the invariant catalog and the observe-only construction.
 #[derive(Clone, Default)]
 pub struct Oracle {
     inner: Option<Rc<RefCell<Inner>>>,
