@@ -96,8 +96,8 @@ pub use iohost::{
 pub use oracle::{FlowToken, Oracle, OracleConfig, OracleReport, Violation};
 pub use proto::{DeviceId, VrioHdr, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 pub use testbed::{
-    blk_request, net_request_response, run_steps, stream_batch, BlkOutcome, CoreRef, CounterKind,
-    GateFn, HasTestbed, Resource, RrOutcome, Step, Testbed, TestbedConfig,
+    blk_request, net_request_response, stream_batch, BlkOutcome, HasTestbed, Resource, RrOutcome,
+    Testbed, TestbedConfig,
 };
 pub use transport::{
     BlockRetx, ResponseAction, RetxConfig, RetxConfigError, RetxStats, TimeoutAction, TransportMode,
