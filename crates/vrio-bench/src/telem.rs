@@ -74,12 +74,13 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use vrio_sim::{Profiler, SimDuration, SimTime};
-    use vrio_trace::{Telemetry, TelemetryConfig};
+    use vrio_trace::{Telemetry, TelemetryConfig, TrackKind};
 
     #[test]
     fn telemetry_bundle_embeds_each_run_under_its_name() {
         let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
-        tm.gauge("q.depth", SimTime::from_nanos(10_000), 2.0);
+        let depth = tm.track("q.depth", TrackKind::Gauge);
+        tm.record(depth, SimTime::from_nanos(10_000), 2.0);
         let doc = telemetry_bundle(&[
             ("vrio".to_string(), tm.export()),
             ("elvis".to_string(), TelemetryExport::default()),

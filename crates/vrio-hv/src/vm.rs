@@ -297,6 +297,7 @@ pub struct Vm {
     ring: RingConfig,
     net: VirtioNetDevice,
     blk: VirtioBlkDevice,
+    ring_epoch: u64,
 }
 
 impl Vm {
@@ -320,6 +321,7 @@ impl Vm {
             ring,
             net,
             blk,
+            ring_epoch: 0,
         }
     }
 
@@ -334,10 +336,20 @@ impl Vm {
     /// suppression structs. A no-op for split-basic rings, which have no
     /// suppression machinery.
     pub fn set_device_polling(&mut self, polling: bool) -> Result<(), DeviceError> {
+        self.ring_epoch += 1;
         self.net.tx_dev.set_polling(&mut self.mem, polling)?;
         self.net.rx_dev.set_polling(&mut self.mem, polling)?;
         self.blk.dev.set_polling(&mut self.mem, polling)?;
         Ok(())
+    }
+
+    /// A counter that every method able to change a virtqueue advances
+    /// (the guest driver and host device halves alike). The rings are
+    /// private to this type, so an unchanged epoch guarantees an
+    /// unchanged [`Vm::ring_audit`]: invariant checkers re-audit only VMs
+    /// whose epoch moved.
+    pub fn ring_epoch(&self) -> u64 {
+        self.ring_epoch
     }
 
     /// The net device's transmit/receive counters.
@@ -384,6 +396,7 @@ impl Vm {
 
     /// Guest transmits with an explicit virtio-net header (e.g. GSO).
     pub fn net_send_hdr(&mut self, hdr: NetHdr, payload: &[u8]) -> Result<u16, DeviceError> {
+        self.ring_epoch += 1;
         if payload.len() + NET_HDR_SIZE > NET_SLOT {
             return Err(DeviceError::PayloadTooLarge {
                 len: payload.len(),
@@ -417,6 +430,7 @@ impl Vm {
 
     /// Guest reaps transmit completions, freeing buffers. Returns how many.
     pub fn net_reap_tx(&mut self) -> Result<usize, DeviceError> {
+        self.ring_epoch += 1;
         let mut n = 0;
         while let Some(used) = self.net.tx_drv.poll_used(&self.mem)? {
             let slot = self
@@ -433,6 +447,7 @@ impl Vm {
 
     /// Guest posts receive buffers until the ring or pool is exhausted.
     pub fn net_refill_rx(&mut self) -> Result<usize, DeviceError> {
+        self.ring_epoch += 1;
         let mut n = 0;
         loop {
             if self.net.rx_drv.free_descriptors() == 0 {
@@ -466,6 +481,7 @@ impl Vm {
     /// Guest receives one message if available: parses the virtio header
     /// and returns the payload.
     pub fn net_recv(&mut self) -> Result<Option<Bytes>, DeviceError> {
+        self.ring_epoch += 1;
         let Some(used) = self.net.rx_drv.poll_used(&self.mem)? else {
             return Ok(None);
         };
@@ -494,6 +510,7 @@ impl Vm {
 
     /// Back-end fetches one transmitted message: `(head, hdr, payload)`.
     pub fn net_fetch_tx(&mut self) -> Result<Option<(u16, NetHdr, Bytes)>, DeviceError> {
+        self.ring_epoch += 1;
         let chain = &mut self.net.scratch_chain;
         if !self.net.tx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.tx_dev.arm(&mut self.mem)?;
@@ -508,6 +525,7 @@ impl Vm {
 
     /// Back-end completes a transmitted chain.
     pub fn net_complete_tx(&mut self, head: u16) -> Result<(), DeviceError> {
+        self.ring_epoch += 1;
         self.net.tx_dev.push_used(&mut self.mem, head, 0)?;
         self.net.tx_dev.should_signal(&self.mem)?;
         Ok(())
@@ -515,6 +533,7 @@ impl Vm {
 
     /// Back-end delivers a received packet into a posted rx buffer.
     pub fn net_deliver_rx(&mut self, payload: &[u8]) -> Result<(), DeviceError> {
+        self.ring_epoch += 1;
         let chain = &mut self.net.scratch_chain;
         if !self.net.rx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.rx_dev.arm(&mut self.mem)?;
@@ -537,6 +556,7 @@ impl Vm {
     /// Guest submits a block request. The data of writes is copied into a
     /// guest buffer; reads reserve buffer space for the device to fill.
     pub fn blk_submit(&mut self, req: &BlockRequest) -> Result<u16, DeviceError> {
+        self.ring_epoch += 1;
         let data_len = match req.kind {
             BlockKind::Write => req.data.len(),
             BlockKind::Read => req.len as usize,
@@ -606,6 +626,7 @@ impl Vm {
 
     /// Guest reaps block completions.
     pub fn blk_reap(&mut self) -> Result<Vec<BlkCompletion>, DeviceError> {
+        self.ring_epoch += 1;
         let mut done = Vec::new();
         while let Some(used) = self.blk.drv.poll_used(&self.mem)? {
             let p = self
@@ -647,6 +668,7 @@ impl Vm {
 
     /// Back-end fetches one block request: `(head, hdr, write payload)`.
     pub fn blk_fetch(&mut self) -> Result<Option<(u16, BlkHdr, Bytes)>, DeviceError> {
+        self.ring_epoch += 1;
         let Some(chain) = self.blk.dev.pop_avail(&self.mem)? else {
             self.blk.dev.arm(&mut self.mem)?;
             return Ok(None);
@@ -668,6 +690,7 @@ impl Vm {
         status: u8,
         read_data: &[u8],
     ) -> Result<(), DeviceError> {
+        self.ring_epoch += 1;
         let chain = self
             .blk
             .inflight_chains
@@ -819,6 +842,94 @@ mod tests {
         }
         assert_eq!(vm.ring_ops().driver_kicks, before);
         assert!(vm.ring_ops().kicks_suppressed >= 4);
+    }
+
+    #[test]
+    fn ring_epoch_advances_on_every_ring_method_and_only_there() {
+        // Run in this order, every ring method succeeds on a fresh VM;
+        // the scratch `u16` carries a fetched head to its completion.
+        type RingOp = fn(&mut Vm, &mut u16);
+        let mutating: [(&str, RingOp); 13] = [
+            ("set_device_polling", |vm, _| {
+                vm.set_device_polling(true).unwrap()
+            }),
+            ("net_refill_rx", |vm, _| {
+                vm.net_refill_rx().unwrap();
+            }),
+            ("net_send", |vm, _| {
+                vm.net_send(b"ping").unwrap();
+            }),
+            ("net_send_hdr", |vm, _| {
+                vm.net_send_hdr(NetHdr::plain(), b"ping").unwrap();
+            }),
+            ("net_fetch_tx", |vm, head| {
+                *head = vm.net_fetch_tx().unwrap().unwrap().0;
+            }),
+            ("net_complete_tx", |vm, head| {
+                vm.net_complete_tx(*head).unwrap()
+            }),
+            ("net_reap_tx", |vm, _| {
+                vm.net_reap_tx().unwrap();
+            }),
+            ("net_deliver_rx", |vm, _| {
+                vm.net_deliver_rx(b"pong").unwrap()
+            }),
+            ("net_recv", |vm, _| {
+                vm.net_recv().unwrap().unwrap();
+            }),
+            ("blk_submit", |vm, _| {
+                vm.blk_submit(&BlockRequest::read(RequestId(1), 0, 512))
+                    .unwrap();
+            }),
+            ("blk_fetch", |vm, head| {
+                *head = vm.blk_fetch().unwrap().unwrap().0;
+            }),
+            ("blk_complete", |vm, head| {
+                vm.blk_complete(*head, BLK_S_OK, &[0; 512]).unwrap()
+            }),
+            ("blk_reap", |vm, _| {
+                vm.blk_reap().unwrap();
+            }),
+        ];
+        type ReadOp = fn(&mut Vm);
+        let observing: [(&str, ReadOp); 7] = [
+            ("ring_audit", |vm| {
+                vm.ring_audit();
+            }),
+            ("ring_ops", |vm| {
+                vm.ring_ops();
+            }),
+            ("net_tx_pending", |vm| {
+                vm.net_tx_pending().unwrap();
+            }),
+            ("blk_pending", |vm| {
+                vm.blk_pending().unwrap();
+            }),
+            ("net_counters", |vm| {
+                vm.net_counters();
+            }),
+            ("blk_counters", |vm| {
+                vm.blk_counters();
+            }),
+            ("cpu", |vm| {
+                vm.cpu
+                    .run(vrio_sim::SimTime::ZERO, vrio_sim::SimDuration::micros(1));
+            }),
+        ];
+        for config in [RingConfig::split_basic(), RingConfig::packed()] {
+            let mut vm = Vm::with_rings(VmId(0), config);
+            let mut head = 0;
+            for (name, op) in mutating {
+                let before = vm.ring_epoch();
+                op(&mut vm, &mut head);
+                assert!(vm.ring_epoch() > before, "{config}: {name} left the epoch");
+                for (observer, read) in observing {
+                    let epoch = vm.ring_epoch();
+                    read(&mut vm);
+                    assert_eq!(vm.ring_epoch(), epoch, "{config}: {observer} moved it");
+                }
+            }
+        }
     }
 
     #[test]

@@ -144,18 +144,16 @@ mod tests {
 
     #[test]
     fn counter_tracks_render_as_c_events() {
-        use crate::timeseries::{Telemetry, TelemetryConfig};
+        use crate::timeseries::{Telemetry, TelemetryConfig, TrackKind};
         use vrio_sim::SimDuration;
 
         let t = Tracer::new(&TraceConfig::memory_with_capacity(8));
         t.set_process(3, "vrio");
         let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
-        tm.gauge(
-            "steer.iohost0.worker0.depth",
-            SimTime::from_nanos(10_000),
-            4.0,
-        );
-        tm.counter("admission.iohost0.shed", SimTime::from_nanos(10_000), 2.0);
+        let depth = tm.track("steer.iohost0.worker0.depth", TrackKind::Gauge);
+        let shed = tm.track("admission.iohost0.shed", TrackKind::Counter);
+        tm.record(depth, SimTime::from_nanos(10_000), 4.0);
+        tm.record(shed, SimTime::from_nanos(10_000), 2.0);
         let telem = tm.export();
 
         let text = render_chrome_trace_with_counters(&[t.export()], &[(3, &telem)]);

@@ -65,7 +65,8 @@ pub use json::{Json, JsonError};
 pub use metrics::MetricsRegistry;
 pub use slo::{DropCause, SloLedger, TenantSlo};
 pub use timeseries::{
-    Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackKind, TELEM_SCHEMA_VERSION,
+    Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackId, TrackKind,
+    TELEM_SCHEMA_VERSION,
 };
 pub use tracer::{
     EventPhase, SpanId, Stage, TraceConfig, TraceEvent, TraceExport, TraceSink, Tracer, NUM_STAGES,

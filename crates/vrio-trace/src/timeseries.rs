@@ -12,11 +12,10 @@
 //! handle draws no randomness and mutates no simulation state, so a run
 //! with sampling enabled is bit-identical to one without (the workloads'
 //! telemetry bit-identity suite proves it under fault injection). The
-//! handle is an `Rc<RefCell<Option<..>>>`: cloning it shares the buffer,
+//! handle is an `Option<Rc<RefCell<..>>>`: cloning it shares the buffer,
 //! and a disabled handle is a no-op with no allocation behind it.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use vrio_sim::{SimDuration, SimTime};
@@ -93,8 +92,15 @@ impl TrackKind {
     }
 }
 
+/// Handle to one interned telemetry track, returned by
+/// [`Telemetry::track`]. Resolve it once and record through it on every
+/// sample; a handle from a disabled [`Telemetry`] is inert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrackId(usize);
+
 #[derive(Debug)]
 struct Track {
+    name: String,
     kind: TrackKind,
     points: Vec<(u64, f64)>,
 }
@@ -102,7 +108,8 @@ struct Track {
 #[derive(Debug)]
 struct TelemetryInner {
     interval: SimDuration,
-    tracks: BTreeMap<String, Track>,
+    /// Tracks in interning order; [`TrackId`] indexes this.
+    tracks: Vec<Track>,
 }
 
 /// One exported track: name, kind, and `(t_ns, value)` points in time
@@ -177,8 +184,9 @@ impl TelemetryExport {
 /// use vrio_trace::{Telemetry, TelemetryConfig, TrackKind};
 ///
 /// let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
-/// tm.gauge("q.depth", SimTime::from_nanos(0), 3.0);
-/// tm.gauge("q.depth", SimTime::from_nanos(10_000), 5.0);
+/// let depth = tm.track("q.depth", TrackKind::Gauge);
+/// tm.record(depth, SimTime::from_nanos(0), 3.0);
+/// tm.record(depth, SimTime::from_nanos(10_000), 5.0);
 /// let ex = tm.export();
 /// assert_eq!(ex.tracks.len(), 1);
 /// assert_eq!(ex.tracks[0].points, vec![(0, 3.0), (10_000, 5.0)]);
@@ -186,7 +194,7 @@ impl TelemetryExport {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Rc<RefCell<Option<TelemetryInner>>>,
+    inner: Option<Rc<RefCell<TelemetryInner>>>,
 }
 
 impl Telemetry {
@@ -200,9 +208,9 @@ impl Telemetry {
             "telemetry sampling interval must be non-zero"
         );
         Telemetry {
-            inner: Rc::new(RefCell::new(Some(TelemetryInner {
+            inner: Some(Rc::new(RefCell::new(TelemetryInner {
                 interval: config.interval,
-                tracks: BTreeMap::new(),
+                tracks: Vec::new(),
             }))),
         }
     }
@@ -214,69 +222,85 @@ impl Telemetry {
 
     /// Whether this handle records anything.
     pub fn enabled(&self) -> bool {
-        self.inner.borrow().is_some()
+        self.inner.is_some()
     }
 
     /// The sampling interval, when enabled.
     pub fn interval(&self) -> Option<SimDuration> {
-        self.inner.borrow().as_ref().map(|i| i.interval)
+        self.inner.as_ref().map(|i| i.borrow().interval)
     }
 
-    /// Records one sample on the named track. Samples must arrive in
-    /// non-decreasing time order per track (debug-asserted): the fixed
-    /// sampling grid guarantees it.
-    pub fn record(&self, name: &str, kind: TrackKind, at: SimTime, value: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(inner) = inner.as_mut() else {
-            return;
+    /// Interns the track `name`, creating it empty on first use, and
+    /// returns its handle. A track holds one kind for its whole life
+    /// (debug-asserted). Callers resolve each handle once, so the lookup
+    /// is a plain scan of the interned names. On a disabled handle this
+    /// allocates nothing and returns an inert id.
+    pub fn track(&self, name: &str, kind: TrackKind) -> TrackId {
+        let Some(inner) = &self.inner else {
+            return TrackId(0);
         };
-        let track = inner.tracks.entry(name.to_string()).or_insert(Track {
+        let mut inner = inner.borrow_mut();
+        if let Some(at) = inner.tracks.iter().position(|t| t.name == name) {
+            debug_assert!(
+                inner.tracks[at].kind == kind,
+                "telemetry track {name} interned with two kinds"
+            );
+            return TrackId(at);
+        }
+        inner.tracks.push(Track {
+            name: name.to_string(),
             kind,
             points: Vec::new(),
         });
+        TrackId(inner.tracks.len() - 1)
+    }
+
+    /// Records one sample on an interned track. Samples must arrive in
+    /// non-decreasing time order per track (debug-asserted): the fixed
+    /// sampling grid guarantees it.
+    pub fn record(&self, id: TrackId, at: SimTime, value: f64) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let mut inner = inner.borrow_mut();
+        let track = &mut inner.tracks[id.0];
         debug_assert!(
             track.points.last().is_none_or(|&(t, _)| t <= at.as_nanos()),
-            "telemetry track {name} sampled out of order"
-        );
-        debug_assert!(
-            track.kind == kind,
-            "telemetry track {name} recorded with two kinds"
+            "telemetry track {} sampled out of order",
+            track.name
         );
         track.points.push((at.as_nanos(), value));
     }
 
-    /// Records a gauge sample (a point-in-time level).
-    pub fn gauge(&self, name: &str, at: SimTime, value: f64) {
-        self.record(name, TrackKind::Gauge, at, value);
-    }
-
-    /// Records a counter sample (a monotone running total).
-    pub fn counter(&self, name: &str, at: SimTime, value: f64) {
-        self.record(name, TrackKind::Counter, at, value);
-    }
-
-    /// Number of tracks recorded so far (0 when disabled).
+    /// Number of tracks holding at least one sample (0 when disabled).
     pub fn num_tracks(&self) -> usize {
-        self.inner.borrow().as_ref().map_or(0, |i| i.tracks.len())
+        self.inner.as_ref().map_or(0, |i| {
+            let i = i.borrow();
+            i.tracks.iter().filter(|t| !t.points.is_empty()).count()
+        })
     }
 
-    /// Exports every track as plain data (empty when disabled).
+    /// Exports every track holding a sample as plain data, sorted by
+    /// name (empty when disabled).
     pub fn export(&self) -> TelemetryExport {
-        let inner = self.inner.borrow();
-        let Some(inner) = inner.as_ref() else {
+        let Some(inner) = &self.inner else {
             return TelemetryExport::default();
         };
+        let inner = inner.borrow();
+        let mut tracks: Vec<TrackExport> = inner
+            .tracks
+            .iter()
+            .filter(|t| !t.points.is_empty())
+            .map(|t| TrackExport {
+                name: t.name.clone(),
+                kind: t.kind,
+                points: t.points.clone(),
+            })
+            .collect();
+        tracks.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         TelemetryExport {
             interval: inner.interval,
-            tracks: inner
-                .tracks
-                .iter()
-                .map(|(name, t)| TrackExport {
-                    name: name.clone(),
-                    kind: t.kind,
-                    points: t.points.clone(),
-                })
-                .collect(),
+            tracks,
         }
     }
 }
@@ -293,8 +317,9 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let tm = Telemetry::off();
         assert!(!tm.enabled());
-        tm.gauge("x", t(0), 1.0);
-        tm.counter("y", t(5), 2.0);
+        let x = tm.track("x", TrackKind::Gauge);
+        tm.record(x, t(0), 1.0);
+        tm.record(tm.track("y", TrackKind::Counter), t(5), 2.0);
         assert_eq!(tm.num_tracks(), 0);
         let ex = tm.export();
         assert!(ex.tracks.is_empty());
@@ -318,11 +343,19 @@ mod tests {
     #[test]
     fn tracks_export_sorted_with_points_in_order() {
         let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
-        tm.counter("b.total", t(0), 0.0);
-        tm.gauge("a.depth", t(0), 1.0);
-        tm.counter("b.total", t(1_000), 4.0);
-        tm.gauge("a.depth", t(1_000), 2.0);
+        let total = tm.track("b.total", TrackKind::Counter);
+        let depth = tm.track("a.depth", TrackKind::Gauge);
+        let unsampled = tm.track("c.idle", TrackKind::Gauge);
+        assert_eq!(tm.track("b.total", TrackKind::Counter), total, "interned");
+        tm.record(total, t(0), 0.0);
+        tm.record(depth, t(0), 1.0);
+        tm.record(total, t(1_000), 4.0);
+        tm.record(depth, t(1_000), 2.0);
+        assert_ne!(unsampled, depth);
+        assert_eq!(tm.num_tracks(), 2);
         let ex = tm.export();
+        // Sorted by name, not by interning order; a track that was never
+        // sampled is not exported.
         let names: Vec<&str> = ex.tracks.iter().map(|tr| tr.name.as_str()).collect();
         assert_eq!(names, vec!["a.depth", "b.total"]);
         assert_eq!(
@@ -337,7 +370,7 @@ mod tests {
     fn clones_share_the_buffer() {
         let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
         let other = tm.clone();
-        other.gauge("shared", t(0), 7.0);
+        other.record(other.track("shared", TrackKind::Gauge), t(0), 7.0);
         assert_eq!(tm.num_tracks(), 1);
         assert_eq!(tm.export().track("shared").unwrap().points, vec![(0, 7.0)]);
     }
@@ -345,7 +378,7 @@ mod tests {
     #[test]
     fn json_document_has_the_stable_schema() {
         let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
-        tm.gauge("q", t(10_000), 3.0);
+        tm.record(tm.track("q", TrackKind::Gauge), t(10_000), 3.0);
         let doc = tm.export().to_json();
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_f64),

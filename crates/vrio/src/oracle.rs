@@ -13,8 +13,8 @@
 //!   [`Oracle::flow_drop`] / [`Oracle::finish`]).
 //! * **Descriptor conservation** — virtqueue push/pop/complete never leaks
 //!   or duplicates ring slots, checked against live
-//!   [`vrio_virtio::RingOps`] counters at every lifecycle mark
-//!   ([`Oracle::audit_queue`]).
+//!   [`vrio_virtio::RingOps`] counters: every ring state present at a
+//!   lifecycle mark is audited once ([`Oracle::audit_queue`]).
 //! * **Byte conservation** — payloads survive encapsulation → wire →
 //!   decapsulation unchanged, including the fake-TCP TSO
 //!   segmentation/reassembly path ([`Oracle::check_bytes`]).
@@ -126,9 +126,20 @@ enum Closed {
     Dropped,
 }
 
-struct OpenFlow {
-    kind: &'static str,
-    begun: SimTime,
+/// One request's exactly-once ledger entry.
+#[derive(Debug, Clone, Copy)]
+enum FlowState {
+    Open {
+        kind: &'static str,
+        begun: SimTime,
+    },
+    Closed {
+        kind: &'static str,
+        how: Closed,
+    },
+    /// Reported leaked by [`Oracle::finish`]; a later closure counts as
+    /// one of a flow that was never begun.
+    Leaked,
 }
 
 /// Recorded violations are capped to keep a badly broken run from
@@ -138,14 +149,14 @@ const MAX_VIOLATIONS: usize = 256;
 #[derive(Default)]
 struct Inner {
     checks: u64,
-    next_flow: u64,
-    open: HashMap<u64, OpenFlow>,
-    closed: HashMap<u64, (&'static str, Closed)>,
-    flows_begun: u64,
+    /// The exactly-once ledger: tokens are dense from 1, so token `t`
+    /// lives at index `t - 1`.
+    flows: Vec<FlowState>,
     flows_completed: u64,
     flows_dropped: u64,
-    /// Per-device steering state: (requests in flight, owning worker).
-    steer: HashMap<u32, (u64, usize)>,
+    /// Per-device steering state, indexed by device: (requests in
+    /// flight, owning worker), `None` before the device's first request.
+    steer: Vec<Option<(u64, usize)>>,
     /// Sanctioned steering handoffs (failover re-pins), counted so chaos
     /// reports can show how often devices migrated between IOhosts.
     steer_handoffs: u64,
@@ -157,6 +168,18 @@ struct Inner {
 }
 
 impl Inner {
+    fn steer_state(&self, device: u32) -> Option<(u64, usize)> {
+        self.steer.get(device as usize).copied().flatten()
+    }
+
+    fn steer_slot(&mut self, device: u32) -> &mut Option<(u64, usize)> {
+        let at = device as usize;
+        if at >= self.steer.len() {
+            self.steer.resize(at + 1, None);
+        }
+        &mut self.steer[at]
+    }
+
     fn violate(&mut self, invariant: &'static str, message: String) {
         if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(Violation { invariant, message });
@@ -220,11 +243,8 @@ impl Oracle {
             return FlowToken::NONE;
         };
         let mut i = inner.borrow_mut();
-        i.next_flow += 1;
-        i.flows_begun += 1;
-        let token = i.next_flow;
-        i.open.insert(token, OpenFlow { kind, begun: now });
-        FlowToken(token)
+        i.flows.push(FlowState::Open { kind, begun: now });
+        FlowToken(i.flows.len() as u64)
     }
 
     /// Records that a flow's request or response was lost to a modeled
@@ -249,14 +269,21 @@ impl Oracle {
         }
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        match i.open.remove(&token.0) {
-            Some(flow) => {
-                if now < flow.begun {
+        let how_name = |how: Closed| match how {
+            Closed::Completed => "completed",
+            Closed::Dropped => "dropped",
+        };
+        // Tokens come only from `flow_begin`, so they index the ledger.
+        let at = (token.0 - 1) as usize;
+        match i.flows.get(at).copied() {
+            Some(FlowState::Open { kind, begun }) => {
+                i.flows[at] = FlowState::Closed { kind, how };
+                if now < begun {
                     i.violate(
                         "causality",
                         format!(
-                            "{} flow {} closed at {:?}, before it began at {:?}",
-                            flow.kind, token.0, now, flow.begun
+                            "{kind} flow {} closed at {now:?}, before it began at {begun:?}",
+                            token.0
                         ),
                     );
                 }
@@ -264,33 +291,24 @@ impl Oracle {
                     Closed::Completed => i.flows_completed += 1,
                     Closed::Dropped => i.flows_dropped += 1,
                 }
-                i.closed.insert(token.0, (flow.kind, how));
             }
-            None => {
-                let msg = match i.closed.get(&token.0) {
-                    Some((kind, prev)) => format!(
-                        "{kind} flow {} closed twice: already {} and now {} at {now:?} \
-                         — a completion was delivered more than once",
-                        token.0,
-                        match prev {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                        match how {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                    ),
-                    None => format!(
-                        "flow {} {} at {now:?} but was never begun — \
-                         a completion appeared out of thin air",
-                        token.0,
-                        match how {
-                            Closed::Completed => "completed",
-                            Closed::Dropped => "dropped",
-                        },
-                    ),
-                };
+            Some(FlowState::Closed { kind, how: prev }) => {
+                let msg = format!(
+                    "{kind} flow {} closed twice: already {} and now {} at {now:?} \
+                     — a completion was delivered more than once",
+                    token.0,
+                    how_name(prev),
+                    how_name(how),
+                );
+                i.violate("exactly-once", msg);
+            }
+            Some(FlowState::Leaked) | None => {
+                let msg = format!(
+                    "flow {} {} at {now:?} but was never begun — \
+                     a completion appeared out of thin air",
+                    token.0,
+                    how_name(how),
+                );
                 i.violate("exactly-once", msg);
             }
         }
@@ -303,9 +321,13 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let mut leaked: Vec<(u64, &'static str, SimTime)> =
-            i.open.iter().map(|(&t, f)| (t, f.kind, f.begun)).collect();
-        leaked.sort_by_key(|&(t, _, _)| t);
+        let mut leaked = Vec::new();
+        for (at, entry) in i.flows.iter_mut().enumerate() {
+            if let FlowState::Open { kind, begun } = *entry {
+                leaked.push((at + 1, kind, begun));
+                *entry = FlowState::Leaked;
+            }
+        }
         for (token, kind, begun) in leaked {
             i.violate(
                 "exactly-once",
@@ -315,7 +337,6 @@ impl Oracle {
                 ),
             );
         }
-        i.open.clear();
     }
 
     // ---- descriptor conservation -----------------------------------------
@@ -331,8 +352,10 @@ impl Oracle {
     /// segment, so packed or indirect rings cannot silently bypass the
     /// audit. When indirect tables are negotiated the table books are
     /// checked too (`free + in_use == capacity` from two independently
-    /// maintained books). Called for every VM queue at every lifecycle
-    /// mark.
+    /// maintained books). The testbed calls it at lifecycle marks for
+    /// every queue whose VM touched its rings since its last audit, so
+    /// each ring state a mark sees is audited once (debug builds verify
+    /// every skipped queue against its last audited snapshot).
     pub fn audit_queue(&self, vm: usize, q: &QueueAudit) {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
@@ -545,7 +568,7 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let (inflight, owner) = i.steer.get(&device).copied().unwrap_or((0, worker));
+        let (inflight, owner) = i.steer_state(device).unwrap_or((0, worker));
         if inflight > 0 && owner != worker {
             i.violate(
                 "fifo-steering",
@@ -557,7 +580,7 @@ impl Oracle {
             );
         }
         // Track the latest decision so one bug reports once per switch.
-        i.steer.insert(device, (inflight + 1, worker));
+        *i.steer_slot(device) = Some((inflight + 1, worker));
     }
 
     /// Records a *sanctioned* steering handoff: `device`'s next request
@@ -572,11 +595,11 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        let (inflight, owner) = i.steer.get(&device).copied().unwrap_or((0, worker));
+        let (inflight, owner) = i.steer_state(device).unwrap_or((0, worker));
         if owner != worker {
             i.steer_handoffs += 1;
         }
-        i.steer.insert(device, (inflight + 1, worker));
+        *i.steer_slot(device) = Some((inflight + 1, worker));
     }
 
     /// Sanctioned steering handoffs recorded via [`Oracle::steer_handoff`]
@@ -593,8 +616,8 @@ impl Oracle {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        match i.steer.get_mut(&device) {
-            Some((inflight, _)) if *inflight > 0 => *inflight -= 1,
+        match i.steer.get_mut(device as usize) {
+            Some(Some((inflight, _))) if *inflight > 0 => *inflight -= 1,
             _ => i.violate(
                 "fifo-steering",
                 format!(
@@ -691,7 +714,7 @@ impl Oracle {
                 let i = inner.borrow();
                 OracleReport {
                     checks: i.checks,
-                    flows_begun: i.flows_begun,
+                    flows_begun: i.flows.len() as u64,
                     flows_completed: i.flows_completed,
                     flows_dropped: i.flows_dropped,
                     violations: i.violations.clone(),

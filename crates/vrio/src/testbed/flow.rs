@@ -394,3 +394,83 @@ impl Testbed {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use vrio_block::{BlockRequest, RequestId};
+    use vrio_hv::IoModel;
+
+    use super::*;
+    use crate::oracle::OracleConfig;
+    use crate::testbed::{blk_request, net_request_response, TestbedConfig};
+
+    fn rack(vms: usize) -> (Testbed, Engine<Testbed>) {
+        let mut config = TestbedConfig::simple(IoModel::Vrio, vms);
+        config.oracle = OracleConfig::on();
+        (Testbed::new(config), Engine::new())
+    }
+
+    /// Runs one lifecycle mark and returns the oracle checks it made. The
+    /// span is inert, so every check is a queue audit.
+    fn mark(tb: &mut Testbed) -> u64 {
+        let before = tb.oracle.checks();
+        tb.exec(Step::Mark(SpanId::NONE, Stage::Wire), SimTime::ZERO);
+        tb.oracle.checks() - before
+    }
+
+    /// Issues one RR and one block read on VM `vm`.
+    fn traffic(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: usize) {
+        let req = Bytes::from_static(b"ping");
+        net_request_response(tb, eng, vm, req, 64, SimDuration::ZERO, |_, _, _| {});
+        let read = BlockRequest::read(RequestId(1), 0, 4096);
+        blk_request(tb, eng, vm, read, |_, _, _| {});
+    }
+
+    /// Runs `eng` dry, returning the oracle checks each event made.
+    fn checks_per_event(tb: &mut Testbed, eng: &mut Engine<Testbed>) -> Vec<u64> {
+        let mut per_event = Vec::new();
+        let mut before = tb.oracle.checks();
+        while eng.step(tb) {
+            per_event.push(tb.oracle.checks() - before);
+            before = tb.oracle.checks();
+        }
+        per_event
+    }
+
+    #[test]
+    fn marks_audit_only_the_vms_whose_rings_moved() {
+        let (mut seven, mut eng7) = rack(7);
+        let (mut one, mut eng1) = rack(1);
+        // The first mark audits all 7 × 3 queues; one on an unchanged
+        // rack audits nothing.
+        assert_eq!(mark(&mut seven), 21);
+        assert_eq!(mark(&mut seven), 0);
+        assert_eq!(mark(&mut one), 3);
+
+        // With traffic on VM 0 only, every event of the 7-VM rack checks
+        // exactly what the 1-VM rack's does: no mark re-audits VMs 1–6.
+        traffic(&mut seven, &mut eng7, 0);
+        traffic(&mut one, &mut eng1, 0);
+        let vm0 = checks_per_event(&mut seven, &mut eng7);
+        assert_eq!(vm0, checks_per_event(&mut one, &mut eng1));
+
+        // A request on VM 3 then is audited as the only VM of a fresh
+        // rack would be: VM 3's queues, not VM 0's quiet ones.
+        let (mut fresh, mut eng_fresh) = rack(1);
+        mark(&mut fresh);
+        traffic(&mut seven, &mut eng7, 3);
+        traffic(&mut fresh, &mut eng_fresh, 0);
+        assert_eq!(
+            checks_per_event(&mut seven, &mut eng7),
+            checks_per_event(&mut fresh, &mut eng_fresh)
+        );
+
+        // Any ring method moves the epoch, so the next mark re-audits
+        // that VM's three queues and nothing else.
+        mark(&mut seven);
+        seven.vms[3].net_refill_rx().unwrap();
+        assert_eq!(mark(&mut seven), 3);
+        seven.oracle.finish();
+        seven.oracle.assert_clean("7-VM audit locality");
+    }
+}

@@ -23,6 +23,7 @@ mod blk;
 mod flow;
 mod net;
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
@@ -31,7 +32,7 @@ use vrio_hv::ReliabilityCounters;
 use vrio_hv::{CostModel, EventCounters, IoModel, Vm, VmId};
 use vrio_net::{FaultConfig, FaultInjector, Reassembler, Segment, SkbPool};
 use vrio_sim::{BusyTracker, Profiler, SimDuration, SimRng, SimTime};
-use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer};
+use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer, TrackId, TrackKind};
 
 use vrio_virtio::RingConfig;
 
@@ -411,6 +412,108 @@ pub fn req_track(vm: usize) -> u32 {
     TRACK_REQ_BASE + vm as u32
 }
 
+/// The handles of the tracks [`Testbed::sample_telemetry`] records,
+/// interned once, at the first sample, so that sampling formats no track
+/// names. Each vector runs parallel to the testbed part it samples.
+struct TelemetryTracks {
+    /// Per IOhost, per worker: `steer.iohost{k}.worker{w}.depth`.
+    steer_depth: Vec<Vec<TrackId>>,
+    /// Per backend: `backend.{b}.pending`.
+    backend_pending: Vec<TrackId>,
+    /// Per backend: `poll.backend{b}.{mode,doorbells,polled}`.
+    poll: Vec<[TrackId; 3]>,
+    /// Per VM, per queue:
+    /// `ring.vm{v}.{queue}.{free,inflight,kicks_suppressed,signals_suppressed}`.
+    ring: Vec<[[TrackId; 4]; 3]>,
+    /// Per VMhost: `health.vmhost{h}.route`, then per ladder target
+    /// `health.vmhost{h}.iohost{k}.state`.
+    health: Vec<(TrackId, Vec<TrackId>)>,
+    /// Per IOhost: `admission.iohost{k}.{offered,shed,breaker_open}`.
+    admission: Vec<[TrackId; 3]>,
+    /// `retx.outstanding`.
+    retx_outstanding: TrackId,
+    /// Per tenant VM: `slo.vm{v}.{p50_us,p99_us,completed}`.
+    slo: Vec<[TrackId; 3]>,
+}
+
+impl TelemetryTracks {
+    fn intern(tb: &Testbed) -> Self {
+        let tm = &tb.telemetry;
+        let gauge = |name: String| tm.track(&name, TrackKind::Gauge);
+        let counter = |name: String| tm.track(&name, TrackKind::Counter);
+        TelemetryTracks {
+            steer_depth: tb
+                .steering
+                .iter()
+                .enumerate()
+                .map(|(k, steer)| {
+                    (0..steer.workers())
+                        .map(|w| gauge(format!("steer.iohost{k}.worker{w}.depth")))
+                        .collect()
+                })
+                .collect(),
+            backend_pending: (0..tb.backends.len())
+                .map(|b| gauge(format!("backend.{b}.pending")))
+                .collect(),
+            poll: (0..tb.worker_poll.len())
+                .map(|b| {
+                    [
+                        gauge(format!("poll.backend{b}.mode")),
+                        counter(format!("poll.backend{b}.doorbells")),
+                        counter(format!("poll.backend{b}.polled")),
+                    ]
+                })
+                .collect(),
+            ring: tb
+                .vms
+                .iter()
+                .enumerate()
+                .map(|(v, vm)| {
+                    vm.ring_audit().map(|q| {
+                        let queue = format!("ring.vm{v}.{}", q.name);
+                        [
+                            gauge(format!("{queue}.free")),
+                            gauge(format!("{queue}.inflight")),
+                            counter(format!("{queue}.kicks_suppressed")),
+                            counter(format!("{queue}.signals_suppressed")),
+                        ]
+                    })
+                })
+                .collect(),
+            health: tb
+                .health
+                .iter()
+                .enumerate()
+                .map(|(h, ladder)| {
+                    let states = (0..ladder.targets().len())
+                        .map(|k| gauge(format!("health.vmhost{h}.iohost{k}.state")))
+                        .collect();
+                    (gauge(format!("health.vmhost{h}.route")), states)
+                })
+                .collect(),
+            admission: (0..tb.admission.len())
+                .map(|k| {
+                    [
+                        counter(format!("admission.iohost{k}.offered")),
+                        counter(format!("admission.iohost{k}.shed")),
+                        gauge(format!("admission.iohost{k}.breaker_open")),
+                    ]
+                })
+                .collect(),
+            retx_outstanding: gauge("retx.outstanding".to_string()),
+            slo: (0..tb.slo.tenants().len())
+                .map(|v| {
+                    [
+                        gauge(format!("slo.vm{v}.p50_us")),
+                        gauge(format!("slo.vm{v}.p99_us")),
+                        counter(format!("slo.vm{v}.completed")),
+                    ]
+                })
+                .collect(),
+        }
+    }
+}
+
 /// The instantiated rack.
 pub struct Testbed {
     /// The configuration this testbed was built from.
@@ -488,8 +591,18 @@ pub struct Testbed {
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
     pub oracle: Oracle,
+    /// Each VM's ring epoch at its last oracle audit (`u64::MAX` before
+    /// the first; sized at the first mark), so a mark re-audits only the
+    /// VMs whose rings moved.
+    audited_epoch: Vec<u64>,
+    /// Debug builds: each VM's queue snapshots at its last oracle audit,
+    /// against which every skipped audit is verified.
+    #[cfg(debug_assertions)]
+    audited_rings: Vec<[vrio_hv::QueueAudit; 3]>,
     /// Time-series telemetry sampler (inert unless the config enables it).
     pub telemetry: Telemetry,
+    /// The sampler's tracks, interned at the first sample.
+    telemetry_tracks: OnceCell<TelemetryTracks>,
     /// Wall-clock self-profiler (inert unless the config enables it).
     pub profiler: Profiler,
     /// Per-tenant SLO accounting and drop attribution. Always on: plain
@@ -571,6 +684,8 @@ impl Testbed {
             }
             faults.set_tracer(trace.clone(), TRACK_FAULTS);
         }
+        #[cfg(debug_assertions)]
+        let audited_rings = vms.iter().map(Vm::ring_audit).collect();
         let oracle = Oracle::new(&config.oracle);
         let telemetry = Telemetry::new(&config.telemetry);
         let profiler = Profiler::new(config.profile);
@@ -619,7 +734,11 @@ impl Testbed {
             step_pool: Vec::new(),
             trace,
             oracle,
+            audited_epoch: Vec::new(),
+            #[cfg(debug_assertions)]
+            audited_rings,
             telemetry,
+            telemetry_tracks: OnceCell::new(),
             profiler,
             slo,
             worker_poll: (0..n_backends)
@@ -629,17 +748,40 @@ impl Testbed {
         }
     }
 
-    /// Runs the oracle's descriptor-conservation audit over every VM's
+    /// Runs the oracle's descriptor-conservation audit over the VMs'
     /// virtqueues (no-op when the oracle is off). Invoked inline at every
     /// lifecycle mark, so ring laws are checked continuously while flows
     /// are mid-flight, not just at quiescence.
-    pub fn audit_rings(&self) {
+    ///
+    /// Every ring state present at a mark is audited once: a VM whose
+    /// [`Vm::ring_epoch`] has not moved since its last audit still has
+    /// the rings that audit checked, so it is skipped. Debug builds verify
+    /// each skip against the snapshot the last audit took.
+    pub fn audit_rings(&mut self) {
         if !self.oracle.enabled() {
             return;
         }
-        for vm in &self.vms {
-            for q in vm.ring_audit() {
-                self.oracle.audit_queue(vm.id.0, &q);
+        self.audited_epoch.resize(self.vms.len(), u64::MAX);
+        for (v, vm) in self.vms.iter().enumerate() {
+            let epoch = vm.ring_epoch();
+            if self.audited_epoch[v] == epoch {
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    vm.ring_audit(),
+                    self.audited_rings[v],
+                    "{}: rings changed without a ring epoch bump",
+                    vm.id
+                );
+                continue;
+            }
+            self.audited_epoch[v] = epoch;
+            let queues = vm.ring_audit();
+            for q in &queues {
+                self.oracle.audit_queue(vm.id.0, q);
+            }
+            #[cfg(debug_assertions)]
+            {
+                self.audited_rings[v] = queues;
             }
         }
     }
@@ -1015,108 +1157,56 @@ impl Testbed {
         if !self.telemetry.enabled() {
             return;
         }
+        let ids = self
+            .telemetry_tracks
+            .get_or_init(|| TelemetryTracks::intern(self));
         let tm = &self.telemetry;
-        for (k, steer) in self.steering.iter().enumerate() {
-            for w in 0..steer.workers() {
-                tm.gauge(
-                    &format!("steer.iohost{k}.worker{w}.depth"),
-                    now,
-                    steer.load_of(crate::iohost::WorkerId(w)) as f64,
-                );
+        for (steer, depth) in self.steering.iter().zip(&ids.steer_depth) {
+            for (w, &id) in depth.iter().enumerate() {
+                tm.record(id, now, steer.load_of(crate::iohost::WorkerId(w)) as f64);
             }
         }
-        for (b, be) in self.backends.iter().enumerate() {
-            tm.gauge(&format!("backend.{b}.pending"), now, be.pending as f64);
+        for (be, &id) in self.backends.iter().zip(&ids.backend_pending) {
+            tm.record(id, now, be.pending as f64);
         }
-        for (b, wp) in self.worker_poll.iter().enumerate() {
-            tm.gauge(
-                &format!("poll.backend{b}.mode"),
-                now,
-                match wp.mode() {
-                    PollMode::Interrupt => 0.0,
-                    PollMode::Polling => 1.0,
-                },
-            );
-            tm.counter(
-                &format!("poll.backend{b}.doorbells"),
-                now,
-                wp.doorbells as f64,
-            );
-            tm.counter(
-                &format!("poll.backend{b}.polled"),
-                now,
-                wp.polled_arrivals as f64,
-            );
+        for (wp, &[mode, doorbells, polled]) in self.worker_poll.iter().zip(&ids.poll) {
+            let polling = match wp.mode() {
+                PollMode::Interrupt => 0.0,
+                PollMode::Polling => 1.0,
+            };
+            tm.record(mode, now, polling);
+            tm.record(doorbells, now, wp.doorbells as f64);
+            tm.record(polled, now, wp.polled_arrivals as f64);
         }
-        for (v, vm) in self.vms.iter().enumerate() {
-            for q in vm.ring_audit() {
-                tm.gauge(
-                    &format!("ring.vm{v}.{}.free", q.name),
-                    now,
-                    q.free_descriptors as f64,
-                );
-                tm.gauge(
-                    &format!("ring.vm{v}.{}.inflight", q.name),
-                    now,
-                    f64::from(q.in_flight_chains),
-                );
-                tm.counter(
-                    &format!("ring.vm{v}.{}.kicks_suppressed", q.name),
-                    now,
-                    q.driver.kicks_suppressed as f64,
-                );
-                tm.counter(
-                    &format!("ring.vm{v}.{}.signals_suppressed", q.name),
-                    now,
-                    q.device.signals_suppressed as f64,
-                );
+        for (vm, queues) in self.vms.iter().zip(&ids.ring) {
+            for (q, &[free, inflight, kicks, signals]) in vm.ring_audit().iter().zip(queues) {
+                tm.record(free, now, q.free_descriptors as f64);
+                tm.record(inflight, now, f64::from(q.in_flight_chains));
+                tm.record(kicks, now, q.driver.kicks_suppressed as f64);
+                tm.record(signals, now, q.device.signals_suppressed as f64);
             }
         }
-        for (h, ladder) in self.health.iter().enumerate() {
+        for (ladder, (route_id, states)) in self.health.iter().zip(&ids.health) {
             let route = match ladder.route() {
                 Route::Remote(k) => k as f64,
                 Route::Local => self.config.num_iohosts as f64,
             };
-            tm.gauge(&format!("health.vmhost{h}.route"), now, route);
-            for (k, mon) in ladder.targets().iter().enumerate() {
-                tm.gauge(
-                    &format!("health.vmhost{h}.iohost{k}.state"),
-                    now,
-                    health_state_ordinal(mon.state()),
-                );
+            tm.record(*route_id, now, route);
+            for (mon, &id) in ladder.targets().iter().zip(states) {
+                tm.record(id, now, health_state_ordinal(mon.state()));
             }
         }
-        for (k, adm) in self.admission.iter().enumerate() {
-            tm.counter(
-                &format!("admission.iohost{k}.offered"),
-                now,
-                adm.total_offered() as f64,
-            );
-            tm.counter(
-                &format!("admission.iohost{k}.shed"),
-                now,
-                adm.total_shed() as f64,
-            );
-            tm.gauge(
-                &format!("admission.iohost{k}.breaker_open"),
-                now,
-                f64::from(u8::from(adm.breaker_open(now))),
-            );
+        for (adm, &[offered, shed, breaker]) in self.admission.iter().zip(&ids.admission) {
+            tm.record(offered, now, adm.total_offered() as f64);
+            tm.record(shed, now, adm.total_shed() as f64);
+            tm.record(breaker, now, f64::from(u8::from(adm.breaker_open(now))));
         }
         let outstanding: usize = self.retx.iter().map(BlockRetx::outstanding).sum();
-        tm.gauge("retx.outstanding", now, outstanding as f64);
-        for (v, t) in self.slo.tenants().iter().enumerate() {
-            tm.gauge(
-                &format!("slo.vm{v}.p50_us"),
-                now,
-                t.latency.percentile(50.0),
-            );
-            tm.gauge(
-                &format!("slo.vm{v}.p99_us"),
-                now,
-                t.latency.percentile(99.0),
-            );
-            tm.counter(&format!("slo.vm{v}.completed"), now, t.completed as f64);
+        tm.record(ids.retx_outstanding, now, outstanding as f64);
+        for (t, &[p50, p99, completed]) in self.slo.tenants().iter().zip(&ids.slo) {
+            tm.record(p50, now, t.latency.percentile(50.0));
+            tm.record(p99, now, t.latency.percentile(99.0));
+            tm.record(completed, now, t.completed as f64);
         }
     }
 

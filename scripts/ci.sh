@@ -12,6 +12,22 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> property tests on a rotating seed"
+# The plain run above replays each property's fixed case stream; this one
+# mixes a date-derived seed in, so every day explores new cases. A failure
+# prints the seed; rerun it with the same PROPTEST_SEED.
+PROPTEST_SEED=${PROPTEST_SEED:-$(date -u +%Y%m%d)}
+echo "    PROPTEST_SEED=$PROPTEST_SEED"
+PROPTEST_SEED=$PROPTEST_SEED cargo test -q \
+    -p vrio-repro --test reliability_props \
+    -p vrio --test admission_props --test dynamic_props --test health_props \
+    --test interpose_props --test poll_props --test proto_props --test steering_props \
+    -p vrio-block --test block_props \
+    -p vrio-net --test tso_props \
+    -p vrio-sim --test typed_differential --test wheel_props \
+    -p vrio-trace --test hist_props \
+    -p vrio-virtio --test ring_conformance --test virtqueue_props
+
 echo "==> trace/report smoke test"
 SMOKE=$(mktemp -d)
 cargo run --release -q -p vrio-bench --bin repro -- \
