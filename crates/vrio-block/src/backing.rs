@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use vrio_sim::SimDuration;
+use vrio_virtio::{GuestAddr, GuestMemory};
 
 use crate::request::BlockKind;
 
@@ -53,6 +54,9 @@ impl std::error::Error for BlockError {}
 /// An in-memory block device holding real bytes — the "1 GB ramdisk per VM"
 /// of the paper's Filebench experiments (§5).
 ///
+/// The bytes live in the same lazily paged store as guest memory, so a
+/// ramdisk costs only the 4 KB pages that have been written.
+///
 /// # Examples
 ///
 /// ```
@@ -64,7 +68,7 @@ impl std::error::Error for BlockError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ramdisk {
-    data: Vec<u8>,
+    store: GuestMemory,
     require_aligned: bool,
 }
 
@@ -72,7 +76,7 @@ impl Ramdisk {
     /// Creates a zero-filled ramdisk of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         Ramdisk {
-            data: vec![0; capacity],
+            store: GuestMemory::new(capacity),
             require_aligned: false,
         }
     }
@@ -80,14 +84,14 @@ impl Ramdisk {
     /// Creates a ramdisk that rejects unaligned access (O_DIRECT mode).
     pub fn new_direct(capacity: usize) -> Self {
         Ramdisk {
-            data: vec![0; capacity],
+            store: GuestMemory::new(capacity),
             require_aligned: true,
         }
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.data.len() as u64
+        self.store.size()
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<(), BlockError> {
@@ -107,15 +111,18 @@ impl Ramdisk {
     /// Reads `len` bytes at byte `offset`.
     pub fn read(&self, offset: u64, len: u64) -> Result<Bytes, BlockError> {
         self.check(offset, len)?;
-        Ok(Bytes::copy_from_slice(
-            &self.data[offset as usize..(offset + len) as usize],
-        ))
+        Ok(self
+            .store
+            .read_bytes(GuestAddr(offset), len)
+            .expect("range checked"))
     }
 
     /// Writes `data` at byte `offset`.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), BlockError> {
         self.check(offset, data.len() as u64)?;
-        self.data[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        self.store
+            .write(GuestAddr(offset), data)
+            .expect("range checked");
         Ok(())
     }
 }

@@ -4,13 +4,12 @@
 //! Figure 4 in the paper. The back-end half is what a vhost thread
 //! (baseline), an Elvis sidecore, or the vRIO transport drives.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use vrio_block::{BlockKind, BlockRequest, RequestId};
 use vrio_virtio::{
     ring_pair, BlkHdr, BlkReqKind, DescChain, DeviceRing, DriverRing, GuestAddr, GuestMemory,
     IndirectAudit, NetHdr, QueueError, RingConfig, RingOps, BLK_HDR_SIZE, BLK_S_OK, NET_HDR_SIZE,
+    PAGE_SIZE,
 };
 
 use crate::guest::GuestCpu;
@@ -98,6 +97,20 @@ impl BufferPool {
     }
 }
 
+/// Takes the entry that a completion's `head` names out of a table indexed
+/// by head.
+fn take_head<T>(by_head: &mut [Option<T>], head: u16) -> Result<T, DeviceError> {
+    by_head
+        .get_mut(usize::from(head))
+        .and_then(Option::take)
+        .ok_or(DeviceError::UnknownHead(head))
+}
+
+/// A table indexed by head with room for every head of a `qsize` ring.
+fn head_table<T>(qsize: u16) -> Vec<Option<T>> {
+    (0..qsize).map(|_| None).collect()
+}
+
 // ---- virtio-net ----------------------------------------------------------
 
 const NET_QSIZE: u16 = 256;
@@ -136,8 +149,9 @@ pub struct VirtioNetDevice {
     rx_dev: DeviceRing,
     tx_pool: BufferPool,
     rx_pool: BufferPool,
-    tx_slot_of_head: HashMap<u16, u16>,
-    rx_slot_of_head: HashMap<u16, u16>,
+    /// Buffer slot of each published tx/rx chain, indexed by head.
+    tx_slot_of_head: Vec<Option<u16>>,
+    rx_slot_of_head: Vec<Option<u16>>,
     /// Messages transmitted by the guest.
     pub tx_count: u64,
     /// Messages delivered to the guest.
@@ -165,8 +179,8 @@ impl VirtioNetDevice {
                 rx_dev,
                 tx_pool,
                 rx_pool,
-                tx_slot_of_head: HashMap::new(),
-                rx_slot_of_head: HashMap::new(),
+                tx_slot_of_head: head_table(NET_QSIZE),
+                rx_slot_of_head: head_table(NET_QSIZE),
                 tx_count: 0,
                 rx_count: 0,
                 scratch_chain: DescChain::default(),
@@ -180,9 +194,28 @@ impl VirtioNetDevice {
 // ---- virtio-blk -----------------------------------------------------------
 
 const BLK_QSIZE: u16 = 128;
-/// Block slots: header + up to 64 KB of data + status byte.
-const BLK_SLOT: usize = BLK_HDR_SIZE + 65_536 + 1;
+/// Largest data buffer of one block request.
+const BLK_DATA_MAX: usize = 65_536;
+/// Block slots: header, up to 64 KB of data and status byte, back to back,
+/// placed so the data starts on the slot's second page and a page-sized
+/// data buffer lies inside one guest page. Slots are page-aligned; the
+/// status byte after a full 64 KB of data needs a page of its own. The
+/// status must stay right after the data: a read completed with a device
+/// error and no data puts its status in the first data byte, and the guest
+/// then reads the stale byte after the data as the status.
+const BLK_SLOT: usize = PAGE_SIZE + BLK_DATA_MAX + PAGE_SIZE;
 const BLK_SLOTS: u16 = 32;
+
+/// Header, data and status addresses of a request with `data_len` bytes of
+/// data in the block slot at `base`.
+fn blk_slot_layout(base: GuestAddr, data_len: usize) -> (GuestAddr, GuestAddr, GuestAddr) {
+    let data = base.offset(PAGE_SIZE as u64);
+    (
+        GuestAddr(data.0 - BLK_HDR_SIZE as u64),
+        data,
+        data.offset(data_len as u64),
+    )
+}
 
 struct PendingBlk {
     id: RequestId,
@@ -196,9 +229,14 @@ pub struct VirtioBlkDevice {
     drv: DriverRing,
     dev: DeviceRing,
     pool: BufferPool,
-    pending: HashMap<u16, PendingBlk>,
-    /// Chains popped by the back-end, awaiting completion.
-    inflight_chains: HashMap<u16, DescChain>,
+    /// Submitted requests, indexed by head.
+    pending: Vec<Option<PendingBlk>>,
+    /// Chains popped by the back-end, awaiting completion, indexed by head.
+    inflight_chains: Vec<Option<DescChain>>,
+    /// Completed chains kept for reuse, so fetching allocates nothing.
+    spare_chains: Vec<DescChain>,
+    /// Scratch buffer recycled across back-end fetch/complete calls.
+    scratch_buf: Vec<u8>,
     /// Requests submitted.
     pub submitted: u64,
     /// Requests completed back to the guest.
@@ -208,7 +246,7 @@ pub struct VirtioBlkDevice {
 impl VirtioBlkDevice {
     fn new(ring: RingConfig, mem_base: u64) -> (Self, u64) {
         let (drv, dev, ring_end) = ring_pair(ring, BLK_QSIZE, GuestAddr(mem_base));
-        let pool_base = ring_end.0.div_ceil(64) * 64;
+        let pool_base = ring_end.0.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64;
         let pool = BufferPool::new(pool_base, BLK_SLOT, BLK_SLOTS);
         let end = pool_base + BLK_SLOT as u64 * u64::from(BLK_SLOTS);
         (
@@ -216,8 +254,10 @@ impl VirtioBlkDevice {
                 drv,
                 dev,
                 pool,
-                pending: HashMap::new(),
-                inflight_chains: HashMap::new(),
+                pending: head_table(BLK_QSIZE),
+                inflight_chains: head_table(BLK_QSIZE),
+                spare_chains: Vec::new(),
+                scratch_buf: Vec::new(),
                 submitted: 0,
                 completed: 0,
             },
@@ -422,7 +462,7 @@ impl Vm {
                 return Err(e.into());
             }
         };
-        self.net.tx_slot_of_head.insert(head, slot);
+        self.net.tx_slot_of_head[usize::from(head)] = Some(slot);
         self.net.tx_count += 1;
         self.net.tx_drv.should_kick(&self.mem)?;
         Ok(head)
@@ -433,11 +473,7 @@ impl Vm {
         self.ring_epoch += 1;
         let mut n = 0;
         while let Some(used) = self.net.tx_drv.poll_used(&self.mem)? {
-            let slot = self
-                .net
-                .tx_slot_of_head
-                .remove(&used.head)
-                .ok_or(DeviceError::UnknownHead(used.head))?;
+            let slot = take_head(&mut self.net.tx_slot_of_head, used.head)?;
             self.net.tx_pool.release(slot);
             n += 1;
         }
@@ -463,7 +499,7 @@ impl Vm {
                 .add_chain(&mut self.mem, &[], &[(addr, NET_SLOT as u32)])
             {
                 Ok(head) => {
-                    self.net.rx_slot_of_head.insert(head, slot);
+                    self.net.rx_slot_of_head[usize::from(head)] = Some(slot);
                     n += 1;
                 }
                 Err(_) => {
@@ -485,15 +521,15 @@ impl Vm {
         let Some(used) = self.net.rx_drv.poll_used(&self.mem)? else {
             return Ok(None);
         };
-        let slot = self
-            .net
-            .rx_slot_of_head
-            .remove(&used.head)
-            .ok_or(DeviceError::UnknownHead(used.head))?;
-        let addr = self.net.rx_pool.addr(slot);
-        let total = used.written as u64;
-        let bytes = self.mem.read(addr, total).map_err(QueueError::from)?;
-        let payload = Bytes::copy_from_slice(&bytes[NET_HDR_SIZE.min(bytes.len())..]);
+        let slot = take_head(&mut self.net.rx_slot_of_head, used.head)?;
+        let hdr_len = (NET_HDR_SIZE as u64).min(u64::from(used.written));
+        let payload = self
+            .mem
+            .read_bytes(
+                self.net.rx_pool.addr(slot).offset(hdr_len),
+                u64::from(used.written) - hdr_len,
+            )
+            .map_err(QueueError::from)?;
         self.net.rx_pool.release(slot);
         self.net.rx_count += 1;
         self.net.rx_drv.arm(&mut self.mem)?;
@@ -562,14 +598,15 @@ impl Vm {
             BlockKind::Read => req.len as usize,
             BlockKind::Flush => 0,
         };
-        if BLK_HDR_SIZE + data_len + 1 > BLK_SLOT {
+        if data_len > BLK_DATA_MAX {
             return Err(DeviceError::PayloadTooLarge {
                 len: data_len,
-                slot: BLK_SLOT,
+                slot: BLK_DATA_MAX,
             });
         }
         let slot = self.blk.pool.alloc().ok_or(DeviceError::NoBuffers)?;
-        let base = self.blk.pool.addr(slot);
+        let (hdr_addr, data_addr, status_addr) =
+            blk_slot_layout(self.blk.pool.addr(slot), data_len);
         let wire_kind = match req.kind {
             BlockKind::Read => BlkReqKind::In,
             BlockKind::Write => BlkReqKind::Out,
@@ -577,10 +614,8 @@ impl Vm {
         };
         let hdr = BlkHdr::new(wire_kind, req.sector);
         self.mem
-            .write(base, &hdr.encode())
+            .write(hdr_addr, &hdr.encode())
             .map_err(QueueError::from)?;
-        let data_addr = base.offset(BLK_HDR_SIZE as u64);
-        let status_addr = data_addr.offset(data_len as u64);
         let result = match req.kind {
             BlockKind::Write => {
                 self.mem
@@ -588,18 +623,21 @@ impl Vm {
                     .map_err(QueueError::from)?;
                 self.blk.drv.add_chain(
                     &mut self.mem,
-                    &[(base, BLK_HDR_SIZE as u32), (data_addr, data_len as u32)],
+                    &[
+                        (hdr_addr, BLK_HDR_SIZE as u32),
+                        (data_addr, data_len as u32),
+                    ],
                     &[(status_addr, 1)],
                 )
             }
             BlockKind::Read => self.blk.drv.add_chain(
                 &mut self.mem,
-                &[(base, BLK_HDR_SIZE as u32)],
+                &[(hdr_addr, BLK_HDR_SIZE as u32)],
                 &[(data_addr, data_len as u32), (status_addr, 1)],
             ),
             BlockKind::Flush => self.blk.drv.add_chain(
                 &mut self.mem,
-                &[(base, BLK_HDR_SIZE as u32)],
+                &[(hdr_addr, BLK_HDR_SIZE as u32)],
                 &[(status_addr, 1)],
             ),
         };
@@ -610,15 +648,12 @@ impl Vm {
                 return Err(e.into());
             }
         };
-        self.blk.pending.insert(
-            head,
-            PendingBlk {
-                id: req.id,
-                kind: req.kind,
-                slot,
-                data_len: data_len as u32,
-            },
-        );
+        self.blk.pending[usize::from(head)] = Some(PendingBlk {
+            id: req.id,
+            kind: req.kind,
+            slot,
+            data_len: data_len as u32,
+        });
         self.blk.submitted += 1;
         self.blk.drv.should_kick(&self.mem)?;
         Ok(head)
@@ -629,21 +664,18 @@ impl Vm {
         self.ring_epoch += 1;
         let mut done = Vec::new();
         while let Some(used) = self.blk.drv.poll_used(&self.mem)? {
-            let p = self
-                .blk
-                .pending
-                .remove(&used.head)
-                .ok_or(DeviceError::UnknownHead(used.head))?;
-            let base = self.blk.pool.addr(p.slot);
-            let data_addr = base.offset(BLK_HDR_SIZE as u64);
-            let status_addr = data_addr.offset(u64::from(p.data_len));
-            let status = self.mem.read(status_addr, 1).map_err(QueueError::from)?[0];
+            let p = take_head(&mut self.blk.pending, used.head)?;
+            let (_, data_addr, status_addr) =
+                blk_slot_layout(self.blk.pool.addr(p.slot), p.data_len as usize);
+            let mut status = [0];
+            self.mem
+                .read_into(status_addr, &mut status)
+                .map_err(QueueError::from)?;
+            let [status] = status;
             let data = if p.kind == BlockKind::Read && status == BLK_S_OK {
-                Bytes::copy_from_slice(
-                    self.mem
-                        .read(data_addr, u64::from(p.data_len))
-                        .map_err(QueueError::from)?,
-                )
+                self.mem
+                    .read_bytes(data_addr, u64::from(p.data_len))
+                    .map_err(QueueError::from)?
             } else {
                 Bytes::new()
             };
@@ -669,16 +701,19 @@ impl Vm {
     /// Back-end fetches one block request: `(head, hdr, write payload)`.
     pub fn blk_fetch(&mut self) -> Result<Option<(u16, BlkHdr, Bytes)>, DeviceError> {
         self.ring_epoch += 1;
-        let Some(chain) = self.blk.dev.pop_avail(&self.mem)? else {
+        let mut chain = self.blk.spare_chains.pop().unwrap_or_default();
+        if !self.blk.dev.pop_avail_into(&self.mem, &mut chain)? {
+            self.blk.spare_chains.push(chain);
             self.blk.dev.arm(&mut self.mem)?;
             return Ok(None);
-        };
-        let readable = chain.copy_readable(&self.mem)?;
-        let hdr = BlkHdr::decode(&readable)
+        }
+        let readable = &mut self.blk.scratch_buf;
+        chain.copy_readable_into(&self.mem, readable)?;
+        let hdr = BlkHdr::decode(readable)
             .ok_or_else(|| DeviceError::Queue(QueueError::BadChain("bad blk header".into())))?;
         let payload = Bytes::copy_from_slice(&readable[BLK_HDR_SIZE..]);
         let head = chain.head;
-        self.blk.inflight_chains.insert(head, chain);
+        self.blk.inflight_chains[usize::from(head)] = Some(chain);
         Ok(Some((head, hdr, payload)))
     }
 
@@ -691,15 +726,13 @@ impl Vm {
         read_data: &[u8],
     ) -> Result<(), DeviceError> {
         self.ring_epoch += 1;
-        let chain = self
-            .blk
-            .inflight_chains
-            .remove(&head)
-            .ok_or(DeviceError::UnknownHead(head))?;
-        let mut buf = Vec::with_capacity(read_data.len() + 1);
+        let chain = take_head(&mut self.blk.inflight_chains, head)?;
+        let buf = &mut self.blk.scratch_buf;
+        buf.clear();
         buf.extend_from_slice(read_data);
         buf.push(status);
-        let written = chain.write_writable(&mut self.mem, &buf)?;
+        let written = chain.write_writable(&mut self.mem, buf)?;
+        self.blk.spare_chains.push(chain);
         self.blk.dev.push_used(&mut self.mem, head, written)?;
         self.blk.dev.should_signal(&self.mem)?;
         Ok(())
@@ -930,6 +963,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fresh_vm_touches_few_pages() {
+        for config in [
+            RingConfig::split_basic(),
+            RingConfig::split_event_idx(),
+            RingConfig::packed(),
+        ] {
+            let mut vm = Vm::with_rings(VmId(0), config);
+            assert_eq!(vm.mem.resident_pages(), 0, "{config}");
+            vm.net_refill_rx().unwrap();
+            // The rx ring's descriptor table and driver area only: the
+            // posted buffers stay unallocated until the device writes them.
+            let pages = vm.mem.resident_pages();
+            assert!(pages <= 2, "{config}: {pages} pages after refill");
+        }
+    }
+
+    #[test]
+    fn blk_data_buffers_lie_inside_one_page() {
+        let vm = Vm::new(VmId(0));
+        let page = |a: GuestAddr| a.0 / PAGE_SIZE as u64;
+        for slot in 0..BLK_SLOTS {
+            let base = vm.blk.pool.addr(slot);
+            let (hdr, data, status) = blk_slot_layout(base, 4096);
+            assert_eq!(data.0 % PAGE_SIZE as u64, 0, "slot {slot}");
+            assert_eq!(page(data), page(data.offset(4095)), "slot {slot}");
+            assert_eq!(hdr.offset(BLK_HDR_SIZE as u64), data, "slot {slot}");
+            assert_eq!(status, data.offset(4096), "slot {slot}");
+            // A full 64 KB request's status byte stays inside the slot.
+            let (first, _, last) = blk_slot_layout(base, BLK_DATA_MAX);
+            assert!(base <= first, "slot {slot}");
+            let end = last.offset(1);
+            assert!(end.0 <= vm.mem.size(), "slot {slot}");
+            assert!(slot + 1 == BLK_SLOTS || end <= vm.blk.pool.addr(slot + 1));
+        }
+    }
+
+    #[test]
+    fn unknown_heads_are_rejected() {
+        let mut vm = Vm::new(VmId(0));
+        assert_eq!(
+            vm.blk_complete(7, BLK_S_OK, &[]).unwrap_err(),
+            DeviceError::UnknownHead(7)
+        );
+        assert_eq!(
+            vm.blk_complete(u16::MAX, BLK_S_OK, &[]).unwrap_err(),
+            DeviceError::UnknownHead(u16::MAX)
+        );
     }
 
     #[test]

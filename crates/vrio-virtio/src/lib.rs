@@ -63,7 +63,7 @@ pub use blk::{
     BLK_T_FLUSH, BLK_T_IN, BLK_T_OUT, SECTOR_SIZE,
 };
 pub use features::{Feature, FeatureSet};
-pub use mem::{GuestAddr, GuestMemory, MemError};
+pub use mem::{GuestAddr, GuestMemory, MemError, PAGE_SIZE};
 pub use net::{NetHdr, GSO_NONE, GSO_TCPV4, NET_HDR_SIZE};
 pub use packed::{
     PackedDeviceQueue, PackedDriverQueue, PackedLayout, PACKED_DESC_F_AVAIL, PACKED_DESC_F_USED,

@@ -769,7 +769,9 @@ mod tests {
         );
         assert_eq!(drv.free_descriptors(), 8);
         assert_eq!(drv.in_flight(), 0);
-        assert_eq!(mem.read(GuestAddr(0x5000), 8).unwrap(), b"RESPONSE");
+        let mut resp = [0; 8];
+        mem.read_into(GuestAddr(0x5000), &mut resp).unwrap();
+        assert_eq!(&resp, b"RESPONSE");
     }
 
     #[test]

@@ -276,7 +276,9 @@ pub struct UsedElem {
 /// // Device: pop it, read the request, write a response, complete.
 /// let chain = dev.pop_avail(&mem).unwrap().unwrap();
 /// assert_eq!(chain.head, head);
-/// assert_eq!(mem.read(chain.readable[0].0, 4).unwrap(), b"ping");
+/// let mut req = [0; 4];
+/// mem.read_into(chain.readable[0].0, &mut req).unwrap();
+/// assert_eq!(&req, b"ping");
 /// mem.write(chain.writable[0].0, b"pong").unwrap();
 /// dev.push_used(&mut mem, chain.head, 4).unwrap();
 ///
@@ -284,7 +286,9 @@ pub struct UsedElem {
 /// let used = drv.poll_used(&mem).unwrap().unwrap();
 /// assert_eq!(used.head, head);
 /// assert_eq!(used.written, 4);
-/// assert_eq!(mem.read(GuestAddr(0x5000), 4).unwrap(), b"pong");
+/// let mut resp = [0; 4];
+/// mem.read_into(GuestAddr(0x5000), &mut resp).unwrap();
+/// assert_eq!(&resp, b"pong");
 /// ```
 #[derive(Debug, Clone)]
 pub struct DriverQueue {
@@ -581,7 +585,7 @@ impl DescChain {
     ) -> Result<(), QueueError> {
         out.clear();
         for &(addr, len) in &self.readable {
-            out.extend_from_slice(mem.read(addr, u64::from(len))?);
+            mem.read_append(addr, u64::from(len), out)?;
         }
         Ok(())
     }
@@ -893,7 +897,9 @@ mod tests {
         assert_eq!(used, UsedElem { head, written: 8 });
         assert_eq!(drv.free_descriptors(), 8);
         assert_eq!(drv.in_flight(), 0);
-        assert_eq!(mem.read(GuestAddr(0x5000), 8).unwrap(), b"RESPONSE");
+        let mut resp = [0; 8];
+        mem.read_into(GuestAddr(0x5000), &mut resp).unwrap();
+        assert_eq!(&resp, b"RESPONSE");
     }
 
     #[test]
@@ -1168,7 +1174,9 @@ mod tests {
         assert_eq!(used, UsedElem { head, written: 8 });
         assert_eq!(drv.free_descriptors(), 4);
         assert_eq!(drv.pinned_descriptors(), 0);
-        assert_eq!(mem.read(GuestAddr(0x5000), 8).unwrap(), b"RESPONSE");
+        let mut resp = [0; 8];
+        mem.read_into(GuestAddr(0x5000), &mut resp).unwrap();
+        assert_eq!(&resp, b"RESPONSE");
     }
 
     #[test]
@@ -1217,7 +1225,10 @@ mod tests {
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         let n = chain.write_writable(&mut mem, b"abcde").unwrap();
         assert_eq!(n, 5);
-        assert_eq!(mem.read(GuestAddr(0x5000), 3).unwrap(), b"abc");
-        assert_eq!(mem.read(GuestAddr(0x6000), 2).unwrap(), b"de");
+        let (mut first, mut second) = ([0; 3], [0; 2]);
+        mem.read_into(GuestAddr(0x5000), &mut first).unwrap();
+        mem.read_into(GuestAddr(0x6000), &mut second).unwrap();
+        assert_eq!(&first, b"abc");
+        assert_eq!(&second, b"de");
     }
 }

@@ -140,10 +140,10 @@ proptest! {
 
         // Reassemble what the device scattered and compare.
         let n1 = (first.max(1) as usize).min(payload.len());
-        let mut got = mem.read(GuestAddr(0x5000), n1 as u64).unwrap().to_vec();
-        got.extend_from_slice(
-            mem.read(GuestAddr(0x6000), (payload.len() - n1) as u64).unwrap(),
-        );
+        let mut got = Vec::new();
+        mem.read_append(GuestAddr(0x5000), n1 as u64, &mut got).unwrap();
+        mem.read_append(GuestAddr(0x6000), (payload.len() - n1) as u64, &mut got)
+            .unwrap();
         prop_assert_eq!(got, payload);
     }
 }

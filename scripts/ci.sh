@@ -26,7 +26,21 @@ PROPTEST_SEED=$PROPTEST_SEED cargo test -q \
     -p vrio-net --test tso_props \
     -p vrio-sim --test typed_differential --test wheel_props \
     -p vrio-trace --test hist_props \
-    -p vrio-virtio --test ring_conformance --test virtqueue_props
+    -p vrio-virtio --test mem_props --test ring_conformance --test virtqueue_props
+
+echo "==> perfbench: every workload builds, runs and matches its digest"
+# perfbench is a package of its own, outside the workspace, so the steps
+# above never compile it; it uses the public API of the crates it measures.
+PB=$(mktemp -d)
+for w in rr-rack blk-storm sweep-scaling; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        > "$PB/out" 2> "$PB/err" \
+        || { cat "$PB/err"; echo "FAIL: perfbench $w exited non-zero"; exit 1; }
+    tail -n 1 "$PB/out" | grep -q '"correct": *true' \
+        || { cat "$PB/err" "$PB/out"; echo "FAIL: perfbench $w did not report \"correct\": true"; exit 1; }
+    echo "    $w: correct"
+done
+rm -rf "$PB"
 
 echo "==> trace/report smoke test"
 SMOKE=$(mktemp -d)
