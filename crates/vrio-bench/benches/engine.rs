@@ -1,24 +1,23 @@
-//! Wall-clock microbenchmarks of the `vrio-sim` event engine: the timing
-//! wheel against the reference `BinaryHeap` scheduler, over the three
-//! schedule shapes the testbed actually generates.
+//! Wall-clock microbenchmarks of the `vrio-sim` event engine, boxed-closure
+//! and typed events, over three synthetic schedule shapes:
 //!
 //! * **churn** — a steady 32k-event live set with uniform near-term
-//!   deadlines; every fired event schedules a replacement. The sweep
-//!   engine's dominant pattern under load, and the ≥2× acceptance case:
-//!   the heap pays `O(log n)` sifts over a multi-megabyte array, the wheel
-//!   stays flat.
+//!   deadlines; every fired event schedules a replacement. Far more
+//!   pending events than any experiment keeps (DESIGN.md §10), so every
+//!   heap push/pop sifts over a large array: a stress case, not a model
+//!   of the testbed.
 //! * **cascade** — `schedule_now` bursts (same-instant chains) riding on a
-//!   4k-event pending background: the wheel's O(1) fast lane never touches
-//!   the pending set, while every heap push/pop sifts over it.
-//!   Request-coalescing workloads look like this.
-//! * **mixed** — deadlines spread over six decades of horizon, up to far
-//!   enough to land in the wheel's overflow heap.
+//!   4k-event pending background.
+//! * **mixed** — deadlines spread over six decades of horizon.
+//!
+//! These time the engine alone; the end-to-end measure of the simulator is
+//! the repository benchmark in `perfbench/`.
 //!
 //! Two entry modes:
 //!
 //! * `cargo bench --bench engine` — criterion mode, reporting ns/iter and
-//!   events/sec per scheduler for each shape (`--quick` shrinks the event
-//!   counts for CI smoke).
+//!   events/sec per event representation for each shape (`--quick`
+//!   shrinks the event counts for CI smoke).
 //! * `cargo bench --bench engine -- --perf OUT.json [--quick]` — the
 //!   recorded perf harness: longer steady-state runs, plus an in-process
 //!   `--sweep smoke` wall-time measurement, written as a schema-versioned
@@ -35,8 +34,9 @@ use vrio_sim::{Dispatch, Engine, SimDuration, SimTime};
 use vrio_trace::Json;
 
 /// Schema version of the `BENCH_perf` document. v2 added the typed-event
-/// engine shapes and the allocation counters.
-const PERF_SCHEMA_VERSION: u64 = 2;
+/// engine shapes and the allocation counters; v3 replaced the
+/// per-scheduler rates with boxed and typed rates on the one queue.
+const PERF_SCHEMA_VERSION: u64 = 3;
 
 /// Counting allocator: every heap allocation (and growth) bumps a relaxed
 /// counter. This is how the perf harness proves the typed-event engine's
@@ -70,12 +70,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Delay distribution shaping one benchmark schedule.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dist {
-    /// Uniform in [0, 1 ms): the steady-churn case (wheel levels 0–2).
+    /// Uniform in [0, 1 ms): the steady-churn case.
     Uniform,
     /// Same-instant bursts, nudging time by 50 ns every 64 events so the
-    /// chain crawls below the pending background: the fast lane.
+    /// chain crawls below the pending background.
     Cascade,
-    /// Four horizons from 4 µs to ~8.6 s: upper levels + overflow heap.
+    /// Four horizons from 4 µs to ~8.6 s.
     Mixed,
 }
 
@@ -129,8 +129,8 @@ fn event(w: &mut World, eng: &mut Engine<World>) {
 }
 
 /// The same self-replenishing schedule as a typed event: stored by value in
-/// the queue's recycled slot vectors, so steady-state churn performs zero
-/// heap allocations (asserted by the perf harness via [`ALLOCS`]).
+/// the heap's recycled `Vec`, so steady-state churn performs zero heap
+/// allocations (asserted by the perf harness via [`ALLOCS`]).
 enum Ev {
     /// The replenishing churn event (mirror of [`event`]).
     Tick,
@@ -150,12 +150,8 @@ impl Dispatch<World> for Ev {
 }
 
 /// Runs one schedule to exhaustion; returns events fired (== `total`).
-fn run_schedule(use_heap: bool, dist: Dist, total: u64) -> u64 {
-    let mut eng = if use_heap {
-        Engine::with_reference_heap()
-    } else {
-        Engine::new()
-    };
+fn run_schedule(dist: Dist, total: u64) -> u64 {
+    let mut eng = Engine::new();
     let mut w = World {
         state: 0x5EED ^ total,
         remaining: 0,
@@ -217,12 +213,8 @@ fn seed_typed(eng: &mut Engine<World, Ev>, w: &mut World, total: u64) {
 }
 
 /// [`run_schedule`] on the typed-event engine: same schedule, no boxing.
-fn run_schedule_typed(use_heap: bool, dist: Dist, total: u64) -> u64 {
-    let mut eng: Engine<World, Ev> = if use_heap {
-        Engine::with_reference_heap()
-    } else {
-        Engine::new()
-    };
+fn run_schedule_typed(dist: Dist, total: u64) -> u64 {
+    let mut eng: Engine<World, Ev> = Engine::new();
     let mut w = World {
         state: 0x5EED ^ total,
         remaining: 0,
@@ -235,15 +227,10 @@ fn run_schedule_typed(use_heap: bool, dist: Dist, total: u64) -> u64 {
     w.fired
 }
 
-/// The timing wheel's full span: 4 levels × 256 slots at 1 ns granularity.
-const WHEEL_SPAN_NS: u64 = 1 << 32;
-
 /// Allocations per fired event in a steady-state churn run, for both
-/// engines. One full pass warms the queue (slot vectors grow to their
-/// working capacity); the clock is then advanced to a multiple of the
-/// wheel's span, so an identical pass — same RNG stream, so the same
-/// delays and live set — files every event into exactly the slots the warm
-/// pass already grew, and is measured on the warm engine.
+/// engines. One full pass warms the queue (the heap's `Vec` grows to the
+/// live set); an identical pass — same RNG stream, so the same delays and
+/// live set — is then measured on the warm engine.
 fn churn_allocs_per_event(typed: bool, total: u64) -> f64 {
     let mut w = World {
         state: 0x5EED ^ total,
@@ -254,9 +241,6 @@ fn churn_allocs_per_event(typed: bool, total: u64) -> f64 {
     let allocs = if typed {
         let mut eng: Engine<World, Ev> = Engine::new();
         seed_typed(&mut eng, &mut w, total);
-        eng.run(&mut w);
-        let aligned = eng.now().as_nanos().div_ceil(WHEEL_SPAN_NS) * WHEEL_SPAN_NS;
-        eng.schedule_event_at(SimTime::from_nanos(aligned), Ev::Background);
         eng.run(&mut w);
         w.state = 0x5EED ^ total;
         w.fired = 0;
@@ -276,11 +260,6 @@ fn churn_allocs_per_event(typed: bool, total: u64) -> f64 {
         };
         seed_boxed(&mut eng, &mut w);
         eng.run(&mut w);
-        let aligned = eng.now().as_nanos().div_ceil(WHEEL_SPAN_NS) * WHEEL_SPAN_NS;
-        eng.schedule_at(SimTime::from_nanos(aligned), |w: &mut World, _| {
-            w.fired += 1;
-        });
-        eng.run(&mut w);
         w.state = 0x5EED ^ total;
         w.fired = 0;
         seed_boxed(&mut eng, &mut w);
@@ -298,21 +277,18 @@ const SHAPES: [(&str, Dist); 3] = [
     ("mixed", Dist::Mixed),
 ];
 
-const VARIANTS: [(&str, bool); 2] = [("wheel", false), ("heap", true)];
-
-/// Criterion mode: ns/iter + events/sec for every (shape, scheduler) pair.
+/// Criterion mode: ns/iter + events/sec for every (shape, representation)
+/// pair.
 fn criterion_mode(total: u64) {
     let mut c = Criterion::default();
     let mut g = c.benchmark_group("engine");
     g.throughput(Throughput::Elements(total));
     for (shape, dist) in SHAPES {
-        for (variant, use_heap) in VARIANTS {
-            g.bench_function(format!("{shape}_{}k_{variant}", total / 1000), |b| {
-                b.iter(|| black_box(run_schedule(use_heap, dist, total)));
-            });
-        }
+        g.bench_function(format!("{shape}_{}k_boxed", total / 1000), |b| {
+            b.iter(|| black_box(run_schedule(dist, total)));
+        });
         g.bench_function(format!("{shape}_{}k_typed", total / 1000), |b| {
-            b.iter(|| black_box(run_schedule_typed(false, dist, total)));
+            b.iter(|| black_box(run_schedule_typed(dist, total)));
         });
     }
     g.finish();
@@ -345,12 +321,10 @@ fn perf_mode(quick: bool, out: &str) {
     let total: u64 = if quick { 200_000 } else { 1_000_000 };
     let mut metrics: Vec<(String, f64)> = Vec::new();
     for (shape, dist) in SHAPES {
-        for (variant, use_heap) in VARIANTS {
-            let rate = measure_events_per_sec(|| run_schedule(use_heap, dist, total), total);
-            eprintln!("perf {shape:>8}/{variant}: {:>12.0} events/sec", rate);
-            metrics.push((format!("{shape}_{variant}_events_per_sec"), rate));
-        }
-        let rate = measure_events_per_sec(|| run_schedule_typed(false, dist, total), total);
+        let rate = measure_events_per_sec(|| run_schedule(dist, total), total);
+        eprintln!("perf {shape:>8}/boxed: {:>12.0} events/sec", rate);
+        metrics.push((format!("{shape}_boxed_events_per_sec"), rate));
+        let rate = measure_events_per_sec(|| run_schedule_typed(dist, total), total);
         eprintln!("perf {shape:>8}/typed: {:>12.0} events/sec", rate);
         metrics.push((format!("{shape}_typed_events_per_sec"), rate));
     }
@@ -361,13 +335,11 @@ fn perf_mode(quick: bool, out: &str) {
             .map(|&(_, v)| v)
             .expect("metric recorded above")
     };
-    let speedup = find("churn_wheel_events_per_sec") / find("churn_heap_events_per_sec");
-    eprintln!("perf churn speedup (wheel/heap): {speedup:.2}x");
-    let typed_speedup = find("mixed_typed_events_per_sec") / find("mixed_wheel_events_per_sec");
+    let typed_speedup = find("mixed_typed_events_per_sec") / find("mixed_boxed_events_per_sec");
     eprintln!("perf mixed typed speedup (typed/boxed): {typed_speedup:.2}x");
 
     // Allocation discipline: a warmed typed-event churn run must not touch
-    // the heap at all — the queue's slot vectors are the recycled arena.
+    // the allocator at all — the heap's `Vec` is the recycled arena.
     let typed_allocs = churn_allocs_per_event(true, total);
     let boxed_allocs = churn_allocs_per_event(false, total);
     eprintln!("perf churn allocs/event: typed {typed_allocs:.4}, boxed {boxed_allocs:.4}");
@@ -402,7 +374,6 @@ fn perf_mode(quick: bool, out: &str) {
         .iter()
         .map(|(k, v)| (k.as_str(), Json::Num(*v)))
         .collect();
-    metric_fields.push(("churn_speedup", Json::Num(speedup)));
     metric_fields.push(("mixed_typed_speedup", Json::Num(typed_speedup)));
     metric_fields.push(("churn_typed_allocs_per_event", Json::Num(typed_allocs)));
     metric_fields.push(("churn_boxed_allocs_per_event", Json::Num(boxed_allocs)));

@@ -9,46 +9,48 @@
 //!
 //! Two event representations share the one engine:
 //!
-//! - **Closure events** (the default, `E = `[`BoxedEvent<W>`]): each
-//!   `schedule_at` boxes a `FnOnce` — one heap allocation per scheduled
-//!   event. Maximally flexible; this is what the testbed flows use.
+//! - **Boxed events** (the default, `E = `[`BoxedEvent<W>`]): a
+//!   `schedule_at` closure is boxed — one heap allocation per scheduled
+//!   event — while [`Engine::schedule_call_at`] stores a plain function and
+//!   its `u64` argument and allocates nothing. The testbed flows use both:
+//!   closures for their completions, calls to resume a parked flow.
 //! - **Typed events**: instantiate `Engine<W, E>` with a plain `enum`
 //!   implementing [`Dispatch<W>`] and schedule with
-//!   [`Engine::schedule_event_at`]. Events are stored *by value* inside
-//!   the queue's slot vectors, which retain their capacity across pops and
-//!   so act as a free-list-recycled arena: steady-state scheduling
-//!   performs **zero heap allocations per event** (asserted by the
-//!   counting-allocator perf harness in `vrio-bench`). A `Send`-able
-//!   event enum is also the prerequisite for sharding the simulation
-//!   across threads (ROADMAP item 1) — `Box<dyn FnOnce>` closures are
-//!   neither `Send` nor serializable across shard boundaries.
+//!   [`Engine::schedule_event_at`]. Events are stored *by value* in the
+//!   heap's `Vec`, which retains its capacity across pops and so acts as a
+//!   recycled arena: steady-state scheduling performs **zero heap
+//!   allocations per event** (asserted by the counting-allocator perf
+//!   harness in `vrio-bench`). A `Send`-able event enum is also the
+//!   prerequisite for sharding the simulation across threads (ROADMAP
+//!   item 1) — `Box<dyn FnOnce>` closures are neither `Send` nor
+//!   serializable across shard boundaries.
 //!
-//! Both representations fire in identical `(time, seq)` order; the
-//! differential proptest in this crate's test suite replays arbitrary
-//! event programs on a typed-enum engine against the closure
-//! [`ReferenceHeap`] engine and demands identical firing order and world
-//! digests.
-//!
-//! The queue is a hierarchical [`TimingWheel`] (O(1) schedule and pop, with
-//! a fast lane for same-instant bursts); the previous `BinaryHeap`
-//! scheduler survives as [`ReferenceHeap`], selectable via
-//! [`Engine::with_reference_heap`] for differential testing and as the
-//! benchmark baseline. Both fire in identical `(time, seq)` order.
+//! The queue is one [`BinaryHeap`] of `(at, seq, event)` entries,
+//! min-ordered by `(at, seq)`; `seq` is the scheduling counter, so equal
+//! deadlines fire in scheduling order. The experiments keep few events
+//! pending (tens on the racks, at most a few thousand on the lossy block
+//! runs; DESIGN.md §10), where a heap's `O(log n)` sifts over a small array
+//! beat any bucketed queue.
 //!
 //! The observe-only probe ([`Engine::set_probe`]) stays a
 //! `Box<dyn FnMut(SimTime)>` regardless of `E`: it is invoked in
-//! [`Engine::step`] *after* the event is popped out of the arena and
-//! *before* it dispatches, so it never touches event storage and cannot
-//! perturb recycling — enabling it is bit-identical on every model.
+//! [`Engine::step`] *after* the event is popped off the heap and *before*
+//! it dispatches, so it never touches event storage and cannot perturb the
+//! simulation — enabling it is bit-identical on every model.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
 use crate::profiler::Profiler;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{ReferenceHeap, TimingWheel};
 
 /// A scheduled closure-event callback (the payload of [`BoxedEvent`]).
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+
+/// A plain event function taking one `u64` argument: what
+/// [`Engine::schedule_call_at`] schedules, without allocating.
+pub type CallFn<W> = fn(&mut W, &mut Engine<W>, u64);
 
 /// How an event payload fires. Implemented by [`BoxedEvent`] (closure
 /// dispatch) and by user-defined typed event enums; the world interprets
@@ -59,57 +61,49 @@ pub trait Dispatch<W>: Sized {
     fn dispatch(self, world: &mut W, eng: &mut Engine<W, Self>);
 }
 
-/// The default event payload: a boxed `FnOnce` closure. (A newtype —
-/// a recursive `type` alias cannot name itself in its own definition.)
-pub struct BoxedEvent<W>(pub EventFn<W>);
+/// The default event payload.
+pub enum BoxedEvent<W> {
+    /// A boxed `FnOnce` closure: one heap allocation per event.
+    Closure(EventFn<W>),
+    /// A plain function and its argument: no allocation.
+    Call(CallFn<W>, u64),
+}
 
 impl<W> Dispatch<W> for BoxedEvent<W> {
     #[inline]
     fn dispatch(self, world: &mut W, eng: &mut Engine<W>) {
-        (self.0)(world, eng)
+        match self {
+            BoxedEvent::Closure(f) => f(world, eng),
+            BoxedEvent::Call(f, arg) => f(world, eng, arg),
+        }
     }
 }
 
-/// The engine's event queue: the timing wheel in production, the reference
-/// heap when explicitly requested (differential tests, benchmarks). The
-/// payload is stored by value; the wheel's slot vectors double as the
-/// event arena for typed payloads.
-enum Queue<E> {
-    Wheel(TimingWheel<E>),
-    Heap(ReferenceHeap<E>),
+/// A heap entry, min-ordered by `(at, seq)`.
+struct Entry<E> {
+    at: u64,
+    seq: u64,
+    ev: E,
 }
 
-impl<E> Queue<E> {
-    #[inline]
-    fn push(&mut self, at: u64, seq: u64, ev: E) {
-        match self {
-            Queue::Wheel(q) => q.push(at, seq, ev),
-            Queue::Heap(q) => q.push(at, seq, ev),
-        }
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
     }
+}
 
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, E)> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    #[inline]
-    fn peek_time(&mut self) -> Option<u64> {
-        match self {
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert for min-order.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -161,7 +155,7 @@ pub struct Engine<W, E: Dispatch<W> = BoxedEvent<W>> {
     now: SimTime,
     seq: u64,
     fired: u64,
-    queue: Queue<E>,
+    queue: BinaryHeap<Entry<E>>,
     /// Observe-only hook fired once per event (see [`Engine::set_probe`]).
     /// Deliberately a boxed closure even on typed-event engines: it runs
     /// outside the event arena path (between pop and dispatch) and is
@@ -183,28 +177,13 @@ impl<W, E: Dispatch<W>> Default for Engine<W, E> {
 }
 
 impl<W, E: Dispatch<W>> Engine<W, E> {
-    /// Creates an empty engine at `t = 0`, scheduled by the timing wheel.
+    /// Creates an empty engine at `t = 0`.
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
             fired: 0,
-            queue: Queue::Wheel(TimingWheel::new()),
-            probe: None,
-            profiler: None,
-            _world: PhantomData,
-        }
-    }
-
-    /// Creates an empty engine scheduled by the previous `BinaryHeap`
-    /// implementation. Fires the exact same event sequence as [`Engine::new`]
-    /// — kept for differential testing and as the perf-bench baseline.
-    pub fn with_reference_heap() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            seq: 0,
-            fired: 0,
-            queue: Queue::Heap(ReferenceHeap::new()),
+            queue: BinaryHeap::new(),
             probe: None,
             profiler: None,
             _world: PhantomData,
@@ -255,7 +234,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
     }
 
     /// Schedules a typed event to fire at absolute time `at`, stored by
-    /// value in the queue (no heap allocation).
+    /// value in the heap (no allocation once the heap has grown).
     ///
     /// Scheduling in the past is a logic error; the event is clamped to fire
     /// at the current time (still after all already-pending events at that
@@ -266,14 +245,23 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             "scheduled event in the past: {at} < {}",
             self.now
         );
-        let at = at.max(self.now);
-        let seq = self.seq;
+        self.push(at, ev);
+    }
+
+    /// Queues `ev` at `at`, clamped to now: a clamped event still gets the
+    /// next `seq`, so it fires after everything already due now.
+    fn push(&mut self, at: SimTime, ev: E) {
+        let entry = Entry {
+            at: at.max(self.now).as_nanos(),
+            seq: self.seq,
+            ev,
+        };
         self.seq += 1;
         if let Some(prof) = &self.profiler {
             let _g = prof.scope("engine.push");
-            self.queue.push(at.as_nanos(), seq, ev);
+            self.queue.push(entry);
         } else {
-            self.queue.push(at.as_nanos(), seq, ev);
+            self.queue.push(entry);
         }
     }
 
@@ -296,7 +284,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             return self.step_profiled(world);
         }
         match self.queue.pop() {
-            Some((at, ev)) => {
+            Some(Entry { at, ev, .. }) => {
                 let at = SimTime::from_nanos(at);
                 debug_assert!(at >= self.now);
                 self.now = at;
@@ -311,7 +299,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
         }
     }
 
-    /// [`Engine::step`] with wall-clock scopes around the wheel pop, the
+    /// [`Engine::step`] with wall-clock scopes around the heap pop, the
     /// probe and the callback. Identical event semantics — only timing is
     /// added.
     fn step_profiled(&mut self, world: &mut W) -> bool {
@@ -324,7 +312,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             self.queue.pop()
         };
         match popped {
-            Some((at, ev)) => {
+            Some(Entry { at, ev, .. }) => {
                 let at = SimTime::from_nanos(at);
                 debug_assert!(at >= self.now);
                 self.now = at;
@@ -350,8 +338,8 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
     /// `deadline`. Time is left at the last fired event (it does not jump to
     /// the deadline).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        while let Some(at) = self.queue.peek_time() {
-            if SimTime::from_nanos(at) > deadline {
+        while let Some(next) = self.queue.peek() {
+            if SimTime::from_nanos(next.at) > deadline {
                 break;
             }
             self.step(world);
@@ -384,7 +372,16 @@ impl<W> Engine<W> {
     where
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
-        self.schedule_event_at(at, BoxedEvent(Box::new(f)));
+        self.schedule_event_at(at, BoxedEvent::Closure(Box::new(f)));
+    }
+
+    /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
+    /// Unlike [`Engine::schedule_at`] this boxes nothing: the event holds
+    /// the function pointer and `arg` by value, so a caller that keeps its
+    /// state elsewhere (and names it by `arg`) schedules without
+    /// allocating. Same past-clamping as [`Engine::schedule_at`].
+    pub fn schedule_call_at(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
+        self.schedule_event_at(at, BoxedEvent::Call(f, arg));
     }
 
     /// Schedules `f` to fire `delay` after the current time.
@@ -558,8 +555,41 @@ mod tests {
         assert_eq!(n, 2);
     }
 
+    #[test]
+    fn past_schedule_clamps_behind_events_due_now() {
+        let mut order: Vec<u32> = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(1));
+        eng.step(&mut order);
+        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(2));
+        // The release-build path of a past schedule (debug builds assert).
+        eng.push(
+            SimTime::from_nanos(5),
+            BoxedEvent::Closure(Box::new(|w, _| w.push(3))),
+        );
+        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(4));
+        eng.run(&mut order);
+        assert_eq!(order, vec![1, 2, 3, 4]);
+        assert_eq!(eng.now(), SimTime::from_nanos(1000));
+    }
+
+    #[test]
+    fn calls_fire_in_order_with_closures() {
+        fn call(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, arg: u64) {
+            w.push(arg);
+        }
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.schedule_call_at(SimTime::from_nanos(20), call, 3);
+        eng.schedule_at(SimTime::from_nanos(10), |w, _| w.push(1));
+        eng.schedule_call_at(SimTime::from_nanos(10), call, 2);
+        eng.run(&mut order);
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(eng.events_fired(), 3);
+    }
+
     /// Typed events fire interchangeably with closure events: same
-    /// (time, seq) order, same world effects, on both queue backends.
+    /// (time, seq) order, same world effects.
     #[test]
     fn typed_events_match_closure_engine() {
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -615,10 +645,6 @@ mod tests {
             eng.run(&mut w);
             (w, eng.now(), eng.events_fired())
         }
-        let wheel = typed(Engine::new());
-        let heap = typed(Engine::with_reference_heap());
-        let boxed = closures();
-        assert_eq!(wheel, boxed);
-        assert_eq!(heap, boxed);
+        assert_eq!(typed(Engine::new()), closures());
     }
 }

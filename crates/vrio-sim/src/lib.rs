@@ -8,9 +8,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`Engine`] — an event-queue simulator over a user world type, with
-//!   FIFO tie-breaking for reproducibility, scheduled by a hierarchical
-//!   [`TimingWheel`] (O(1) schedule/fire; the old `BinaryHeap` scheduler
-//!   survives as [`ReferenceHeap`] for differential testing and benches);
+//!   FIFO tie-breaking for reproducibility, scheduled by one binary heap;
 //! * [`SimRng`] — an explicitly-seeded RNG with the distributions the
 //!   testbed needs (exponential, log-normal, Pareto);
 //! * statistics ([`OnlineStats`], [`Histogram`], [`BusyTracker`]) for
@@ -63,11 +61,9 @@ mod profiler;
 mod rng;
 mod stats;
 mod time;
-mod wheel;
 
-pub use engine::{BoxedEvent, Dispatch, Engine, EventFn};
+pub use engine::{BoxedEvent, CallFn, Dispatch, Engine, EventFn};
 pub use profiler::{ProfGuard, ProfReport, Profiler, ScopeStats};
 pub use rng::{scenario_seed, SimRng};
 pub use stats::{BusyTracker, Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{ReferenceHeap, TimingWheel};

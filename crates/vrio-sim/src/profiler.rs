@@ -2,7 +2,7 @@
 //!
 //! Simulated time tells us where the *modeled* microseconds go; the
 //! profiler tells us where the *host's* microseconds go while computing
-//! them — wheel scheduling, event callbacks, observe-only probes (tracer
+//! them — event scheduling, event callbacks, observe-only probes (tracer
 //! and oracle overhead), telemetry sampling. Scopes accumulate call
 //! counts, total and maximum wall-clock time under `&'static str` names.
 //!

@@ -1,0 +1,272 @@
+//! Model-based tests of the engine's event queue: for arbitrary schedules
+//! — same-time ties, stale deadlines, events scheduled from inside
+//! callbacks, and `run_until` boundaries — the engine must fire exactly
+//! what a brute-force model fires when it always takes the pending
+//! `(at, seq)` minimum. Plus a regression test that `schedule_now` bursts
+//! never reorder.
+
+use proptest::prelude::*;
+use vrio_sim::{Engine, SimDuration, SimTime};
+
+/// One scheduling instruction of a generated program: an event at an
+/// absolute offset which, when fired, schedules `children` more events at
+/// the given relative delays (0 = same instant).
+#[derive(Debug, Clone)]
+struct Op {
+    at: u64,
+    children: Vec<u64>,
+}
+
+/// The recorded firing sequence: (event label, firing time).
+type Trace = Vec<(u64, u64)>;
+
+/// The label of the `i`-th child of the event labelled `parent`.
+fn child_label(parent: u64, i: usize) -> u64 {
+    (parent << 16) | (i as u64 + 1)
+}
+
+/// What a model event does when it fires.
+#[derive(Debug, Clone)]
+enum Action {
+    /// Record `label`, then schedule `children` at the given delays.
+    Root { label: u64, children: Vec<u64> },
+    /// Record `label`.
+    Leaf { label: u64 },
+}
+
+/// The brute-force reference queue: pending events in a plain list, each
+/// step removing the `(at, seq)` minimum by linear scan.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    seq: u64,
+    pending: Vec<(u64, u64, Action)>,
+    fired: u64,
+    trace: Trace,
+}
+
+impl Model {
+    /// Queues `action` at `at`, clamped to now (the engine's contract).
+    fn schedule(&mut self, at: u64, action: Action) {
+        self.pending.push((at.max(self.now), self.seq, action));
+        self.seq += 1;
+    }
+
+    /// The index of the pending `(at, seq)` minimum.
+    fn next(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    /// Fires the pending minimum; `false` if nothing is pending.
+    fn step(&mut self) -> bool {
+        let Some(i) = self.next() else {
+            return false;
+        };
+        let (at, _, action) = self.pending.swap_remove(i);
+        self.now = at;
+        self.fired += 1;
+        match action {
+            Action::Root { label, children } => {
+                self.trace.push((label, at));
+                for (i, d) in children.into_iter().enumerate() {
+                    let label = child_label(label, i);
+                    self.schedule(at + d, Action::Leaf { label });
+                }
+            }
+            Action::Leaf { label } => self.trace.push((label, at)),
+        }
+        true
+    }
+
+    fn run(&mut self) {
+        while self.step() {}
+    }
+
+    fn run_until(&mut self, deadline: u64) {
+        while self.next().is_some_and(|i| self.pending[i].0 <= deadline) {
+            self.step();
+        }
+    }
+}
+
+/// Schedules root `label` on the engine: it records itself and schedules
+/// `children` at the given delays, each recording itself.
+fn schedule_root(eng: &mut Engine<Trace>, at: u64, label: u64, children: Vec<u64>) {
+    eng.schedule_at(SimTime::from_nanos(at), move |w: &mut Trace, e| {
+        w.push((label, e.now().as_nanos()));
+        for (i, &d) in children.iter().enumerate() {
+            let child = child_label(label, i);
+            e.schedule_in(SimDuration::nanos(d), move |w: &mut Trace, e| {
+                w.push((child, e.now().as_nanos()));
+            });
+        }
+    });
+}
+
+/// The `run_until` deadlines splitting a program's horizon into `chunks`
+/// slices (none for 1 chunk = plain `run`).
+fn chunk_deadlines(ops: &[Op], chunks: u64) -> Vec<u64> {
+    if chunks <= 1 {
+        return Vec::new();
+    }
+    let horizon = ops.iter().map(|o| o.at).max().unwrap_or(0) * 2 + 1000;
+    (1..=chunks).map(|c| horizon * c / chunks).collect()
+}
+
+/// Runs `ops` on the engine through `run_until` at each deadline, then to
+/// quiescence (stragglers past the horizon), and returns its trace.
+fn run_engine(ops: &[Op], deadlines: &[u64]) -> Trace {
+    let mut eng = Engine::new();
+    for (label, op) in ops.iter().enumerate() {
+        schedule_root(&mut eng, op.at, label as u64, op.children.clone());
+    }
+    let mut trace = Trace::new();
+    for &d in deadlines {
+        eng.run_until(&mut trace, SimTime::from_nanos(d));
+    }
+    eng.run(&mut trace);
+    trace
+}
+
+/// [`run_engine`] on the model.
+fn run_model(ops: &[Op], deadlines: &[u64]) -> Trace {
+    let mut model = Model::default();
+    for (label, op) in ops.iter().enumerate() {
+        let (label, children) = (label as u64, op.children.clone());
+        model.schedule(op.at, Action::Root { label, children });
+    }
+    for &d in deadlines {
+        model.run_until(d);
+    }
+    model.run();
+    model.trace
+}
+
+/// Deadline strategy mixing horizons: dense near-term ties, mid-range
+/// values, and far-future ones up to 2^35 ns.
+fn deadline() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        4 => 0u64..64,
+        4 => 0u64..1_000,
+        3 => 0u64..100_000,
+        2 => 0u64..20_000_000,
+        1 => 0u64..(1u64 << 35),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Identical firing sequences (labels AND times) from the engine and
+    /// the model, for arbitrary schedules including re-entrant scheduling
+    /// from inside callbacks, fired through 1–4 `run_until` chunks.
+    #[test]
+    fn engine_matches_model(
+        ops in proptest::collection::vec(
+            (deadline(), proptest::collection::vec(deadline(), 0..4))
+                .prop_map(|(at, children)| Op { at, children }),
+            1..40,
+        ),
+        chunks in 1u64..5,
+    ) {
+        let deadlines = chunk_deadlines(&ops, chunks);
+        prop_assert_eq!(run_engine(&ops, &deadlines), run_model(&ops, &deadlines));
+    }
+
+    /// Stale deadlines: absolute times scheduled between steps, often
+    /// behind the clock once steps have advanced it, fire "now, after
+    /// everything already due now". Release builds hand the stale time to
+    /// the engine, which clamps it; debug builds assert on a past
+    /// schedule, so there the program clamps first (the engine's own clamp
+    /// is unit-tested in `engine.rs`).
+    #[test]
+    fn stale_deadlines_match_model(
+        pushes in proptest::collection::vec((deadline(), 0u32..4), 1..200),
+    ) {
+        let mut eng: Engine<Trace> = Engine::new();
+        let mut model = Model::default();
+        let (mut got, mut now) = (Trace::new(), 0);
+        for (label, &(at, steps)) in pushes.iter().enumerate() {
+            let label = label as u64;
+            let at = if cfg!(debug_assertions) { at.max(now) } else { at };
+            schedule_root(&mut eng, at, label, Vec::new());
+            model.schedule(at, Action::Root { label, children: Vec::new() });
+            for _ in 0..steps {
+                prop_assert_eq!(eng.step(&mut got), model.step());
+                now = eng.now().as_nanos();
+            }
+        }
+        eng.run(&mut got);
+        model.run();
+        prop_assert_eq!(got, model.trace);
+        prop_assert_eq!(eng.pending(), 0);
+    }
+
+    /// `run_until` leaves the engine in the model's state at the
+    /// boundary: same fired prefix, pending count, clock and event count.
+    #[test]
+    fn run_until_boundaries_match_model(
+        times in proptest::collection::vec(deadline(), 1..60),
+        cut in 1u64..4,
+    ) {
+        let mut eng: Engine<Trace> = Engine::new();
+        let mut model = Model::default();
+        for (label, &t) in times.iter().enumerate() {
+            let label = label as u64;
+            schedule_root(&mut eng, t, label, Vec::new());
+            model.schedule(t, Action::Root { label, children: Vec::new() });
+        }
+        let deadline = times.iter().max().unwrap() / cut;
+        let mut got = Trace::new();
+        eng.run_until(&mut got, SimTime::from_nanos(deadline));
+        model.run_until(deadline);
+        prop_assert_eq!(&got, &model.trace);
+        prop_assert_eq!(eng.pending(), model.pending.len());
+        prop_assert_eq!(eng.now().as_nanos(), model.now);
+        prop_assert_eq!(eng.events_fired(), model.fired);
+        eng.run(&mut got);
+        model.run();
+        prop_assert_eq!(got, model.trace);
+    }
+}
+
+/// Regression: a `schedule_now` burst fired from inside a callback must run
+/// in exact submission order, after all events already pending at that
+/// instant, and before anything later.
+#[test]
+fn schedule_now_bursts_never_reorder() {
+    let mut eng: Engine<Vec<u64>> = Engine::new();
+    // Three events pending at t=100 before the burst-emitting one.
+    for i in 0..3u64 {
+        eng.schedule_at(SimTime::from_nanos(100), move |w: &mut Vec<u64>, _| {
+            w.push(i);
+        });
+    }
+    eng.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u64>, e| {
+        w.push(3);
+        // A 100-event same-instant burst, each link re-entrantly
+        // scheduling the next.
+        fn link(n: u64, w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>) {
+            w.push(n);
+            if n < 103 {
+                e.schedule_now(move |w: &mut Vec<u64>, e| link(n + 1, w, e));
+            }
+        }
+        e.schedule_now(|w: &mut Vec<u64>, e| link(4, w, e));
+    });
+    // A straggler at the same instant, scheduled before the burst ran
+    // (so it fires before the burst's re-entrant children).
+    eng.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u64>, _| {
+        w.push(1000);
+    });
+    let later = SimTime::from_nanos(101);
+    eng.schedule_at(later, |w: &mut Vec<u64>, _| w.push(2000));
+
+    let mut order = Vec::new();
+    eng.run(&mut order);
+    let mut expected: Vec<u64> = vec![0, 1, 2, 3, 1000];
+    expected.extend(4..=103);
+    expected.push(2000);
+    assert_eq!(order, expected);
+    assert_eq!(eng.now(), later);
+}

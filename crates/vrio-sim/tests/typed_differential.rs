@@ -1,10 +1,9 @@
 //! Differential oracle for the typed-event engine: arbitrary event
-//! programs replayed on the typed-enum engine (timing wheel and reference
-//! heap) and on the boxed-closure `ReferenceHeap` engine must yield an
-//! identical `(at, seq)` firing order and identical world digests. This is
-//! the same proof obligation the timing wheel discharged in
-//! `wheel_props.rs`, replayed one representation level up: the payload
-//! stored in the queue changes (enum by value vs `Box<dyn FnOnce>`), the
+//! programs replayed on the typed-enum engine and on the boxed-closure
+//! engine must yield an identical `(at, seq)` firing order and identical
+//! world digests. `queue_props.rs` checks the queue against a model; this
+//! replays the programs one representation level up: the payload stored
+//! in the queue changes (enum by value vs `Box<dyn FnOnce>`), the
 //! observable simulation must not.
 
 use proptest::prelude::*;
@@ -13,7 +12,7 @@ use vrio_sim::{Dispatch, Engine, SimDuration, SimTime};
 /// One scheduling instruction of a generated program: an event at an
 /// absolute offset which, when fired, appends its label to the trace and
 /// schedules `children` more events at the given relative delays
-/// (0 = same instant, driving the wheel's fast lane).
+/// (0 = same instant).
 #[derive(Debug, Clone)]
 struct Op {
     at: u64,
@@ -105,8 +104,7 @@ fn run_closures(mut eng: Engine<World>, ops: &[Op]) -> (Vec<(u64, u64)>, u64, u6
 }
 
 /// Deadline strategy mixing horizons: dense near-term ties, mid-range
-/// crossings of the wheel's span boundaries, and far-future values that
-/// exercise the upper levels and overflow heap.
+/// values, and far-future ones up to 2^35 ns.
 fn deadline() -> impl Strategy<Value = u64> {
     prop_oneof![
         4 => 0u64..64,
@@ -126,20 +124,16 @@ fn program() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    /// Typed-enum engine (wheel and heap) vs closure ReferenceHeap engine:
-    /// identical firing order, world digest, and event count.
+    /// Typed-enum engine vs closure engine: identical firing order, world
+    /// digest, and event count.
     #[test]
     fn typed_engine_matches_closure_reference(ops in program()) {
-        let closure_heap = run_closures(Engine::with_reference_heap(), &ops);
-        let typed_wheel = run_typed(Engine::new(), &ops);
-        let typed_heap = run_typed(Engine::with_reference_heap(), &ops);
-        prop_assert_eq!(&typed_wheel, &closure_heap);
-        prop_assert_eq!(&typed_heap, &closure_heap);
+        prop_assert_eq!(run_typed(Engine::new(), &ops), run_closures(Engine::new(), &ops));
     }
 }
 
 /// Same-instant bursts scheduled from inside typed callbacks keep FIFO
-/// order across representations (the fast-lane regression the wheel suite
+/// order across representations (the burst regression `queue_props.rs`
 /// pins, replayed for typed payloads).
 #[test]
 fn typed_same_instant_bursts_stay_fifo() {
@@ -150,6 +144,6 @@ fn typed_same_instant_bursts_stay_fifo() {
         })
         .collect();
     let a = run_typed(Engine::new(), &ops);
-    let b = run_closures(Engine::with_reference_heap(), &ops);
+    let b = run_closures(Engine::new(), &ops);
     assert_eq!(a, b);
 }

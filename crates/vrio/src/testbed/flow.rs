@@ -2,6 +2,7 @@
 //! interpreter that runs it as chained engine events, and the bodies of
 //! the data steps the flows share.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -172,7 +173,7 @@ impl Program {
 
 /// What the interpreter does after a step.
 enum Next {
-    /// Run the next step now.
+    /// Run the next step now (after the last step: the flow completed).
     Go,
     /// Resume the flow at this instant.
     Wait(SimTime),
@@ -180,37 +181,87 @@ enum Next {
     Stop,
 }
 
-/// Executes a compiled flow as chained engine events.
+/// The flows waiting on the engine. A waiting flow's steps and completion
+/// stay in a slot, and the resume event carries only the slot index
+/// ([`Engine::schedule_call_at`]), so once the table and the engine's heap
+/// have grown, a wait allocates nothing.
+#[derive(Default)]
+pub(super) struct FlowTable {
+    slots: Vec<Parked>,
+    /// Indices of the unoccupied slots.
+    free: Vec<usize>,
+}
+
+/// One [`FlowTable`] slot.
+#[derive(Default)]
+struct Parked {
+    steps: VecDeque<Step>,
+    /// The completion as an `Option<FlowDone<W>>`, erased because the
+    /// table does not know the world type. The box outlives the flow: the
+    /// next flow parked here reuses it.
+    done: Option<Box<dyn Any>>,
+}
+
+impl FlowTable {
+    /// Parks a flow, returning its slot.
+    fn park<W: HasTestbed>(&mut self, steps: VecDeque<Step>, done: FlowDone<W>) -> usize {
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Parked::default());
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[i];
+        slot.steps = steps;
+        match slot.done.as_mut().and_then(|d| d.downcast_mut()) {
+            Some(cell) => *cell = Some(done),
+            None => slot.done = Some(Box::new(Some(done))),
+        }
+        i
+    }
+
+    /// Frees slot `i`, returning the completion of the flow parked there.
+    fn unpark<W: HasTestbed>(&mut self, i: usize) -> FlowDone<W> {
+        self.free.push(i);
+        self.slots[i]
+            .done
+            .as_mut()
+            .and_then(|d| d.downcast_mut::<Option<FlowDone<W>>>())
+            .and_then(Option::take)
+            .expect("a flow is parked in the slot")
+    }
+}
+
+/// Executes a compiled flow as chained engine events: parks it in the
+/// [`FlowTable`] and runs it up to its first wait.
 fn run_steps<W: HasTestbed>(
     w: &mut W,
     eng: &mut Engine<W>,
-    mut steps: VecDeque<Step>,
+    steps: VecDeque<Step>,
     done: FlowDone<W>,
 ) {
-    loop {
-        let Some(mut step) = steps.pop_front() else {
-            w.tb().recycle_steps(steps);
-            return done(w, eng);
-        };
-        if let Step::Fixed(total) = &mut step {
-            // Coalesce a run of consecutive fixed delays into one
-            // scheduled event. Pure latencies have no observable effect
-            // in between (no resource state, no counters, no rng), so
-            // summing them is exact: the flow resumes at the same
-            // instant, it just skips the intermediate no-op wakeups.
-            while let Some(Step::Fixed(next)) = steps.front() {
-                *total += *next;
-                steps.pop_front();
-            }
+    let slot = w.tb().flows.park(steps, done);
+    resume(w, eng, slot as u64);
+}
+
+/// Runs the flow parked in `slot` up to its next wait, when it stays
+/// parked, or to its end, when its slot is freed.
+fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
+    let i = slot as usize;
+    let tb = w.tb();
+    let mut steps = std::mem::take(&mut tb.flows.slots[i].steps);
+    match tb.advance(&mut steps, eng.now()) {
+        Next::Go => {
+            let done = tb.flows.unpark::<W>(i);
+            tb.recycle_steps(steps);
+            done(w, eng);
         }
-        match w.tb().exec(step, eng.now()) {
-            Next::Go => {}
-            Next::Wait(at) => {
-                return eng.schedule_at(at, move |w: &mut W, eng| run_steps(w, eng, steps, done));
-            }
-            // The unfired steps are discarded, but the queue storage is
-            // still recycled.
-            Next::Stop => return w.tb().recycle_steps(steps),
+        Next::Wait(at) => {
+            tb.flows.slots[i].steps = steps;
+            eng.schedule_call_at(at, resume::<W>, slot);
+        }
+        Next::Stop => {
+            // A stopped flow's completion never runs.
+            drop(tb.flows.unpark::<W>(i));
+            tb.recycle_steps(steps);
         }
     }
 }
@@ -235,13 +286,38 @@ impl Testbed {
         }
     }
 
-    /// Returns a flow's drained step-queue storage to the pool (capped so
-    /// a burst of aborted flows cannot hoard memory).
+    /// Returns a flow's step-queue storage to the pool (capped so a burst
+    /// of aborted flows cannot hoard memory). The steps of a stopped flow
+    /// are discarded.
     fn recycle_steps(&mut self, mut steps: VecDeque<Step>) {
         if self.step_pool.len() < 64 {
             steps.clear();
             self.step_pool.push(steps);
         }
+    }
+
+    /// Runs `steps` at `now` until one waits or stops the flow, or they
+    /// run out ([`Next::Go`]).
+    fn advance(&mut self, steps: &mut VecDeque<Step>, now: SimTime) -> Next {
+        while let Some(mut step) = steps.pop_front() {
+            if let Step::Fixed(total) = &mut step {
+                // Coalesce a run of consecutive fixed delays into one
+                // scheduled event. Pure latencies have no observable
+                // effect in between (no resource state, no counters, no
+                // rng), so summing them is exact: the flow resumes at the
+                // same instant, it just skips the intermediate no-op
+                // wakeups.
+                while let Some(Step::Fixed(next)) = steps.front() {
+                    *total += *next;
+                    steps.pop_front();
+                }
+            }
+            match self.exec(step, now) {
+                Next::Go => {}
+                stop_or_wait => return stop_or_wait,
+            }
+        }
+        Next::Go
     }
 
     /// Runs one step at `now`.

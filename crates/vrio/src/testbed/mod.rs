@@ -47,7 +47,7 @@ use crate::proto::DeviceId;
 use crate::transport::{BlockRetx, RetxConfig};
 
 pub use blk::blk_request;
-use flow::{CoreRef, CounterKind, Step};
+use flow::{CoreRef, CounterKind, FlowTable, Step};
 pub use net::{net_request_response, stream_batch};
 
 /// Gives the engine world access to the embedded [`Testbed`]; workload
@@ -587,6 +587,8 @@ pub struct Testbed {
     /// [`VecDeque`] here instead of dropping it, so compiling the next
     /// flow reuses warm capacity.
     step_pool: Vec<VecDeque<Step>>,
+    /// The flows waiting on the engine.
+    flows: FlowTable,
     /// Request-lifecycle tracer (inert unless the config enables it).
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
@@ -732,6 +734,7 @@ impl Testbed {
             tso_scratch: Vec::new(),
             resp_cache: HashMap::new(),
             step_pool: Vec::new(),
+            flows: FlowTable::default(),
             trace,
             oracle,
             audited_epoch: Vec::new(),

@@ -1,0 +1,74 @@
+//! Parked flows resume without allocating: once a request's flow has
+//! parked at its first wait, its later waits and its resumes must not
+//! touch the allocator. A waiting flow lives in a slot of the testbed's
+//! flow table and its resume event is a plain function plus the slot
+//! index, so only the testbed's own data steps could allocate.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use vrio::{net_request_response, Testbed, TestbedConfig};
+use vrio_hv::IoModel;
+use vrio_sim::{Engine, SimDuration};
+
+/// Counts the allocations (and reallocations) of the current thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract. The counter is a `const`-initialized thread-local
+// `Cell`, so bumping it neither allocates nor touches allocator memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Issues one vRIO RR on VM 0. The empty request and response keep its
+/// data steps (the guest's rx and tx copies) allocation-free, so what the
+/// count sees is the flow's own waits and resumes.
+fn rr(tb: &mut Testbed, eng: &mut Engine<Testbed>) {
+    let app = SimDuration::micros(5);
+    net_request_response(tb, eng, 0, Bytes::new(), 0, app, |_, _, _| {});
+}
+
+#[test]
+fn a_parked_rr_waits_and_resumes_without_allocating() {
+    let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+    let mut eng = Engine::new();
+    // Warm-up: the step pool, the flow table, the engine's heap and the
+    // memoized response reach their working sizes.
+    for _ in 0..100 {
+        rr(&mut tb, &mut eng);
+        eng.run(&mut tb);
+    }
+    rr(&mut tb, &mut eng);
+    assert_eq!(eng.pending(), 1, "the RR parked at its first wait");
+
+    let (events, before) = (eng.events_fired(), allocs());
+    eng.run(&mut tb);
+    let resumes = eng.events_fired() - events;
+    assert_eq!(allocs() - before, 0, "{resumes} resumes allocated");
+    assert!(resumes >= 15, "the RR waited only {resumes} times");
+}

@@ -12,6 +12,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> vendored bytes: zero-copy unit tests"
+# third_party/ is outside the workspace's default members, so the plain
+# run above does not reach these.
+cargo test -q -p bytes
+
 echo "==> property tests on a rotating seed"
 # The plain run above replays each property's fixed case stream; this one
 # mixes a date-derived seed in, so every day explores new cases. A failure
@@ -24,7 +29,7 @@ PROPTEST_SEED=$PROPTEST_SEED cargo test -q \
     --test interpose_props --test poll_props --test proto_props --test steering_props \
     -p vrio-block --test block_props \
     -p vrio-net --test tso_props \
-    -p vrio-sim --test typed_differential --test wheel_props \
+    -p vrio-sim --test typed_differential --test queue_props \
     -p vrio-trace --test hist_props \
     -p vrio-virtio --test mem_props --test ring_conformance --test virtqueue_props
 
