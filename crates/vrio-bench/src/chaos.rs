@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use vrio::{
-    blk_request, net_request_response, validate_outage_schedule, AdmissionConfig, HasTestbed,
-    OracleConfig, Outage, Testbed, TestbedConfig,
+    blk_request, net_request_response, validate_outage_schedule, AdmissionConfig, BlkOutcome,
+    HasTestbed, OracleConfig, Outage, RrOutcome, Testbed, TestbedConfig,
 };
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
@@ -352,6 +352,8 @@ pub struct ReplicaResult {
 struct ChaosWorld {
     tb: Testbed,
     horizon: SimTime,
+    /// Where the surge loops stop reissuing (the horizon without a surge).
+    surge_end: SimTime,
     slo: SimDuration,
     offered: u64,
     completed: u64,
@@ -359,54 +361,111 @@ struct ChaosWorld {
     /// Per-VM completion counts, for the supervisor's stall detection.
     completed_by_vm: Vec<u64>,
     blk_next_id: u64,
+    /// The buckets the supervisor has closed.
+    buckets: Vec<BucketSample>,
+    /// The counters at the last bucket boundary.
+    last: Last,
+}
+
+/// The workload counters at a bucket boundary.
+struct Last {
+    offered: u64,
+    completed: u64,
+    slo_ok: u64,
+    shed: u64,
+    by_vm: Vec<u64>,
+}
+
+/// An RR loop's tag: its VM, and whether it is a surge loop.
+fn rr_tag(vm: usize, surge: bool) -> u64 {
+    (vm as u64) << 1 | u64::from(surge)
 }
 
 impl HasTestbed for ChaosWorld {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
     }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, tag: u64, o: RrOutcome) {
+        let vm = (tag >> 1) as usize;
+        self.completed += 1;
+        self.completed_by_vm[vm] += 1;
+        if o.latency.as_nanos() <= self.slo.as_nanos() {
+            self.slo_ok += 1;
+        }
+        let until = if tag & 1 == 1 {
+            self.surge_end
+        } else {
+            self.horizon
+        };
+        if eng.now() < until {
+            issue_rr(self, eng, tag);
+        }
+    }
+
+    fn on_blk(&mut self, eng: &mut Engine<Self>, _: u64, _: BlkOutcome) {
+        if eng.now() < self.horizon {
+            issue_blk(self, eng);
+        }
+    }
 }
 
-fn issue_rr(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>, vm: usize, until: SimTime) {
+/// Issues one RR of the loop `tag` names ([`rr_tag`]).
+fn issue_rr(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>, tag: u64) {
     w.offered += 1;
-    net_request_response(
-        w,
-        eng,
-        vm,
-        Bytes::from_static(b"chaos"),
-        64,
-        SimDuration::micros(4),
-        move |w, eng, o| {
-            w.completed += 1;
-            w.completed_by_vm[vm] += 1;
-            if o.latency.as_nanos() <= w.slo.as_nanos() {
-                w.slo_ok += 1;
-            }
-            if eng.now() < until {
-                issue_rr(w, eng, vm, until);
-            }
-        },
-    );
+    let vm = (tag >> 1) as usize;
+    let req = Bytes::from_static(b"chaos");
+    net_request_response(w, eng, vm, req, 64, SimDuration::micros(4), tag);
 }
 
 fn issue_blk(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>) {
     w.blk_next_id += 1;
     let id = w.blk_next_id;
-    blk_request(
-        w,
-        eng,
-        0,
-        BlockRequest::write(
-            RequestId(id),
-            (id % 64) * 8,
-            Bytes::from(vec![id as u8; 512]),
-        ),
-        move |w, eng, _o| {
-            if eng.now() < w.horizon {
-                issue_blk(w, eng);
-            }
-        },
+    let req = BlockRequest::write(
+        RequestId(id),
+        (id % 64) * 8,
+        Bytes::from(vec![id as u8; 512]),
     );
+    blk_request(w, eng, 0, req, 0);
+}
+
+/// The surge starts: `extra` more RR loops per VM, which stop reissuing
+/// at the surge's end.
+fn surge(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>, extra: u64) {
+    for vm in 0..w.completed_by_vm.len() {
+        for _ in 0..extra {
+            issue_rr(w, eng, rr_tag(vm, true));
+        }
+    }
+}
+
+/// The supervisor's tick: closes one bucket, snapshotting counter deltas,
+/// and revives any VM whose closed loop stalled (a dropped or shed
+/// request never calls back, so the loop dies silently).
+fn supervise(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>, _: u64) {
+    // Observe-only sampling on the bucket grid (a no-op when the
+    // campaign leaves telemetry off).
+    w.tb.sample_telemetry(eng.now());
+    let shed_now: u64 = w.tb.admission.iter().map(|a| a.total_shed()).sum();
+    let l = &mut w.last;
+    w.buckets.push(BucketSample {
+        offered: w.offered - l.offered,
+        completed: w.completed - l.completed,
+        slo_ok: w.slo_ok - l.slo_ok,
+        shed: shed_now - l.shed,
+    });
+    l.offered = w.offered;
+    l.completed = w.completed;
+    l.slo_ok = w.slo_ok;
+    l.shed = shed_now;
+    if eng.now() < w.horizon {
+        for vm in 0..w.completed_by_vm.len() {
+            if w.completed_by_vm[vm] == w.last.by_vm[vm] {
+                issue_rr(w, eng, rr_tag(vm, false));
+            }
+        }
+    }
+    w.last.by_vm.copy_from_slice(&w.completed_by_vm);
 }
 
 /// Runs one replica to completion on the calling thread, asserting the
@@ -417,12 +476,21 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
     let mut w = ChaosWorld {
         tb: Testbed::new(c.config(replica)),
         horizon,
+        surge_end: c.surge.map_or(horizon, |(_, end, _)| end),
         slo: c.slo,
         offered: 0,
         completed: 0,
         slo_ok: 0,
         completed_by_vm: vec![0; c.vms],
         blk_next_id: 0,
+        buckets: Vec::with_capacity(c.num_buckets()),
+        last: Last {
+            offered: 0,
+            completed: 0,
+            slo_ok: 0,
+            shed: 0,
+            by_vm: vec![0; c.vms],
+        },
     };
     let mut eng: Engine<ChaosWorld> = Engine::new();
     {
@@ -436,72 +504,20 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
 
     // Steady-state load: one RR loop per VM, one block loop on VM 0.
     for vm in 0..c.vms {
-        issue_rr(&mut w, &mut eng, vm, horizon);
+        issue_rr(&mut w, &mut eng, rr_tag(vm, false));
     }
     issue_blk(&mut w, &mut eng);
 
     // The surge: `extra` additional loops per VM, alive only inside the
     // surge window (their completions stop reissuing past `end`).
-    if let Some((start, end, extra)) = c.surge {
-        eng.schedule_at(start, move |w: &mut ChaosWorld, eng| {
-            for vm in 0..w.completed_by_vm.len() {
-                for _ in 0..extra {
-                    issue_rr(w, eng, vm, end);
-                }
-            }
-        });
+    if let Some((start, _, extra)) = c.surge {
+        eng.schedule_at(start, surge, extra as u64);
     }
 
-    // The supervisor: closes one bucket per tick, snapshotting counter
-    // deltas and reviving any VM whose closed loop stalled (a dropped or
-    // shed request never calls back, so the loop dies silently).
-    let n_buckets = c.num_buckets();
-    let buckets: std::rc::Rc<std::cell::RefCell<Vec<BucketSample>>> =
-        std::rc::Rc::new(std::cell::RefCell::new(Vec::with_capacity(n_buckets)));
-    struct Last {
-        offered: u64,
-        completed: u64,
-        slo_ok: u64,
-        shed: u64,
-        by_vm: Vec<u64>,
-    }
-    let last = std::rc::Rc::new(std::cell::RefCell::new(Last {
-        offered: 0,
-        completed: 0,
-        slo_ok: 0,
-        shed: 0,
-        by_vm: vec![0; c.vms],
-    }));
-    for k in 1..=n_buckets {
+    // The supervisor: one tick per bucket.
+    for k in 1..=c.num_buckets() {
         let tick_at = SimTime::ZERO + c.bucket * k as u64;
-        let buckets = buckets.clone();
-        let last = last.clone();
-        eng.schedule_at(tick_at.min(horizon), move |w: &mut ChaosWorld, eng| {
-            // Observe-only sampling on the bucket grid (a no-op when the
-            // campaign leaves telemetry off).
-            w.tb.sample_telemetry(eng.now());
-            let shed_now: u64 = w.tb.admission.iter().map(|a| a.total_shed()).sum();
-            let mut l = last.borrow_mut();
-            buckets.borrow_mut().push(BucketSample {
-                offered: w.offered - l.offered,
-                completed: w.completed - l.completed,
-                slo_ok: w.slo_ok - l.slo_ok,
-                shed: shed_now - l.shed,
-            });
-            l.offered = w.offered;
-            l.completed = w.completed;
-            l.slo_ok = w.slo_ok;
-            l.shed = shed_now;
-            if eng.now() < w.horizon {
-                for vm in 0..w.completed_by_vm.len() {
-                    if w.completed_by_vm[vm] == l.by_vm[vm] {
-                        let until = w.horizon;
-                        issue_rr(w, eng, vm, until);
-                    }
-                }
-            }
-            l.by_vm.copy_from_slice(&w.completed_by_vm);
-        });
+        eng.schedule_at(tick_at.min(horizon), supervise, 0);
     }
 
     eng.run(&mut w);
@@ -519,9 +535,7 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
         c.name
     );
 
-    let buckets = std::rc::Rc::try_unwrap(buckets)
-        .expect("supervisor closures have all run")
-        .into_inner();
+    let buckets = std::mem::take(&mut w.buckets);
     let with_completions = buckets.iter().filter(|b| b.completed > 0).count();
     let availability = with_completions as f64 / buckets.len().max(1) as f64;
     let slo_attainment = if w.completed > 0 {

@@ -4,9 +4,11 @@
 
 use std::fmt::Write as _;
 
-use vrio::{EncryptionService, Testbed, TestbedConfig};
+use vrio::{
+    net_request_response, EncryptionService, HasTestbed, RrOutcome, Testbed, TestbedConfig,
+};
 use vrio_hv::{table3_expected, IoModel};
-use vrio_sim::SimDuration;
+use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_virtio::RingConfig;
 use vrio_workloads::{
     netperf_rr, netperf_stream, run_filebench, run_filebench_with, run_txn_bench, tail_percentiles,
@@ -525,13 +527,54 @@ pub fn hetero(rc: ReproConfig) -> String {
     out
 }
 
+/// The failover experiment's world: two RR loops, their completions per
+/// 5 ms bucket, and each VM's last completion, so the retry only revives
+/// loops that were actually blackholed.
+struct FailoverWorld {
+    tb: Testbed,
+    horizon: SimTime,
+    buckets: Vec<u64>,
+    last_done: [SimTime; 2],
+}
+
+impl FailoverWorld {
+    /// Issues VM `vm`'s next request, tagged with the VM.
+    fn issue(&mut self, eng: &mut Engine<FailoverWorld>, vm: usize) {
+        let req = bytes::Bytes::from_static(b"x");
+        net_request_response(self, eng, vm, req, 1, SimDuration::micros(4), vm as u64);
+    }
+
+    /// Generator retry after the blackout: only loops silenced by the
+    /// crash are restarted.
+    fn retry(w: &mut FailoverWorld, eng: &mut Engine<FailoverWorld>, _: u64) {
+        for vm in 0..2 {
+            let stalled = eng.now() - w.last_done[vm] > SimDuration::micros(500);
+            if stalled {
+                w.issue(eng, vm);
+            }
+        }
+    }
+}
+
+impl HasTestbed for FailoverWorld {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, _: RrOutcome) {
+        let b = (eng.now().as_nanos() / SimDuration::millis(5).as_nanos()) as usize;
+        if let Some(slot) = self.buckets.get_mut(b) {
+            *slot += 1;
+        }
+        self.last_done[vm as usize] = eng.now();
+        if eng.now() < self.horizon {
+            self.issue(eng, vm as usize);
+        }
+    }
+}
+
 /// §4.6 fault tolerance: throughput timeline across an IOhost crash.
 pub fn failover(rc: ReproConfig) -> String {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use vrio::net_request_response;
-    use vrio_sim::{Engine, SimTime};
-
     let mut out = String::from(
         "Section 4.6 fault tolerance — IOhost crash at t=1/3, recovery at
          t=2/3; net front-ends fall back to local virtio on the VMhost,
@@ -545,74 +588,21 @@ pub fn failover(rc: ReproConfig) -> String {
     let mut cfg = cfg(rc, IoModel::Vrio, 2);
     cfg.iohost_fails_at = Some(fail_at);
     cfg.iohost_recovers_at = Some(recover_at);
-    let mut tb = vrio::Testbed::new(cfg);
+    let mut w = FailoverWorld {
+        tb: Testbed::new(cfg),
+        horizon: SimTime::ZERO + horizon,
+        buckets: vec![0; (horizon.as_nanos() / SimDuration::millis(5).as_nanos() + 1) as usize],
+        last_done: [SimTime::ZERO; 2],
+    };
     let mut eng = Engine::new();
-    // Completions per 5ms bucket, plus per-VM last-completion times so the
-    // retry only revives loops that were actually blackholed.
-    let buckets: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(vec![
-        0;
-        (horizon.as_nanos() / SimDuration::millis(5).as_nanos() + 1)
-            as usize
-    ]));
-    let last_done: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(vec![SimTime::ZERO; 2]));
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue(
-        tb: &mut vrio::Testbed,
-        eng: &mut Engine<vrio::Testbed>,
-        vm: usize,
-        horizon: SimTime,
-        buckets: Rc<RefCell<Vec<u64>>>,
-        last_done: Rc<RefCell<Vec<SimTime>>>,
-    ) {
-        net_request_response(
-            tb,
-            eng,
-            vm,
-            bytes::Bytes::from_static(b"x"),
-            1,
-            SimDuration::micros(4),
-            move |tb, eng, _| {
-                let b = (eng.now().as_nanos() / SimDuration::millis(5).as_nanos()) as usize;
-                if let Some(slot) = buckets.borrow_mut().get_mut(b) {
-                    *slot += 1;
-                }
-                last_done.borrow_mut()[vm] = eng.now();
-                if eng.now() < horizon {
-                    issue(tb, eng, vm, horizon, buckets, last_done);
-                }
-            },
-        );
-    }
-    let end = SimTime::ZERO + horizon;
     for vm in 0..2 {
-        issue(
-            &mut tb,
-            &mut eng,
-            vm,
-            end,
-            buckets.clone(),
-            last_done.clone(),
-        );
+        w.issue(&mut eng, vm);
     }
-    // Generator retry after the blackout: only loops silenced by the crash
-    // are restarted.
-    let retry_buckets = buckets.clone();
-    let retry_done = last_done.clone();
-    eng.schedule_at(
-        fail_at + SimDuration::millis(1),
-        move |tb: &mut vrio::Testbed, eng| {
-            for vm in 0..2 {
-                let stalled = eng.now() - retry_done.borrow()[vm] > SimDuration::micros(500);
-                if stalled {
-                    issue(tb, eng, vm, end, retry_buckets.clone(), retry_done.clone());
-                }
-            }
-        },
-    );
-    eng.run(&mut tb);
+    eng.schedule_at(fail_at + SimDuration::millis(1), FailoverWorld::retry, 0);
+    eng.run(&mut w);
+    let tb = &w.tb;
 
-    let b = buckets.borrow();
+    let b = &w.buckets;
     let series: Vec<f64> = b.iter().map(|&n| n as f64).collect();
     let peak = series.iter().cloned().fold(0.0f64, f64::max).max(1.0);
     let norm: Vec<f64> = series.iter().map(|v| v / peak).collect();

@@ -18,8 +18,9 @@
 
 use bytes::Bytes;
 use vrio::{
-    blk_request, net_request_response, stream_batch, AdmissionConfig, EncryptionService,
-    FirewallService, HasTestbed, OracleConfig, RetxConfig, Testbed, TestbedConfig,
+    blk_request, net_request_response, stream_batch, AdmissionConfig, BlkOutcome,
+    EncryptionService, FirewallService, HasTestbed, OracleConfig, RetxConfig, RrOutcome, Testbed,
+    TestbedConfig,
 };
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
@@ -52,17 +53,43 @@ impl Digest {
     }
 }
 
-/// The engine world: the testbed plus the case's running digest.
+/// The engine world: the testbed plus the case's running digest. Flows
+/// are tagged with their VM.
 struct World {
     tb: Testbed,
     digest: Digest,
     deadline: SimTime,
     next_req: u64,
+    /// The open-loop RR load's response length and request payload.
+    resp_len: fn(usize) -> usize,
+    payload: fn(usize, u64) -> &'static [u8],
+    /// Per VM: the index of its block loop's next request.
+    blk_k: Vec<u64>,
 }
 
 impl HasTestbed for World {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
+    }
+
+    fn on_rr(&mut self, _: &mut Engine<Self>, vm: u64, o: RrOutcome) {
+        self.digest.u64(vm);
+        self.digest.latency(o.latency);
+        self.digest.bytes(&o.response);
+    }
+
+    fn on_blk(&mut self, eng: &mut Engine<Self>, vm: u64, o: BlkOutcome) {
+        self.digest.u64(vm);
+        self.digest.latency(o.latency);
+        self.digest.u64(u64::from(o.status));
+        self.digest.bytes(&o.data);
+        blk_loop(self, eng, vm as usize);
+    }
+
+    fn on_stream(&mut self, eng: &mut Engine<Self>, vm: u64) {
+        self.digest.u64(vm);
+        self.digest.u64(eng.now().as_nanos());
+        stream_loop(self, eng, vm as usize);
     }
 }
 
@@ -91,11 +118,15 @@ fn run_case(
 ) -> u64 {
     let mut tb = Testbed::new(config);
     setup(&mut tb);
+    let vms = tb.config.num_vms;
     let mut w = World {
         tb,
         digest: Digest::new(),
         deadline: SimTime::ZERO + horizon,
         next_req: 1,
+        resp_len: one_byte,
+        payload: plain_req,
+        blk_k: vec![0; vms],
     };
     let mut eng: Engine<World> = Engine::new();
     drive(&mut w, &mut eng);
@@ -125,28 +156,31 @@ fn run_case(
 /// `vm·7µs + k·period` until the horizon. Open loop keeps every VM
 /// offering load even after drops, so drop paths cannot stall a case.
 fn open_loop_rr(
-    w: &World,
+    w: &mut World,
     eng: &mut Engine<World>,
     period: SimDuration,
     resp_len: fn(usize) -> usize,
     payload: fn(usize, u64) -> &'static [u8],
 ) {
+    w.resp_len = resp_len;
+    w.payload = payload;
     for vm in 0..w.tb.config.num_vms {
         let mut at = SimTime::ZERO + SimDuration::micros(7) * vm as u64;
         let mut k = 0u64;
         while at < w.deadline {
-            let req = Bytes::from_static(payload(vm, k));
-            eng.schedule_at(at, move |w: &mut World, eng: &mut Engine<World>| {
-                net_request_response(w, eng, vm, req, resp_len(vm), APP_TIME, move |w, _, o| {
-                    w.digest.u64(vm as u64);
-                    w.digest.latency(o.latency);
-                    w.digest.bytes(&o.response);
-                });
-            });
+            eng.schedule_at(at, issue_rr, k << 16 | vm as u64);
             at += period;
             k += 1;
         }
     }
+}
+
+/// Issues VM `vm`'s `k`-th open-loop request, from `k << 16 | vm`.
+fn issue_rr(w: &mut World, eng: &mut Engine<World>, arg: u64) {
+    let (vm, k) = ((arg & 0xffff) as usize, arg >> 16);
+    let req = Bytes::from_static((w.payload)(vm, k));
+    let resp_len = (w.resp_len)(vm);
+    net_request_response(w, eng, vm, req, resp_len, APP_TIME, vm as u64);
 }
 
 fn mixed_resp_len(vm: usize) -> usize {
@@ -185,26 +219,22 @@ fn blk_op(id: u64, vm: usize, k: u64) -> BlockRequest {
     }
 }
 
-/// One closed-loop block thread on VM `vm`: issue, wait, repeat until
-/// the horizon.
-fn blk_loop(w: &mut World, eng: &mut Engine<World>, vm: usize, k: u64) {
+/// One closed-loop block thread on VM `vm`: issue, wait
+/// ([`World::on_blk`]), repeat until the horizon.
+fn blk_loop(w: &mut World, eng: &mut Engine<World>, vm: usize) {
     if eng.now() >= w.deadline {
         return;
     }
     let id = w.next_req;
     w.next_req += 1;
-    blk_request(w, eng, vm, blk_op(id, vm, k), move |w, eng, o| {
-        w.digest.u64(vm as u64);
-        w.digest.latency(o.latency);
-        w.digest.u64(u64::from(o.status));
-        w.digest.bytes(&o.data);
-        blk_loop(w, eng, vm, k + 1);
-    });
+    let k = w.blk_k[vm];
+    w.blk_k[vm] += 1;
+    blk_request(w, eng, vm, blk_op(id, vm, k), vm as u64);
 }
 
 fn start_blk_loops(w: &mut World, eng: &mut Engine<World>, vms: std::ops::Range<usize>) {
     for vm in vms {
-        blk_loop(w, eng, vm, 0);
+        blk_loop(w, eng, vm);
     }
 }
 
@@ -212,11 +242,7 @@ fn stream_loop(w: &mut World, eng: &mut Engine<World>, vm: usize) {
     if eng.now() >= w.deadline {
         return;
     }
-    stream_batch(w, eng, vm, 16, 1448, move |w, eng| {
-        w.digest.u64(vm as u64);
-        w.digest.u64(eng.now().as_nanos());
-        stream_loop(w, eng, vm);
-    });
+    stream_batch(w, eng, vm, 16, 1448, vm as u64);
 }
 
 fn encrypting(tb: &mut Testbed) {

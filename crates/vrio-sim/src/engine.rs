@@ -1,182 +1,117 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Engine<W, E>`] owns a priority queue of scheduled events over a
-//! user-supplied world type `W`. The event payload type `E` implements
-//! [`Dispatch<W>`]; firing an event may mutate the world and schedule
-//! further events. Ties in firing time are broken by scheduling order
-//! (FIFO), which together with the deterministic RNG makes every run
-//! bit-for-bit reproducible.
+//! [`Engine<W>`] owns a priority queue of scheduled events over a
+//! user-supplied world type `W`. An event is a plain function and one
+//! `u64` argument ([`CallFn`]); firing it may mutate the world and
+//! schedule further events. A caller keeps its per-event state in the
+//! world and names it by the argument (a VM, a thread, a table slot), so
+//! an event is `Copy + Send`, carries no heap state, and scheduling one
+//! allocates nothing once the heap has grown. Ties in firing time are
+//! broken by scheduling order (FIFO), which together with the
+//! deterministic RNG makes every run bit-for-bit reproducible.
 //!
-//! Two event representations share the one engine:
-//!
-//! - **Boxed events** (the default, `E = `[`BoxedEvent<W>`]): a
-//!   `schedule_at` closure is boxed — one heap allocation per scheduled
-//!   event — while [`Engine::schedule_call_at`] stores a plain function and
-//!   its `u64` argument and allocates nothing. The testbed flows use both:
-//!   closures for their completions, calls to resume a parked flow.
-//! - **Typed events**: instantiate `Engine<W, E>` with a plain `enum`
-//!   implementing [`Dispatch<W>`] and schedule with
-//!   [`Engine::schedule_event_at`]. Events are stored *by value* in the
-//!   heap's `Vec`, which retains its capacity across pops and so acts as a
-//!   recycled arena: steady-state scheduling performs **zero heap
-//!   allocations per event** (asserted by the counting-allocator perf
-//!   harness in `vrio-bench`). A `Send`-able event enum is also the
-//!   prerequisite for sharding the simulation across threads (ROADMAP
-//!   item 1) — `Box<dyn FnOnce>` closures are neither `Send` nor
-//!   serializable across shard boundaries.
-//!
-//! The queue is one [`BinaryHeap`] of `(at, seq, event)` entries,
+//! The queue is one [`BinaryHeap`] of `(at, seq, f, arg)` entries,
 //! min-ordered by `(at, seq)`; `seq` is the scheduling counter, so equal
 //! deadlines fire in scheduling order. The experiments keep few events
 //! pending (tens on the racks, at most a few thousand on the lossy block
 //! runs; DESIGN.md §10), where a heap's `O(log n)` sifts over a small array
 //! beat any bucketed queue.
 //!
-//! The observe-only probe ([`Engine::set_probe`]) stays a
-//! `Box<dyn FnMut(SimTime)>` regardless of `E`: it is invoked in
-//! [`Engine::step`] *after* the event is popped off the heap and *before*
-//! it dispatches, so it never touches event storage and cannot perturb the
-//! simulation — enabling it is bit-identical on every model.
+//! The observe-only probe ([`Engine::set_probe`]) is a
+//! `Box<dyn FnMut(SimTime)>`: it is invoked in [`Engine::step`] *after*
+//! the event is popped off the heap and *before* it fires, so it never
+//! touches event storage and cannot perturb the simulation — enabling it
+//! is bit-identical on every model.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 
 use crate::profiler::Profiler;
 use crate::time::{SimDuration, SimTime};
 
-/// A scheduled closure-event callback (the payload of [`BoxedEvent`]).
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
-/// A plain event function taking one `u64` argument: what
-/// [`Engine::schedule_call_at`] schedules, without allocating.
+/// An event: a plain function called with the world, the engine and the
+/// `u64` it was scheduled with.
 pub type CallFn<W> = fn(&mut W, &mut Engine<W>, u64);
 
-/// How an event payload fires. Implemented by [`BoxedEvent`] (closure
-/// dispatch) and by user-defined typed event enums; the world interprets
-/// the event, so a typed `E` needs no per-event heap state.
-pub trait Dispatch<W>: Sized {
-    /// Consumes the event, mutating the world and possibly scheduling
-    /// further events.
-    fn dispatch(self, world: &mut W, eng: &mut Engine<W, Self>);
-}
-
-/// The default event payload.
-pub enum BoxedEvent<W> {
-    /// A boxed `FnOnce` closure: one heap allocation per event.
-    Closure(EventFn<W>),
-    /// A plain function and its argument: no allocation.
-    Call(CallFn<W>, u64),
-}
-
-impl<W> Dispatch<W> for BoxedEvent<W> {
-    #[inline]
-    fn dispatch(self, world: &mut W, eng: &mut Engine<W>) {
-        match self {
-            BoxedEvent::Closure(f) => f(world, eng),
-            BoxedEvent::Call(f, arg) => f(world, eng, arg),
-        }
-    }
-}
-
 /// A heap entry, min-ordered by `(at, seq)`.
-struct Entry<E> {
+struct Entry<W> {
     at: u64,
     seq: u64,
-    ev: E,
+    f: CallFn<W>,
+    arg: u64,
 }
 
-impl<E> PartialEq for Entry<E> {
+// A heap entry is four words.
+const _: () = assert!(std::mem::size_of::<Entry<()>>() == 32);
+
+impl<W> PartialEq for Entry<W> {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl<W> Eq for Entry<W> {}
 
-impl<E> PartialOrd for Entry<E> {
+impl<W> PartialOrd for Entry<W> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl<W> Ord for Entry<W> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for min-order.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// A deterministic discrete-event simulator over a world type `W` and an
-/// event payload type `E` (default: boxed closures).
+/// A deterministic discrete-event simulator over a world type `W`.
 ///
 /// # Examples
-///
-/// Closure events (the default instantiation):
 ///
 /// ```
 /// use vrio_sim::{Engine, SimDuration, SimTime};
 ///
-/// struct World { pings: u32 }
+/// struct World { pings: u64 }
+///
+/// fn ping(w: &mut World, eng: &mut Engine<World>, left: u64) {
+///     w.pings += 1;
+///     // Events may schedule further events.
+///     if left > 0 {
+///         eng.schedule_in(SimDuration::micros(5), ping, left - 1);
+///     }
+/// }
 ///
 /// let mut world = World { pings: 0 };
 /// let mut engine = Engine::new();
-/// engine.schedule_in(SimDuration::micros(5), |w: &mut World, eng| {
-///     w.pings += 1;
-///     // Events may schedule further events.
-///     eng.schedule_in(SimDuration::micros(5), |w: &mut World, _| w.pings += 1);
-/// });
+/// engine.schedule_in(SimDuration::micros(5), ping, 1);
 /// engine.run(&mut world);
 /// assert_eq!(world.pings, 2);
 /// assert_eq!(engine.now(), SimTime::from_nanos(10_000));
 /// ```
-///
-/// Typed events — no allocation per schedule, `Send`-able payloads:
-///
-/// ```
-/// use vrio_sim::{Dispatch, Engine, SimDuration};
-///
-/// enum Ev { Ping, Pong }
-/// impl Dispatch<u32> for Ev {
-///     fn dispatch(self, w: &mut u32, eng: &mut Engine<u32, Ev>) {
-///         *w += 1;
-///         if matches!(self, Ev::Ping) {
-///             eng.schedule_event_in(SimDuration::micros(1), Ev::Pong);
-///         }
-///     }
-/// }
-/// let mut hits = 0u32;
-/// let mut eng: Engine<u32, Ev> = Engine::new();
-/// eng.schedule_event_in(SimDuration::micros(1), Ev::Ping);
-/// eng.run(&mut hits);
-/// assert_eq!(hits, 2);
-/// ```
-pub struct Engine<W, E: Dispatch<W> = BoxedEvent<W>> {
+pub struct Engine<W> {
     now: SimTime,
     seq: u64,
     fired: u64,
-    queue: BinaryHeap<Entry<E>>,
+    queue: BinaryHeap<Entry<W>>,
     /// Observe-only hook fired once per event (see [`Engine::set_probe`]).
-    /// Deliberately a boxed closure even on typed-event engines: it runs
-    /// outside the event arena path (between pop and dispatch) and is
-    /// installed O(1) times per run, so boxing it costs nothing on the hot
-    /// path and keeps the hook maximally flexible.
+    /// A boxed closure: it runs outside the heap (between pop and fire)
+    /// and is installed O(1) times per run, so boxing it costs nothing on
+    /// the hot path.
     probe: Option<Box<dyn FnMut(SimTime)>>,
     /// Wall-clock self-profiler; `None` unless an enabled handle was
     /// installed (see [`Engine::set_profiler`]), so the hot path pays one
     /// branch when profiling is off.
     profiler: Option<Profiler>,
-    /// `W` appears only in the `Dispatch` bound, not in any field.
-    _world: PhantomData<fn(&mut W)>,
 }
 
-impl<W, E: Dispatch<W>> Default for Engine<W, E> {
+impl<W> Default for Engine<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W, E: Dispatch<W>> Engine<W, E> {
+impl<W> Engine<W> {
     /// Creates an empty engine at `t = 0`.
     pub fn new() -> Self {
         Engine {
@@ -186,7 +121,6 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             queue: BinaryHeap::new(),
             probe: None,
             profiler: None,
-            _world: PhantomData,
         }
     }
 
@@ -233,28 +167,40 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
         self.queue.len()
     }
 
-    /// Schedules a typed event to fire at absolute time `at`, stored by
-    /// value in the heap (no allocation once the heap has grown).
+    /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error; the event is clamped to fire
     /// at the current time (still after all already-pending events at that
     /// time), and a debug assertion trips in test builds.
-    pub fn schedule_event_at(&mut self, at: SimTime, ev: E) {
+    pub fn schedule_at(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at} < {}",
             self.now
         );
-        self.push(at, ev);
+        self.push(at, f, arg);
     }
 
-    /// Queues `ev` at `at`, clamped to now: a clamped event still gets the
-    /// next `seq`, so it fires after everything already due now.
-    fn push(&mut self, at: SimTime, ev: E) {
+    /// Schedules `f(world, engine, arg)` to fire `delay` after the current
+    /// time.
+    pub fn schedule_in(&mut self, delay: SimDuration, f: CallFn<W>, arg: u64) {
+        self.schedule_at(self.now + delay, f, arg);
+    }
+
+    /// Schedules `f(world, engine, arg)` to fire immediately after all
+    /// events already pending at the current time.
+    pub fn schedule_now(&mut self, f: CallFn<W>, arg: u64) {
+        self.schedule_at(self.now, f, arg);
+    }
+
+    /// Queues an event at `at`, clamped to now: a clamped event still gets
+    /// the next `seq`, so it fires after everything already due now.
+    fn push(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
         let entry = Entry {
             at: at.max(self.now).as_nanos(),
             seq: self.seq,
-            ev,
+            f,
+            arg,
         };
         self.seq += 1;
         if let Some(prof) = &self.profiler {
@@ -265,17 +211,6 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
         }
     }
 
-    /// Schedules a typed event to fire `delay` after the current time.
-    pub fn schedule_event_in(&mut self, delay: SimDuration, ev: E) {
-        self.schedule_event_at(self.now + delay, ev);
-    }
-
-    /// Schedules a typed event to fire immediately after all events already
-    /// pending at the current time.
-    pub fn schedule_event_now(&mut self, ev: E) {
-        self.schedule_event_at(self.now, ev);
-    }
-
     /// Fires the next pending event, advancing time to its deadline.
     ///
     /// Returns `false` if the queue was empty.
@@ -284,7 +219,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             return self.step_profiled(world);
         }
         match self.queue.pop() {
-            Some(Entry { at, ev, .. }) => {
+            Some(Entry { at, f, arg, .. }) => {
                 let at = SimTime::from_nanos(at);
                 debug_assert!(at >= self.now);
                 self.now = at;
@@ -292,7 +227,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
                 if let Some(probe) = &mut self.probe {
                     probe(at);
                 }
-                ev.dispatch(world, self);
+                f(world, self, arg);
                 true
             }
             None => false,
@@ -312,7 +247,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
             self.queue.pop()
         };
         match popped {
-            Some(Entry { at, ev, .. }) => {
+            Some(Entry { at, f, arg, .. }) => {
                 let at = SimTime::from_nanos(at);
                 debug_assert!(at >= self.now);
                 self.now = at;
@@ -322,7 +257,7 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
                     probe(at);
                 }
                 let _g = prof.scope("engine.callback");
-                ev.dispatch(world, self);
+                f(world, self, arg);
                 true
             }
             None => false,
@@ -361,58 +296,27 @@ impl<W, E: Dispatch<W>> Engine<W, E> {
     }
 }
 
-/// Closure scheduling — only on the default (boxed-closure) instantiation.
-impl<W> Engine<W> {
-    /// Schedules `f` to fire at absolute time `at`.
-    ///
-    /// Scheduling in the past is a logic error; the event is clamped to fire
-    /// at the current time (still after all already-pending events at that
-    /// time), and a debug assertion trips in test builds.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_event_at(at, BoxedEvent::Closure(Box::new(f)));
-    }
-
-    /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
-    /// Unlike [`Engine::schedule_at`] this boxes nothing: the event holds
-    /// the function pointer and `arg` by value, so a caller that keeps its
-    /// state elsewhere (and names it by `arg`) schedules without
-    /// allocating. Same past-clamping as [`Engine::schedule_at`].
-    pub fn schedule_call_at(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
-        self.schedule_event_at(at, BoxedEvent::Call(f, arg));
-    }
-
-    /// Schedules `f` to fire `delay` after the current time.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, f);
-    }
-
-    /// Schedules `f` to fire immediately after all events already pending at
-    /// the current time.
-    pub fn schedule_now<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.schedule_at(self.now, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records its argument.
+    fn push(w: &mut Vec<u32>, _: &mut Engine<Vec<u32>>, v: u64) {
+        w.push(v as u32);
+    }
+
+    /// Counts a firing.
+    fn hit(w: &mut u32, _: &mut Engine<u32>, _: u64) {
+        *w += 1;
+    }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut order: Vec<u32> = Vec::new();
         let mut eng: Engine<Vec<u32>> = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(300), |w, _| w.push(3));
-        eng.schedule_at(SimTime::from_nanos(100), |w, _| w.push(1));
-        eng.schedule_at(SimTime::from_nanos(200), |w, _| w.push(2));
+        eng.schedule_at(SimTime::from_nanos(300), push, 3);
+        eng.schedule_at(SimTime::from_nanos(100), push, 1);
+        eng.schedule_at(SimTime::from_nanos(200), push, 2);
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(eng.events_fired(), 3);
@@ -423,7 +327,7 @@ mod tests {
         let mut order: Vec<u32> = Vec::new();
         let mut eng: Engine<Vec<u32>> = Engine::new();
         for i in 0..10 {
-            eng.schedule_at(SimTime::from_nanos(50), move |w, _| w.push(i));
+            eng.schedule_at(SimTime::from_nanos(50), push, i);
         }
         eng.run(&mut order);
         assert_eq!(order, (0..10).collect::<Vec<_>>());
@@ -433,9 +337,9 @@ mod tests {
     fn run_until_stops_before_later_events() {
         let mut hits = 0u32;
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(100), |w, _| *w += 1);
-        eng.schedule_at(SimTime::from_nanos(200), |w, _| *w += 1);
-        eng.schedule_at(SimTime::from_nanos(300), |w, _| *w += 1);
+        eng.schedule_at(SimTime::from_nanos(100), hit, 0);
+        eng.schedule_at(SimTime::from_nanos(200), hit, 0);
+        eng.schedule_at(SimTime::from_nanos(300), hit, 0);
         eng.run_until(&mut hits, SimTime::from_nanos(200));
         assert_eq!(hits, 2);
         assert_eq!(eng.now(), SimTime::from_nanos(200));
@@ -450,15 +354,15 @@ mod tests {
         struct W {
             n: u32,
         }
-        fn link(w: &mut W, eng: &mut Engine<W>) {
+        fn link(w: &mut W, eng: &mut Engine<W>, _: u64) {
             w.n += 1;
             if w.n < 100 {
-                eng.schedule_in(SimDuration::nanos(10), link);
+                eng.schedule_in(SimDuration::nanos(10), link, 0);
             }
         }
         let mut w = W { n: 0 };
         let mut eng = Engine::new();
-        eng.schedule_now(link);
+        eng.schedule_now(link, 0);
         eng.run(&mut w);
         assert_eq!(w.n, 100);
         assert_eq!(eng.now(), SimTime::from_nanos(990));
@@ -469,7 +373,7 @@ mod tests {
         let mut n = 0u32;
         let mut eng: Engine<u32> = Engine::new();
         for i in 0..100u64 {
-            eng.schedule_at(SimTime::from_nanos(i), |w, _| *w += 1);
+            eng.schedule_at(SimTime::from_nanos(i), hit, 0);
         }
         eng.run_while(&mut n, |w| *w < 10);
         assert_eq!(n, 10);
@@ -477,13 +381,14 @@ mod tests {
 
     #[test]
     fn schedule_now_runs_after_pending_same_time_events() {
+        fn first(w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>>, _: u64) {
+            w.push(1);
+            eng.schedule_now(push, 3);
+        }
         let mut order: Vec<u32> = Vec::new();
         let mut eng: Engine<Vec<u32>> = Engine::new();
-        eng.schedule_at(SimTime::ZERO, |w, eng| {
-            w.push(1);
-            eng.schedule_now(|w: &mut Vec<u32>, _| w.push(3));
-        });
-        eng.schedule_at(SimTime::ZERO, |w, _| w.push(2));
+        eng.schedule_at(SimTime::ZERO, first, 0);
+        eng.schedule_at(SimTime::ZERO, push, 2);
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -495,11 +400,14 @@ mod tests {
         // state, so identically-seeded runs on different threads are
         // bit-identical, and runs racing in parallel do not perturb each
         // other.
+        fn add(w: &mut u64, _: &mut Engine<u64>, _: u64) {
+            *w += 1;
+        }
         fn run(seed: u64) -> (u64, SimTime) {
             let mut n = 0u64;
             let mut eng: Engine<u64> = Engine::new();
             for i in 0..seed % 17 + 3 {
-                eng.schedule_at(SimTime::from_nanos(i * 7), |w, _| *w += 1);
+                eng.schedule_at(SimTime::from_nanos(i * 7), add, 0);
             }
             eng.run(&mut n);
             (n, eng.now())
@@ -514,16 +422,17 @@ mod tests {
 
     #[test]
     fn profiled_run_fires_the_same_events_and_records_scopes() {
+        fn two(w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>>, _: u64) {
+            w.push(2);
+            eng.schedule_in(SimDuration::nanos(50), push, 3);
+        }
         fn run(profiled: bool) -> (Vec<u32>, SimTime, Profiler) {
             let mut order: Vec<u32> = Vec::new();
             let mut eng: Engine<Vec<u32>> = Engine::new();
             let prof = Profiler::new(profiled);
             eng.set_profiler(prof.clone());
-            eng.schedule_at(SimTime::from_nanos(200), |w, eng| {
-                w.push(2);
-                eng.schedule_in(SimDuration::nanos(50), |w: &mut Vec<u32>, _| w.push(3));
-            });
-            eng.schedule_at(SimTime::from_nanos(100), |w, _| w.push(1));
+            eng.schedule_at(SimTime::from_nanos(200), two, 0);
+            eng.schedule_at(SimTime::from_nanos(100), push, 1);
             eng.run(&mut order);
             (order, eng.now(), prof)
         }
@@ -547,8 +456,8 @@ mod tests {
     fn run_for_is_relative() {
         let mut n = 0u32;
         let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(100), |w, _| *w += 1);
-        eng.schedule_at(SimTime::from_nanos(250), |w, _| *w += 1);
+        eng.schedule_at(SimTime::from_nanos(100), hit, 0);
+        eng.schedule_at(SimTime::from_nanos(250), hit, 0);
         eng.run_for(&mut n, SimDuration::nanos(150));
         assert_eq!(n, 1);
         eng.run_for(&mut n, SimDuration::nanos(300));
@@ -559,92 +468,26 @@ mod tests {
     fn past_schedule_clamps_behind_events_due_now() {
         let mut order: Vec<u32> = Vec::new();
         let mut eng: Engine<Vec<u32>> = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(1));
+        eng.schedule_at(SimTime::from_nanos(1000), push, 1);
         eng.step(&mut order);
-        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(2));
+        eng.schedule_at(SimTime::from_nanos(1000), push, 2);
         // The release-build path of a past schedule (debug builds assert).
-        eng.push(
-            SimTime::from_nanos(5),
-            BoxedEvent::Closure(Box::new(|w, _| w.push(3))),
-        );
-        eng.schedule_at(SimTime::from_nanos(1000), |w, _| w.push(4));
+        eng.push(SimTime::from_nanos(5), push, 3);
+        eng.schedule_at(SimTime::from_nanos(1000), push, 4);
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3, 4]);
         assert_eq!(eng.now(), SimTime::from_nanos(1000));
     }
 
     #[test]
-    fn calls_fire_in_order_with_closures() {
-        fn call(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, arg: u64) {
-            w.push(arg);
-        }
+    fn calls_fire_by_deadline_then_schedule_order() {
         let mut order = Vec::new();
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule_call_at(SimTime::from_nanos(20), call, 3);
-        eng.schedule_at(SimTime::from_nanos(10), |w, _| w.push(1));
-        eng.schedule_call_at(SimTime::from_nanos(10), call, 2);
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::from_nanos(20), push, 3);
+        eng.schedule_at(SimTime::from_nanos(10), push, 1);
+        eng.schedule_at(SimTime::from_nanos(10), push, 2);
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(eng.events_fired(), 3);
-    }
-
-    /// Typed events fire interchangeably with closure events: same
-    /// (time, seq) order, same world effects.
-    #[test]
-    fn typed_events_match_closure_engine() {
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        enum Ev {
-            Push(u32),
-            Chain { left: u32, step: u64 },
-        }
-        impl Dispatch<Vec<u32>> for Ev {
-            fn dispatch(self, w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>, Ev>) {
-                match self {
-                    Ev::Push(v) => w.push(v),
-                    Ev::Chain { left, step } => {
-                        w.push(left);
-                        if left > 0 {
-                            eng.schedule_event_in(
-                                SimDuration::nanos(step),
-                                Ev::Chain {
-                                    left: left - 1,
-                                    step,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // The typed enum is Send — the property sharded DES will rely on.
-        fn assert_send<T: Send>() {}
-        assert_send::<Ev>();
-
-        fn typed(mut eng: Engine<Vec<u32>, Ev>) -> (Vec<u32>, SimTime, u64) {
-            let mut w = Vec::new();
-            eng.schedule_event_at(SimTime::from_nanos(50), Ev::Push(7));
-            eng.schedule_event_at(SimTime::from_nanos(10), Ev::Chain { left: 3, step: 25 });
-            eng.schedule_event_at(SimTime::from_nanos(50), Ev::Push(8));
-            eng.run(&mut w);
-            (w, eng.now(), eng.events_fired())
-        }
-        fn closures() -> (Vec<u32>, SimTime, u64) {
-            let mut w = Vec::new();
-            let mut eng: Engine<Vec<u32>> = Engine::new();
-            fn chain(w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>>, left: u32, step: u64) {
-                w.push(left);
-                if left > 0 {
-                    eng.schedule_in(SimDuration::nanos(step), move |w: &mut Vec<u32>, eng| {
-                        chain(w, eng, left - 1, step);
-                    });
-                }
-            }
-            eng.schedule_at(SimTime::from_nanos(50), |w, _| w.push(7));
-            eng.schedule_at(SimTime::from_nanos(10), |w, eng| chain(w, eng, 3, 25));
-            eng.schedule_at(SimTime::from_nanos(50), |w, _| w.push(8));
-            eng.run(&mut w);
-            (w, eng.now(), eng.events_fired())
-        }
-        assert_eq!(typed(Engine::new()), closures());
     }
 }

@@ -9,6 +9,7 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`Engine`] — an event-queue simulator over a user world type, with
 //!   FIFO tie-breaking for reproducibility, scheduled by one binary heap;
+//!   an event is a plain function and one `u64` argument ([`CallFn`]);
 //! * [`SimRng`] — an explicitly-seeded RNG with the distributions the
 //!   testbed needs (exponential, log-normal, Pareto);
 //! * statistics ([`OnlineStats`], [`Histogram`], [`BusyTracker`]) for
@@ -29,14 +30,14 @@
 //!     remaining: u32,
 //! }
 //!
-//! fn arrival(w: &mut World, eng: &mut Engine<World>) {
+//! fn arrival(w: &mut World, eng: &mut Engine<World>, _: u64) {
 //!     let start = eng.now().max(w.server_free_at);
 //!     w.waits.push_duration(start - eng.now());
 //!     w.server_free_at = start + SimDuration::micros(8); // deterministic service
 //!     if w.remaining > 0 {
 //!         w.remaining -= 1;
 //!         let gap = w.rng.exp_duration(SimDuration::micros(10));
-//!         eng.schedule_in(gap, arrival);
+//!         eng.schedule_in(gap, arrival, 0);
 //!     }
 //! }
 //!
@@ -47,7 +48,7 @@
 //!     remaining: 10_000,
 //! };
 //! let mut engine = Engine::new();
-//! engine.schedule_now(arrival);
+//! engine.schedule_now(arrival, 0);
 //! engine.run(&mut world);
 //! // rho = 0.8 => significant queueing, but the median wait is finite.
 //! assert!(world.waits.percentile(50.0) > 0.0);
@@ -62,7 +63,7 @@ mod rng;
 mod stats;
 mod time;
 
-pub use engine::{BoxedEvent, CallFn, Dispatch, Engine, EventFn};
+pub use engine::{CallFn, Engine};
 pub use profiler::{ProfGuard, ProfReport, Profiler, ScopeStats};
 pub use rng::{scenario_seed, SimRng};
 pub use stats::{BusyTracker, Histogram, OnlineStats};

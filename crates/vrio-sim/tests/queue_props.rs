@@ -89,18 +89,34 @@ impl Model {
     }
 }
 
+/// The engine's world: the trace, plus each root's child delays, which
+/// a root event (its argument is its label) looks up when it fires.
+#[derive(Default)]
+struct World {
+    children: Vec<Vec<u64>>,
+    trace: Trace,
+}
+
+/// Records the event labelled `label`.
+fn leaf(w: &mut World, e: &mut Engine<World>, label: u64) {
+    w.trace.push((label, e.now().as_nanos()));
+}
+
+/// Records root `label`, then schedules its children at their delays.
+fn root(w: &mut World, e: &mut Engine<World>, label: u64) {
+    leaf(w, e, label);
+    for (i, &d) in w.children[label as usize].iter().enumerate() {
+        e.schedule_in(SimDuration::nanos(d), leaf, child_label(label, i));
+    }
+}
+
 /// Schedules root `label` on the engine: it records itself and schedules
-/// `children` at the given delays, each recording itself.
-fn schedule_root(eng: &mut Engine<Trace>, at: u64, label: u64, children: Vec<u64>) {
-    eng.schedule_at(SimTime::from_nanos(at), move |w: &mut Trace, e| {
-        w.push((label, e.now().as_nanos()));
-        for (i, &d) in children.iter().enumerate() {
-            let child = child_label(label, i);
-            e.schedule_in(SimDuration::nanos(d), move |w: &mut Trace, e| {
-                w.push((child, e.now().as_nanos()));
-            });
-        }
-    });
+/// `children` at the given delays, each recording itself. Labels are
+/// scheduled in order from 0, so `label` indexes `w.children`.
+fn schedule_root(w: &mut World, eng: &mut Engine<World>, at: u64, label: u64, children: Vec<u64>) {
+    assert_eq!(w.children.len() as u64, label);
+    w.children.push(children);
+    eng.schedule_at(SimTime::from_nanos(at), root, label);
 }
 
 /// The `run_until` deadlines splitting a program's horizon into `chunks`
@@ -117,15 +133,15 @@ fn chunk_deadlines(ops: &[Op], chunks: u64) -> Vec<u64> {
 /// quiescence (stragglers past the horizon), and returns its trace.
 fn run_engine(ops: &[Op], deadlines: &[u64]) -> Trace {
     let mut eng = Engine::new();
+    let mut w = World::default();
     for (label, op) in ops.iter().enumerate() {
-        schedule_root(&mut eng, op.at, label as u64, op.children.clone());
+        schedule_root(&mut w, &mut eng, op.at, label as u64, op.children.clone());
     }
-    let mut trace = Trace::new();
     for &d in deadlines {
-        eng.run_until(&mut trace, SimTime::from_nanos(d));
+        eng.run_until(&mut w, SimTime::from_nanos(d));
     }
-    eng.run(&mut trace);
-    trace
+    eng.run(&mut w);
+    w.trace
 }
 
 /// [`run_engine`] on the model.
@@ -183,13 +199,13 @@ proptest! {
     fn stale_deadlines_match_model(
         pushes in proptest::collection::vec((deadline(), 0u32..4), 1..200),
     ) {
-        let mut eng: Engine<Trace> = Engine::new();
+        let mut eng: Engine<World> = Engine::new();
         let mut model = Model::default();
-        let (mut got, mut now) = (Trace::new(), 0);
+        let (mut got, mut now) = (World::default(), 0);
         for (label, &(at, steps)) in pushes.iter().enumerate() {
             let label = label as u64;
             let at = if cfg!(debug_assertions) { at.max(now) } else { at };
-            schedule_root(&mut eng, at, label, Vec::new());
+            schedule_root(&mut got, &mut eng, at, label, Vec::new());
             model.schedule(at, Action::Root { label, children: Vec::new() });
             for _ in 0..steps {
                 prop_assert_eq!(eng.step(&mut got), model.step());
@@ -198,7 +214,7 @@ proptest! {
         }
         eng.run(&mut got);
         model.run();
-        prop_assert_eq!(got, model.trace);
+        prop_assert_eq!(got.trace, model.trace);
         prop_assert_eq!(eng.pending(), 0);
     }
 
@@ -209,24 +225,24 @@ proptest! {
         times in proptest::collection::vec(deadline(), 1..60),
         cut in 1u64..4,
     ) {
-        let mut eng: Engine<Trace> = Engine::new();
+        let mut eng: Engine<World> = Engine::new();
         let mut model = Model::default();
+        let mut got = World::default();
         for (label, &t) in times.iter().enumerate() {
             let label = label as u64;
-            schedule_root(&mut eng, t, label, Vec::new());
+            schedule_root(&mut got, &mut eng, t, label, Vec::new());
             model.schedule(t, Action::Root { label, children: Vec::new() });
         }
         let deadline = times.iter().max().unwrap() / cut;
-        let mut got = Trace::new();
         eng.run_until(&mut got, SimTime::from_nanos(deadline));
         model.run_until(deadline);
-        prop_assert_eq!(&got, &model.trace);
+        prop_assert_eq!(&got.trace, &model.trace);
         prop_assert_eq!(eng.pending(), model.pending.len());
         prop_assert_eq!(eng.now().as_nanos(), model.now);
         prop_assert_eq!(eng.events_fired(), model.fired);
         eng.run(&mut got);
         model.run();
-        prop_assert_eq!(got, model.trace);
+        prop_assert_eq!(got.trace, model.trace);
     }
 }
 
@@ -235,32 +251,32 @@ proptest! {
 /// instant, and before anything later.
 #[test]
 fn schedule_now_bursts_never_reorder() {
+    fn push(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, n: u64) {
+        w.push(n);
+    }
+    // A 100-event same-instant burst, each link re-entrantly scheduling
+    // the next.
+    fn link(w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>, n: u64) {
+        w.push(n);
+        if n < 103 {
+            e.schedule_now(link, n + 1);
+        }
+    }
+    fn burst(w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>, _: u64) {
+        w.push(3);
+        e.schedule_now(link, 4);
+    }
     let mut eng: Engine<Vec<u64>> = Engine::new();
     // Three events pending at t=100 before the burst-emitting one.
     for i in 0..3u64 {
-        eng.schedule_at(SimTime::from_nanos(100), move |w: &mut Vec<u64>, _| {
-            w.push(i);
-        });
+        eng.schedule_at(SimTime::from_nanos(100), push, i);
     }
-    eng.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u64>, e| {
-        w.push(3);
-        // A 100-event same-instant burst, each link re-entrantly
-        // scheduling the next.
-        fn link(n: u64, w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>) {
-            w.push(n);
-            if n < 103 {
-                e.schedule_now(move |w: &mut Vec<u64>, e| link(n + 1, w, e));
-            }
-        }
-        e.schedule_now(|w: &mut Vec<u64>, e| link(4, w, e));
-    });
+    eng.schedule_at(SimTime::from_nanos(100), burst, 0);
     // A straggler at the same instant, scheduled before the burst ran
     // (so it fires before the burst's re-entrant children).
-    eng.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u64>, _| {
-        w.push(1000);
-    });
+    eng.schedule_at(SimTime::from_nanos(100), push, 1000);
     let later = SimTime::from_nanos(101);
-    eng.schedule_at(later, |w: &mut Vec<u64>, _| w.push(2000));
+    eng.schedule_at(later, push, 2000);
 
     let mut order = Vec::new();
     eng.run(&mut order);

@@ -156,8 +156,8 @@ impl std::fmt::Display for Stage {
 }
 
 /// Handle to an open request span, returned by [`Tracer::begin`]. Copyable
-/// so flows can capture it in event closures; `SpanId::NONE` is the inert
-/// handle returned when tracing is off.
+/// plain data, so flow steps and tables hold it by value; `SpanId::NONE`
+/// is the inert handle returned when tracing is off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub(crate) u64);
 

@@ -11,15 +11,13 @@
 //! switches "two orders of magnitude" more often and lose to vRIO at two
 //! reader/writer pairs.
 
-use vrio::{blk_request, HasTestbed, Oracle, Testbed, TestbedConfig};
+use vrio::{blk_request, BlkOutcome, HasTestbed, Oracle, Testbed, TestbedConfig};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_trace::Tracer;
 
 use bytes::Bytes;
-use std::cell::Cell;
-use std::rc::Rc;
 
 /// A Filebench personality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +95,50 @@ struct FbWorld {
     /// arrive at a host's webserver VMs together.
     phase_off_until: Vec<SimTime>,
     bursty: bool,
+    /// The Filebench threads of every VM; events and block requests name
+    /// a thread by its index here.
+    threads: Vec<Thread>,
 }
 
 impl HasTestbed for FbWorld {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
+    }
+
+    /// A block request of thread `t` completed.
+    fn on_blk(&mut self, eng: &mut Engine<Self>, t: u64, _: BlkOutcome) {
+        let th = &mut self.threads[t as usize];
+        if th.pending == 0 {
+            // The op's chunks all completed before its fsync was issued.
+            return finish_op(self, eng, t);
+        }
+        let vm = th.spec.vm;
+        // The completion wakes the thread. Under Elvis and the
+        // baseline, each completion is a per-request IPI/injection that
+        // preempts whatever thread is running (an involuntary switch
+        // when the VCPU is busy). Under vRIO the transport's NAPI-style
+        // driver handles completions in batches at the guest's next
+        // natural yield point, so no preemption occurs -- the mechanism
+        // behind the paper's "two orders of magnitude" involuntary-
+        // switch difference and the Figure 14c crossover.
+        let model = self.tb.config.model;
+        let now = eng.now();
+        let costs = self.tb.config.costs.clone();
+        // Completions landing back-to-back (the sidecore finishing a
+        // readahead batch) coalesce into one interrupt for every model.
+        let coalesced = now - self.last_wake[vm] < SimDuration::micros(6);
+        self.last_wake[vm] = now;
+        let ready = if matches!(model, IoModel::Vrio | IoModel::VrioNoPoll) || coalesced {
+            self.tb.vms[vm].cpu.wake_deferred(now, &costs)
+        } else {
+            self.tb.vms[vm].cpu.wake(now, &costs).0
+        };
+        let th = &mut self.threads[t as usize];
+        th.pending -= 1;
+        if th.pending == 0 {
+            // Last chunk: optionally fsync, then the op completes.
+            eng.schedule_at(ready, chunks_done, t);
+        }
     }
 }
 
@@ -113,6 +150,13 @@ impl FbWorld {
 }
 
 const CHUNK: u32 = 4096;
+
+/// One Filebench thread.
+struct Thread {
+    spec: ThreadSpec,
+    /// Chunks of the current op still in flight.
+    pending: u32,
+}
 
 #[derive(Debug, Clone, Copy)]
 struct ThreadSpec {
@@ -126,32 +170,34 @@ struct ThreadSpec {
     fsync: bool,
 }
 
-fn thread_loop(w: &mut FbWorld, eng: &mut Engine<FbWorld>, spec: ThreadSpec) {
+/// Runs thread `t`'s next op: a CPU burst, then its block I/O.
+fn thread_loop(w: &mut FbWorld, eng: &mut Engine<FbWorld>, t: u64) {
     if eng.now() >= w.deadline {
         return;
     }
+    let spec = w.threads[t as usize].spec;
     // Webserver burstiness: if the VM's host is in an off phase, sleep
     // through it. Phases are driven by wall-clock timers (see
     // `drive_phase`), so the duty cycle is identical across I/O models.
     let off_until = w.phase_off_until[w.tb.vm_host[spec.vm]];
     if w.bursty && eng.now() < off_until {
-        eng.schedule_at(off_until, move |w: &mut FbWorld, eng| {
-            thread_loop(w, eng, spec)
-        });
+        eng.schedule_at(off_until, thread_loop, t);
         return;
     }
 
     // CPU burst on the VCPU.
     let burst = w.load_rng.lognormal_duration(spec.burst, 0.2);
     let end = w.tb.vms[spec.vm].cpu.run(eng.now(), burst);
-    eng.schedule_at(end, move |w: &mut FbWorld, eng| issue_op(w, eng, spec));
+    eng.schedule_at(end, issue_op, t);
 }
 
-/// Issues the op's chunk reads/writes. Multi-chunk ops (the webserver's
-/// 28 KB files) issue all chunks at once — guest readahead — and the
-/// thread resumes when the last completion lands.
-fn issue_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, spec: ThreadSpec) {
-    let pending = Rc::new(Cell::new(spec.chunks));
+/// Issues thread `t`'s chunk reads/writes. Multi-chunk ops (the
+/// webserver's 28 KB files) issue all chunks at once — guest readahead —
+/// and the thread resumes when the last completion lands
+/// ([`FbWorld::on_blk`]).
+fn issue_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, t: u64) {
+    let spec = w.threads[t as usize].spec;
+    w.threads[t as usize].pending = spec.chunks;
     for _ in 0..spec.chunks {
         let id = w.fresh_id();
         let cap = w.tb.config.block_capacity as u64;
@@ -162,53 +208,34 @@ fn issue_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, spec: ThreadSpec) {
         } else {
             BlockRequest::read(id, sector, CHUNK)
         };
-        let pending = pending.clone();
-        blk_request(w, eng, spec.vm, req, move |w, eng, _outcome| {
-            // The completion wakes the thread. Under Elvis and the
-            // baseline, each completion is a per-request IPI/injection that
-            // preempts whatever thread is running (an involuntary switch
-            // when the VCPU is busy). Under vRIO the transport's NAPI-style
-            // driver handles completions in batches at the guest's next
-            // natural yield point, so no preemption occurs -- the mechanism
-            // behind the paper's "two orders of magnitude" involuntary-
-            // switch difference and the Figure 14c crossover.
-            let model = w.tb.config.model;
-            let now = eng.now();
-            let costs = w.tb.config.costs.clone();
-            // Completions landing back-to-back (the sidecore finishing a
-            // readahead batch) coalesce into one interrupt for every model.
-            let coalesced = now - w.last_wake[spec.vm] < SimDuration::micros(6);
-            w.last_wake[spec.vm] = now;
-            let ready = if matches!(model, IoModel::Vrio | IoModel::VrioNoPoll) || coalesced {
-                w.tb.vms[spec.vm].cpu.wake_deferred(now, &costs)
-            } else {
-                w.tb.vms[spec.vm].cpu.wake(now, &costs).0
-            };
-            pending.set(pending.get() - 1);
-            if pending.get() == 0 {
-                // Last chunk: optionally fsync, then the op completes.
-                eng.schedule_at(ready, move |w: &mut FbWorld, eng| {
-                    if spec.fsync && spec.writer {
-                        let id = w.fresh_id();
-                        let flush = BlockRequest::flush(id);
-                        blk_request(w, eng, spec.vm, flush, move |w, eng, _| {
-                            finish_op(w, eng, spec);
-                        });
-                    } else {
-                        finish_op(w, eng, spec);
-                    }
-                });
-            }
-        });
+        blk_request(w, eng, spec.vm, req, t);
     }
 }
 
-fn finish_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, spec: ThreadSpec) {
+/// Thread `t`'s chunks have all completed and it is awake: it fsyncs if
+/// its op calls for one, else the op completes.
+fn chunks_done(w: &mut FbWorld, eng: &mut Engine<FbWorld>, t: u64) {
+    let spec = w.threads[t as usize].spec;
+    if spec.fsync && spec.writer {
+        let id = w.fresh_id();
+        blk_request(w, eng, spec.vm, BlockRequest::flush(id), t);
+    } else {
+        finish_op(w, eng, t);
+    }
+}
+
+/// Starts a thread running `spec`.
+fn start_thread(w: &mut FbWorld, eng: &mut Engine<FbWorld>, spec: ThreadSpec) {
+    w.threads.push(Thread { spec, pending: 0 });
+    thread_loop(w, eng, w.threads.len() as u64 - 1);
+}
+
+fn finish_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, t: u64) {
     if w.measuring {
         w.ops += 1;
-        w.bytes += u64::from(spec.chunks) * u64::from(CHUNK);
+        w.bytes += u64::from(w.threads[t as usize].spec.chunks) * u64::from(CHUNK);
     }
-    thread_loop(w, eng, spec);
+    thread_loop(w, eng, t);
 }
 
 /// Runs a Filebench personality on every VM of the testbed for `duration`
@@ -242,20 +269,25 @@ pub fn run_filebench(
 /// encryption-under-imbalance experiment, Fig 16b).
 /// Drives a VMhost's on/off load phases: on for ~exp(25 ms), off for
 /// ~exp(25 ms) — a ~50 % duty cycle independent of the I/O model's speed.
-fn drive_phase(w: &mut FbWorld, eng: &mut Engine<FbWorld>, host: usize) {
+fn drive_phase(w: &mut FbWorld, eng: &mut Engine<FbWorld>, host: u64) {
     debug_assert_eq!(host, 0, "one rack-wide phase driver");
     if eng.now() >= w.deadline {
         return;
     }
     let on = w.load_rng.exp_duration(SimDuration::millis(25));
     let off = w.load_rng.exp_duration(SimDuration::millis(25));
-    eng.schedule_in(on, move |w: &mut FbWorld, eng| {
-        let until = eng.now() + off;
-        for h in &mut w.phase_off_until {
-            *h = until;
-        }
-        eng.schedule_in(off, move |w: &mut FbWorld, eng| drive_phase(w, eng, host));
-    });
+    eng.schedule_in(on, phase_off, off.as_nanos());
+}
+
+/// An on phase ended: every host goes quiet for `off` nanoseconds, then
+/// the next phase starts.
+fn phase_off(w: &mut FbWorld, eng: &mut Engine<FbWorld>, off: u64) {
+    let off = SimDuration::nanos(off);
+    let until = eng.now() + off;
+    for h in &mut w.phase_off_until {
+        *h = until;
+    }
+    eng.schedule_in(off, drive_phase, 0);
 }
 
 /// Like [`run_filebench`], with a hook to customize the freshly built
@@ -285,6 +317,7 @@ pub fn run_filebench_with(
         last_wake: vec![SimTime::ZERO; num_vms],
         phase_off_until: vec![SimTime::ZERO; num_hosts],
         bursty: matches!(personality, Personality::Webserver { bursty: true }),
+        threads: Vec::new(),
     };
     let mut eng: Engine<FbWorld> = Engine::new();
     eng.set_profiler(world.tb.profiler.clone());
@@ -317,7 +350,7 @@ pub fn run_filebench_with(
                         chunks: 1,
                         fsync: false,
                     };
-                    thread_loop(&mut world, &mut eng, spec);
+                    start_thread(&mut world, &mut eng, spec);
                 }
             }
             Personality::Webserver { .. } => {
@@ -330,7 +363,7 @@ pub fn run_filebench_with(
                         chunks: 7, // a mean 28 KB file as 4 KB chunks
                         fsync: false,
                     };
-                    thread_loop(&mut world, &mut eng, spec);
+                    start_thread(&mut world, &mut eng, spec);
                 }
             }
             Personality::Fileserver => {
@@ -343,7 +376,7 @@ pub fn run_filebench_with(
                         chunks: 8, // ~32 KB files
                         fsync: false,
                     };
-                    thread_loop(&mut world, &mut eng, spec);
+                    start_thread(&mut world, &mut eng, spec);
                 }
             }
             Personality::Varmail => {
@@ -356,7 +389,7 @@ pub fn run_filebench_with(
                         chunks: 2, // small messages
                         fsync: t % 2 == 0,
                     };
-                    thread_loop(&mut world, &mut eng, spec);
+                    start_thread(&mut world, &mut eng, spec);
                 }
             }
         }
@@ -365,9 +398,10 @@ pub fn run_filebench_with(
     if world.bursty {
         drive_phase(&mut world, &mut eng, 0);
     }
-    eng.schedule_at(SimTime::ZERO + warmup, |w: &mut FbWorld, _| {
-        w.measuring = true
-    });
+    fn end_warmup(w: &mut FbWorld, _: &mut Engine<FbWorld>, _: u64) {
+        w.measuring = true;
+    }
+    eng.schedule_at(SimTime::ZERO + warmup, end_warmup, 0);
     eng.run(&mut world);
     world.tb.export_thread_tracks();
     world.tb.oracle.finish();

@@ -7,7 +7,7 @@
 //! grinds Elvis sidecores), and client concurrency (memslap pipelines).
 
 use bytes::Bytes;
-use vrio::{net_request_response, HasTestbed, Testbed, TestbedConfig};
+use vrio::{net_request_response, HasTestbed, RrOutcome, Testbed, TestbedConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
 
 /// A transaction workload profile.
@@ -65,11 +65,30 @@ struct MacroWorld {
     completed: u64,
     measuring: bool,
     deadline: SimTime,
+    profile: TxnProfile,
+}
+
+impl MacroWorld {
+    /// Issues one transaction on VM `vm`, tagged with the VM.
+    fn issue(&mut self, eng: &mut Engine<MacroWorld>, vm: usize) {
+        let p = self.profile;
+        let req = Bytes::from(vec![0x11u8; p.req_bytes]);
+        net_request_response(self, eng, vm, req, p.resp_bytes, p.app_time, vm as u64);
+    }
 }
 
 impl HasTestbed for MacroWorld {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, _: RrOutcome) {
+        if self.measuring {
+            self.completed += 1;
+        }
+        if eng.now() < self.deadline {
+            self.issue(eng, vm as usize);
+        }
     }
 }
 
@@ -104,37 +123,19 @@ pub fn run_txn_bench(
         completed: 0,
         measuring: false,
         deadline,
+        profile,
     };
     let mut eng: Engine<MacroWorld> = Engine::new();
 
-    fn issue(w: &mut MacroWorld, eng: &mut Engine<MacroWorld>, vm: usize, p: TxnProfile) {
-        let req = Bytes::from(vec![0x11u8; p.req_bytes]);
-        net_request_response(
-            w,
-            eng,
-            vm,
-            req,
-            p.resp_bytes,
-            p.app_time,
-            move |w, eng, _o| {
-                if w.measuring {
-                    w.completed += 1;
-                }
-                if eng.now() < w.deadline {
-                    issue(w, eng, vm, p);
-                }
-            },
-        );
-    }
-
     for vm in 0..num_vms {
         for _ in 0..profile.concurrency {
-            issue(&mut world, &mut eng, vm, profile);
+            world.issue(&mut eng, vm);
         }
     }
-    eng.schedule_at(SimTime::ZERO + warmup, |w: &mut MacroWorld, _| {
-        w.measuring = true
-    });
+    fn end_warmup(w: &mut MacroWorld, _: &mut Engine<MacroWorld>, _: u64) {
+        w.measuring = true;
+    }
+    eng.schedule_at(SimTime::ZERO + warmup, end_warmup, 0);
     eng.run(&mut world);
 
     let tps = world.completed as f64 / duration.as_secs_f64();

@@ -3,7 +3,8 @@
 
 use bytes::Bytes;
 use vrio::{
-    net_request_response, stream_batch, HasTestbed, Oracle, RingOps, Testbed, TestbedConfig,
+    net_request_response, stream_batch, HasTestbed, Oracle, RingOps, RrOutcome, Testbed,
+    TestbedConfig,
 };
 use vrio_hv::{EventCounters, ReliabilityCounters};
 use vrio_sim::{Engine, Histogram, ProfReport, SimDuration, SimTime};
@@ -51,11 +52,41 @@ struct RrWorld {
     completed: u64,
     measuring: bool,
     deadline: SimTime,
+    /// Server-side work per transaction.
+    app: SimDuration,
+    /// Response bytes.
+    resp: usize,
+}
+
+impl RrWorld {
+    /// Issues VM `vm`'s next transaction, tagged with the VM.
+    fn issue(&mut self, eng: &mut Engine<RrWorld>, vm: usize) {
+        let (resp, app) = (self.resp, self.app);
+        net_request_response(
+            self,
+            eng,
+            vm,
+            Bytes::from_static(b"?"),
+            resp,
+            app,
+            vm as u64,
+        );
+    }
 }
 
 impl HasTestbed for RrWorld {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, outcome: RrOutcome) {
+        if self.measuring {
+            self.hist.push(outcome.latency.as_micros_f64());
+            self.completed += 1;
+        }
+        if eng.now() < self.deadline {
+            self.issue(eng, vm as usize);
+        }
     }
 }
 
@@ -96,6 +127,8 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         completed: 0,
         measuring: false,
         deadline,
+        app: app_time,
+        resp: resp_len,
     };
     let mut eng: Engine<RrWorld> = Engine::new();
     eng.set_profiler(world.tb.profiler.clone());
@@ -117,38 +150,19 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
     }
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
-    fn issue(w: &mut RrWorld, eng: &mut Engine<RrWorld>, vm: usize, app: SimDuration, resp: usize) {
-        net_request_response(
-            w,
-            eng,
-            vm,
-            Bytes::from_static(b"?"),
-            resp,
-            app,
-            move |w, eng, outcome| {
-                if w.measuring {
-                    w.hist.push(outcome.latency.as_micros_f64());
-                    w.completed += 1;
-                }
-                if eng.now() < w.deadline {
-                    issue(w, eng, vm, app, resp);
-                }
-            },
-        );
-    }
-
     for vm in 0..num_vms {
-        issue(&mut world, &mut eng, vm, app_time, resp_len);
+        world.issue(&mut eng, vm);
     }
     // End of warmup: reset all measurement state.
-    eng.schedule_at(SimTime::ZERO + warmup, move |w: &mut RrWorld, _| {
+    fn end_warmup(w: &mut RrWorld, _: &mut Engine<RrWorld>, _: u64) {
         w.measuring = true;
         w.tb.reset_counters();
         for b in &mut w.tb.backends {
             b.waited = 0;
             b.served = 0;
         }
-    });
+    }
+    eng.schedule_at(SimTime::ZERO + warmup, end_warmup, 0);
     eng.run(&mut world);
     world.tb.export_thread_tracks();
     world.tb.oracle.finish();
@@ -185,14 +199,15 @@ pub(crate) fn schedule_telemetry_grid<W: HasTestbed>(
     let Some(interval) = tb.telemetry.interval() else {
         return;
     };
+    fn sample<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, _: u64) {
+        let now = eng.now();
+        let tb = w.tb();
+        let _g = tb.profiler.scope("telemetry.sample");
+        tb.sample_telemetry(now);
+    }
     let mut at = SimTime::ZERO + interval;
     while at <= deadline {
-        eng.schedule_at(at, |w: &mut W, eng: &mut Engine<W>| {
-            let now = eng.now();
-            let tb = w.tb();
-            let _g = tb.profiler.scope("telemetry.sample");
-            tb.sample_telemetry(now);
-        });
+        eng.schedule_at(at, sample::<W>, 0);
         at += interval;
     }
 }
@@ -219,17 +234,38 @@ pub struct StreamResult {
     pub ring_ops: RingOps,
 }
 
+/// Messages per stream batch: the ring-batch granularity.
+const BATCH: u64 = 256;
+
 struct StreamWorld {
     tb: Testbed,
     delivered_msgs: u64,
     measuring: bool,
     deadline: SimTime,
     busy_at_warmup: SimDuration,
+    msg_bytes: u64,
+}
+
+impl StreamWorld {
+    /// Sends one more batch from VM `vm`, tagged with the VM.
+    fn pump(&mut self, eng: &mut Engine<StreamWorld>, vm: usize) {
+        let msg_bytes = self.msg_bytes;
+        stream_batch(self, eng, vm, BATCH, msg_bytes, vm as u64);
+    }
 }
 
 impl HasTestbed for StreamWorld {
     fn tb(&mut self) -> &mut Testbed {
         &mut self.tb
+    }
+
+    fn on_stream(&mut self, eng: &mut Engine<Self>, vm: u64) {
+        if self.measuring {
+            self.delivered_msgs += BATCH;
+        }
+        if eng.now() < self.deadline {
+            self.pump(eng, vm as usize);
+        }
     }
 }
 
@@ -258,7 +294,6 @@ pub fn netperf_stream_sized(
     duration: SimDuration,
     msg_bytes: u64,
 ) -> StreamResult {
-    const BATCH: u64 = 256; // ring-batch granularity
     const WINDOW: usize = 4; // batches in flight per VM
     assert!(
         msg_bytes > 0,
@@ -274,6 +309,7 @@ pub fn netperf_stream_sized(
         measuring: false,
         deadline,
         busy_at_warmup: SimDuration::ZERO,
+        msg_bytes,
     };
     let mut eng: Engine<StreamWorld> = Engine::new();
     eng.set_profiler(world.tb.profiler.clone());
@@ -287,26 +323,16 @@ pub fn netperf_stream_sized(
     }
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
-    fn pump(w: &mut StreamWorld, eng: &mut Engine<StreamWorld>, vm: usize, msg_bytes: u64) {
-        stream_batch(w, eng, vm, BATCH, msg_bytes, move |w, eng| {
-            if w.measuring {
-                w.delivered_msgs += BATCH;
-            }
-            if eng.now() < w.deadline {
-                pump(w, eng, vm, msg_bytes);
-            }
-        });
-    }
-
     for vm in 0..num_vms {
         for _ in 0..WINDOW {
-            pump(&mut world, &mut eng, vm, msg_bytes);
+            world.pump(&mut eng, vm);
         }
     }
-    eng.schedule_at(SimTime::ZERO + warmup, move |w: &mut StreamWorld, _| {
+    fn end_warmup(w: &mut StreamWorld, _: &mut Engine<StreamWorld>, _: u64) {
         w.measuring = true;
         w.busy_at_warmup = w.tb.vmside_busy();
-    });
+    }
+    eng.schedule_at(SimTime::ZERO + warmup, end_warmup, 0);
     eng.run(&mut world);
     world.tb.oracle.finish();
     world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);

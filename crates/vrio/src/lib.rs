@@ -31,31 +31,39 @@
 //!
 //! ```
 //! use bytes::Bytes;
-//! use vrio::{net_request_response, RrOutcome, Testbed, TestbedConfig};
+//! use vrio::{net_request_response, HasTestbed, RrOutcome, Testbed, TestbedConfig};
 //! use vrio_hv::IoModel;
-//! use vrio_sim::Engine;
+//! use vrio_sim::{Engine, SimDuration};
 //!
-//! let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+//! // The engine's world: the rack plus what the workload keeps. Flows
+//! // hand their outcomes to it, named by the tag they were issued with.
+//! struct World {
+//!     tb: Testbed,
+//!     outcome: Option<RrOutcome>,
+//! }
+//!
+//! impl HasTestbed for World {
+//!     fn tb(&mut self) -> &mut Testbed {
+//!         &mut self.tb
+//!     }
+//!
+//!     fn on_rr(&mut self, _: &mut Engine<Self>, _tag: u64, o: RrOutcome) {
+//!         self.outcome = Some(o);
+//!     }
+//! }
+//!
+//! let tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+//! let mut w = World { tb, outcome: None };
 //! let mut eng = Engine::new();
+//! let ping = Bytes::from_static(b"ping");
+//! net_request_response(&mut w, &mut eng, 0, ping, 4, SimDuration::micros(4), 0);
+//! eng.run(&mut w);
 //!
-//! let outcome: std::rc::Rc<std::cell::RefCell<Option<RrOutcome>>> = Default::default();
-//! let slot = outcome.clone();
-//! net_request_response(
-//!     &mut tb,
-//!     &mut eng,
-//!     0,
-//!     Bytes::from_static(b"ping"),
-//!     4,
-//!     vrio_sim::SimDuration::micros(4),
-//!     move |_, _, o| *slot.borrow_mut() = Some(o),
-//! );
-//! eng.run(&mut tb);
-//!
-//! let o = outcome.borrow_mut().take().unwrap();
+//! let o = w.outcome.unwrap();
 //! assert_eq!(o.response.len(), 4);
 //! // The paper's Table 3 accounting: vRIO induces 2 events per
 //! // request-response, like bare-metal SRIOV+ELI.
-//! assert_eq!(tb.counters.sum(), 2);
+//! assert_eq!(w.tb.counters.sum(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

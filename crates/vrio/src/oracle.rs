@@ -73,9 +73,9 @@ impl OracleConfig {
 }
 
 /// Handle to one request in the exactly-once ledger, returned by
-/// [`Oracle::flow_begin`]. Copyable so flows can capture it in event
-/// closures; [`FlowToken::NONE`] is the inert handle returned when the
-/// oracle is off.
+/// [`Oracle::flow_begin`]. Copyable plain data, so flow steps and tables
+/// hold it by value; [`FlowToken::NONE`] is the inert handle returned
+/// when the oracle is off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowToken(u64);
 

@@ -31,7 +31,7 @@ use vrio_block::{DeviceProfile, Ramdisk};
 use vrio_hv::ReliabilityCounters;
 use vrio_hv::{CostModel, EventCounters, IoModel, Vm, VmId};
 use vrio_net::{FaultConfig, FaultInjector, Reassembler, Segment, SkbPool};
-use vrio_sim::{BusyTracker, Profiler, SimDuration, SimRng, SimTime};
+use vrio_sim::{BusyTracker, Engine, Profiler, SimDuration, SimRng, SimTime};
 use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer, TrackId, TrackKind};
 
 use vrio_virtio::RingConfig;
@@ -47,20 +47,51 @@ use crate::proto::DeviceId;
 use crate::transport::{BlockRetx, RetxConfig};
 
 pub use blk::blk_request;
-use flow::{CoreRef, CounterKind, FlowTable, Step};
+use flow::{CoreRef, CounterKind, FlowTable, Slab, Step};
 pub use net::{net_request_response, stream_batch};
 
-/// Gives the engine world access to the embedded [`Testbed`]; workload
-/// crates wrap a `Testbed` plus their own state and implement this.
-pub trait HasTestbed: Sized + 'static {
+/// Gives the engine world access to the embedded [`Testbed`] and hands it
+/// the outcomes of the flows it issued; workload crates wrap a `Testbed`
+/// plus their own state and implement this.
+///
+/// Each flow names its issuer's state by a caller-chosen `tag` (a VM, a
+/// thread, a table index). The outcome methods panic by default, naming
+/// the flow kind, so a world that issues a flow kind must take its
+/// outcomes; a bare [`Testbed`] world discards them.
+pub trait HasTestbed: Sized {
     /// The embedded testbed.
     fn tb(&mut self) -> &mut Testbed;
+
+    /// The request-response issued with `tag`
+    /// ([`net_request_response`]) completed.
+    fn on_rr(&mut self, eng: &mut Engine<Self>, tag: u64, outcome: RrOutcome) {
+        let _ = (eng, outcome);
+        panic!("request-response {tag} completed in a world without on_rr");
+    }
+
+    /// The block request issued with `tag` ([`blk_request`]) completed.
+    fn on_blk(&mut self, eng: &mut Engine<Self>, tag: u64, outcome: BlkOutcome) {
+        let _ = (eng, outcome);
+        panic!("block request {tag} completed in a world without on_blk");
+    }
+
+    /// The stream batch issued with `tag` ([`stream_batch`]) was received.
+    fn on_stream(&mut self, eng: &mut Engine<Self>, tag: u64) {
+        let _ = eng;
+        panic!("stream batch {tag} completed in a world without on_stream");
+    }
 }
 
 impl HasTestbed for Testbed {
     fn tb(&mut self) -> &mut Testbed {
         self
     }
+
+    fn on_rr(&mut self, _: &mut Engine<Self>, _: u64, _: RrOutcome) {}
+
+    fn on_blk(&mut self, _: &mut Engine<Self>, _: u64, _: BlkOutcome) {}
+
+    fn on_stream(&mut self, _: &mut Engine<Self>, _: u64) {}
 }
 
 /// A FIFO-serialized resource (a core or a shared machine resource).
@@ -589,6 +620,8 @@ pub struct Testbed {
     step_pool: Vec<VecDeque<Step>>,
     /// The flows waiting on the engine.
     flows: FlowTable,
+    /// The block requests in flight.
+    blks: Slab<blk::BlkReq>,
     /// Request-lifecycle tracer (inert unless the config enables it).
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
@@ -735,6 +768,7 @@ impl Testbed {
             resp_cache: HashMap::new(),
             step_pool: Vec::new(),
             flows: FlowTable::default(),
+            blks: Slab::default(),
             trace,
             oracle,
             audited_epoch: Vec::new(),
@@ -1256,7 +1290,6 @@ impl Testbed {
 mod tests {
     use super::*;
     use vrio_block::BlockKind;
-    use vrio_sim::Engine;
 
     #[test]
     fn config_simple_defaults() {
@@ -1354,21 +1387,69 @@ mod tests {
         assert!(tb.gen_extra(16) > tb.gen_extra(12));
     }
 
+    /// A world that keeps the block outcomes it is handed.
+    struct BlkOutcomes {
+        tb: Testbed,
+        done: Vec<BlkOutcome>,
+    }
+
+    impl HasTestbed for BlkOutcomes {
+        fn tb(&mut self) -> &mut Testbed {
+            &mut self.tb
+        }
+
+        fn on_blk(&mut self, _: &mut Engine<Self>, _: u64, outcome: BlkOutcome) {
+            self.done.push(outcome);
+        }
+    }
+
+    /// Runs one block request on a fresh `model` rack.
+    fn one_blk(model: IoModel, req: vrio_block::BlockRequest) -> BlkOutcomes {
+        let tb = Testbed::new(TestbedConfig::simple(model, 1));
+        let mut w = BlkOutcomes {
+            tb,
+            done: Vec::new(),
+        };
+        let mut eng = Engine::new();
+        blk_request(&mut w, &mut eng, 0, req, 0);
+        eng.run(&mut w);
+        w
+    }
+
+    /// A world that takes only block outcomes.
+    struct BlkOnly(Testbed);
+
+    impl HasTestbed for BlkOnly {
+        fn tb(&mut self) -> &mut Testbed {
+            &mut self.0
+        }
+
+        fn on_blk(&mut self, _: &mut Engine<Self>, _: u64, _: BlkOutcome) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "request-response 7 completed in a world without on_rr")]
+    fn an_outcome_the_world_does_not_take_panics_naming_the_flow() {
+        let mut w = BlkOnly(Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1)));
+        let mut eng = Engine::new();
+        let req = Bytes::from_static(b"x");
+        net_request_response(&mut w, &mut eng, 0, req, 1, SimDuration::micros(4), 7);
+        eng.run(&mut w);
+    }
+
     #[test]
     fn blk_flow_executes_real_store_ops() {
-        let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Elvis, 1));
-        let mut eng = Engine::new();
         let req = vrio_block::BlockRequest::write(
             vrio_block::RequestId(1),
             16,
             Bytes::from(vec![0xEEu8; 512]),
         );
-        blk_request(&mut tb, &mut eng, 0, req, |_, _, o| {
+        let w = one_blk(IoModel::Elvis, req);
+        for o in &w.done {
             assert_eq!(o.status, vrio_virtio::BLK_S_OK);
-        });
-        eng.run(&mut tb);
+        }
         assert_eq!(
-            &tb.disk_stores[0].read(16 * 512, 4).unwrap()[..],
+            &w.tb.disk_stores[0].read(16 * 512, 4).unwrap()[..],
             &[0xEE; 4]
         );
     }
@@ -1379,24 +1460,19 @@ mod tests {
         let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Optimum, 1));
         let mut eng = Engine::new();
         let req = vrio_block::BlockRequest::read(vrio_block::RequestId(1), 0, 512);
-        blk_request(&mut tb, &mut eng, 0, req, |_, _, _| {});
+        blk_request(&mut tb, &mut eng, 0, req, 0);
     }
 
     #[test]
     fn flush_requests_complete() {
         for model in [IoModel::Elvis, IoModel::Vrio, IoModel::Baseline] {
-            let mut tb = Testbed::new(TestbedConfig::simple(model, 1));
-            let mut eng = Engine::new();
             let req = vrio_block::BlockRequest::flush(vrio_block::RequestId(9));
             assert_eq!(req.kind, BlockKind::Flush);
-            let done = std::rc::Rc::new(std::cell::Cell::new(false));
-            let d = done.clone();
-            blk_request(&mut tb, &mut eng, 0, req, move |_, _, o| {
+            let w = one_blk(model, req);
+            for o in &w.done {
                 assert_eq!(o.status, vrio_virtio::BLK_S_OK);
-                d.set(true);
-            });
-            eng.run(&mut tb);
-            assert!(done.get(), "model {model}");
+            }
+            assert_eq!(w.done.len(), 1, "model {model}");
         }
     }
 }

@@ -1,17 +1,14 @@
 //! Network flows: netperf request-response (and its local-virtio
 //! fallback during IOhost outages) and batched stream traffic.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use vrio_hv::IoModel;
 use vrio_net::MTU_VRIO_JUMBO;
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_trace::{DropCause, SpanId, Stage};
 
-use super::flow::{CoreRef, CounterKind, FlowDone, RxFrame, Step};
-use super::{req_track, HasTestbed, RrOutcome, Testbed};
+use super::flow::{CoreRef, CounterKind, FlowEnd, RxFrame, Step};
+use super::{req_track, HasTestbed, Testbed};
 use crate::health::Route;
 use crate::interpose::Direction;
 use crate::oracle::FlowToken;
@@ -20,7 +17,7 @@ use crate::proto::{DeviceId, VrioMsg, VrioMsgKind};
 /// One net request's observer records: its trace span, oracle ledger
 /// entry and SLO tenant.
 #[derive(Clone, Copy)]
-struct NetFlow {
+pub(super) struct NetFlow {
     vm: usize,
     t0: SimTime,
     span: SpanId,
@@ -38,7 +35,7 @@ impl NetFlow {
 
     /// Closes the records of a request completed at `now`, returning its
     /// latency.
-    fn complete(self, tb: &mut Testbed, now: SimTime) -> SimDuration {
+    pub(super) fn complete(self, tb: &mut Testbed, now: SimTime) -> SimDuration {
         let latency = now - self.t0;
         tb.trace.end(self.span, now);
         tb.oracle.flow_complete(self.flow, now);
@@ -55,27 +52,15 @@ impl NetFlow {
     }
 }
 
-/// The completion of a request-response flow: closes its records and
-/// hands the generator the response the back end forwarded.
-fn rr_done<W: HasTestbed>(
-    f: NetFlow,
-    response: Rc<RefCell<Bytes>>,
-    done: impl FnOnce(&mut W, &mut Engine<W>, RrOutcome) + 'static,
-) -> FlowDone<W> {
-    Box::new(move |w, eng| {
-        let latency = f.complete(w.tb(), eng.now());
-        let response = response.take();
-        done(w, eng, RrOutcome { latency, response });
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Flow: network request-response (netperf RR, Apache/Memcached transactions)
 // ---------------------------------------------------------------------------
 
 /// Issues one request-response against VM `vm`: an external generator sends
 /// `req` and the guest answers with `resp_len` bytes after `app_time` of
-/// guest CPU. `done` receives the measured outcome.
+/// guest CPU. The world receives the measured outcome through
+/// [`HasTestbed::on_rr`] with `tag`; a lost or firewalled request never
+/// completes.
 #[allow(clippy::too_many_arguments)]
 pub fn net_request_response<W: HasTestbed>(
     w: &mut W,
@@ -84,7 +69,7 @@ pub fn net_request_response<W: HasTestbed>(
     req: Bytes,
     resp_len: usize,
     app_time: SimDuration,
-    done: impl FnOnce(&mut W, &mut Engine<W>, RrOutcome) + 'static,
+    tag: u64,
 ) {
     let tb = w.tb();
     let model = tb.config.model;
@@ -100,9 +85,7 @@ pub fn net_request_response<W: HasTestbed>(
     };
     let iohost = match route {
         Route::Remote(k) => k,
-        Route::Local => {
-            return fallback_request_response(w, eng, vm, req, resp_len, app_time, done)
-        }
+        Route::Local => return fallback_request_response(w, eng, vm, req, resp_len, app_time, tag),
     };
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
@@ -110,7 +93,6 @@ pub fn net_request_response<W: HasTestbed>(
     // Lifecycle span: stage transitions ride the step list as inline
     // `Step::Mark`s, so tracing never reorders events or touches RNG.
     let f = NetFlow::begin(tb, "net_rr", vm, Stage::Generator, t0);
-    let response_slot = Rc::<RefCell<Bytes>>::default();
     let req_wire = req.len() + 64; // headers on the wire
     let resp_wire = resp_len + 64;
     // Responses larger than one MSS leave as multiple wire packets, each
@@ -277,11 +259,7 @@ pub fn net_request_response<W: HasTestbed>(
     let backend_out = tb.pick_backend_at(vm, iohost);
     match model {
         IoModel::Optimum => {
-            s.push(Step::FetchTx {
-                vm,
-                dir: None,
-                slot: response_slot.clone(),
-            });
+            s.push(Step::FetchTx { vm, dir: None });
             s.push(Step::Fixed(costs.nic_dma));
             // Asynchronous transmit-completion interrupt to the guest.
             s.push(Step::Count(CounterKind::GuestIntr));
@@ -296,7 +274,6 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::FetchTx {
                 vm,
                 dir: Some(Direction::Outbound),
-                slot: response_slot.clone(),
             });
             s.push(Step::Fixed(costs.nic_dma));
             // Physical tx-completion interrupts land on the sidecore
@@ -311,11 +288,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::ChargeVmAsync(vm, costs.guest_interrupt));
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
-            s.push(Step::FetchTx {
-                vm,
-                dir: None,
-                slot: response_slot.clone(),
-            });
+            s.push(Step::FetchTx { vm, dir: None });
             s.mark(Stage::Wire);
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Charge(
@@ -352,7 +325,7 @@ pub fn net_request_response<W: HasTestbed>(
                 + (costs.vrio_worker_net * (packets - 1)) * 0.75;
             s.push(Step::Charge(CoreRef::Backend(backend_out), w_worker));
             // Worker decapsulates the client's NetTx and interposes.
-            s.push(Step::InterposeTx(response_slot.clone()));
+            s.push(Step::InterposeTx);
             s.push(Step::ReleaseBackend {
                 vm,
                 backend: backend_out,
@@ -378,7 +351,6 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::FetchTx {
                 vm,
                 dir: Some(Direction::Outbound),
-                slot: response_slot.clone(),
             });
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Count(CounterKind::HostIntr));
@@ -414,7 +386,7 @@ pub fn net_request_response<W: HasTestbed>(
         s.push(Step::Fixed(tail));
     }
 
-    s.run(w, eng, rr_done(f, response_slot, done));
+    s.run(w, eng, FlowEnd::Rr { net: f, tag });
 }
 
 /// The §4.6 fallback data path: local virtio on a sidecore-less VMhost.
@@ -428,14 +400,13 @@ fn fallback_request_response<W: HasTestbed>(
     req: Bytes,
     resp_len: usize,
     app_time: SimDuration,
-    done: impl FnOnce(&mut W, &mut Engine<W>, RrOutcome) + 'static,
+    tag: u64,
 ) {
     let tb = w.tb();
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
     let t0 = eng.now();
     let f = NetFlow::begin(tb, "net_rr_fallback", vm, Stage::Generator, t0);
-    let response_slot = Rc::<RefCell<Bytes>>::default();
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
     let mut s = tb.program(f.span);
 
@@ -471,11 +442,7 @@ fn fallback_request_response<W: HasTestbed>(
     let w_tx = tb.jitter(costs.guest_stack_tx + costs.exit)
         + (costs.vhost_wakeup + costs.vhost_backend) * packets;
     s.push(Step::ChargeVm(vm, w_tx));
-    s.push(Step::FetchTx {
-        vm,
-        dir: None,
-        slot: response_slot.clone(),
-    });
+    s.push(Step::FetchTx { vm, dir: None });
     s.push(Step::Fixed(costs.nic_dma));
     s.push(Step::Count(CounterKind::HostIntr));
     s.push(Step::Count(CounterKind::Injection));
@@ -496,7 +463,7 @@ fn fallback_request_response<W: HasTestbed>(
     let gen_rx = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_rx));
 
-    s.run(w, eng, rr_done(f, response_slot, done));
+    s.run(w, eng, FlowEnd::Rr { net: f, tag });
 }
 
 // ---------------------------------------------------------------------------
@@ -504,8 +471,8 @@ fn fallback_request_response<W: HasTestbed>(
 // ---------------------------------------------------------------------------
 
 /// Transmits one ring batch of `msgs` stream messages of `msg_bytes` each
-/// from VM `vm` toward its generator, calling `done` when the batch has
-/// been received. Stream traffic is processed in large batches at every
+/// from VM `vm` toward its generator; the world hears of the received
+/// batch through [`HasTestbed::on_stream`] with `tag`. Stream traffic is processed in large batches at every
 /// stage (rings, NIC, worker), so its per-message costs come from the
 /// amortized `stream_*` entries of the cost model.
 pub fn stream_batch<W: HasTestbed>(
@@ -514,7 +481,7 @@ pub fn stream_batch<W: HasTestbed>(
     vm: usize,
     msgs: u64,
     msg_bytes: u64,
-    done: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+    tag: u64,
 ) {
     let tb = w.tb();
     let model = tb.config.model;
@@ -580,12 +547,5 @@ pub fn stream_batch<W: HasTestbed>(
         costs.stream_gen_per_msg * msgs,
     ));
 
-    s.run(
-        w,
-        eng,
-        Box::new(move |w, eng| {
-            f.complete(w.tb(), eng.now());
-            done(w, eng)
-        }),
-    );
+    s.run(w, eng, FlowEnd::Stream { net: f, tag });
 }

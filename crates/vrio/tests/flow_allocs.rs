@@ -2,7 +2,8 @@
 //! parked at its first wait, its later waits and its resumes must not
 //! touch the allocator. A waiting flow lives in a slot of the testbed's
 //! flow table and its resume event is a plain function plus the slot
-//! index, so only the testbed's own data steps could allocate.
+//! index, so only the testbed's own data steps could allocate. The bare
+//! testbed world discards the outcome.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,7 +51,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// count sees is the flow's own waits and resumes.
 fn rr(tb: &mut Testbed, eng: &mut Engine<Testbed>) {
     let app = SimDuration::micros(5);
-    net_request_response(tb, eng, 0, Bytes::new(), 0, app, |_, _, _| {});
+    net_request_response(tb, eng, 0, Bytes::new(), 0, app, 0);
 }
 
 #[test]

@@ -3,13 +3,11 @@
 //! budget never increases the doorbell count, and exporting the poll mode
 //! through telemetry is observe-only (bit-identical outcomes on/off).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bytes::Bytes;
 use proptest::prelude::*;
 use vrio::{
-    net_request_response, AdaptivePollConfig, PollMode, Testbed, TestbedConfig, WorkerPoll,
+    net_request_response, AdaptivePollConfig, HasTestbed, PollMode, RrOutcome, Testbed,
+    TestbedConfig, WorkerPoll,
 };
 use vrio_hv::IoModel;
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -80,6 +78,41 @@ proptest! {
     }
 }
 
+/// Chained request-responses on two VMs, with their latencies.
+struct Chains {
+    tb: Testbed,
+    telemetry: bool,
+    /// Per VM: the requests still to issue after the one in flight.
+    left: [usize; 2],
+    latencies: Vec<u64>,
+}
+
+impl Chains {
+    /// Issues VM `vm`'s next request.
+    fn issue(&mut self, eng: &mut Engine<Chains>, vm: usize) {
+        let req = Bytes::from_static(b"poll-props");
+        net_request_response(self, eng, vm, req, 64, SimDuration::micros(7), vm as u64);
+    }
+}
+
+impl HasTestbed for Chains {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, o: RrOutcome) {
+        self.latencies.push(o.latency.as_nanos());
+        if self.telemetry {
+            self.tb.sample_telemetry(eng.now());
+        }
+        let left = &mut self.left[vm as usize];
+        if *left > 0 {
+            *left -= 1;
+            self.issue(eng, vm as usize);
+        }
+    }
+}
+
 /// Runs `rounds` chained request-responses on each of two vRIO VMs and
 /// returns every completion latency plus the Table-3 and poll counters.
 /// When `telemetry` is set the run also samples the full telemetry surface
@@ -91,40 +124,18 @@ fn run_workload(telemetry: bool, seed: u64, rounds: usize) -> (Vec<u64>, u64, (u
     if telemetry {
         cfg = cfg.with_telemetry(TelemetryConfig::sampling(SimDuration::micros(100)));
     }
-    let mut tb = Testbed::new(cfg);
+    let mut w = Chains {
+        tb: Testbed::new(cfg),
+        telemetry,
+        left: [rounds; 2],
+        latencies: Vec::new(),
+    };
     let mut eng = Engine::new();
-    let latencies: Rc<RefCell<Vec<u64>>> = Rc::default();
-
-    fn issue(
-        tb: &mut Testbed,
-        eng: &mut Engine<Testbed>,
-        vm: usize,
-        left: usize,
-        telemetry: bool,
-        latencies: Rc<RefCell<Vec<u64>>>,
-    ) {
-        net_request_response(
-            tb,
-            eng,
-            vm,
-            Bytes::from_static(b"poll-props"),
-            64,
-            SimDuration::micros(7),
-            move |tb, eng, o| {
-                latencies.borrow_mut().push(o.latency.as_nanos());
-                if telemetry {
-                    tb.sample_telemetry(eng.now());
-                }
-                if left > 0 {
-                    issue(tb, eng, vm, left - 1, telemetry, latencies);
-                }
-            },
-        );
-    }
     for vm in 0..2 {
-        issue(&mut tb, &mut eng, vm, rounds, telemetry, latencies.clone());
+        w.issue(&mut eng, vm);
     }
-    eng.run(&mut tb);
+    eng.run(&mut w);
+    let tb = &w.tb;
 
     let (mut doorbells, mut polled, mut transitions) = (0, 0, 0);
     for wp in &tb.worker_poll {
@@ -132,7 +143,7 @@ fn run_workload(telemetry: bool, seed: u64, rounds: usize) -> (Vec<u64>, u64, (u
         polled += wp.polled_arrivals;
         transitions += wp.to_polling + wp.to_interrupt;
     }
-    let mut lats = latencies.borrow().clone();
+    let mut lats = w.latencies.clone();
     lats.sort_unstable();
     (lats, tb.counters.sum(), (doorbells, polled, transitions))
 }

@@ -2,47 +2,20 @@
 //! through every I/O model with real data verification, Table 3 exactness,
 //! interposition semantics, and the §4.5 reliability mechanism end to end.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use bytes::Bytes;
+use common::{one_blk, try_rr};
 use vrio::{
-    blk_request, net_request_response, BlkOutcome, EncryptionService, FirewallService,
-    MeteringService, RrOutcome, Testbed, TestbedConfig,
+    EncryptionService, FirewallService, MeteringService, RrOutcome, Testbed, TestbedConfig,
 };
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{table3_expected, IoModel};
-use vrio_sim::{Engine, SimDuration};
+use vrio_sim::SimDuration;
 use vrio_virtio::{BLK_S_IOERR, BLK_S_OK};
 
 fn one_rr(tb: &mut Testbed, payload: &'static [u8], resp_len: usize) -> RrOutcome {
-    let mut eng = Engine::new();
-    let out: Rc<RefCell<Option<RrOutcome>>> = Rc::new(RefCell::new(None));
-    let slot = out.clone();
-    net_request_response(
-        tb,
-        &mut eng,
-        0,
-        Bytes::from_static(payload),
-        resp_len,
-        SimDuration::micros(4),
-        move |_, _, o| *slot.borrow_mut() = Some(o),
-    );
-    eng.run(tb);
-    let o = out.borrow_mut().take().expect("request completed");
-    o
-}
-
-fn one_blk(tb: &mut Testbed, req: BlockRequest) -> BlkOutcome {
-    let mut eng = Engine::new();
-    let out: Rc<RefCell<Option<BlkOutcome>>> = Rc::new(RefCell::new(None));
-    let slot = out.clone();
-    blk_request(tb, &mut eng, 0, req, move |_, _, o| {
-        *slot.borrow_mut() = Some(o)
-    });
-    eng.run(tb);
-    let o = out.borrow_mut().take().expect("block request completed");
-    o
+    try_rr(tb, payload, resp_len).expect("request completed")
 }
 
 #[test]
@@ -183,21 +156,9 @@ fn firewall_drops_stop_inbound_requests() {
         let mut tb = Testbed::new(TestbedConfig::simple(model, 1));
         tb.chain
             .push(Box::new(FirewallService::new(vec![b"EVIL".to_vec()])));
-        let mut eng = Engine::new();
-        let delivered = Rc::new(RefCell::new(false));
-        let slot = delivered.clone();
-        net_request_response(
-            &mut tb,
-            &mut eng,
-            0,
-            Bytes::from_static(b"EVIL packet"),
-            8,
-            SimDuration::micros(4),
-            move |_, _, _| *slot.borrow_mut() = true,
-        );
-        eng.run(&mut tb);
+        let delivered = try_rr(&mut tb, b"EVIL packet", 8).is_some();
         assert!(
-            !*delivered.borrow(),
+            !delivered,
             "model {model}: firewalled request must not complete"
         );
         let (_, rx) = tb.vms[0].net_counters();

@@ -3,73 +3,73 @@
 //! own cores) while IOhost-resident block devices fail cleanly through the
 //! retransmission machinery.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, Testbed, TestbedConfig};
+use common::{one_blk, try_rr};
+use vrio::{net_request_response, HasTestbed, RrOutcome, Testbed, TestbedConfig};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_virtio::BLK_S_IOERR;
 
+/// A closed loop of request-responses per VM straddling the crash, with
+/// their latencies before and after it.
+struct Loops {
+    tb: Testbed,
+    before: Vec<f64>,
+    after: Vec<f64>,
+}
+
+/// Issues VM `vm`'s next request.
+fn issue(w: &mut Loops, eng: &mut Engine<Loops>, vm: u64) {
+    let req = Bytes::from_static(b"ping");
+    net_request_response(w, eng, vm as usize, req, 4, SimDuration::micros(4), vm);
+}
+
+impl HasTestbed for Loops {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, o: RrOutcome) {
+        let fail_at = self.tb.config.iohost_fails_at.unwrap();
+        let l = o.latency.as_micros_f64();
+        if eng.now() < fail_at {
+            self.before.push(l);
+        } else {
+            self.after.push(l);
+        }
+        if eng.now() < SimTime::ZERO + SimDuration::millis(25) {
+            issue(self, eng, vm);
+        }
+    }
+}
+
 #[test]
 fn network_survives_iohost_crash_at_fallback_performance() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
     cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(10));
-    let mut tb = Testbed::new(cfg);
-    let mut eng = Engine::new();
-
-    // A closed loop of request-responses straddling the crash.
-    struct Stats {
-        before: Vec<f64>,
-        after: Vec<f64>,
-    }
-    let stats = Rc::new(RefCell::new(Stats {
+    let mut w = Loops {
+        tb: Testbed::new(cfg),
         before: Vec::new(),
         after: Vec::new(),
-    }));
+    };
+    let mut eng = Engine::new();
 
-    fn issue(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: usize, stats: Rc<RefCell<Stats>>) {
-        net_request_response(
-            tb,
-            eng,
-            vm,
-            Bytes::from_static(b"ping"),
-            4,
-            SimDuration::micros(4),
-            move |tb, eng, o| {
-                let fail_at = tb.config.iohost_fails_at.unwrap();
-                let l = o.latency.as_micros_f64();
-                if eng.now() < fail_at {
-                    stats.borrow_mut().before.push(l);
-                } else {
-                    stats.borrow_mut().after.push(l);
-                }
-                if eng.now() < SimTime::ZERO + SimDuration::millis(25) {
-                    issue(tb, eng, vm, stats);
-                }
-            },
-        );
+    fn issue_all(w: &mut Loops, eng: &mut Engine<Loops>, _: u64) {
+        for vm in 0..2 {
+            issue(w, eng, vm);
+        }
     }
-    for vm in 0..2 {
-        issue(&mut tb, &mut eng, vm, stats.clone());
-    }
+    issue_all(&mut w, &mut eng, 0);
     // Requests in flight at the crash instant are blackholed; a real
     // netperf client times out and retries. Model the retry: restart the
     // loops shortly after the crash.
-    let restart = stats.clone();
-    eng.schedule_at(
-        SimTime::ZERO + SimDuration::millis(11),
-        move |tb: &mut Testbed, eng| {
-            for vm in 0..2 {
-                issue(tb, eng, vm, restart.clone());
-            }
-        },
-    );
-    eng.run(&mut tb);
+    eng.schedule_at(SimTime::ZERO + SimDuration::millis(11), issue_all, 0);
+    eng.run(&mut w);
 
-    let s = stats.borrow();
+    let (s, tb) = (&w, &w.tb);
     assert!(
         s.before.len() > 50 && s.after.len() > 50,
         "traffic flowed on both sides"
@@ -103,20 +103,13 @@ fn iohost_resident_block_device_fails_cleanly() {
     cfg.retx.initial_timeout = SimDuration::micros(200);
     cfg.retx.max_attempts = 3;
     let mut tb = Testbed::new(cfg);
-    let mut eng = Engine::new();
-    let status = Rc::new(RefCell::new(None));
-    let slot = status.clone();
-    blk_request(
+    let o = one_blk(
         &mut tb,
-        &mut eng,
-        0,
         BlockRequest::write(RequestId(1), 0, Bytes::from(vec![1u8; 512])),
-        move |_, _, o| *slot.borrow_mut() = Some(o.status),
     );
-    eng.run(&mut tb);
     // "Losing it is akin to losing a local drive" (§4.6): a device error,
     // surfaced exactly once, after the retransmission budget.
-    assert_eq!(*status.borrow(), Some(BLK_S_IOERR));
+    assert_eq!(o.status, BLK_S_IOERR);
     assert_eq!(tb.retx[0].stats.device_errors, 1);
     assert_eq!(tb.retx[0].stats.retransmissions, 2);
 }
@@ -127,18 +120,6 @@ fn healthy_iohost_is_unaffected_by_the_knob() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 1);
     cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::secs(3600));
     let mut tb = Testbed::new(cfg);
-    let mut eng = Engine::new();
-    let ok = Rc::new(RefCell::new(false));
-    let slot = ok.clone();
-    net_request_response(
-        &mut tb,
-        &mut eng,
-        0,
-        Bytes::from_static(b"x"),
-        1,
-        SimDuration::micros(4),
-        move |_, _, o| *slot.borrow_mut() = o.response.len() == 1,
-    );
-    eng.run(&mut tb);
-    assert!(*ok.borrow());
+    let ok = try_rr(&mut tb, b"x", 1).is_some_and(|o| o.response.len() == 1);
+    assert!(ok);
 }

@@ -5,11 +5,11 @@
 //! failover and failback — and the metamorphic differential properties
 //! that relate whole runs must hold.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, OracleConfig, Testbed, TestbedConfig};
+use vrio::{
+    blk_request, net_request_response, BlkOutcome, HasTestbed, OracleConfig, RrOutcome, Testbed,
+    TestbedConfig,
+};
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -135,30 +135,95 @@ fn oracle_and_tracing_compose_and_stay_observation_only() {
     assert!(both.oracle.report().checks > 0);
 }
 
+/// Sequential block writes on VM 0: each completion issues the next.
+struct BlkChain {
+    tb: Testbed,
+    n: u64,
+    len: usize,
+}
+
+/// Issues write `i`, tagged with `i`.
+fn write(w: &mut BlkChain, eng: &mut Engine<BlkChain>, i: u64) {
+    let req = vrio_block::BlockRequest::write(
+        vrio_block::RequestId(i + 1),
+        8 * i,
+        Bytes::from(vec![i as u8; w.len]),
+    );
+    blk_request(w, eng, 0, req, i);
+}
+
+impl HasTestbed for BlkChain {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_blk(&mut self, eng: &mut Engine<Self>, i: u64, _: BlkOutcome) {
+        if i + 1 < self.n {
+            write(self, eng, i + 1);
+        }
+    }
+}
+
 /// Drives `n` sequential block writes of `len` bytes on VM 0 and returns
 /// the testbed (for its oracle and reliability counters).
 fn drive_blk_writes(mut config: TestbedConfig, n: u64, len: usize) -> Testbed {
     config.oracle = OracleConfig::on();
-    let mut tb = Testbed::new(config);
-    let mut eng: Engine<Testbed> = Engine::new();
+    let mut w = BlkChain {
+        tb: Testbed::new(config),
+        n,
+        len,
+    };
+    let mut eng = Engine::new();
+    write(&mut w, &mut eng, 0);
+    eng.run(&mut w);
+    w.tb.oracle.finish();
+    w.tb
+}
 
-    // Issue sequentially: each completion triggers the next request.
-    fn chain(tb: &mut Testbed, eng: &mut Engine<Testbed>, i: u64, n: u64, len: usize) {
-        let req = vrio_block::BlockRequest::write(
-            vrio_block::RequestId(i + 1),
-            8 * i,
-            Bytes::from(vec![i as u8; len]),
-        );
-        blk_request(tb, eng, 0, req, move |tb, eng, _outcome| {
-            if i + 1 < n {
-                chain(tb, eng, i + 1, n, len);
-            }
-        });
+/// Closed RR loops, one per VM, reissuing until `end`: their completion
+/// count, each VM's last completion and the latencies.
+struct RrLoops {
+    tb: Testbed,
+    req: &'static [u8],
+    end: SimTime,
+    completed: u64,
+    last_done: Vec<SimTime>,
+    latencies: Vec<u64>,
+}
+
+impl RrLoops {
+    fn new(tb: Testbed, req: &'static [u8], end: SimTime) -> Self {
+        let vms = tb.config.num_vms;
+        RrLoops {
+            tb,
+            req,
+            end,
+            completed: 0,
+            last_done: vec![SimTime::ZERO; vms],
+            latencies: Vec::new(),
+        }
     }
-    chain(&mut tb, &mut eng, 0, n, len);
-    eng.run(&mut tb);
-    tb.oracle.finish();
-    tb
+
+    /// Issues VM `vm`'s next request.
+    fn issue(&mut self, eng: &mut Engine<RrLoops>, vm: usize) {
+        let req = Bytes::from_static(self.req);
+        net_request_response(self, eng, vm, req, 1, SimDuration::micros(4), vm as u64);
+    }
+}
+
+impl HasTestbed for RrLoops {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, o: RrOutcome) {
+        self.completed += 1;
+        self.last_done[vm as usize] = eng.now();
+        self.latencies.push(o.latency.as_nanos());
+        if eng.now() < self.end {
+            self.issue(eng, vm as usize);
+        }
+    }
 }
 
 #[test]
@@ -223,72 +288,25 @@ fn run_failover(oracle: bool) -> (u64, Testbed) {
     if oracle {
         cfg.oracle = OracleConfig::on();
     }
-    let mut tb = Testbed::new(cfg);
-    let mut eng: Engine<Testbed> = Engine::new();
-    let completed: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-    let last_done: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(vec![SimTime::ZERO; 2]));
-    let end = SimTime::ZERO + horizon;
-
-    fn issue(
-        tb: &mut Testbed,
-        eng: &mut Engine<Testbed>,
-        vm: usize,
-        end: SimTime,
-        completed: Rc<RefCell<u64>>,
-        last_done: Rc<RefCell<Vec<SimTime>>>,
-    ) {
-        net_request_response(
-            tb,
-            eng,
-            vm,
-            Bytes::from_static(b"x"),
-            1,
-            SimDuration::micros(4),
-            move |tb, eng, _| {
-                *completed.borrow_mut() += 1;
-                last_done.borrow_mut()[vm] = eng.now();
-                if eng.now() < end {
-                    issue(tb, eng, vm, end, completed, last_done);
-                }
-            },
-        );
-    }
+    let mut w = RrLoops::new(Testbed::new(cfg), b"x", SimTime::ZERO + horizon);
+    let mut eng = Engine::new();
     for vm in 0..2 {
-        issue(
-            &mut tb,
-            &mut eng,
-            vm,
-            end,
-            completed.clone(),
-            last_done.clone(),
-        );
+        w.issue(&mut eng, vm);
     }
     // Generator retry after the blackout: only loops silenced by the
     // crash are restarted (requests lost before failover detection).
-    let retry_completed = completed.clone();
-    let retry_done = last_done.clone();
-    eng.schedule_at(
-        fail_at + SimDuration::millis(1),
-        move |tb: &mut Testbed, eng| {
-            for vm in 0..2 {
-                let stalled = eng.now() - retry_done.borrow()[vm] > SimDuration::micros(500);
-                if stalled {
-                    issue(
-                        tb,
-                        eng,
-                        vm,
-                        end,
-                        retry_completed.clone(),
-                        retry_done.clone(),
-                    );
-                }
+    fn retry(w: &mut RrLoops, eng: &mut Engine<RrLoops>, _: u64) {
+        for vm in 0..2 {
+            let stalled = eng.now() - w.last_done[vm] > SimDuration::micros(500);
+            if stalled {
+                w.issue(eng, vm);
             }
-        },
-    );
-    eng.run(&mut tb);
-    tb.oracle.finish();
-    let n = *completed.borrow();
-    (n, tb)
+        }
+    }
+    eng.schedule_at(fail_at + SimDuration::millis(1), retry, 0);
+    eng.run(&mut w);
+    w.tb.oracle.finish();
+    (w.completed, w.tb)
 }
 
 #[test]
@@ -342,36 +360,12 @@ fn metamorphic_zero_rate_faults_equal_disabled() {
 /// RR loop where only VM 0 generates load, with `num_vms` VMs configured.
 fn vm0_latency_trace(num_vms: usize, model: IoModel) -> Vec<u64> {
     let cfg = TestbedConfig::simple(model, num_vms);
-    let mut tb = Testbed::new(cfg);
-    let mut eng: Engine<Testbed> = Engine::new();
-    let lat: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let end = SimTime::ZERO + SimDuration::millis(10);
-
-    fn issue(
-        tb: &mut Testbed,
-        eng: &mut Engine<Testbed>,
-        end: SimTime,
-        lat: Rc<RefCell<Vec<u64>>>,
-    ) {
-        net_request_response(
-            tb,
-            eng,
-            0,
-            Bytes::from_static(b"?"),
-            1,
-            SimDuration::micros(4),
-            move |tb, eng, outcome| {
-                lat.borrow_mut().push(outcome.latency.as_nanos());
-                if eng.now() < end {
-                    issue(tb, eng, end, lat);
-                }
-            },
-        );
-    }
-    issue(&mut tb, &mut eng, end, lat.clone());
-    eng.run(&mut tb);
-    let v = lat.borrow().clone();
-    v
+    let mut w = RrLoops::new(Testbed::new(cfg), b"?", end);
+    let mut eng = Engine::new();
+    w.issue(&mut eng, 0);
+    eng.run(&mut w);
+    w.latencies
 }
 
 #[test]

@@ -4,12 +4,13 @@
 //! answering probes again; block requests straddling the outage ride the
 //! retransmission machinery across it and complete exactly once.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, HealthState, Testbed, TestbedConfig};
+use vrio::{
+    blk_request, net_request_response, BlkOutcome, HasTestbed, HealthState, RrOutcome, Testbed,
+    TestbedConfig,
+};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -21,6 +22,62 @@ const HORIZON_MS: u64 = 50;
 
 fn at(ms_tenths: u64) -> SimTime {
     SimTime::ZERO + SimDuration::micros(ms_tenths * 100)
+}
+
+/// A closed RR loop per VM, with latencies before the crash and after
+/// failback, and block requests with (completions, last status) per id.
+struct World {
+    tb: Testbed,
+    pre: Vec<f64>,
+    post: Vec<f64>,
+    blk: HashMap<u64, (usize, u8)>,
+}
+
+/// Issues VM `vm`'s next request.
+fn issue(w: &mut World, eng: &mut Engine<World>, vm: u64) {
+    let req = Bytes::from_static(b"ping");
+    net_request_response(w, eng, vm as usize, req, 4, SimDuration::micros(4), vm);
+}
+
+/// (Re)starts both VMs' loops.
+fn issue_all(w: &mut World, eng: &mut Engine<World>, _: u64) {
+    for vm in 0..2 {
+        issue(w, eng, vm);
+    }
+}
+
+/// Issues block write `i` on VM 0, tagged with its request id.
+fn issue_blk(w: &mut World, eng: &mut Engine<World>, i: u64) {
+    let id = i + 1;
+    let req = BlockRequest::write(RequestId(id), 8 * id, Bytes::from(vec![i as u8; 512]));
+    blk_request(w, eng, 0, req, id);
+}
+
+impl HasTestbed for World {
+    fn tb(&mut self) -> &mut Testbed {
+        &mut self.tb
+    }
+
+    fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, o: RrOutcome) {
+        let l = o.latency.as_micros_f64();
+        let now = eng.now();
+        if now < SimTime::ZERO + SimDuration::millis(CRASH_MS) {
+            self.pre.push(l);
+        } else if now > SimTime::ZERO + SimDuration::millis(RECOVER_MS + 1) {
+            // Past failback (probing ends within two heartbeats of
+            // recovery): traffic is back on vRIO.
+            self.post.push(l);
+        }
+        if now < SimTime::ZERO + SimDuration::millis(HORIZON_MS) {
+            issue(self, eng, vm);
+        }
+    }
+
+    fn on_blk(&mut self, _: &mut Engine<Self>, id: u64, o: BlkOutcome) {
+        let e = self.blk.entry(id).or_insert((0, o.status));
+        e.0 += 1;
+        e.1 = o.status;
+    }
 }
 
 /// One full crash-and-recover run: closed-loop net request-responses on two
@@ -46,84 +103,34 @@ fn run_scenario(seed: u64) -> RunResult {
     cfg.seed = seed;
     cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(CRASH_MS));
     cfg.iohost_recovers_at = Some(SimTime::ZERO + SimDuration::millis(RECOVER_MS));
-    let mut tb = Testbed::new(cfg);
+    let mut w = World {
+        tb: Testbed::new(cfg),
+        pre: Vec::new(),
+        post: Vec::new(),
+        blk: HashMap::new(),
+    };
     let mut eng = Engine::new();
-
-    #[derive(Default)]
-    struct Stats {
-        pre: Vec<f64>,
-        post: Vec<f64>,
-    }
-    let stats = Rc::new(RefCell::new(Stats::default()));
-
-    fn issue(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: usize, stats: Rc<RefCell<Stats>>) {
-        net_request_response(
-            tb,
-            eng,
-            vm,
-            Bytes::from_static(b"ping"),
-            4,
-            SimDuration::micros(4),
-            move |tb, eng, o| {
-                let l = o.latency.as_micros_f64();
-                let now = eng.now();
-                if now < SimTime::ZERO + SimDuration::millis(CRASH_MS) {
-                    stats.borrow_mut().pre.push(l);
-                } else if now > SimTime::ZERO + SimDuration::millis(RECOVER_MS + 1) {
-                    // Past failback (probing ends within two heartbeats of
-                    // recovery): traffic is back on vRIO.
-                    stats.borrow_mut().post.push(l);
-                }
-                if now < SimTime::ZERO + SimDuration::millis(HORIZON_MS) {
-                    issue(tb, eng, vm, stats);
-                }
-            },
-        );
-    }
-    for vm in 0..2 {
-        issue(&mut tb, &mut eng, vm, stats.clone());
-    }
+    issue_all(&mut w, &mut eng, 0);
     // Requests in flight at the crash instant blackhole (a real client's
     // TCP stack retries); restart the loops after the monitor has had time
     // to notice the crash.
-    let restart = stats.clone();
     eng.schedule_at(
         SimTime::ZERO + SimDuration::millis(CRASH_MS + 1),
-        move |tb: &mut Testbed, eng| {
-            for vm in 0..2 {
-                issue(tb, eng, vm, restart.clone());
-            }
-        },
+        issue_all,
+        0,
     );
 
     // Block requests timed to straddle the outage: one comfortably before
     // the crash, two close enough that their exchange (or its timer) spans
     // the 20 ms hole and must be carried across it by retransmission.
-    let blk: Rc<RefCell<HashMap<u64, (usize, u8)>>> = Rc::new(RefCell::new(HashMap::new()));
     for (i, issue_at) in [at(95), at(99), at(100)].into_iter().enumerate() {
-        let slot = blk.clone();
-        eng.schedule_at(issue_at, move |tb: &mut Testbed, eng| {
-            let id = i as u64 + 1;
-            let done = slot.clone();
-            blk_request(
-                tb,
-                eng,
-                0,
-                BlockRequest::write(RequestId(id), 8 * id, Bytes::from(vec![i as u8; 512])),
-                move |_, _, o| {
-                    let mut m = done.borrow_mut();
-                    let e = m.entry(id).or_insert((0, o.status));
-                    e.0 += 1;
-                    e.1 = o.status;
-                },
-            );
-        });
+        eng.schedule_at(issue_at, issue_blk, i as u64);
     }
 
-    eng.run(&mut tb);
+    eng.run(&mut w);
 
-    let s = stats.borrow();
-    let blk = blk.borrow().clone();
+    let (s, tb) = (&w, &w.tb);
+    let blk = w.blk.clone();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     RunResult {
         pre_mean: mean(&s.pre),
