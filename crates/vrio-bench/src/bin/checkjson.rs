@@ -3,6 +3,7 @@
 //! ```text
 //! checkjson FILE                        # must parse as JSON
 //! checkjson FILE --chrome               # must be a Chrome trace-event array
+//! checkjson FILE --chrome --require-event vcpu_busy
 //! checkjson FILE --telem                # must be a TELEM_* telemetry bundle
 //! checkjson FILE --telem --require-track steer.iohost0.worker0.depth
 //! checkjson FILE --prof                 # must be a PROF_* profile bundle
@@ -10,7 +11,9 @@
 //! ```
 //!
 //! `--chrome` checks the document is a non-empty array whose elements all
-//! carry the `ph`/`ts`/`pid`/`tid`/`name` keys Perfetto's loader requires.
+//! carry the `ph`/`ts`/`pid`/`tid`/`name` keys Perfetto's loader requires;
+//! `--require-event` (with `--chrome`) demands at least one event of that
+//! name.
 //! `--telem` checks a `TELEM_*` document: schema version, per-run track
 //! objects, `[t_ns, value]` point pairs in non-decreasing time order, and
 //! monotone counter tracks. `--require-track` (with `--telem`) demands a
@@ -218,6 +221,7 @@ fn main() {
     let mut prof = false;
     let mut requires: Vec<String> = Vec::new();
     let mut require_tracks: Vec<String> = Vec::new();
+    let mut require_events: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -232,6 +236,10 @@ fn main() {
                 Some(p) => require_tracks.push(p),
                 None => fail("--require-track needs a track name argument"),
             },
+            "--require-event" => match it.next() {
+                Some(p) => require_events.push(p),
+                None => fail("--require-event needs an event name argument"),
+            },
             _ if a.starts_with("--") => fail(&format!("unknown flag {a}")),
             _ if file.is_none() => file = Some(a),
             _ => fail("more than one input file given"),
@@ -239,12 +247,15 @@ fn main() {
     }
     let Some(file) = file else {
         fail(
-            "usage: checkjson FILE [--chrome] [--telem [--require-track NAME]...] \
-             [--prof] [--require dotted.path]...",
+            "usage: checkjson FILE [--chrome [--require-event NAME]...] \
+             [--telem [--require-track NAME]...] [--prof] [--require dotted.path]...",
         );
     };
     if !require_tracks.is_empty() && !telem {
         fail("--require-track only applies to --telem mode");
+    }
+    if !require_events.is_empty() && !chrome {
+        fail("--require-event only applies to --chrome mode");
     }
 
     let text = std::fs::read_to_string(&file)
@@ -264,6 +275,12 @@ fn main() {
                 if ev.get(key).is_none() {
                     fail(&format!("{file}: event {i} is missing \"{key}\""));
                 }
+            }
+        }
+        for name in &require_events {
+            let named = |ev: &Json| ev.get("name").and_then(Json::as_str) == Some(name.as_str());
+            if !arr.iter().any(named) {
+                fail(&format!("{file}: no \"{name}\" event"));
             }
         }
         println!("{file}: valid chrome trace, {} events", arr.len());

@@ -47,6 +47,15 @@ impl GuestCpu {
         GuestCpu::default()
     }
 
+    /// Creates an idle VCPU that keeps no log of its busy intervals:
+    /// [`GuestCpu::busy_intervals`] stays empty.
+    pub fn totals_only() -> Self {
+        GuestCpu {
+            busy: BusyTracker::totals_only(),
+            ..GuestCpu::default()
+        }
+    }
+
     /// Runs a CPU burst starting no earlier than `at`; bursts serialize on
     /// the single VCPU. Returns the completion instant.
     pub fn run(&mut self, at: SimTime, burst: SimDuration) -> SimTime {

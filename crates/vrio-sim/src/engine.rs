@@ -10,21 +10,25 @@
 //! broken by scheduling order (FIFO), which together with the
 //! deterministic RNG makes every run bit-for-bit reproducible.
 //!
-//! The queue is one [`BinaryHeap`] of `(at, seq, f, arg)` entries,
-//! min-ordered by `(at, seq)`; `seq` is the scheduling counter, so equal
-//! deadlines fire in scheduling order. The experiments keep few events
-//! pending (tens on the racks, at most a few thousand on the lossy block
-//! runs; DESIGN.md §10), where a heap's `O(log n)` sifts over a small array
-//! beat any bucketed queue.
+//! The queue is a 4-ary min-heap in one `Vec` of 32-byte entries, each
+//! keyed on one packed `u128`, `(at << 64) | seq`; `seq` is the
+//! scheduling counter, so comparing keys orders by deadline and then by
+//! scheduling order. The experiments keep few events pending (tens on the
+//! racks, at most a few thousand on the lossy block runs; DESIGN.md §10),
+//! where a shallow heap over a small array beats any bucketed queue.
+//!
+//! A callback that would schedule the very event the engine fires next
+//! may instead carry on as that event ([`Engine::continue_at`]): inside
+//! [`Engine::run`] and [`Engine::run_until`], when its deadline is
+//! strictly earlier than every pending event and within the run's
+//! deadline, the engine advances the clock and its counters exactly as
+//! popping that event would, and the event never enters the heap.
 //!
 //! The observe-only probe ([`Engine::set_probe`]) is a
-//! `Box<dyn FnMut(SimTime)>`: it is invoked in [`Engine::step`] *after*
-//! the event is popped off the heap and *before* it fires, so it never
-//! touches event storage and cannot perturb the simulation — enabling it
-//! is bit-identical on every model.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! `Box<dyn FnMut(SimTime)>`: it is invoked *after* an event is popped
+//! off the heap (or continued) and *before* it fires, so it never touches
+//! event storage and cannot perturb the simulation — enabling it is
+//! bit-identical on every model.
 
 use crate::profiler::Profiler;
 use crate::time::{SimDuration, SimTime};
@@ -33,10 +37,9 @@ use crate::time::{SimDuration, SimTime};
 /// `u64` it was scheduled with.
 pub type CallFn<W> = fn(&mut W, &mut Engine<W>, u64);
 
-/// A heap entry, min-ordered by `(at, seq)`.
+/// A heap entry: the event and its packed `(at << 64) | seq` key.
 struct Entry<W> {
-    at: u64,
-    seq: u64,
+    key: u128,
     f: CallFn<W>,
     arg: u64,
 }
@@ -44,26 +47,28 @@ struct Entry<W> {
 // A heap entry is four words.
 const _: () = assert!(std::mem::size_of::<Entry<()>>() == 32);
 
-impl<W> PartialEq for Entry<W> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+impl<W> Clone for Entry<W> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-impl<W> Eq for Entry<W> {}
+impl<W> Copy for Entry<W> {}
 
-impl<W> PartialOrd for Entry<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<W> Entry<W> {
+    /// The deadline, in nanoseconds.
+    fn at(&self) -> u64 {
+        (self.key >> 64) as u64
     }
 }
 
-impl<W> Ord for Entry<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for min-order.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// The heap key of an event due at `at` with scheduling number `seq`.
+fn key(at: u64, seq: u64) -> u128 {
+    (u128::from(at) << 64) | u128::from(seq)
 }
+
+/// Children per heap node.
+const ARITY: usize = 4;
 
 /// A deterministic discrete-event simulator over a world type `W`.
 ///
@@ -93,7 +98,12 @@ pub struct Engine<W> {
     now: SimTime,
     seq: u64,
     fired: u64,
-    queue: BinaryHeap<Entry<W>>,
+    /// The 4-ary min-heap: node `i`'s children are `4i + 1 ..= 4i + 4`.
+    heap: Vec<Entry<W>>,
+    /// The deadline of the `run`/`run_until` in progress, up to which a
+    /// callback may continue ([`Engine::continue_at`]); `None` outside
+    /// them, and in profiled runs, whose scopes time one event each.
+    horizon: Option<SimTime>,
     /// Observe-only hook fired once per event (see [`Engine::set_probe`]).
     /// A boxed closure: it runs outside the heap (between pop and fire)
     /// and is installed O(1) times per run, so boxing it costs nothing on
@@ -118,7 +128,8 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             fired: 0,
-            queue: BinaryHeap::new(),
+            heap: Vec::new(),
+            horizon: None,
             probe: None,
             profiler: None,
         }
@@ -143,11 +154,12 @@ impl<W> Engine<W> {
 
     /// Installs a wall-clock self-profiler. When the handle is enabled the
     /// engine times each event's queue pop (`engine.pop`), probe run
-    /// (`engine.probe`) and callback body (`engine.callback`); a disabled
-    /// handle is dropped so the hot path stays timestamp-free. Profiling is
-    /// observe-only for the simulation: results are bit-identical with it
-    /// on or off (only wall-clock PROF output differs, which is excluded
-    /// from byte-identity gates).
+    /// (`engine.probe`) and callback body (`engine.callback`), and no
+    /// callback continues ([`Engine::continue_at`]), so each callback
+    /// scope times one event; a disabled handle is dropped so the hot path
+    /// stays timestamp-free. Profiling is observe-only for the simulation:
+    /// results are bit-identical with it on or off (only wall-clock PROF
+    /// output differs, which is excluded from byte-identity gates).
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler.enabled().then_some(profiler);
     }
@@ -164,7 +176,7 @@ impl<W> Engine<W> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
     /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
@@ -193,45 +205,141 @@ impl<W> Engine<W> {
         self.schedule_at(self.now, f, arg);
     }
 
+    /// Lets the running callback carry on as the event it would otherwise
+    /// schedule at `at`, when that event would fire next: inside
+    /// [`Engine::run`] or [`Engine::run_until`], `at` is strictly earlier
+    /// than every pending event (an equal deadline fires the pending event
+    /// first, as it was scheduled first) and no later than the run's
+    /// deadline. Then the clock, the fired and scheduling counters and the
+    /// probe move as scheduling and popping that event would, and `true`
+    /// is returned: the caller runs the event's body inline. Otherwise
+    /// nothing changes and the caller schedules the event. A past `at` is
+    /// clamped to now, as [`Engine::schedule_at`] clamps it.
+    ///
+    /// Only a callback whose remaining body is that event may continue:
+    /// after it, nothing of the current event may run. Nothing continues
+    /// under [`Engine::step`] or [`Engine::run_while`], which checks its
+    /// condition before every event, nor in a profiled run.
+    pub fn continue_at(&mut self, at: SimTime) -> bool {
+        let Some(horizon) = self.horizon else {
+            return false;
+        };
+        let at = at.max(self.now);
+        if at > horizon {
+            return false;
+        }
+        if self
+            .heap
+            .first()
+            .is_some_and(|top| top.at() <= at.as_nanos())
+        {
+            return false;
+        }
+        self.seq += 1;
+        self.advance_to(at);
+        if let Some(probe) = &mut self.probe {
+            probe(at);
+        }
+        true
+    }
+
     /// Queues an event at `at`, clamped to now: a clamped event still gets
     /// the next `seq`, so it fires after everything already due now.
     fn push(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
         let entry = Entry {
-            at: at.max(self.now).as_nanos(),
-            seq: self.seq,
+            key: key(at.max(self.now).as_nanos(), self.seq),
             f,
             arg,
         };
         self.seq += 1;
         if let Some(prof) = &self.profiler {
             let _g = prof.scope("engine.push");
-            self.queue.push(entry);
+            self.sift_up(entry);
         } else {
-            self.queue.push(entry);
+            self.sift_up(entry);
         }
     }
 
+    /// Adds `entry` at the bottom of the heap and moves it up past every
+    /// parent with a larger key.
+    fn sift_up(&mut self, entry: Entry<W>) {
+        let mut i = self.heap.len();
+        self.heap.push(entry);
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if self.heap[parent].key < entry.key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = entry;
+    }
+
+    /// Removes and returns the minimum-key entry.
+    fn pop(&mut self) -> Option<Entry<W>> {
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
+        // Sift `last` down from the root into the hole `top` left: move
+        // the smallest child up until `last` is smaller than it.
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let mut hole = 0;
+        loop {
+            let first = ARITY * hole + 1;
+            let child = if let Some(c) = heap.get(first..first + ARITY) {
+                // A full node: the smaller of each pair, then of the two.
+                let c: &[Entry<W>; ARITY] = c.try_into().expect("a node has four children");
+                let a = usize::from(c[1].key < c[0].key);
+                let b = 2 + usize::from(c[3].key < c[2].key);
+                first + if c[b].key < c[a].key { b } else { a }
+            } else if first < n {
+                // The one node with fewer than four children.
+                (first + 1..n).fold(first, |m, c| if heap[c].key < heap[m].key { c } else { m })
+            } else {
+                break;
+            };
+            if last.key < heap[child].key {
+                break;
+            }
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = last;
+        Some(top)
+    }
+
     /// Fires the next pending event, advancing time to its deadline.
+    /// Outside [`Engine::run`] and [`Engine::run_until`] no callback
+    /// continues ([`Engine::continue_at`]), so exactly one event fires.
     ///
     /// Returns `false` if the queue was empty.
     pub fn step(&mut self, world: &mut W) -> bool {
         if self.profiler.is_some() {
             return self.step_profiled(world);
         }
-        match self.queue.pop() {
-            Some(Entry { at, f, arg, .. }) => {
-                let at = SimTime::from_nanos(at);
-                debug_assert!(at >= self.now);
-                self.now = at;
-                self.fired += 1;
+        match self.pop() {
+            Some(e) => {
+                let at = SimTime::from_nanos(e.at());
+                self.advance_to(at);
                 if let Some(probe) = &mut self.probe {
                     probe(at);
                 }
-                f(world, self, arg);
+                (e.f)(world, self, e.arg);
                 true
             }
             None => false,
         }
+    }
+
+    /// Moves the clock to `at`, the deadline of the event about to fire,
+    /// and counts the event.
+    fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.fired += 1;
     }
 
     /// [`Engine::step`] with wall-clock scopes around the heap pop, the
@@ -244,20 +352,18 @@ impl<W> Engine<W> {
             .expect("step_profiled without profiler");
         let popped = {
             let _g = prof.scope("engine.pop");
-            self.queue.pop()
+            self.pop()
         };
         match popped {
-            Some(Entry { at, f, arg, .. }) => {
-                let at = SimTime::from_nanos(at);
-                debug_assert!(at >= self.now);
-                self.now = at;
-                self.fired += 1;
+            Some(e) => {
+                let at = SimTime::from_nanos(e.at());
+                self.advance_to(at);
                 if let Some(probe) = &mut self.probe {
                     let _g = prof.scope("engine.probe");
                     probe(at);
                 }
                 let _g = prof.scope("engine.callback");
-                f(world, self, arg);
+                (e.f)(world, self, e.arg);
                 true
             }
             None => false,
@@ -266,19 +372,22 @@ impl<W> Engine<W> {
 
     /// Runs until no events remain.
     pub fn run(&mut self, world: &mut W) {
-        while self.step(world) {}
+        self.run_until(world, SimTime::MAX);
     }
 
     /// Runs until the queue is empty or the next event would fire after
     /// `deadline`. Time is left at the last fired event (it does not jump to
     /// the deadline).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        while let Some(next) = self.queue.peek() {
-            if SimTime::from_nanos(next.at) > deadline {
-                break;
-            }
+        self.horizon = self.profiler.is_none().then_some(deadline);
+        while self
+            .heap
+            .first()
+            .is_some_and(|e| e.at() <= deadline.as_nanos())
+        {
             self.step(world);
         }
+        self.horizon = None;
     }
 
     /// Runs for `span` of simulated time from the current instant.
@@ -477,6 +586,71 @@ mod tests {
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3, 4]);
         assert_eq!(eng.now(), SimTime::from_nanos(1000));
+    }
+
+    /// Records the time, then carries on 10 ns later `left` more times,
+    /// inline whenever the engine lets it continue.
+    fn tail(w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>>, mut left: u64) {
+        loop {
+            w.push(eng.now().as_nanos() as u32);
+            if left == 0 {
+                return;
+            }
+            left -= 1;
+            let at = eng.now() + SimDuration::nanos(10);
+            if !eng.continue_at(at) {
+                eng.schedule_at(at, tail, left);
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn step_fires_exactly_one_event_even_when_its_tail_would_fire_next() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::ZERO, tail, 3);
+        eng.schedule_at(SimTime::from_nanos(1000), push, 7);
+        assert!(eng.step(&mut order));
+        assert_eq!(order, vec![0]);
+        assert_eq!((eng.events_fired(), eng.pending()), (1, 2));
+        assert_eq!(eng.now(), SimTime::ZERO);
+        eng.run(&mut order);
+        assert_eq!(order, vec![0, 10, 20, 30, 7]);
+        assert_eq!(eng.events_fired(), 5);
+    }
+
+    #[test]
+    fn a_tail_continues_inside_run_and_counts_as_an_event() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let probed = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let seen = probed.clone();
+        eng.set_probe(move |_| seen.set(seen.get() + 1));
+        eng.schedule_at(SimTime::ZERO, tail, 3);
+        // A pending event tying the tail's third link fires before it.
+        eng.schedule_at(SimTime::from_nanos(20), push, 7);
+        eng.run(&mut order);
+        assert_eq!(order, vec![0, 10, 7, 20, 30]);
+        assert_eq!((eng.events_fired(), probed.get()), (5, 5));
+        // Continued events took scheduling numbers: an event scheduled now
+        // gets the one it would have had.
+        assert_eq!(eng.seq, 5);
+    }
+
+    #[test]
+    fn a_tail_stops_at_the_run_until_deadline() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::ZERO, tail, 3);
+        eng.run_until(&mut order, SimTime::from_nanos(15));
+        assert_eq!(order, vec![0, 10]);
+        assert_eq!((eng.events_fired(), eng.pending()), (2, 1));
+        assert_eq!(eng.now(), SimTime::from_nanos(10));
+        // Outside a run, nothing continues.
+        assert!(!eng.continue_at(SimTime::from_nanos(11)));
+        eng.run(&mut order);
+        assert_eq!(order, vec![0, 10, 20, 30]);
     }
 
     #[test]

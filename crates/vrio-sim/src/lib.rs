@@ -8,8 +8,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`Engine`] — an event-queue simulator over a user world type, with
-//!   FIFO tie-breaking for reproducibility, scheduled by one binary heap;
-//!   an event is a plain function and one `u64` argument ([`CallFn`]);
+//!   FIFO tie-breaking for reproducibility, scheduled by one 4-ary heap
+//!   on a packed `(at, seq)` key; an event is a plain function and one
+//!   `u64` argument ([`CallFn`]), and a callback whose next event would
+//!   fire next anyway may carry on inline ([`Engine::continue_at`]);
 //! * [`SimRng`] — an explicitly-seeded RNG with the distributions the
 //!   testbed needs (exponential, log-normal, Pareto);
 //! * statistics ([`OnlineStats`], [`Histogram`], [`BusyTracker`]) for

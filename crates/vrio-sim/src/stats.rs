@@ -205,7 +205,9 @@ impl Histogram {
 }
 
 /// Accounts busy time for a serially-used resource (a core, a link), and
-/// produces windowed utilization traces.
+/// produces windowed utilization traces from its log of busy intervals.
+/// A tracker made by [`BusyTracker::totals_only`] keeps no log: only its
+/// totals, for resources whose intervals nothing reads.
 ///
 /// Work charged while the resource is still busy *queues behind* the
 /// in-progress work: charging `d` at time `t` starts at
@@ -225,18 +227,40 @@ impl Histogram {
 /// assert_eq!(b.busy().as_nanos(), 1200);
 /// assert!((b.utilization(SimTime::from_nanos(2400)) - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BusyTracker {
     busy: SimDuration,
     busy_until: SimTime,
+    /// Whether charges log their intervals.
+    log: bool,
     /// Completed busy intervals, for windowed traces. `(start, end)`.
     intervals: Vec<(SimTime, SimTime)>,
 }
 
+impl Default for BusyTracker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl BusyTracker {
-    /// Creates an idle tracker.
+    /// Creates an idle tracker that logs its busy intervals.
     pub fn new() -> Self {
-        Self::default()
+        BusyTracker {
+            busy: SimDuration::ZERO,
+            busy_until: SimTime::ZERO,
+            log: true,
+            intervals: Vec::new(),
+        }
+    }
+
+    /// Creates an idle tracker that keeps only its totals: its
+    /// [`BusyTracker::intervals`] stay empty.
+    pub fn totals_only() -> Self {
+        BusyTracker {
+            log: false,
+            ..Self::new()
+        }
     }
 
     /// Charges `work` of busy time starting no earlier than `at`.
@@ -248,7 +272,7 @@ impl BusyTracker {
         let end = start + work;
         self.busy += work;
         self.busy_until = end;
-        if !work.is_zero() {
+        if self.log && !work.is_zero() {
             // Coalesce with the previous interval when contiguous.
             if let Some(last) = self.intervals.last_mut() {
                 if last.1 == start {
@@ -288,6 +312,7 @@ impl BusyTracker {
     /// coalesced. Observability consumers replay these as per-core "busy"
     /// slices on Chrome-trace thread tracks.
     pub fn intervals(&self) -> &[(SimTime, SimTime)] {
+        debug_assert!(self.log, "intervals of a totals-only tracker");
         &self.intervals
     }
 
@@ -295,6 +320,7 @@ impl BusyTracker {
     /// the trace behind the paper's Figure 15 CPU plots.
     pub fn utilization_trace(&self, horizon: SimTime, window: SimDuration) -> Vec<f64> {
         assert!(!window.is_zero(), "window must be nonzero");
+        debug_assert!(self.log, "utilization trace of a totals-only tracker");
         let nbuckets = horizon.as_nanos().div_ceil(window.as_nanos());
         let mut buckets = vec![0u64; nbuckets as usize];
         for &(s, e) in &self.intervals {
@@ -380,6 +406,20 @@ mod tests {
         b.charge(SimTime::from_nanos(300), SimDuration::nanos(100));
         assert_eq!(b.busy().as_nanos(), 200);
         assert!((b.utilization(SimTime::from_nanos(400)) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_totals_only_tracker_serializes_work_without_a_log() {
+        let mut logged = BusyTracker::new();
+        let mut totals = BusyTracker::totals_only();
+        for (at, work) in [(0, 100), (50, 100), (500, 10)] {
+            let (at, work) = (SimTime::from_nanos(at), SimDuration::nanos(work));
+            assert_eq!(totals.charge(at, work), logged.charge(at, work));
+        }
+        assert_eq!(totals.busy(), logged.busy());
+        assert_eq!(totals.free_at(), logged.free_at());
+        assert_eq!(logged.intervals().len(), 2);
+        assert!(totals.intervals.is_empty());
     }
 
     #[test]

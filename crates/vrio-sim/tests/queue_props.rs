@@ -1,20 +1,30 @@
 //! Model-based tests of the engine's event queue: for arbitrary schedules
 //! — same-time ties, stale deadlines, events scheduled from inside
-//! callbacks, and `run_until` boundaries — the engine must fire exactly
-//! what a brute-force model fires when it always takes the pending
-//! `(at, seq)` minimum. Plus a regression test that `schedule_now` bursts
-//! never reorder.
+//! callbacks, callbacks that carry on inline as their own next event
+//! (`Engine::continue_at`), and `run_until` boundaries — the engine must
+//! fire exactly what a brute-force model fires when it always takes the
+//! pending `(at, seq)` minimum. Plus a regression test that `schedule_now`
+//! bursts never reorder.
 
 use proptest::prelude::*;
 use vrio_sim::{Engine, SimDuration, SimTime};
 
-/// One scheduling instruction of a generated program: an event at an
-/// absolute offset which, when fired, schedules `children` more events at
-/// the given relative delays (0 = same instant).
+/// One scheduling instruction of a generated program, an event at an
+/// absolute offset: a root which, when fired, schedules `children` more
+/// events at the given relative delays (0 = same instant), or a chain
+/// which carries on to a next link at each of `delays` in turn.
 #[derive(Debug, Clone)]
-struct Op {
-    at: u64,
-    children: Vec<u64>,
+enum Op {
+    Root { at: u64, children: Vec<u64> },
+    Chain { at: u64, delays: Vec<u64> },
+}
+
+impl Op {
+    fn at(&self) -> u64 {
+        match self {
+            Op::Root { at, .. } | Op::Chain { at, .. } => *at,
+        }
+    }
 }
 
 /// The recorded firing sequence: (event label, firing time).
@@ -32,6 +42,9 @@ enum Action {
     Root { label: u64, children: Vec<u64> },
     /// Record `label`.
     Leaf { label: u64 },
+    /// Record link `link` of chain `label`, then schedule the next link
+    /// at the chain's next delay.
+    Chain { label: u64, link: usize },
 }
 
 /// The brute-force reference queue: pending events in a plain list, each
@@ -43,6 +56,8 @@ struct Model {
     pending: Vec<(u64, u64, Action)>,
     fired: u64,
     trace: Trace,
+    /// Each chain's delays between links, by chain label.
+    chains: Vec<Vec<u64>>,
 }
 
 impl Model {
@@ -74,6 +89,13 @@ impl Model {
                 }
             }
             Action::Leaf { label } => self.trace.push((label, at)),
+            Action::Chain { label, link } => {
+                self.trace.push((link_label(label, link), at));
+                if let Some(&d) = self.chains[label as usize].get(link) {
+                    let link = link + 1;
+                    self.schedule(at + d, Action::Chain { label, link });
+                }
+            }
         }
         true
     }
@@ -89,11 +111,18 @@ impl Model {
     }
 }
 
+/// The label of link `link` of the chain labelled `chain`.
+fn link_label(chain: u64, link: usize) -> u64 {
+    (chain << 16) | link as u64
+}
+
 /// The engine's world: the trace, plus each root's child delays, which
-/// a root event (its argument is its label) looks up when it fires.
+/// a root event (its argument is its label) looks up when it fires, and
+/// each chain's link delays.
 #[derive(Default)]
 struct World {
     children: Vec<Vec<u64>>,
+    chains: Vec<Vec<u64>>,
     trace: Trace,
 }
 
@@ -107,6 +136,25 @@ fn root(w: &mut World, e: &mut Engine<World>, label: u64) {
     leaf(w, e, label);
     for (i, &d) in w.children[label as usize].iter().enumerate() {
         e.schedule_in(SimDuration::nanos(d), leaf, child_label(label, i));
+    }
+}
+
+/// Records the chain link labelled `arg`, then carries the chain on to
+/// its next link: inline when the engine lets it continue, otherwise by
+/// scheduling it.
+fn chain(w: &mut World, e: &mut Engine<World>, mut arg: u64) {
+    loop {
+        leaf(w, e, arg);
+        let (label, link) = (arg >> 16, (arg & 0xFFFF) as usize);
+        let Some(&d) = w.chains[label as usize].get(link) else {
+            return;
+        };
+        arg += 1;
+        let at = e.now() + SimDuration::nanos(d);
+        if !e.continue_at(at) {
+            e.schedule_at(at, chain, arg);
+            return;
+        }
     }
 }
 
@@ -125,37 +173,75 @@ fn chunk_deadlines(ops: &[Op], chunks: u64) -> Vec<u64> {
     if chunks <= 1 {
         return Vec::new();
     }
-    let horizon = ops.iter().map(|o| o.at).max().unwrap_or(0) * 2 + 1000;
+    let horizon = ops.iter().map(Op::at).max().unwrap_or(0) * 2 + 1000;
     (1..=chunks).map(|c| horizon * c / chunks).collect()
 }
 
+/// The state at a `run_until` boundary: trace length, clock, events fired
+/// and events pending.
+type Boundary = (usize, u64, u64, usize);
+
 /// Runs `ops` on the engine through `run_until` at each deadline, then to
-/// quiescence (stragglers past the horizon), and returns its trace.
-fn run_engine(ops: &[Op], deadlines: &[u64]) -> Trace {
+/// quiescence (stragglers past the horizon), and returns its trace and
+/// its state at each deadline.
+fn run_engine(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
     let mut eng = Engine::new();
     let mut w = World::default();
     for (label, op) in ops.iter().enumerate() {
-        schedule_root(&mut w, &mut eng, op.at, label as u64, op.children.clone());
+        let label = label as u64;
+        match op {
+            Op::Root { at, children } => {
+                w.chains.push(Vec::new());
+                schedule_root(&mut w, &mut eng, *at, label, children.clone());
+            }
+            Op::Chain { at, delays } => {
+                w.children.push(Vec::new());
+                w.chains.push(delays.clone());
+                eng.schedule_at(SimTime::from_nanos(*at), chain, link_label(label, 0));
+            }
+        }
     }
+    let mut boundaries = Vec::new();
     for &d in deadlines {
         eng.run_until(&mut w, SimTime::from_nanos(d));
+        let (now, fired) = (eng.now().as_nanos(), eng.events_fired());
+        boundaries.push((w.trace.len(), now, fired, eng.pending()));
     }
     eng.run(&mut w);
-    w.trace
+    (w.trace, boundaries)
 }
 
 /// [`run_engine`] on the model.
-fn run_model(ops: &[Op], deadlines: &[u64]) -> Trace {
+fn run_model(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
     let mut model = Model::default();
     for (label, op) in ops.iter().enumerate() {
-        let (label, children) = (label as u64, op.children.clone());
-        model.schedule(op.at, Action::Root { label, children });
+        let label = label as u64;
+        match op {
+            Op::Root { at, children } => {
+                model.chains.push(Vec::new());
+                let children = children.clone();
+                model.schedule(*at, Action::Root { label, children });
+            }
+            Op::Chain { at, delays } => {
+                model.chains.push(delays.clone());
+                model.schedule(*at, Action::Chain { label, link: 0 });
+            }
+        }
     }
+    let mut boundaries = Vec::new();
     for &d in deadlines {
         model.run_until(d);
+        let (now, fired) = (model.now, model.fired);
+        boundaries.push((model.trace.len(), now, fired, model.pending.len()));
     }
     model.run();
-    model.trace
+    (model.trace, boundaries)
+}
+
+/// Times packed into `0..64` with short delays, so chain links often tie
+/// a pending event or land just before or after it.
+fn dense() -> impl Strategy<Value = u64> {
+    prop_oneof![3 => 0u64..64, 1 => 0u64..8]
 }
 
 /// Deadline strategy mixing horizons: dense near-term ties, mid-range
@@ -180,7 +266,7 @@ proptest! {
     fn engine_matches_model(
         ops in proptest::collection::vec(
             (deadline(), proptest::collection::vec(deadline(), 0..4))
-                .prop_map(|(at, children)| Op { at, children }),
+                .prop_map(|(at, children)| Op::Root { at, children }),
             1..40,
         ),
         chunks in 1u64..5,
@@ -216,6 +302,32 @@ proptest! {
         model.run();
         prop_assert_eq!(got.trace, model.trace);
         prop_assert_eq!(eng.pending(), 0);
+    }
+
+    /// Callbacks that carry on as their own next event: chains whose
+    /// next link lands before the heap top (continued inline), on it (the
+    /// pending event fires first) or past a `run_until` deadline (left
+    /// for the next run), among roots that schedule children. The engine
+    /// matches the model's trace, and its clock, event count and pending
+    /// count at every `run_until` boundary.
+    #[test]
+    fn continuing_chains_match_model(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (dense(), proptest::collection::vec(dense(), 0..3))
+                    .prop_map(|(at, children)| Op::Root { at, children }),
+                (dense(), proptest::collection::vec(dense(), 0..8))
+                    .prop_map(|(at, delays)| Op::Chain { at, delays }),
+                (deadline(), proptest::collection::vec(deadline(), 0..8))
+                    .prop_map(|(at, delays)| Op::Chain { at, delays }),
+            ],
+            1..40,
+        ),
+        cuts in proptest::collection::vec(0u64..200, 0..5),
+    ) {
+        let mut deadlines = cuts;
+        deadlines.sort_unstable();
+        prop_assert_eq!(run_engine(&ops, &deadlines), run_model(&ops, &deadlines));
     }
 
     /// `run_until` leaves the engine in the model's state at the

@@ -14,8 +14,6 @@
 //!   and elided notifications are counted in [`RingOps`] so the paper's
 //!   exit-elimination claim is measurable rather than assumed.
 
-use std::collections::HashMap;
-
 use crate::features::{Feature, FeatureSet};
 use crate::mem::{GuestAddr, GuestMemory};
 use crate::packed::{PackedDeviceQueue, PackedDriverQueue, PackedLayout};
@@ -216,7 +214,9 @@ pub struct DriverRing {
     config: RingConfig,
     inner: DriverInner,
     tables: Option<IndirectTables>,
-    slot_of_head: HashMap<u16, u16>,
+    /// The indirect table slot of each in-flight indirect chain, indexed
+    /// by head (empty without indirect tables).
+    slot_of_head: Vec<Option<u16>>,
 }
 
 #[derive(Debug, Clone)]
@@ -261,19 +261,20 @@ pub fn ring_pair(
             )
         }
     };
-    let tables = if config.indirect {
+    let (tables, slot_of_head) = if config.indirect {
         let tbase = GuestAddr(end.0.div_ceil(16) * 16);
         end = tbase.offset(IndirectTables::footprint(size, MAX_INDIRECT_SEGS));
-        Some(IndirectTables::new(tbase, size, MAX_INDIRECT_SEGS))
+        let tables = IndirectTables::new(tbase, size, MAX_INDIRECT_SEGS);
+        (Some(tables), vec![None; usize::from(size)])
     } else {
-        None
+        (None, Vec::new())
     };
     (
         DriverRing {
             config,
             inner: drv_inner,
             tables,
-            slot_of_head: HashMap::new(),
+            slot_of_head,
         },
         DeviceRing {
             config,
@@ -335,7 +336,7 @@ impl DriverRing {
         self.tables.as_ref().map(|t| IndirectAudit {
             capacity: t.capacity(),
             free: t.free_slots() as u16,
-            in_use: self.slot_of_head.len() as u16,
+            in_use: self.slot_of_head.iter().flatten().count() as u16,
         })
     }
 
@@ -371,7 +372,7 @@ impl DriverRing {
         };
         match res {
             Ok(head) => {
-                self.slot_of_head.insert(head, slot);
+                self.slot_of_head[usize::from(head)] = Some(slot);
                 Ok(head)
             }
             Err(e) => {
@@ -388,7 +389,11 @@ impl DriverRing {
             DriverInner::Packed(q) => q.poll_used(mem)?,
         };
         if let Some(u) = used {
-            if let Some(slot) = self.slot_of_head.remove(&u.head) {
+            let slot = self
+                .slot_of_head
+                .get_mut(usize::from(u.head))
+                .and_then(Option::take);
+            if let Some(slot) = slot {
                 self.tables
                     .as_mut()
                     .expect("slot implies tables")

@@ -40,7 +40,10 @@ pub struct WorkerId(pub usize);
 #[derive(Debug, Default)]
 pub struct Steering {
     workers: usize,
-    inflight: HashMap<DeviceId, (WorkerId, u64)>,
+    /// Per device, indexed by client and then device index: the worker
+    /// its unprocessed packets are designated for, and how many there
+    /// are. A device with none is unbound.
+    inflight: Vec<Vec<(WorkerId, u64)>>,
     /// Per-worker count of currently designated packets, for least-loaded
     /// placement of unbound devices.
     load: Vec<u64>,
@@ -54,7 +57,7 @@ impl Steering {
         assert!(workers > 0, "at least one worker required");
         Steering {
             workers,
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
             load: vec![0; workers],
             affinity_hits: 0,
         }
@@ -67,7 +70,10 @@ impl Steering {
 
     /// Unprocessed packets currently designated for device `d`'s worker.
     pub fn inflight_of(&self, d: DeviceId) -> u64 {
-        self.inflight.get(&d).map_or(0, |&(_, n)| n)
+        self.inflight
+            .get(d.client as usize)
+            .and_then(|devs| devs.get(usize::from(d.device)))
+            .map_or(0, |&(_, n)| n)
     }
 
     /// Current queue depth of worker `w`.
@@ -78,21 +84,30 @@ impl Steering {
     /// Steers one packet of device `d`, returning the worker that must
     /// process it.
     pub fn assign(&mut self, d: DeviceId) -> WorkerId {
-        if let Some((w, n)) = self.inflight.get_mut(&d) {
+        let (c, dev) = (d.client as usize, usize::from(d.device));
+        if self.inflight.len() <= c {
+            self.inflight.resize_with(c + 1, Vec::new);
+        }
+        let devs = &mut self.inflight[c];
+        if devs.len() <= dev {
+            devs.resize(dev + 1, (WorkerId(0), 0));
+        }
+        let (w, n) = &mut devs[dev];
+        if *n > 0 {
             *n += 1;
             self.load[w.0] += 1;
             self.affinity_hits += 1;
             return *w;
         }
         // Unbound device: place on the least-loaded worker.
-        let w = WorkerId(
+        *w = WorkerId(
             (0..self.workers)
                 .min_by_key(|&i| self.load[i])
                 .expect("workers > 0"),
         );
-        self.inflight.insert(d, (w, 1));
+        *n = 1;
         self.load[w.0] += 1;
-        w
+        *w
     }
 
     /// Records that one packet of device `d` finished processing.
@@ -102,16 +117,17 @@ impl Steering {
     /// `debug_assert` in debug builds and is ignored in release builds
     /// (saturating decrements, never underflow).
     pub fn complete(&mut self, d: DeviceId) {
-        let Some((w, n)) = self.inflight.get_mut(&d) else {
+        let bound = self
+            .inflight
+            .get_mut(d.client as usize)
+            .and_then(|devs| devs.get_mut(usize::from(d.device)))
+            .filter(|&&mut (_, n)| n > 0);
+        let Some((w, n)) = bound else {
             debug_assert!(false, "completion for unbound device {d}");
             return;
         };
-        debug_assert!(*n > 0, "double-complete for device {d}");
         self.load[w.0] = self.load[w.0].saturating_sub(1);
-        *n = n.saturating_sub(1);
-        if *n == 0 {
-            self.inflight.remove(&d);
-        }
+        *n -= 1;
     }
 
     /// Splits a batch of packets into per-worker sub-batches under the

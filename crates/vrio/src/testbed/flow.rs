@@ -2,8 +2,6 @@
 //! interpreter that runs it as chained engine events, and the bodies of
 //! the data steps the flows share.
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_trace::{DropCause, SpanId, Stage};
@@ -91,7 +89,8 @@ pub(super) enum Step {
     BlkArrival { vm: usize, backend: usize },
     /// Hand a frame to the guest's rx ring ([`Testbed::deliver_rx`]).
     DeliverRx(Box<RxFrame>),
-    /// The guest transmits the canonical `len`-byte response.
+    /// The guest transmits the canonical `len`-byte response. When its tx
+    /// ring is full, the request is shed ([`DropCause::ShedQueue`]).
     SendTx { vm: usize, len: usize },
     /// The back end fetches VM `vm`'s transmitted frame into the flow's
     /// data ([`Testbed::fetch_tx`]).
@@ -112,8 +111,8 @@ pub(super) enum Step {
     StaleDuplicate { vm: usize, wire_id: u64 },
 }
 
-// Flows move every step through a queue, so steps stay this small: the
-// large payloads, an rx frame and a block attempt, are boxed. Steps, flow
+// Flows keep their steps in a `Vec`, so steps stay this small: the large
+// payloads, an rx frame and a block attempt, are boxed. Steps, flow
 // tables and block tables hold no shared or thread-bound state.
 const _: () = {
     assert!(std::mem::size_of::<Step>() <= 32);
@@ -164,35 +163,43 @@ pub(super) enum FlowEnd {
 
 /// A flow's step program under construction.
 pub(super) struct Program {
-    steps: VecDeque<Step>,
+    steps: Vec<Step>,
     /// The span stage marks go to; `None` when neither the tracer nor the
     /// oracle is on, so the program carries no marks at all.
     span: Option<SpanId>,
 }
 
+// The flows that compile programs are generic over the world, so they are
+// instantiated in the workload's crate: `push` and `mark` are `inline` so
+// that they can inline there.
 impl Program {
     /// Appends a step.
+    #[inline]
     pub fn push(&mut self, step: Step) {
-        self.steps.push_back(step);
+        self.steps.push(step);
     }
 
     /// Appends a stage transition on the flow's span ([`Step::Mark`]).
+    #[inline]
     pub fn mark(&mut self, stage: Stage) {
         if let Some(span) = self.span {
-            self.steps.push_back(Step::Mark(span, stage));
+            self.steps.push(Step::Mark(span, stage));
         }
     }
 
     /// Runs the program as chained engine events: parks it in the
     /// [`FlowTable`] and runs it up to its first wait; `end` runs when
-    /// the steps run out.
+    /// the steps run out. The caller's event goes on after this returns,
+    /// so the flow never continues inline from here
+    /// ([`Engine::continue_at`]).
     pub fn run<W: HasTestbed>(self, w: &mut W, eng: &mut Engine<W>, end: FlowEnd) {
         let slot = w.tb().flows.insert(Parked {
             steps: self.steps,
+            next: 0,
             data: Bytes::new(),
             end,
         });
-        resume(w, eng, slot as u64);
+        drive(w, eng, slot, false);
     }
 }
 
@@ -204,6 +211,10 @@ enum Next {
     Wait(SimTime),
     /// The flow ends here (a dropped frame or a stale response).
     Stop,
+    /// The request is dropped here for this cause: the flow ends, the
+    /// steering designations its steps still hold are released, and its
+    /// records close as a drop.
+    Drop(DropCause),
 }
 
 /// Index-addressed storage with a free list: an entry keeps its index
@@ -279,22 +290,38 @@ pub(super) type FlowTable = Slab<Parked>;
 
 /// One [`FlowTable`] slot.
 pub(super) struct Parked {
-    steps: VecDeque<Step>,
+    steps: Vec<Step>,
+    /// The index of the next step to run.
+    next: usize,
     /// What the flow's data steps produced: the response a
     /// [`Step::FetchTx`] fetched, or the data a [`Step::BlkExecute`] read.
     data: Bytes,
     end: FlowEnd,
 }
 
-/// Runs the flow parked in `slot` up to its next wait, when it stays
-/// parked, or to its end, when its slot is freed.
+/// The event that resumes the flow parked in `slot`.
 fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
-    let i = slot as usize;
+    drive(w, eng, slot as usize, true);
+}
+
+/// Runs the flow parked in slot `i` up to its next wait, when it stays
+/// parked, or to its end, when its slot is freed. When `tail` is set the
+/// flow's resume event is what is running, and nothing of it follows a
+/// wait, so the flow carries on inline through every wait that would
+/// fire next anyway ([`Engine::continue_at`]).
+fn drive<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, i: usize, tail: bool) {
     let tb = w.tb();
     let parked = &mut tb.flows[i];
     let mut steps = std::mem::take(&mut parked.steps);
+    let mut next = parked.next;
     let mut data = std::mem::take(&mut parked.data);
-    match tb.advance(&mut steps, &mut data, eng.now()) {
+    let outcome = loop {
+        match tb.advance(&mut steps, &mut next, &mut data, eng.now()) {
+            Next::Wait(at) if tail && eng.continue_at(at) => {}
+            outcome => break outcome,
+        }
+    };
+    match outcome {
         Next::Go => {
             let end = tb.flows.remove(i).end;
             tb.recycle_steps(steps);
@@ -303,12 +330,25 @@ fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
         Next::Wait(at) => {
             let parked = &mut tb.flows[i];
             parked.steps = steps;
+            parked.next = next;
             parked.data = data;
-            eng.schedule_at(at, resume::<W>, slot);
+            eng.schedule_at(at, resume::<W>, i as u64);
         }
         Next::Stop => {
             tb.flows.remove(i);
             tb.recycle_steps(steps);
+        }
+        Next::Drop(cause) => {
+            let FlowEnd::Rr { net, .. } = tb.flows.remove(i).end else {
+                unreachable!("only request-responses drop mid-flow");
+            };
+            for step in &steps[next..] {
+                if let Step::ReleaseBackend { vm, backend } = *step {
+                    tb.release_backend(vm, backend);
+                }
+            }
+            tb.recycle_steps(steps);
+            net.dropped(tb, cause, eng.now());
         }
     }
 }
@@ -345,7 +385,7 @@ fn after(now: SimTime, d: SimDuration) -> Next {
 }
 
 impl Testbed {
-    /// An empty program, on recycled queue storage, whose stage marks go
+    /// An empty program, on recycled step storage, whose stage marks go
     /// to `span`.
     pub(super) fn program(&mut self, span: SpanId) -> Program {
         let tracing = self.trace.enabled() || self.oracle.enabled();
@@ -355,20 +395,30 @@ impl Testbed {
         }
     }
 
-    /// Returns a flow's step-queue storage to the pool (capped so a burst
-    /// of aborted flows cannot hoard memory). The steps of a stopped flow
-    /// are discarded.
-    fn recycle_steps(&mut self, mut steps: VecDeque<Step>) {
+    /// Returns a flow's step storage to the pool (capped so a burst of
+    /// aborted flows cannot hoard memory). The steps of a stopped flow are
+    /// discarded.
+    fn recycle_steps(&mut self, mut steps: Vec<Step>) {
         if self.step_pool.len() < 64 {
             steps.clear();
             self.step_pool.push(steps);
         }
     }
 
-    /// Runs `steps` at `now` until one waits or stops the flow, or they
-    /// run out ([`Next::Go`]). Data steps write the flow's `data`.
-    fn advance(&mut self, steps: &mut VecDeque<Step>, data: &mut Bytes, now: SimTime) -> Next {
-        while let Some(mut step) = steps.pop_front() {
+    /// Runs `steps` from index `next` at `now` until one waits or stops
+    /// the flow, or they run out ([`Next::Go`]); `next` is left at the
+    /// first step not run. A step that ran is left as a zero delay. Data
+    /// steps write the flow's `data`.
+    fn advance(
+        &mut self,
+        steps: &mut [Step],
+        next: &mut usize,
+        data: &mut Bytes,
+        now: SimTime,
+    ) -> Next {
+        while let Some(slot) = steps.get_mut(*next) {
+            *next += 1;
+            let mut step = std::mem::replace(slot, Step::Fixed(SimDuration::ZERO));
             if let Step::Fixed(total) = &mut step {
                 // Coalesce a run of consecutive fixed delays into one
                 // scheduled event. Pure latencies have no observable
@@ -376,9 +426,9 @@ impl Testbed {
                 // rng), so summing them is exact: the flow resumes at the
                 // same instant, it just skips the intermediate no-op
                 // wakeups.
-                while let Some(Step::Fixed(next)) = steps.front() {
-                    *total += *next;
-                    steps.pop_front();
+                while let Some(Step::Fixed(d)) = steps.get(*next) {
+                    *total += *d;
+                    *next += 1;
                 }
             }
             match self.exec(step, data, now) {
@@ -439,7 +489,11 @@ impl Testbed {
             Step::DeliverRx(frame) => self.deliver_rx(*frame),
             Step::SendTx { vm, len } => {
                 let payload = self.resp_payload(len);
-                self.vms[vm].net_send(&payload).expect("tx slot");
+                if self.vms[vm].net_send(&payload).is_err() {
+                    // More responses in flight than the tx ring holds:
+                    // the guest sheds this one.
+                    return Next::Drop(DropCause::ShedQueue);
+                }
             }
             Step::FetchTx { vm, dir } => *data = self.fetch_tx(vm, dir),
             Step::InterposeTx => {
@@ -549,6 +603,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::oracle::OracleConfig;
+    use crate::proto::DeviceId;
     use crate::testbed::{blk_request, net_request_response, TestbedConfig};
 
     fn rack(vms: usize) -> (Testbed, Engine<Testbed>) {
@@ -681,6 +736,38 @@ mod tests {
     fn rr_on(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: u64) {
         let req = Bytes::from_static(b"surge");
         net_request_response(tb, eng, vm as usize, req, 64, SimDuration::micros(4), vm);
+    }
+
+    #[test]
+    fn a_full_tx_ring_sheds_the_response() {
+        let mut config = TestbedConfig::simple(IoModel::Vrio, 4);
+        config.oracle = OracleConfig::on();
+        config.admission = AdmissionConfig {
+            enabled: true,
+            ..AdmissionConfig::default()
+        };
+        let mut tb = Testbed::new(config);
+        let mut eng = Engine::new();
+        // An RR every 1.25 µs over 4 VMs puts more responses in flight
+        // on each VM than its tx ring holds.
+        for k in 0..1600 {
+            let at = SimTime::ZERO + SimDuration::nanos(1250) * k;
+            eng.schedule_at(at, rr_on, k % 4);
+        }
+        eng.run(&mut tb);
+        assert!(tb.slo.total_drops_of(DropCause::ShedQueue) > 0);
+        assert_eq!(tb.flows.occupied(), 0, "parked flows outlived the run");
+        tb.oracle.finish();
+        tb.oracle.assert_clean("tx ring overflow");
+        // A shed response released its outbound steering designation.
+        for client in 0..4 {
+            let dev = DeviceId { client, device: 0 };
+            assert_eq!(
+                tb.steering[0].inflight_of(dev),
+                0,
+                "vm{client} still steered"
+            );
+        }
     }
 
     #[test]

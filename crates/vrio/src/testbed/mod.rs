@@ -24,12 +24,11 @@ mod flow;
 mod net;
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use vrio_block::{DeviceProfile, Ramdisk};
 use vrio_hv::ReliabilityCounters;
-use vrio_hv::{CostModel, EventCounters, IoModel, Vm, VmId};
+use vrio_hv::{CostModel, EventCounters, GuestCpu, IoModel, Vm, VmId};
 use vrio_net::{FaultConfig, FaultInjector, Reassembler, Segment, SkbPool};
 use vrio_sim::{BusyTracker, Engine, Profiler, SimDuration, SimRng, SimTime};
 use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer, TrackId, TrackKind};
@@ -97,7 +96,9 @@ impl HasTestbed for Testbed {
 /// A FIFO-serialized resource (a core or a shared machine resource).
 #[derive(Debug, Default)]
 pub struct Resource {
-    /// Busy-time accounting (utilization, Fig 15 traces).
+    /// Busy-time accounting (utilization, Fig 15 traces). Only backends
+    /// log their busy intervals (Filebench utilization traces, Chrome
+    /// thread tracks); the other resources keep totals.
     pub busy: BusyTracker,
     /// Packets/requests that found the resource busy and queued (Fig 8).
     pub waited: u64,
@@ -109,6 +110,14 @@ pub struct Resource {
 }
 
 impl Resource {
+    /// An idle resource that keeps only busy totals, no interval log.
+    fn totals_only() -> Self {
+        Resource {
+            busy: BusyTracker::totals_only(),
+            ..Resource::default()
+        }
+    }
+
     /// Charges `work` at `t`, returning the completion instant.
     pub fn charge(&mut self, t: SimTime, work: SimDuration) -> SimTime {
         if self.busy.is_busy_at(t) {
@@ -610,14 +619,14 @@ pub struct Testbed {
     pub skb_pool: SkbPool,
     /// Scratch segment train reused by the blk TSO hot path.
     tso_scratch: Vec<Segment>,
-    /// Memoized response payloads keyed by length: `Bytes` clones are
-    /// refcounted, so per-request responses allocate nothing in steady
-    /// state (the fill is a fixed 0x5A pattern, identical every request).
-    resp_cache: HashMap<usize, Bytes>,
-    /// Recycled step-queue storage: flows return their drained
-    /// [`VecDeque`] here instead of dropping it, so compiling the next
-    /// flow reuses warm capacity.
-    step_pool: Vec<VecDeque<Step>>,
+    /// The canonical 0x5A response fill, as long as the longest response
+    /// so far: every response is a refcounted slice of it, so per-request
+    /// responses allocate nothing in steady state.
+    resp_fill: Bytes,
+    /// Recycled step storage: flows return their drained `Vec` here
+    /// instead of dropping it, so compiling the next flow reuses warm
+    /// capacity.
+    step_pool: Vec<Vec<Step>>,
     /// The flows waiting on the engine.
     flows: FlowTable,
     /// The block requests in flight.
@@ -654,7 +663,7 @@ impl Testbed {
     pub fn new(config: TestbedConfig) -> Self {
         assert!(config.num_vms > 0 && config.num_vmhosts > 0 && config.backend_cores > 0);
         let rng = SimRng::seed_from(config.seed);
-        let vms: Vec<Vm> = (0..config.num_vms)
+        let mut vms: Vec<Vm> = (0..config.num_vms)
             .map(|i| {
                 let mut vm = Vm::with_rings(VmId(i), config.ring);
                 vm.net_refill_rx().expect("fresh VM rx refill");
@@ -703,6 +712,12 @@ impl Testbed {
             }
         }
         let trace = Tracer::new(&config.trace);
+        if !trace.enabled() {
+            // VCPU busy intervals feed only the Chrome thread tracks.
+            for vm in &mut vms {
+                vm.cpu = GuestCpu::totals_only();
+            }
+        }
         if trace.enabled() {
             let pid = IoModel::ALL
                 .iter()
@@ -729,18 +744,22 @@ impl Testbed {
             rng,
             vms,
             vm_host,
-            gen_cores: (0..config.num_vms).map(|_| Resource::default()).collect(),
+            gen_cores: (0..config.num_vms)
+                .map(|_| Resource::totals_only())
+                .collect(),
             gen_machines: (0..config.num_vmhosts)
-                .map(|_| Resource::default())
+                .map(|_| Resource::totals_only())
                 .collect(),
             backends: (0..n_backends).map(|_| Resource::default()).collect(),
             host_links: (0..config.num_vmhosts)
-                .map(|_| Resource::default())
+                .map(|_| Resource::totals_only())
                 .collect(),
             iohost_links: (0..config.num_iohosts)
-                .map(|_| Resource::default())
+                .map(|_| Resource::totals_only())
                 .collect(),
-            disks: (0..config.num_vms).map(|_| Resource::default()).collect(),
+            disks: (0..config.num_vms)
+                .map(|_| Resource::totals_only())
+                .collect(),
             disk_stores,
             steering: match config.model {
                 IoModel::Vrio | IoModel::VrioNoPoll => (0..config.num_iohosts)
@@ -765,7 +784,7 @@ impl Testbed {
             reassembler: Reassembler::new(),
             skb_pool: SkbPool::new(),
             tso_scratch: Vec::new(),
-            resp_cache: HashMap::new(),
+            resp_fill: Bytes::new(),
             step_pool: Vec::new(),
             flows: FlowTable::default(),
             blks: Slab::default(),
@@ -1075,13 +1094,13 @@ impl Testbed {
         vm_busy + be_busy
     }
 
-    /// The canonical `len`-byte 0x5A response payload, memoized so repeat
-    /// requests of the same size share one refcounted buffer.
+    /// The canonical `len`-byte 0x5A response payload, a slice of the
+    /// shared fill.
     fn resp_payload(&mut self, len: usize) -> Bytes {
-        self.resp_cache
-            .entry(len)
-            .or_insert_with(|| Bytes::from(vec![0x5Au8; len]))
-            .clone()
+        if self.resp_fill.len() < len {
+            self.resp_fill = Bytes::from(vec![0x5Au8; len]);
+        }
+        self.resp_fill.slice(..len)
     }
 
     fn fresh_msg_id(&mut self) -> u32 {

@@ -43,12 +43,17 @@ impl NetFlow {
         latency
     }
 
+    /// Closes the records of a request dropped at `now` for `cause`.
+    pub(super) fn dropped(self, tb: &mut Testbed, cause: DropCause, now: SimTime) {
+        tb.trace.abort(self.span);
+        tb.oracle.flow_drop(self.flow, now);
+        tb.slo.record_drop(self.vm, cause);
+    }
+
     /// Closes the records of a request the back end's interposition chain
     /// dropped while the flow was being compiled.
     fn firewalled(self, tb: &mut Testbed) {
-        tb.trace.abort(self.span);
-        tb.oracle.flow_drop(self.flow, self.t0);
-        tb.slo.record_drop(self.vm, DropCause::Firewall);
+        self.dropped(tb, DropCause::Firewall, self.t0);
     }
 }
 

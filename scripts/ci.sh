@@ -51,8 +51,10 @@ echo "==> trace/report smoke test"
 SMOKE=$(mktemp -d)
 cargo run --release -q -p vrio-bench --bin repro -- \
     --quick --tab3 --trace "$SMOKE/trace" --json "$SMOKE/json" > /dev/null
+# The per-core busy slices come from the VCPU and backend interval logs.
 cargo run --release -q -p vrio-bench --bin checkjson -- \
-    "$SMOKE/trace/TRACE_tab3.json" --chrome
+    "$SMOKE/trace/TRACE_tab3.json" --chrome \
+    --require-event vcpu_busy --require-event backend_busy
 cargo run --release -q -p vrio-bench --bin checkjson -- \
     "$SMOKE/json/BENCH_tab3.json" \
     --require schema_version \
