@@ -6,6 +6,7 @@
 //! checkjson FILE --chrome --require-event vcpu_busy
 //! checkjson FILE --telem                # must be a TELEM_* telemetry bundle
 //! checkjson FILE --telem --require-track steer.iohost0.worker0.depth
+//! checkjson FILE --telem --require-points retx.outstanding 330
 //! checkjson FILE --prof                 # must be a PROF_* profile bundle
 //! checkjson FILE --require models.vrio.breakdown.stage_sum_us ...
 //! ```
@@ -17,11 +18,14 @@
 //! `--telem` checks a `TELEM_*` document: schema version, per-run track
 //! objects, `[t_ns, value]` point pairs in non-decreasing time order, and
 //! monotone counter tracks. `--require-track` (with `--telem`) demands a
-//! named track in at least one run. `--prof` checks a `PROF_*` document's
-//! per-scope wall-clock statistics for shape and internal consistency
-//! (never for values — profiles are nondeterministic by nature). Each
-//! `--require` takes a dotted path that must resolve through nested
-//! objects. Exits 0 when every check passes, 1 otherwise.
+//! named track in at least one run; `--require-points TRACK N` (with
+//! `--telem`) demands it too, and exactly `N` points in every run that
+//! holds it, so a sampling grid that drops or repeats a sample fails.
+//! `--prof` checks a `PROF_*` document's per-scope wall-clock statistics
+//! for shape and internal consistency (never for values — profiles are
+//! nondeterministic by nature). Each `--require` takes a dotted path
+//! that must resolve through nested objects. Exits 0 when every check
+//! passes, 1 otherwise.
 
 use vrio_bench::PROF_SCHEMA_VERSION;
 use vrio_trace::{Json, TELEM_SCHEMA_VERSION};
@@ -102,8 +106,14 @@ fn check_telemetry_run(run: &Json, file: &str, at: &str) -> usize {
 }
 
 /// The `--telem` gate: validates a `TELEM_*` bundle (or a bare telemetry
-/// document) and any `--require-track` names.
-fn telem_gate(doc: &Json, file: &str, require_tracks: &[String]) {
+/// document), any `--require-track` names and any `--require-points`
+/// track point counts.
+fn telem_gate(
+    doc: &Json,
+    file: &str,
+    require_tracks: &[String],
+    require_points: &[(String, usize)],
+) {
     let version = doc
         .get("schema_version")
         .and_then(Json::as_f64)
@@ -138,10 +148,31 @@ fn telem_gate(doc: &Json, file: &str, require_tracks: &[String]) {
     for (at, run) in &runs {
         total += check_telemetry_run(run, file, at);
     }
+    fn track<'a>(run: &'a Json, name: &str) -> Option<&'a Json> {
+        run.get("tracks").and_then(|t| t.get(name))
+    }
     for name in require_tracks {
-        let found = runs
-            .iter()
-            .any(|(_, run)| run.get("tracks").and_then(|t| t.get(name)).is_some());
+        if !runs.iter().any(|(_, run)| track(run, name).is_some()) {
+            fail(&format!(
+                "{file}: required track \"{name}\" not found in any run"
+            ));
+        }
+    }
+    for (name, want) in require_points {
+        let mut found = false;
+        for (at, run) in &runs {
+            let Some(t) = track(run, name) else { continue };
+            found = true;
+            let got = t
+                .get("points")
+                .and_then(Json::as_array)
+                .map_or(0, <[Json]>::len);
+            if got != *want {
+                fail(&format!(
+                    "{file}: {at}: track \"{name}\" has {got} points, {want} required"
+                ));
+            }
+        }
         if !found {
             fail(&format!(
                 "{file}: required track \"{name}\" not found in any run"
@@ -222,6 +253,7 @@ fn main() {
     let mut requires: Vec<String> = Vec::new();
     let mut require_tracks: Vec<String> = Vec::new();
     let mut require_events: Vec<String> = Vec::new();
+    let mut require_points: Vec<(String, usize)> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -240,6 +272,10 @@ fn main() {
                 Some(p) => require_events.push(p),
                 None => fail("--require-event needs an event name argument"),
             },
+            "--require-points" => match (it.next(), it.next().map(|n| n.parse())) {
+                (Some(p), Some(Ok(n))) => require_points.push((p, n)),
+                _ => fail("--require-points needs a track name and a point count"),
+            },
             _ if a.starts_with("--") => fail(&format!("unknown flag {a}")),
             _ if file.is_none() => file = Some(a),
             _ => fail("more than one input file given"),
@@ -248,11 +284,15 @@ fn main() {
     let Some(file) = file else {
         fail(
             "usage: checkjson FILE [--chrome [--require-event NAME]...] \
-             [--telem [--require-track NAME]...] [--prof] [--require dotted.path]...",
+             [--telem [--require-track NAME]... [--require-points NAME N]...] [--prof] \
+             [--require dotted.path]...",
         );
     };
     if !require_tracks.is_empty() && !telem {
         fail("--require-track only applies to --telem mode");
+    }
+    if !require_points.is_empty() && !telem {
+        fail("--require-points only applies to --telem mode");
     }
     if !require_events.is_empty() && !chrome {
         fail("--require-event only applies to --chrome mode");
@@ -287,7 +327,7 @@ fn main() {
     }
 
     if telem {
-        telem_gate(&doc, &file, &require_tracks);
+        telem_gate(&doc, &file, &require_tracks, &require_points);
     }
     if prof {
         prof_gate(&doc, &file);

@@ -514,10 +514,11 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
         eng.schedule_at(start, surge, extra as u64);
     }
 
-    // The supervisor: one tick per bucket.
-    for k in 1..=c.num_buckets() {
-        let tick_at = SimTime::ZERO + c.bucket * k as u64;
-        eng.schedule_at(tick_at.min(horizon), supervise, 0);
+    // The supervisor: one tick per bucket, the last clamped to the
+    // horizon when the horizon ends a bucket early.
+    eng.schedule_series(SimTime::ZERO + c.bucket, c.bucket, horizon, supervise, 0);
+    if !c.horizon.as_nanos().is_multiple_of(c.bucket.as_nanos()) {
+        eng.schedule_at(horizon, supervise, 0);
     }
 
     eng.run(&mut w);
@@ -1011,6 +1012,30 @@ mod tests {
         }
         for r in &off.replicas {
             assert!(r.telemetry.tracks.is_empty());
+        }
+    }
+
+    #[test]
+    fn the_supervisor_ticks_once_per_bucket_the_last_at_the_horizon() {
+        let even = tiny("primary-kill");
+        // A bucket that does not divide the horizon: the last tick is
+        // clamped to the horizon.
+        let mut clamped = even.clone();
+        clamped.bucket += SimDuration::nanos(1);
+        assert!(!clamped
+            .horizon
+            .as_nanos()
+            .is_multiple_of(clamped.bucket.as_nanos()));
+        for mut c in [even, clamped] {
+            c.telemetry = true;
+            let r = run_replica(&c, 0);
+            assert_eq!(r.buckets.len(), c.num_buckets());
+            let route = r.telemetry.track("health.vmhost0.route").unwrap();
+            let ticks: Vec<u64> = route.points.iter().map(|&(t, _)| t).collect();
+            let want: Vec<u64> = (1..=c.num_buckets() as u64)
+                .map(|k| (c.bucket.as_nanos() * k).min(c.horizon.as_nanos()))
+                .collect();
+            assert_eq!(ticks, want);
         }
     }
 

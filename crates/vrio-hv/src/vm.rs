@@ -235,8 +235,6 @@ pub struct VirtioBlkDevice {
     inflight_chains: Vec<Option<DescChain>>,
     /// Completed chains kept for reuse, so fetching allocates nothing.
     spare_chains: Vec<DescChain>,
-    /// Scratch buffer recycled across back-end fetch/complete calls.
-    scratch_buf: Vec<u8>,
     /// Requests submitted.
     pub submitted: u64,
     /// Requests completed back to the guest.
@@ -257,7 +255,6 @@ impl VirtioBlkDevice {
                 pending: head_table(BLK_QSIZE),
                 inflight_chains: head_table(BLK_QSIZE),
                 spare_chains: Vec::new(),
-                scratch_buf: Vec::new(),
                 submitted: 0,
                 completed: 0,
             },
@@ -337,10 +334,20 @@ pub struct Vm {
     ring: RingConfig,
     net: VirtioNetDevice,
     blk: VirtioBlkDevice,
-    ring_epoch: u64,
+    /// One epoch per virtqueue, in [`Vm::ring_audit`] order.
+    ring_epochs: [u64; Vm::QUEUES],
 }
 
 impl Vm {
+    /// The virtqueues of a VM, numbered as [`Vm::ring_audit`] lists them.
+    pub const QUEUES: usize = 3;
+    /// The net transmit queue.
+    pub const NET_TX: usize = 0;
+    /// The net receive queue.
+    pub const NET_RX: usize = 1;
+    /// The block queue.
+    pub const BLK: usize = 2;
+
     /// Creates a VM with the standard device layout and the seed ring
     /// configuration (split, no indirect tables, no event suppression).
     pub fn new(id: VmId) -> Self {
@@ -361,7 +368,7 @@ impl Vm {
             ring,
             net,
             blk,
-            ring_epoch: 0,
+            ring_epochs: [0; Self::QUEUES],
         }
     }
 
@@ -376,20 +383,23 @@ impl Vm {
     /// suppression structs. A no-op for split-basic rings, which have no
     /// suppression machinery.
     pub fn set_device_polling(&mut self, polling: bool) -> Result<(), DeviceError> {
-        self.ring_epoch += 1;
+        for epoch in &mut self.ring_epochs {
+            *epoch += 1;
+        }
         self.net.tx_dev.set_polling(&mut self.mem, polling)?;
         self.net.rx_dev.set_polling(&mut self.mem, polling)?;
         self.blk.dev.set_polling(&mut self.mem, polling)?;
         Ok(())
     }
 
-    /// A counter that every method able to change a virtqueue advances
-    /// (the guest driver and host device halves alike). The rings are
-    /// private to this type, so an unchanged epoch guarantees an
-    /// unchanged [`Vm::ring_audit`]: invariant checkers re-audit only VMs
-    /// whose epoch moved.
-    pub fn ring_epoch(&self) -> u64 {
-        self.ring_epoch
+    /// One counter per virtqueue (net-tx, net-rx, blk: the order of
+    /// [`Vm::ring_audit`]) that every method able to change that queue
+    /// advances (the guest driver and host device halves alike). The rings
+    /// are private to this type, so an unchanged epoch guarantees an
+    /// unchanged [`Vm::queue_audit`] of its queue: invariant checkers
+    /// re-audit only the queues whose epoch moved.
+    pub fn ring_epochs(&self) -> [u64; Self::QUEUES] {
+        self.ring_epochs
     }
 
     /// The net device's transmit/receive counters.
@@ -418,12 +428,19 @@ impl Vm {
     /// Snapshots every virtqueue of this VM for descriptor-conservation
     /// checking (net tx, net rx, blk). Observation only — reads counters,
     /// never touches ring state.
-    pub fn ring_audit(&self) -> [QueueAudit; 3] {
-        [
-            audit_queue("net-tx", &self.net.tx_drv, &self.net.tx_dev),
-            audit_queue("net-rx", &self.net.rx_drv, &self.net.rx_dev),
-            audit_queue("blk", &self.blk.drv, &self.blk.dev),
-        ]
+    pub fn ring_audit(&self) -> [QueueAudit; Self::QUEUES] {
+        [Self::NET_TX, Self::NET_RX, Self::BLK].map(|q| self.queue_audit(q))
+    }
+
+    /// Snapshots virtqueue `q` ([`Vm::NET_TX`], [`Vm::NET_RX`] or
+    /// [`Vm::BLK`]) as [`Vm::ring_audit`] does.
+    pub fn queue_audit(&self, q: usize) -> QueueAudit {
+        match q {
+            Self::NET_TX => audit_queue("net-tx", &self.net.tx_drv, &self.net.tx_dev),
+            Self::NET_RX => audit_queue("net-rx", &self.net.rx_drv, &self.net.rx_dev),
+            Self::BLK => audit_queue("blk", &self.blk.drv, &self.blk.dev),
+            _ => panic!("a VM has {} virtqueues, not queue {q}", Self::QUEUES),
+        }
     }
 
     // ---- net front-end (guest side) -------------------------------------
@@ -436,7 +453,7 @@ impl Vm {
 
     /// Guest transmits with an explicit virtio-net header (e.g. GSO).
     pub fn net_send_hdr(&mut self, hdr: NetHdr, payload: &[u8]) -> Result<u16, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_TX] += 1;
         if payload.len() + NET_HDR_SIZE > NET_SLOT {
             return Err(DeviceError::PayloadTooLarge {
                 len: payload.len(),
@@ -470,7 +487,7 @@ impl Vm {
 
     /// Guest reaps transmit completions, freeing buffers. Returns how many.
     pub fn net_reap_tx(&mut self) -> Result<usize, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_TX] += 1;
         let mut n = 0;
         while let Some(used) = self.net.tx_drv.poll_used(&self.mem)? {
             let slot = take_head(&mut self.net.tx_slot_of_head, used.head)?;
@@ -483,7 +500,7 @@ impl Vm {
 
     /// Guest posts receive buffers until the ring or pool is exhausted.
     pub fn net_refill_rx(&mut self) -> Result<usize, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_RX] += 1;
         let mut n = 0;
         loop {
             if self.net.rx_drv.free_descriptors() == 0 {
@@ -517,7 +534,7 @@ impl Vm {
     /// Guest receives one message if available: parses the virtio header
     /// and returns the payload.
     pub fn net_recv(&mut self) -> Result<Option<Bytes>, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_RX] += 1;
         let Some(used) = self.net.rx_drv.poll_used(&self.mem)? else {
             return Ok(None);
         };
@@ -546,7 +563,7 @@ impl Vm {
 
     /// Back-end fetches one transmitted message: `(head, hdr, payload)`.
     pub fn net_fetch_tx(&mut self) -> Result<Option<(u16, NetHdr, Bytes)>, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_TX] += 1;
         let chain = &mut self.net.scratch_chain;
         if !self.net.tx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.tx_dev.arm(&mut self.mem)?;
@@ -561,7 +578,7 @@ impl Vm {
 
     /// Back-end completes a transmitted chain.
     pub fn net_complete_tx(&mut self, head: u16) -> Result<(), DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_TX] += 1;
         self.net.tx_dev.push_used(&mut self.mem, head, 0)?;
         self.net.tx_dev.should_signal(&self.mem)?;
         Ok(())
@@ -569,7 +586,7 @@ impl Vm {
 
     /// Back-end delivers a received packet into a posted rx buffer.
     pub fn net_deliver_rx(&mut self, payload: &[u8]) -> Result<(), DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::NET_RX] += 1;
         let chain = &mut self.net.scratch_chain;
         if !self.net.rx_dev.pop_avail_into(&self.mem, chain)? {
             self.net.rx_dev.arm(&mut self.mem)?;
@@ -592,7 +609,7 @@ impl Vm {
     /// Guest submits a block request. The data of writes is copied into a
     /// guest buffer; reads reserve buffer space for the device to fill.
     pub fn blk_submit(&mut self, req: &BlockRequest) -> Result<u16, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::BLK] += 1;
         let data_len = match req.kind {
             BlockKind::Write => req.data.len(),
             BlockKind::Read => req.len as usize,
@@ -661,8 +678,15 @@ impl Vm {
 
     /// Guest reaps block completions.
     pub fn blk_reap(&mut self) -> Result<Vec<BlkCompletion>, DeviceError> {
-        self.ring_epoch += 1;
         let mut done = Vec::new();
+        self.blk_reap_into(&mut done)?;
+        Ok(done)
+    }
+
+    /// [`Vm::blk_reap`] appending to `done`, whose capacity a caller can
+    /// keep across calls.
+    pub fn blk_reap_into(&mut self, done: &mut Vec<BlkCompletion>) -> Result<(), DeviceError> {
+        self.ring_epochs[Self::BLK] += 1;
         while let Some(used) = self.blk.drv.poll_used(&self.mem)? {
             let p = take_head(&mut self.blk.pending, used.head)?;
             let (_, data_addr, status_addr) =
@@ -688,7 +712,7 @@ impl Vm {
             });
         }
         self.blk.drv.arm(&mut self.mem)?;
-        Ok(done)
+        Ok(())
     }
 
     // ---- blk back-end -------------------------------------------------------
@@ -698,40 +722,41 @@ impl Vm {
         Ok(self.blk.dev.has_avail(&self.mem)?)
     }
 
-    /// Back-end fetches one block request: `(head, hdr, write payload)`.
+    /// Back-end fetches one block request: `(head, hdr, write payload)`,
+    /// reading the header and the payload out of the chain once each.
     pub fn blk_fetch(&mut self) -> Result<Option<(u16, BlkHdr, Bytes)>, DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::BLK] += 1;
         let mut chain = self.blk.spare_chains.pop().unwrap_or_default();
         if !self.blk.dev.pop_avail_into(&self.mem, &mut chain)? {
             self.blk.spare_chains.push(chain);
             self.blk.dev.arm(&mut self.mem)?;
             return Ok(None);
         }
-        let readable = &mut self.blk.scratch_buf;
-        chain.copy_readable_into(&self.mem, readable)?;
-        let hdr = BlkHdr::decode(readable)
-            .ok_or_else(|| DeviceError::Queue(QueueError::BadChain("bad blk header".into())))?;
-        let payload = Bytes::copy_from_slice(&readable[BLK_HDR_SIZE..]);
+        let bad = || DeviceError::Queue(QueueError::BadChain("bad blk header".into()));
+        if chain.readable_len() < BLK_HDR_SIZE as u64 {
+            return Err(bad());
+        }
+        let mut hdr = [0; BLK_HDR_SIZE];
+        chain.read_readable(&self.mem, 0, &mut hdr)?;
+        let hdr = BlkHdr::decode(&hdr).ok_or_else(bad)?;
+        let payload = chain.readable_bytes(&self.mem, BLK_HDR_SIZE as u64)?;
         let head = chain.head;
         self.blk.inflight_chains[usize::from(head)] = Some(chain);
         Ok(Some((head, hdr, payload)))
     }
 
     /// Back-end completes a block request: writes read data (if any) and
-    /// the status byte, then publishes the used element.
+    /// the status byte straight into the chain's writable buffers, then
+    /// publishes the used element.
     pub fn blk_complete(
         &mut self,
         head: u16,
         status: u8,
         read_data: &[u8],
     ) -> Result<(), DeviceError> {
-        self.ring_epoch += 1;
+        self.ring_epochs[Self::BLK] += 1;
         let chain = take_head(&mut self.blk.inflight_chains, head)?;
-        let buf = &mut self.blk.scratch_buf;
-        buf.clear();
-        buf.extend_from_slice(read_data);
-        buf.push(status);
-        let written = chain.write_writable(&mut self.mem, buf)?;
+        let written = chain.write_writable_parts(&mut self.mem, &[read_data, &[status]])?;
         self.blk.spare_chains.push(chain);
         self.blk.dev.push_used(&mut self.mem, head, written)?;
         self.blk.dev.should_signal(&self.mem)?;
@@ -880,54 +905,62 @@ mod tests {
     #[test]
     fn ring_epoch_advances_on_every_ring_method_and_only_there() {
         // Run in this order, every ring method succeeds on a fresh VM;
-        // the scratch `u16` carries a fetched head to its completion.
+        // the scratch `u16` carries a fetched head to its completion. Each
+        // names the queues it may change.
         type RingOp = fn(&mut Vm, &mut u16);
-        let mutating: [(&str, RingOp); 13] = [
-            ("set_device_polling", |vm, _| {
+        const ALL: &[usize] = &[Vm::NET_TX, Vm::NET_RX, Vm::BLK];
+        const TX: &[usize] = &[Vm::NET_TX];
+        const RX: &[usize] = &[Vm::NET_RX];
+        const BLK: &[usize] = &[Vm::BLK];
+        let mutating: [(&str, &[usize], RingOp); 13] = [
+            ("set_device_polling", ALL, |vm, _| {
                 vm.set_device_polling(true).unwrap()
             }),
-            ("net_refill_rx", |vm, _| {
+            ("net_refill_rx", RX, |vm, _| {
                 vm.net_refill_rx().unwrap();
             }),
-            ("net_send", |vm, _| {
+            ("net_send", TX, |vm, _| {
                 vm.net_send(b"ping").unwrap();
             }),
-            ("net_send_hdr", |vm, _| {
+            ("net_send_hdr", TX, |vm, _| {
                 vm.net_send_hdr(NetHdr::plain(), b"ping").unwrap();
             }),
-            ("net_fetch_tx", |vm, head| {
+            ("net_fetch_tx", TX, |vm, head| {
                 *head = vm.net_fetch_tx().unwrap().unwrap().0;
             }),
-            ("net_complete_tx", |vm, head| {
+            ("net_complete_tx", TX, |vm, head| {
                 vm.net_complete_tx(*head).unwrap()
             }),
-            ("net_reap_tx", |vm, _| {
+            ("net_reap_tx", TX, |vm, _| {
                 vm.net_reap_tx().unwrap();
             }),
-            ("net_deliver_rx", |vm, _| {
+            ("net_deliver_rx", RX, |vm, _| {
                 vm.net_deliver_rx(b"pong").unwrap()
             }),
-            ("net_recv", |vm, _| {
+            ("net_recv", RX, |vm, _| {
                 vm.net_recv().unwrap().unwrap();
             }),
-            ("blk_submit", |vm, _| {
+            ("blk_submit", BLK, |vm, _| {
                 vm.blk_submit(&BlockRequest::read(RequestId(1), 0, 512))
                     .unwrap();
             }),
-            ("blk_fetch", |vm, head| {
+            ("blk_fetch", BLK, |vm, head| {
                 *head = vm.blk_fetch().unwrap().unwrap().0;
             }),
-            ("blk_complete", |vm, head| {
+            ("blk_complete", BLK, |vm, head| {
                 vm.blk_complete(*head, BLK_S_OK, &[0; 512]).unwrap()
             }),
-            ("blk_reap", |vm, _| {
+            ("blk_reap", BLK, |vm, _| {
                 vm.blk_reap().unwrap();
             }),
         ];
         type ReadOp = fn(&mut Vm);
-        let observing: [(&str, ReadOp); 7] = [
+        let observing: [(&str, ReadOp); 8] = [
             ("ring_audit", |vm| {
                 vm.ring_audit();
+            }),
+            ("queue_audit", |vm| {
+                vm.queue_audit(Vm::BLK);
             }),
             ("ring_ops", |vm| {
                 vm.ring_ops();
@@ -952,14 +985,29 @@ mod tests {
         for config in [RingConfig::split_basic(), RingConfig::packed()] {
             let mut vm = Vm::with_rings(VmId(0), config);
             let mut head = 0;
-            for (name, op) in mutating {
-                let before = vm.ring_epoch();
+            for (name, queues, op) in mutating {
+                let (before, audit) = (vm.ring_epochs(), vm.ring_audit());
                 op(&mut vm, &mut head);
-                assert!(vm.ring_epoch() > before, "{config}: {name} left the epoch");
+                let (after, changed) = (vm.ring_epochs(), vm.ring_audit());
+                for q in 0..Vm::QUEUES {
+                    let queue = audit[q].name;
+                    if queues.contains(&q) {
+                        assert!(
+                            after[q] > before[q],
+                            "{config}: {name} left {queue}'s epoch"
+                        );
+                    } else {
+                        assert_eq!(
+                            after[q], before[q],
+                            "{config}: {name} moved {queue}'s epoch"
+                        );
+                        assert_eq!(changed[q], audit[q], "{config}: {name} changed {queue}");
+                    }
+                }
                 for (observer, read) in observing {
-                    let epoch = vm.ring_epoch();
+                    let epochs = vm.ring_epochs();
                     read(&mut vm);
-                    assert_eq!(vm.ring_epoch(), epoch, "{config}: {observer} moved it");
+                    assert_eq!(vm.ring_epochs(), epochs, "{config}: {observer} moved one");
                 }
             }
         }

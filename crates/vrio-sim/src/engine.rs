@@ -13,9 +13,9 @@
 //! The queue is a 4-ary min-heap in one `Vec` of 32-byte entries, each
 //! keyed on one packed `u128`, `(at << 64) | seq`; `seq` is the
 //! scheduling counter, so comparing keys orders by deadline and then by
-//! scheduling order. The experiments keep few events pending (tens on the
-//! racks, at most a few thousand on the lossy block runs; DESIGN.md §10),
-//! where a shallow heap over a small array beats any bucketed queue.
+//! scheduling order. The experiments keep few events on the heap (tens on
+//! the racks, at most a few hundred on the lossy block runs; DESIGN.md
+//! §10), where a shallow heap over a small array beats any bucketed queue.
 //!
 //! A callback that would schedule the very event the engine fires next
 //! may instead carry on as that event ([`Engine::continue_at`]): inside
@@ -23,6 +23,14 @@
 //! strictly earlier than every pending event and within the run's
 //! deadline, the engine advances the clock and its counters exactly as
 //! popping that event would, and the event never enters the heap.
+//!
+//! A fixed grid of events (a sampling interval, a supervisor's ticks) is
+//! one lazily queued series ([`Engine::schedule_series`]): it takes the
+//! scheduling numbers a loop of [`Engine::schedule_at`] calls would take,
+//! but only its next occurrence sits on the heap, and each occurrence
+//! queues the following one under its reserved number as it fires. The
+//! keys are those of the loop, so events fire in the same order, and the
+//! heap stays as small as the live events, not the whole grid.
 //!
 //! The observe-only probe ([`Engine::set_probe`]) is a
 //! `Box<dyn FnMut(SimTime)>`: it is invoked *after* an event is popped
@@ -70,6 +78,19 @@ fn key(at: u64, seq: u64) -> u128 {
 /// Children per heap node.
 const ARITY: usize = 4;
 
+/// The not yet queued rest of a series ([`Engine::schedule_series`]).
+struct Series<W> {
+    f: CallFn<W>,
+    arg: u64,
+    /// Nanoseconds between occurrences.
+    interval: u64,
+    /// The deadline and reserved `seq` of the first occurrence not queued.
+    next_at: u64,
+    next_seq: u64,
+    /// Occurrences not yet queued, at least one.
+    left: u64,
+}
+
 /// A deterministic discrete-event simulator over a world type `W`.
 ///
 /// # Examples
@@ -100,6 +121,11 @@ pub struct Engine<W> {
     fired: u64,
     /// The 4-ary min-heap: node `i`'s children are `4i + 1 ..= 4i + 4`.
     heap: Vec<Entry<W>>,
+    /// Series with occurrences still to queue, by slot; a series' queued
+    /// occurrence names its slot.
+    series: Vec<Option<Series<W>>>,
+    /// Occurrences of every series not yet queued.
+    unqueued: usize,
     /// The deadline of the `run`/`run_until` in progress, up to which a
     /// callback may continue ([`Engine::continue_at`]); `None` outside
     /// them, and in profiled runs, whose scopes time one event each.
@@ -129,6 +155,8 @@ impl<W> Engine<W> {
             seq: 0,
             fired: 0,
             heap: Vec::new(),
+            series: Vec::new(),
+            unqueued: 0,
             horizon: None,
             probe: None,
             profiler: None,
@@ -174,9 +202,10 @@ impl<W> Engine<W> {
         self.fired
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending, counting every occurrence of
+    /// a series that has not fired yet.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.unqueued
     }
 
     /// Schedules `f(world, engine, arg)` to fire at absolute time `at`.
@@ -203,6 +232,101 @@ impl<W> Engine<W> {
     /// events already pending at the current time.
     pub fn schedule_now(&mut self, f: CallFn<W>, arg: u64) {
         self.schedule_at(self.now, f, arg);
+    }
+
+    /// Schedules `f(world, engine, arg)` at `first`, then every `interval`
+    /// after it up to and including `last`, exactly as calling
+    /// [`Engine::schedule_at`] for each occurrence in turn would: the
+    /// occurrences take consecutive scheduling numbers now, so they fire
+    /// in the same order among the other events, and [`Engine::pending`]
+    /// counts them all. Only the next occurrence is queued, though; as it
+    /// fires, it queues the following one under that one's reserved
+    /// number, then runs `f`. An empty series (`first > last`) schedules
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `interval` is zero.
+    pub fn schedule_series(
+        &mut self,
+        first: SimTime,
+        interval: SimDuration,
+        last: SimTime,
+        f: CallFn<W>,
+        arg: u64,
+    ) {
+        assert!(!interval.is_zero(), "a series needs a positive interval");
+        debug_assert!(
+            first >= self.now,
+            "scheduled series in the past: {first} < {}",
+            self.now
+        );
+        if first > last {
+            return;
+        }
+        let interval = interval.as_nanos();
+        let left = (last - first).as_nanos() / interval;
+        let seq = self.seq;
+        self.seq += left + 1;
+        let at = first.max(self.now).as_nanos();
+        if left == 0 {
+            return self.enqueue(Entry {
+                key: key(at, seq),
+                f,
+                arg,
+            });
+        }
+        let rest = Series {
+            f,
+            arg,
+            interval,
+            next_at: first.as_nanos() + interval,
+            next_seq: seq + 1,
+            left,
+        };
+        let slot = match self.series.iter().position(Option::is_none) {
+            Some(slot) => {
+                self.series[slot] = Some(rest);
+                slot
+            }
+            None => {
+                self.series.push(Some(rest));
+                self.series.len() - 1
+            }
+        };
+        self.unqueued += left as usize;
+        self.enqueue(Entry {
+            key: key(at, seq),
+            f: Self::fire_series,
+            arg: slot as u64,
+        });
+    }
+
+    /// The queued occurrence of the series in `slot` fires: queues the
+    /// next occurrence under its reserved number (the last one as the
+    /// plain event, freeing the slot), then runs the series' event.
+    fn fire_series(world: &mut W, eng: &mut Engine<W>, slot: u64) {
+        let s = eng.series[slot as usize]
+            .as_mut()
+            .expect("a queued occurrence names a live series");
+        let (f, arg) = (s.f, s.arg);
+        let key = key(s.next_at.max(eng.now.as_nanos()), s.next_seq);
+        s.left -= 1;
+        let next = if s.left == 0 {
+            eng.series[slot as usize] = None;
+            Entry { key, f, arg }
+        } else {
+            s.next_at += s.interval;
+            s.next_seq += 1;
+            Entry {
+                key,
+                f: Self::fire_series,
+                arg: slot,
+            }
+        };
+        eng.unqueued -= 1;
+        eng.enqueue(next);
+        f(world, eng, arg);
     }
 
     /// Lets the running callback carry on as the event it would otherwise
@@ -252,6 +376,11 @@ impl<W> Engine<W> {
             arg,
         };
         self.seq += 1;
+        self.enqueue(entry);
+    }
+
+    /// Adds `entry`, its key already set, to the heap.
+    fn enqueue(&mut self, entry: Entry<W>) {
         if let Some(prof) = &self.profiler {
             let _g = prof.scope("engine.push");
             self.sift_up(entry);
@@ -663,5 +792,104 @@ mod tests {
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(eng.events_fired(), 3);
+    }
+
+    #[test]
+    fn an_empty_series_schedules_nothing() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let at = SimTime::from_nanos(100);
+        eng.schedule_series(
+            at,
+            SimDuration::nanos(10),
+            at - SimDuration::nanos(1),
+            push,
+            1,
+        );
+        assert_eq!((eng.pending(), eng.seq), (0, 0));
+        eng.run(&mut order);
+        assert!(order.is_empty());
+        assert_eq!(eng.events_fired(), 0);
+    }
+
+    #[test]
+    fn a_series_of_one_is_one_plain_event() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let at = SimTime::from_nanos(100);
+        // `last` short of the second occurrence: one occurrence.
+        eng.schedule_series(
+            at,
+            SimDuration::nanos(10),
+            at + SimDuration::nanos(9),
+            push,
+            1,
+        );
+        eng.schedule_at(at, push, 2);
+        assert_eq!((eng.pending(), eng.seq), (2, 2));
+        assert!(eng.series.is_empty());
+        eng.run(&mut order);
+        assert_eq!(order, vec![1, 2]);
+        assert_eq!(eng.now(), at);
+    }
+
+    #[test]
+    fn a_series_fires_as_its_schedule_at_loop_would() {
+        fn run(lazy: bool) -> (Vec<u32>, Vec<usize>, u64) {
+            let mut order = Vec::new();
+            let mut eng: Engine<Vec<u32>> = Engine::new();
+            eng.schedule_at(SimTime::from_nanos(20), push, 7);
+            let (first, step) = (SimTime::from_nanos(10), SimDuration::nanos(10));
+            let last = SimTime::from_nanos(40);
+            if lazy {
+                eng.schedule_series(first, step, last, push, 1);
+            } else {
+                let mut at = first;
+                while at <= last {
+                    eng.schedule_at(at, push, 1);
+                    at += step;
+                }
+            }
+            // Ties the series' third occurrence, scheduled after it.
+            eng.schedule_at(SimTime::from_nanos(30), push, 8);
+            let mut pending = vec![eng.pending()];
+            while eng.step(&mut order) {
+                pending.push(eng.pending());
+            }
+            (order, pending, eng.seq)
+        }
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).0, vec![1, 7, 1, 1, 8, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive interval")]
+    fn a_series_rejects_a_zero_interval() {
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let at = SimTime::from_nanos(100);
+        eng.schedule_series(at, SimDuration::ZERO, at, push, 1);
+    }
+
+    #[test]
+    fn a_tail_never_continues_past_a_queued_occurrence() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.schedule_at(SimTime::ZERO, tail, 3);
+        // Occurrences at 15 and 25: the tail's links at 10, 20 and 30
+        // each continue only up to the next occurrence, which fires in
+        // between even though it was never on the heap at the start.
+        let step = SimDuration::nanos(10);
+        eng.schedule_series(
+            SimTime::from_nanos(15),
+            step,
+            SimTime::from_nanos(25),
+            push,
+            7,
+        );
+        assert_eq!(eng.pending(), 3);
+        eng.run(&mut order);
+        assert_eq!(order, vec![0, 10, 7, 20, 7, 30]);
+        assert_eq!(eng.events_fired(), 6);
+        assert!(eng.series.iter().all(Option::is_none));
     }
 }

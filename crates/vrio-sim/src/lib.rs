@@ -10,8 +10,10 @@
 //! * [`Engine`] — an event-queue simulator over a user world type, with
 //!   FIFO tie-breaking for reproducibility, scheduled by one 4-ary heap
 //!   on a packed `(at, seq)` key; an event is a plain function and one
-//!   `u64` argument ([`CallFn`]), and a callback whose next event would
-//!   fire next anyway may carry on inline ([`Engine::continue_at`]);
+//!   `u64` argument ([`CallFn`]), a callback whose next event would
+//!   fire next anyway may carry on inline ([`Engine::continue_at`]), and
+//!   a fixed grid of events is queued one occurrence at a time
+//!   ([`Engine::schedule_series`]);
 //! * [`SimRng`] — an explicitly-seeded RNG with the distributions the
 //!   testbed needs (exponential, log-normal, Pareto);
 //! * statistics ([`OnlineStats`], [`Histogram`], [`BusyTracker`]) for

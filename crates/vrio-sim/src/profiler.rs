@@ -14,8 +14,9 @@
 //! it cannot change simulation results (only slow them down slightly).
 //!
 //! The handle follows the tracer/oracle pattern: an
-//! `Rc<RefCell<Option<..>>>` whose clones share one accumulator, and
-//! whose disabled form is an allocation-free no-op.
+//! `Option<Rc<RefCell<..>>>` whose clones share one accumulator, and
+//! whose disabled form is `None`, so a disabled scope is an inlined null
+//! check that allocates nothing and takes no timestamp.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -32,6 +33,15 @@ struct ScopeAcc {
 #[derive(Debug, Default)]
 struct ProfilerInner {
     scopes: BTreeMap<&'static str, ScopeAcc>,
+}
+
+impl ProfilerInner {
+    fn record(&mut self, name: &'static str, elapsed: Duration) {
+        let acc = self.scopes.entry(name).or_default();
+        acc.calls += 1;
+        acc.total += elapsed;
+        acc.max = acc.max.max(elapsed);
+    }
 }
 
 /// Wall-clock statistics for one named scope.
@@ -92,17 +102,14 @@ impl ProfReport {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    inner: Rc<RefCell<Option<ProfilerInner>>>,
+    inner: Option<Rc<RefCell<ProfilerInner>>>,
 }
 
 impl Profiler {
     /// Creates a handle: live when `enabled`, inert otherwise.
     pub fn new(enabled: bool) -> Self {
-        if !enabled {
-            return Profiler::off();
-        }
         Profiler {
-            inner: Rc::new(RefCell::new(Some(ProfilerInner::default()))),
+            inner: enabled.then(Rc::default),
         }
     }
 
@@ -113,37 +120,36 @@ impl Profiler {
 
     /// Whether this handle records anything.
     pub fn enabled(&self) -> bool {
-        self.inner.borrow().is_some()
+        self.inner.is_some()
     }
 
     /// Enters a named scope; the returned guard records the elapsed
     /// wall-clock time into the scope when dropped. On a disabled handle
     /// no timestamp is even taken.
     #[must_use = "the guard records on drop; binding it to _ ends the scope immediately"]
+    #[inline]
     pub fn scope(&self, name: &'static str) -> ProfGuard {
         ProfGuard {
-            active: self.enabled().then(|| (self.clone(), name, Instant::now())),
+            active: self
+                .inner
+                .as_ref()
+                .map(|inner| (inner.clone(), name, Instant::now())),
         }
     }
 
     /// Records one completed timing for a named scope directly.
     pub fn record(&self, name: &'static str, elapsed: Duration) {
-        let mut inner = self.inner.borrow_mut();
-        let Some(inner) = inner.as_mut() else {
-            return;
-        };
-        let acc = inner.scopes.entry(name).or_default();
-        acc.calls += 1;
-        acc.total += elapsed;
-        acc.max = acc.max.max(elapsed);
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().record(name, elapsed);
+        }
     }
 
     /// Exports every scope as plain data (empty when disabled).
     pub fn export(&self) -> ProfReport {
-        let inner = self.inner.borrow();
-        let Some(inner) = inner.as_ref() else {
+        let Some(inner) = &self.inner else {
             return ProfReport::default();
         };
+        let inner = inner.borrow();
         ProfReport {
             scopes: inner
                 .scopes
@@ -162,13 +168,14 @@ impl Profiler {
 /// RAII guard returned by [`Profiler::scope`]; records on drop.
 #[derive(Debug)]
 pub struct ProfGuard {
-    active: Option<(Profiler, &'static str, Instant)>,
+    active: Option<(Rc<RefCell<ProfilerInner>>, &'static str, Instant)>,
 }
 
 impl Drop for ProfGuard {
+    #[inline]
     fn drop(&mut self) {
-        if let Some((prof, name, start)) = self.active.take() {
-            prof.record(name, start.elapsed());
+        if let Some((inner, name, start)) = self.active.take() {
+            inner.borrow_mut().record(name, start.elapsed());
         }
     }
 }

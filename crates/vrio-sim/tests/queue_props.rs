@@ -1,9 +1,10 @@
 //! Model-based tests of the engine's event queue: for arbitrary schedules
 //! — same-time ties, stale deadlines, events scheduled from inside
 //! callbacks, callbacks that carry on inline as their own next event
-//! (`Engine::continue_at`), and `run_until` boundaries — the engine must
-//! fire exactly what a brute-force model fires when it always takes the
-//! pending `(at, seq)` minimum. Plus a regression test that `schedule_now`
+//! (`Engine::continue_at`), lazily queued series (`Engine::schedule_series`)
+//! and `run_until` boundaries — the engine must fire exactly what a
+//! brute-force model fires when it always takes the pending `(at, seq)`
+//! minimum; the model expands each series into one event per occurrence. Plus a regression test that `schedule_now`
 //! bursts never reorder.
 
 use proptest::prelude::*;
@@ -11,18 +12,21 @@ use vrio_sim::{Engine, SimDuration, SimTime};
 
 /// One scheduling instruction of a generated program, an event at an
 /// absolute offset: a root which, when fired, schedules `children` more
-/// events at the given relative delays (0 = same instant), or a chain
-/// which carries on to a next link at each of `delays` in turn.
+/// events at the given relative delays (0 = same instant), a chain
+/// which carries on to a next link at each of `delays` in turn, or a
+/// series firing at `at` and every `interval` after it up to `last`
+/// (none when `last < at`).
 #[derive(Debug, Clone)]
 enum Op {
     Root { at: u64, children: Vec<u64> },
     Chain { at: u64, delays: Vec<u64> },
+    Series { at: u64, interval: u64, last: u64 },
 }
 
 impl Op {
     fn at(&self) -> u64 {
         match self {
-            Op::Root { at, .. } | Op::Chain { at, .. } => *at,
+            Op::Root { at, .. } | Op::Chain { at, .. } | Op::Series { at, .. } => *at,
         }
     }
 }
@@ -199,6 +203,13 @@ fn run_engine(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
                 w.chains.push(delays.clone());
                 eng.schedule_at(SimTime::from_nanos(*at), chain, link_label(label, 0));
             }
+            &Op::Series { at, interval, last } => {
+                w.children.push(Vec::new());
+                w.chains.push(Vec::new());
+                let (first, last) = (SimTime::from_nanos(at), SimTime::from_nanos(last));
+                let interval = SimDuration::nanos(interval);
+                eng.schedule_series(first, interval, last, leaf, link_label(label, 0));
+            }
         }
     }
     let mut boundaries = Vec::new();
@@ -226,6 +237,13 @@ fn run_model(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
                 model.chains.push(delays.clone());
                 model.schedule(*at, Action::Chain { label, link: 0 });
             }
+            &Op::Series { at, interval, last } => {
+                model.chains.push(Vec::new());
+                let label = link_label(label, 0);
+                for at in (at..=last).step_by(interval as usize) {
+                    model.schedule(at, Action::Leaf { label });
+                }
+            }
         }
     }
     let mut boundaries = Vec::new();
@@ -242,6 +260,14 @@ fn run_model(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
 /// a pending event or land just before or after it.
 fn dense() -> impl Strategy<Value = u64> {
     prop_oneof![3 => 0u64..64, 1 => 0u64..8]
+}
+
+/// A series from `at`, every `interval`, up to one ns short of `n`
+/// intervals plus `r` ns on: empty when `n = r = 0` (and `at > 0`), a
+/// single occurrence when `n = 0 < r <= interval`.
+fn series((at, interval, n, r): (u64, u64, u64, u64)) -> Op {
+    let last = (at + n * interval + r).saturating_sub(1);
+    Op::Series { at, interval, last }
 }
 
 /// Deadline strategy mixing horizons: dense near-term ties, mid-range
@@ -322,6 +348,33 @@ proptest! {
                     .prop_map(|(at, delays)| Op::Chain { at, delays }),
             ],
             1..40,
+        ),
+        cuts in proptest::collection::vec(0u64..200, 0..5),
+    ) {
+        let mut deadlines = cuts;
+        deadlines.sort_unstable();
+        prop_assert_eq!(run_engine(&ops, &deadlines), run_model(&ops, &deadlines));
+    }
+
+    /// Lazily queued series among roots that schedule children and chains
+    /// that continue inline: each occurrence fires where the model's
+    /// one-event-per-occurrence expansion fires it, a chain continues only
+    /// up to the next occurrence, and the trace, clock, event count and
+    /// pending count (which counts unqueued occurrences) match the model
+    /// at every `run_until` boundary. Empty series (`last < at`) and
+    /// series of one occurrence come up too.
+    #[test]
+    fn series_match_model(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (dense(), proptest::collection::vec(dense(), 0..3))
+                    .prop_map(|(at, children)| Op::Root { at, children }),
+                (dense(), proptest::collection::vec(dense(), 0..8))
+                    .prop_map(|(at, delays)| Op::Chain { at, delays }),
+                (dense(), 1u64..12, 0u64..16, 0u64..16).prop_map(series),
+                (deadline(), 1u64..5_000, 0u64..16, 0u64..16).prop_map(series),
+            ],
+            1..30,
         ),
         cuts in proptest::collection::vec(0u64..200, 0..5),
     ) {

@@ -13,6 +13,8 @@
 //! driver and device that only share the memory — like a real guest and
 //! host — interoperate through these bytes alone.
 
+use bytes::Bytes;
+
 use crate::mem::{GuestAddr, GuestMemory, MemError};
 
 /// Descriptor flag: buffer continues via the `next` field.
@@ -590,20 +592,99 @@ impl DescChain {
         Ok(())
     }
 
+    /// The readable buffers' pieces from byte `offset` of the readable
+    /// bytes on, empty pieces left out.
+    fn readable_from(&self, offset: u64) -> impl Iterator<Item = (GuestAddr, u64)> + Clone + '_ {
+        self.readable
+            .iter()
+            .scan(offset, |skip, &(addr, len)| {
+                let cut = (*skip).min(u64::from(len));
+                *skip -= cut;
+                Some((addr.offset(cut), u64::from(len) - cut))
+            })
+            .filter(|&(_, len)| len > 0)
+    }
+
+    /// Fills `out` with the readable bytes from byte `offset` on; an error
+    /// if the chain has fewer.
+    pub fn read_readable(
+        &self,
+        mem: &GuestMemory,
+        offset: u64,
+        out: &mut [u8],
+    ) -> Result<(), QueueError> {
+        let mut filled = 0;
+        for (addr, len) in self.readable_from(offset) {
+            if filled == out.len() {
+                break;
+            }
+            let take = (out.len() - filled).min(len as usize);
+            mem.read_into(addr, &mut out[filled..filled + take])?;
+            filled += take;
+        }
+        if filled < out.len() {
+            return Err(QueueError::BadChain(format!(
+                "{} readable bytes wanted at offset {offset}, {filled} there",
+                out.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Copies the readable bytes from byte `offset` on into new [`Bytes`],
+    /// once; with one allocation when they lie in one buffer inside one
+    /// guest page ([`GuestMemory::read_bytes`]).
+    pub fn readable_bytes(&self, mem: &GuestMemory, offset: u64) -> Result<Bytes, QueueError> {
+        let mut pieces = self.readable_from(offset);
+        let Some((addr, len)) = pieces.next() else {
+            return Ok(Bytes::new());
+        };
+        if pieces.clone().next().is_none() {
+            return Ok(mem.read_bytes(addr, len)?);
+        }
+        let mut out = Vec::with_capacity(self.readable_len().saturating_sub(offset) as usize);
+        mem.read_append(addr, len, &mut out)?;
+        for (addr, len) in pieces {
+            mem.read_append(addr, len, &mut out)?;
+        }
+        Ok(Bytes::from(out))
+    }
+
     /// Scatters `data` into the writable buffers, in order. Returns the
     /// number of bytes written (may be less than `data.len()` if the chain
     /// is too small).
     pub fn write_writable(&self, mem: &mut GuestMemory, data: &[u8]) -> Result<u32, QueueError> {
-        let mut off = 0usize;
-        for &(addr, len) in &self.writable {
-            if off >= data.len() {
-                break;
+        self.write_writable_parts(mem, &[data])
+    }
+
+    /// [`DescChain::write_writable`] of the concatenated `parts`, without
+    /// concatenating them first.
+    pub fn write_writable_parts(
+        &self,
+        mem: &mut GuestMemory,
+        parts: &[&[u8]],
+    ) -> Result<u32, QueueError> {
+        let mut bufs = self.writable.iter();
+        let (mut addr, mut room) = (GuestAddr(0), 0usize);
+        let mut written = 0usize;
+        for &part in parts {
+            let mut rest = part;
+            while !rest.is_empty() {
+                if room == 0 {
+                    let Some(&(a, len)) = bufs.next() else {
+                        return Ok(written as u32);
+                    };
+                    (addr, room) = (a, len as usize);
+                    continue;
+                }
+                let take = rest.len().min(room);
+                mem.write(addr, &rest[..take])?;
+                (addr, room) = (addr.offset(take as u64), room - take);
+                rest = &rest[take..];
+                written += take;
             }
-            let take = (data.len() - off).min(len as usize);
-            mem.write(addr, &data[off..off + take])?;
-            off += take;
         }
-        Ok(off as u32)
+        Ok(written as u32)
     }
 }
 
@@ -1211,6 +1292,63 @@ mod tests {
         }
         while drv.poll_used(&mem).unwrap().is_some() {}
         assert_eq!(drv.pinned_descriptors(), 0);
+    }
+
+    #[test]
+    fn writable_parts_scatter_as_their_concatenation() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        let bufs = [
+            (GuestAddr(0x5000), 3),
+            (GuestAddr(0x6000), 0),
+            (GuestAddr(0x7000), 3),
+        ];
+        drv.add_chain(&mut mem, &[(GuestAddr(0x4000), 1)], &bufs)
+            .unwrap();
+        let chain = dev.pop_avail(&mem).unwrap().unwrap();
+        let read = |mem: &GuestMemory| {
+            let (mut first, mut second) = ([0; 3], [0; 3]);
+            mem.read_into(GuestAddr(0x5000), &mut first).unwrap();
+            mem.read_into(GuestAddr(0x7000), &mut second).unwrap();
+            (first, second)
+        };
+        for parts in [
+            &[&b"ab"[..], b"", b"cde", b"fgh"][..],
+            &[b"", b"abcdefgh"],
+            &[b"abcd"],
+            &[],
+        ] {
+            let whole = parts.concat();
+            let mut by_parts = mem.clone();
+            let n = chain.write_writable(&mut mem, &whole).unwrap();
+            assert_eq!(chain.write_writable_parts(&mut by_parts, parts).unwrap(), n);
+            assert_eq!(n as usize, whole.len().min(6));
+            assert_eq!(read(&by_parts), read(&mem), "{parts:?}");
+        }
+    }
+
+    #[test]
+    fn readable_bytes_come_out_from_any_offset() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        mem.write(GuestAddr(0x4000), b"hdr!").unwrap();
+        mem.write(GuestAddr(0x5000), b"data").unwrap();
+        drv.add_chain(
+            &mut mem,
+            &[(GuestAddr(0x4000), 4), (GuestAddr(0x5000), 4)],
+            &[],
+        )
+        .unwrap();
+        let chain = dev.pop_avail(&mem).unwrap().unwrap();
+        let mut hdr = [0; 6];
+        chain.read_readable(&mem, 1, &mut hdr).unwrap();
+        assert_eq!(&hdr, b"dr!dat");
+        assert!(chain.read_readable(&mem, 3, &mut hdr).is_err());
+        assert_eq!(chain.readable_bytes(&mem, 4).unwrap(), b"data"[..]);
+        assert_eq!(chain.readable_bytes(&mem, 2).unwrap(), b"r!data"[..]);
+        assert_eq!(chain.readable_bytes(&mem, 8).unwrap(), b""[..]);
+        assert_eq!(
+            chain.readable_bytes(&mem, 0).unwrap(),
+            chain.copy_readable(&mem).unwrap()
+        );
     }
 
     #[test]

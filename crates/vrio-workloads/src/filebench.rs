@@ -151,6 +151,10 @@ impl FbWorld {
 
 const CHUNK: u32 = 4096;
 
+/// What every write chunk carries; shared, so issuing a write copies and
+/// allocates nothing.
+static WRITE_CHUNK: [u8; CHUNK as usize] = [0xA5; CHUNK as usize];
+
 /// One Filebench thread.
 struct Thread {
     spec: ThreadSpec,
@@ -204,7 +208,7 @@ fn issue_op(w: &mut FbWorld, eng: &mut Engine<FbWorld>, t: u64) {
         let max_sector = (cap / 512).saturating_sub(u64::from(CHUNK) / 512 + 1);
         let sector = (w.load_rng.uniform_u64(max_sector) / 8) * 8; // 4K-aligned
         let req = if spec.writer {
-            BlockRequest::write(id, sector, Bytes::from(vec![0xA5u8; CHUNK as usize]))
+            BlockRequest::write(id, sector, Bytes::from_static(&WRITE_CHUNK))
         } else {
             BlockRequest::read(id, sector, CHUNK)
         };

@@ -186,11 +186,12 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
     }
 }
 
-/// Pre-schedules the fixed telemetry sampling grid: one observe-only mark
-/// per interval through `deadline`. The whole grid is scheduled up front
-/// (rather than self-rescheduling) so the run still terminates when the
-/// workload drains; marks only read state, so runs with the grid are
-/// bit-identical to runs without it.
+/// Schedules the fixed telemetry sampling grid: one observe-only mark
+/// per interval through `deadline`, as one lazily queued series
+/// ([`Engine::schedule_series`]). The grid is fixed up front (rather than
+/// self-rescheduling) so the run still terminates when the workload
+/// drains; marks only read state, so runs with the grid are bit-identical
+/// to runs without it.
 pub(crate) fn schedule_telemetry_grid<W: HasTestbed>(
     tb: &Testbed,
     eng: &mut Engine<W>,
@@ -205,11 +206,7 @@ pub(crate) fn schedule_telemetry_grid<W: HasTestbed>(
         let _g = tb.profiler.scope("telemetry.sample");
         tb.sample_telemetry(now);
     }
-    let mut at = SimTime::ZERO + interval;
-    while at <= deadline {
-        eng.schedule_at(at, sample::<W>, 0);
-        at += interval;
-    }
+    eng.schedule_series(SimTime::ZERO + interval, interval, deadline, sample::<W>, 0);
 }
 
 /// Results of a netperf stream run.

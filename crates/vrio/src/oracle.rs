@@ -486,12 +486,29 @@ impl Oracle {
     /// byte-for-byte (encapsulation → wire → decapsulation, or TSO
     /// segmentation → reassembly).
     pub fn check_bytes(&self, what: &'static str, expected: &[u8], actual: &[u8]) {
+        self.check_parts(what, &[expected], actual);
+    }
+
+    /// [`Oracle::check_bytes`] against `expected` parts back to back,
+    /// without concatenating them (one check).
+    pub fn check_parts(&self, what: &'static str, expected: &[&[u8]], actual: &[u8]) {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
         i.checks += 1;
-        if expected == actual {
+        let mut rest = actual;
+        let same = expected
+            .iter()
+            .all(|part| match rest.split_at_checked(part.len()) {
+                Some((head, tail)) if head == *part => {
+                    rest = tail;
+                    true
+                }
+                _ => false,
+            });
+        if same && rest.is_empty() {
             return;
         }
+        let expected = &expected.concat()[..];
         let msg = if expected.len() != actual.len() {
             format!(
                 "{what}: byte count changed in flight — {} bytes in, {} bytes out",

@@ -8,7 +8,7 @@
 //! device identifier, request type, request size, and — for block traffic —
 //! the unique request id that drives retransmission (§4.5).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Size of an encoded [`VrioHdr`].
 pub const VRIO_HDR_SIZE: usize = 24;
@@ -173,10 +173,27 @@ impl VrioMsg {
 
     /// Serializes header + payload into one buffer.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(VRIO_HDR_SIZE + self.payload.len());
-        b.put_slice(&self.hdr.encode());
-        b.put_slice(&self.payload);
-        b.freeze()
+        encode_with(&self.hdr, &[&self.payload])
+    }
+
+    /// Serializes a message whose payload is `parts` back to back
+    /// straight into one buffer: what [`VrioMsg::new`] plus
+    /// [`VrioMsg::encode`] return for that payload, with no payload
+    /// built in between.
+    pub fn encode_parts(
+        kind: VrioMsgKind,
+        device: DeviceId,
+        request_id: u64,
+        parts: &[&[u8]],
+    ) -> Bytes {
+        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+        let hdr = VrioHdr {
+            kind,
+            device,
+            request_id,
+            len: len as u32,
+        };
+        encode_with(&hdr, parts)
     }
 
     /// Parses a buffer into a message (payload is a zero-copy slice).
@@ -193,9 +210,34 @@ impl VrioMsg {
     }
 }
 
+/// `hdr` and then `parts`, in one buffer.
+fn encode_with(hdr: &VrioHdr, parts: &[&[u8]]) -> Bytes {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    let mut b = Vec::with_capacity(VRIO_HDR_SIZE + len);
+    b.extend_from_slice(&hdr.encode());
+    for part in parts {
+        b.extend_from_slice(part);
+    }
+    Bytes::from(b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn encoding_parts_is_encoding_their_concatenation() {
+        let device = DeviceId {
+            client: 2,
+            device: 1,
+        };
+        let parts: [&[u8]; 3] = [&7u64.to_le_bytes(), b"", &[0xA5; 100]];
+        let whole = Bytes::from(parts.concat());
+        let msg = VrioMsg::new(VrioMsgKind::BlkReq, device, 9, whole);
+        let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, 9, &parts);
+        assert_eq!(encoded, msg.encode());
+        assert_eq!(VrioMsg::decode(encoded), Some(msg));
+    }
 
     #[test]
     fn header_roundtrip_all_kinds() {

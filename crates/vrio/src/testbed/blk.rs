@@ -63,12 +63,11 @@ fn complete<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, status: u
     tb.vms[vm]
         .blk_complete(b.head, status, read)
         .expect("complete");
-    let c = tb.vms[vm]
-        .blk_reap()
-        .expect("reap")
-        .into_iter()
-        .find(|c| c.id == id)
-        .expect("own completion");
+    let reaped = &mut tb.blk_reaped;
+    tb.vms[vm].blk_reap_into(reaped).expect("reap");
+    let own = reaped.iter().position(|c| c.id == id);
+    let c = reaped.swap_remove(own.expect("own completion"));
+    reaped.clear();
     let now = eng.now();
     if status == vrio_virtio::BLK_S_IOERR {
         tb.trace.instant("blk_device_error", req_track(vm), now);
@@ -108,8 +107,9 @@ pub(super) struct BlkExec {
 struct BlkWire {
     wire_id: u64,
     encoded: Bytes,
-    /// The payload the front end encapsulated.
-    sent: Bytes,
+    /// The payload the front end fetched from the ring and encapsulated
+    /// after the request id.
+    fetched: Bytes,
 }
 
 /// Bytes the request moves: the payload of writes, the data returned by
@@ -159,8 +159,9 @@ impl Testbed {
             let msg = VrioMsg::decode(enc.clone()).expect("valid blk message");
             assert_eq!(msg.hdr.kind, VrioMsgKind::BlkReq);
             assert_eq!(msg.hdr.request_id, wire.wire_id);
+            let id = x.req.id.0.to_le_bytes();
             self.oracle
-                .check_bytes("blk encap->decap", &wire.sent, &msg.payload);
+                .check_parts("blk encap->decap", &[&id, &wire.fetched], &msg.payload);
         }
         let (vm, req) = (x.vm, &x.req);
         match req.kind {
@@ -347,27 +348,21 @@ pub(super) fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
     let b = &tb.blks[blk];
     let (vm, t0, span, wire_id, req) = (b.vm, b.t0, b.span, b.wire_id, b.req.clone());
     let req = &req;
-    // Transport: encapsulate (real bytes) and segment if needed.
-    let mut blob = Vec::with_capacity(17 + b.payload.len());
-    blob.extend_from_slice(&req.id.0.to_le_bytes());
-    blob.extend_from_slice(&b.payload);
+    // Transport: encapsulate (real bytes: header, request id and payload
+    // in one buffer) and segment if needed.
+    let fetched = b.payload.clone();
+    let device = DeviceId {
+        client: vm as u32,
+        device: 1,
+    };
+    let id = req.id.0.to_le_bytes();
+    let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, wire_id, &[&id, &fetched]);
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
     let mut s = tb.program(span);
     s.mark(Stage::Encap);
 
-    let msg = VrioMsg::new(
-        VrioMsgKind::BlkReq,
-        DeviceId {
-            client: vm as u32,
-            device: 1,
-        },
-        wire_id,
-        Bytes::from(blob),
-    );
-    let sent = msg.payload.clone();
-    let encoded = msg.encode();
     let frags = vrio_net::fragment_count(encoded.len().max(1), MTU_VRIO_JUMBO) as u64;
     let w_tx = tb.jitter(costs.vrio_encap) + costs.segment_per_frag * frags;
     s.push(Step::ChargeVm(vm, w_tx));
@@ -432,7 +427,7 @@ pub(super) fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
         wire: Some(BlkWire {
             wire_id,
             encoded,
-            sent,
+            fetched,
         }),
     })));
     s.push(Step::ReleaseBackend { vm, backend });

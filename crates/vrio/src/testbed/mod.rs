@@ -28,7 +28,7 @@ use std::cell::OnceCell;
 use bytes::Bytes;
 use vrio_block::{DeviceProfile, Ramdisk};
 use vrio_hv::ReliabilityCounters;
-use vrio_hv::{CostModel, EventCounters, GuestCpu, IoModel, Vm, VmId};
+use vrio_hv::{BlkCompletion, CostModel, EventCounters, GuestCpu, IoModel, Vm, VmId};
 use vrio_net::{FaultConfig, FaultInjector, Reassembler, Segment, SkbPool};
 use vrio_sim::{BusyTracker, Engine, Profiler, SimDuration, SimRng, SimTime};
 use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer, TrackId, TrackKind};
@@ -631,18 +631,20 @@ pub struct Testbed {
     flows: FlowTable,
     /// The block requests in flight.
     blks: Slab<blk::BlkReq>,
+    /// Block completions just reaped; kept for its capacity.
+    blk_reaped: Vec<BlkCompletion>,
     /// Request-lifecycle tracer (inert unless the config enables it).
     pub trace: Tracer,
     /// The simulation oracle (inert unless the config enables it).
     pub oracle: Oracle,
-    /// Each VM's ring epoch at its last oracle audit (`u64::MAX` before
-    /// the first; sized at the first mark), so a mark re-audits only the
-    /// VMs whose rings moved.
-    audited_epoch: Vec<u64>,
-    /// Debug builds: each VM's queue snapshots at its last oracle audit,
+    /// Each VM's queue epochs at their last oracle audit (`u64::MAX`
+    /// before the first; sized at the first mark), so a mark re-audits
+    /// only the queues that moved.
+    audited_epochs: Vec<[u64; Vm::QUEUES]>,
+    /// Debug builds: each VM's queue snapshots at their last oracle audit,
     /// against which every skipped audit is verified.
     #[cfg(debug_assertions)]
-    audited_rings: Vec<[vrio_hv::QueueAudit; 3]>,
+    audited_rings: Vec<[vrio_hv::QueueAudit; Vm::QUEUES]>,
     /// Time-series telemetry sampler (inert unless the config enables it).
     pub telemetry: Telemetry,
     /// The sampler's tracks, interned at the first sample.
@@ -788,9 +790,10 @@ impl Testbed {
             step_pool: Vec::new(),
             flows: FlowTable::default(),
             blks: Slab::default(),
+            blk_reaped: Vec::new(),
             trace,
             oracle,
-            audited_epoch: Vec::new(),
+            audited_epochs: Vec::new(),
             #[cfg(debug_assertions)]
             audited_rings,
             telemetry,
@@ -809,36 +812,38 @@ impl Testbed {
     /// lifecycle mark, so ring laws are checked continuously while flows
     /// are mid-flight, not just at quiescence.
     ///
-    /// Every ring state present at a mark is audited once: a VM whose
-    /// [`Vm::ring_epoch`] has not moved since its last audit still has
-    /// the rings that audit checked, so it is skipped. Debug builds verify
-    /// each skip against the snapshot the last audit took.
+    /// Every queue state present at a mark is audited once: a queue
+    /// whose epoch ([`Vm::ring_epochs`]) has not moved since its last
+    /// audit is still the queue that audit checked, so it is skipped.
+    /// Debug builds verify each skip against the snapshot the last audit
+    /// took.
     pub fn audit_rings(&mut self) {
         if !self.oracle.enabled() {
             return;
         }
-        self.audited_epoch.resize(self.vms.len(), u64::MAX);
+        self.audited_epochs
+            .resize(self.vms.len(), [u64::MAX; Vm::QUEUES]);
         for (v, vm) in self.vms.iter().enumerate() {
-            let epoch = vm.ring_epoch();
-            if self.audited_epoch[v] == epoch {
+            let epochs = vm.ring_epochs();
+            for (q, &epoch) in epochs.iter().enumerate() {
+                if self.audited_epochs[v][q] == epoch {
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        vm.queue_audit(q),
+                        self.audited_rings[v][q],
+                        "{}: a queue changed without an epoch bump",
+                        vm.id
+                    );
+                    continue;
+                }
+                let audit = vm.queue_audit(q);
+                self.oracle.audit_queue(vm.id.0, &audit);
                 #[cfg(debug_assertions)]
-                assert_eq!(
-                    vm.ring_audit(),
-                    self.audited_rings[v],
-                    "{}: rings changed without a ring epoch bump",
-                    vm.id
-                );
-                continue;
+                {
+                    self.audited_rings[v][q] = audit;
+                }
             }
-            self.audited_epoch[v] = epoch;
-            let queues = vm.ring_audit();
-            for q in &queues {
-                self.oracle.audit_queue(vm.id.0, q);
-            }
-            #[cfg(debug_assertions)]
-            {
-                self.audited_rings[v] = queues;
-            }
+            self.audited_epochs[v] = epochs;
         }
     }
 

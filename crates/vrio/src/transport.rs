@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vrio_block::RequestId;
 use vrio_sim::{SimDuration, SimTime};
@@ -153,6 +154,31 @@ pub struct RetxStats {
     pub rto_ns: u64,
 }
 
+/// Hashes a key that hashes as one integer (a wire id, a [`RequestId`])
+/// with one multiply instead of SipHash. The maps keyed with it are never
+/// iterated, so their order cannot leak into any output.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by integers, hashed with [`IntHasher`].
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     guest_req: RequestId,
@@ -234,8 +260,8 @@ pub enum ResponseAction {
 pub struct BlockRetx {
     config: RetxConfig,
     next_wire_id: u64,
-    outstanding: HashMap<u64, Outstanding>,
-    current_wire: HashMap<RequestId, u64>,
+    outstanding: IntMap<u64, Outstanding>,
+    current_wire: IntMap<RequestId, u64>,
     /// Smoothed RTT in nanoseconds; `None` until the first sample.
     srtt_ns: Option<u64>,
     /// RTT variance in nanoseconds.

@@ -115,11 +115,15 @@ cargo run --release -q -p vrio-bench --bin repro -- \
     --quick --tab3 --telemetry --profile --trace "$DET/telem" --json "$DET/telem" > /dev/null
 diff "$DET/run1/BENCH_tab3.json" "$DET/telem/BENCH_tab3.json" \
     || { echo "FAIL: --telemetry/--profile changed BENCH_tab3.json (must be observe-only)"; exit 1; }
+# Every run samples on the same fixed grid: 330 points over the quick
+# horizon. A sampling series that dropped or repeated an occurrence
+# would change the count.
 cargo run --release -q -p vrio-bench --bin checkjson -- \
     "$DET/telem/TELEM_tab3.json" --telem \
     --require-track steer.iohost0.worker0.depth \
     --require-track retx.outstanding \
-    --require-track slo.vm0.completed
+    --require-track slo.vm0.completed \
+    --require-points retx.outstanding 330
 cargo run --release -q -p vrio-bench --bin checkjson -- \
     "$DET/telem/PROF_tab3.json" --prof
 cargo run --release -q -p vrio-bench --bin checkjson -- \
