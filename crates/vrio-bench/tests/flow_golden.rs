@@ -376,6 +376,59 @@ fn all_cases() -> Vec<(String, u64)> {
     }
 
     {
+        // Three closed block loops per VM keep several requests, and so
+        // several retransmission timers, in flight on each VM. The long
+        // initial timeout and the low RTO floor let the adaptive RTO fall
+        // well below the first attempts' timers, so later-armed timers
+        // come due first, and the delay spikes make some of them fire
+        // spuriously.
+        let name = "blk_vrio_4vm_adaptive_rto".to_string();
+        let mut c = base(IoModel::Vrio, 4);
+        c.faults = FaultConfig {
+            ge: Some(GeConfig {
+                p_good_to_bad: 0.03,
+                p_bad_to_good: 0.25,
+                loss_good: 0.005,
+                loss_bad: 0.5,
+            }),
+            delay_spike_prob: 0.05,
+            delay_spike: SimDuration::micros(150),
+            duplicate_prob: 0.05,
+        };
+        c.retx = RetxConfig {
+            initial_timeout: SimDuration::millis(2),
+            max_attempts: 6,
+            min_rto: SimDuration::micros(40),
+            ..RetxConfig::default()
+        };
+        let d = run_case(
+            &name,
+            c,
+            ms(20),
+            no_setup,
+            |w, eng| {
+                for _ in 0..3 {
+                    start_blk_loops(w, eng, 0..4);
+                }
+            },
+            |tb| {
+                let rel = tb.reliability_report();
+                assert!(rel.retransmissions > 0 && rel.stale_responses > 0);
+                assert!(rel.injected_losses > 0 && rel.injected_delay_spikes > 0);
+                for (vm, retx) in tb.retx.iter().enumerate() {
+                    let s = &retx.stats;
+                    assert!(s.retransmissions > 0, "vm{vm} never retransmitted");
+                    assert!(
+                        s.rto_ns < SimDuration::millis(2).as_nanos(),
+                        "vm{vm}'s RTO never adapted: {s:?}"
+                    );
+                }
+            },
+        );
+        out.push((name, d));
+    }
+
+    {
         let name = "admission_shed_net_and_blk".to_string();
         let mut c = base(IoModel::Vrio, 6).with_vmhosts(1).with_backend_cores(1);
         c.admission = AdmissionConfig {
