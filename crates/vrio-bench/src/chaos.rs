@@ -493,14 +493,7 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
         },
     };
     let mut eng: Engine<ChaosWorld> = Engine::new();
-    {
-        let t = w.tb.trace.clone();
-        let o = w.tb.oracle.clone();
-        eng.set_probe(move |now| {
-            t.on_engine_event();
-            o.on_engine_event(now);
-        });
-    }
+    w.tb.install_probe(&mut eng);
 
     // Steady-state load: one RR loop per VM, one block loop on VM 0.
     for vm in 0..c.vms {

@@ -24,13 +24,18 @@
 //! deadline, the engine advances the clock and its counters exactly as
 //! popping that event would, and the event never enters the heap.
 //!
-//! A fixed grid of events (a sampling interval, a supervisor's ticks) is
-//! one lazily queued series ([`Engine::schedule_series`]): it takes the
-//! scheduling numbers a loop of [`Engine::schedule_at`] calls would take,
-//! but only its next occurrence sits on the heap, and each occurrence
-//! queues the following one under its reserved number as it fires. The
-//! keys are those of the loop, so events fire in the same order, and the
-//! heap stays as small as the live events, not the whole grid.
+//! An event may be numbered now and queued later: [`Engine::reserve_at`]
+//! takes the key [`Engine::schedule_at`] would give it, and
+//! [`Engine::schedule_reserved`] queues the event under that key. Queued
+//! before anything with a larger key pops, the event fires exactly where
+//! `schedule_at` would have fired it, so a caller may keep events that
+//! cannot fire next off the heap. A fixed grid of events (a sampling
+//! interval, a supervisor's ticks) is one lazily queued series
+//! ([`Engine::schedule_series`]): it reserves the scheduling numbers a
+//! loop of `schedule_at` calls would take, but only its next occurrence
+//! sits on the heap, and each occurrence queues the following one under
+//! its reserved key as it fires. The heap stays as small as the live
+//! events, not the whole grid.
 //!
 //! The observe-only probe ([`Engine::set_probe`]) is a
 //! `Box<dyn FnMut(SimTime)>`: it is invoked *after* an event is popped
@@ -78,15 +83,32 @@ fn key(at: u64, seq: u64) -> u128 {
 /// Children per heap node.
 const ARITY: usize = 4;
 
+/// The key of an event numbered but not yet queued
+/// ([`Engine::reserve_at`]). Keys order as the events fire: by deadline,
+/// then by scheduling order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Reserved(u128);
+
+impl Reserved {
+    /// The deadline the event was reserved for.
+    pub fn at(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
+    }
+
+    /// The scheduling number the event was reserved with.
+    fn seq(self) -> u64 {
+        self.0 as u64
+    }
+}
+
 /// The not yet queued rest of a series ([`Engine::schedule_series`]).
 struct Series<W> {
     f: CallFn<W>,
     arg: u64,
     /// Nanoseconds between occurrences.
     interval: u64,
-    /// The deadline and reserved `seq` of the first occurrence not queued.
-    next_at: u64,
-    next_seq: u64,
+    /// The key of the first occurrence not queued.
+    next: Reserved,
     /// Occurrences not yet queued, at least one.
     left: u64,
 }
@@ -203,7 +225,8 @@ impl<W> Engine<W> {
     }
 
     /// Number of events currently pending, counting every occurrence of
-    /// a series that has not fired yet.
+    /// a series that has not fired yet. An event reserved
+    /// ([`Engine::reserve_at`]) counts from when it is queued.
     pub fn pending(&self) -> usize {
         self.heap.len() + self.unqueued
     }
@@ -219,7 +242,59 @@ impl<W> Engine<W> {
             "scheduled event in the past: {at} < {}",
             self.now
         );
-        self.push(at, f, arg);
+        let r = self.reserve(at);
+        self.queue(r, f, arg);
+    }
+
+    /// Takes the key [`Engine::schedule_at`]`(at, ..)` would give an event
+    /// now, and queues nothing: the event goes on the heap later, through
+    /// [`Engine::schedule_reserved`]. Until then it is not
+    /// [`Engine::pending`] and nothing fires for it; a key never queued
+    /// is simply dropped.
+    ///
+    /// The event fires exactly where `schedule_at` would have fired it
+    /// if it is queued before any event with a larger key pops and before
+    /// a callback continues past it ([`Engine::continue_at`]); the caller
+    /// keeps that promise, typically by queueing an event with a smaller
+    /// key that queues this one in turn.
+    pub fn reserve_at(&mut self, at: SimTime) -> Reserved {
+        debug_assert!(
+            at >= self.now,
+            "reserved an event in the past: {at} < {}",
+            self.now
+        );
+        self.reserve(at)
+    }
+
+    /// Queues `f(world, engine, arg)` under a key taken earlier by
+    /// [`Engine::reserve_at`] (or by a series), so that it fires where
+    /// that key puts it. A deadline already past is clamped to now, behind
+    /// the events due now.
+    pub fn schedule_reserved(&mut self, r: Reserved, f: CallFn<W>, arg: u64) {
+        debug_assert!(
+            r.at() >= self.now,
+            "queued a reserved event in the past: {} < {}",
+            r.at(),
+            self.now
+        );
+        self.queue(r, f, arg);
+    }
+
+    /// Queues an event under key `r`, its deadline clamped to now.
+    fn queue(&mut self, r: Reserved, f: CallFn<W>, arg: u64) {
+        let at = r.at().max(self.now).as_nanos();
+        self.enqueue(Entry {
+            key: key(at, r.seq()),
+            f,
+            arg,
+        });
+    }
+
+    /// Takes the next scheduling number for an event due at `at`.
+    fn reserve(&mut self, at: SimTime) -> Reserved {
+        let r = Reserved(key(at.as_nanos(), self.seq));
+        self.seq += 1;
+        r
     }
 
     /// Schedules `f(world, engine, arg)` to fire `delay` after the current
@@ -240,9 +315,9 @@ impl<W> Engine<W> {
     /// occurrences take consecutive scheduling numbers now, so they fire
     /// in the same order among the other events, and [`Engine::pending`]
     /// counts them all. Only the next occurrence is queued, though; as it
-    /// fires, it queues the following one under that one's reserved
-    /// number, then runs `f`. An empty series (`first > last`) schedules
-    /// nothing.
+    /// fires, it queues the following one under that one's reserved key
+    /// ([`Engine::schedule_reserved`]), then runs `f`. An empty series
+    /// (`first > last`) schedules nothing.
     ///
     /// # Panics
     ///
@@ -266,22 +341,16 @@ impl<W> Engine<W> {
         }
         let interval = interval.as_nanos();
         let left = (last - first).as_nanos() / interval;
-        let seq = self.seq;
-        self.seq += left + 1;
-        let at = first.max(self.now).as_nanos();
+        let head = self.reserve(first);
+        self.seq += left;
         if left == 0 {
-            return self.enqueue(Entry {
-                key: key(at, seq),
-                f,
-                arg,
-            });
+            return self.schedule_reserved(head, f, arg);
         }
         let rest = Series {
             f,
             arg,
             interval,
-            next_at: first.as_nanos() + interval,
-            next_seq: seq + 1,
+            next: Reserved(key(first.as_nanos() + interval, head.seq() + 1)),
             left,
         };
         let slot = match self.series.iter().position(Option::is_none) {
@@ -295,37 +364,26 @@ impl<W> Engine<W> {
             }
         };
         self.unqueued += left as usize;
-        self.enqueue(Entry {
-            key: key(at, seq),
-            f: Self::fire_series,
-            arg: slot as u64,
-        });
+        self.schedule_reserved(head, Self::fire_series, slot as u64);
     }
 
     /// The queued occurrence of the series in `slot` fires: queues the
-    /// next occurrence under its reserved number (the last one as the
-    /// plain event, freeing the slot), then runs the series' event.
+    /// next occurrence under its reserved key (the last one as the plain
+    /// event, freeing the slot), then runs the series' event.
     fn fire_series(world: &mut W, eng: &mut Engine<W>, slot: u64) {
         let s = eng.series[slot as usize]
             .as_mut()
             .expect("a queued occurrence names a live series");
-        let (f, arg) = (s.f, s.arg);
-        let key = key(s.next_at.max(eng.now.as_nanos()), s.next_seq);
+        let (f, arg, next) = (s.f, s.arg, s.next);
         s.left -= 1;
-        let next = if s.left == 0 {
-            eng.series[slot as usize] = None;
-            Entry { key, f, arg }
-        } else {
-            s.next_at += s.interval;
-            s.next_seq += 1;
-            Entry {
-                key,
-                f: Self::fire_series,
-                arg: slot,
-            }
-        };
         eng.unqueued -= 1;
-        eng.enqueue(next);
+        if s.left == 0 {
+            eng.series[slot as usize] = None;
+            eng.schedule_reserved(next, f, arg);
+        } else {
+            s.next = Reserved(key(next.at().as_nanos() + s.interval, next.seq() + 1));
+            eng.schedule_reserved(next, Self::fire_series, slot);
+        }
         f(world, eng, arg);
     }
 
@@ -365,18 +423,6 @@ impl<W> Engine<W> {
             probe(at);
         }
         true
-    }
-
-    /// Queues an event at `at`, clamped to now: a clamped event still gets
-    /// the next `seq`, so it fires after everything already due now.
-    fn push(&mut self, at: SimTime, f: CallFn<W>, arg: u64) {
-        let entry = Entry {
-            key: key(at.max(self.now).as_nanos(), self.seq),
-            f,
-            arg,
-        };
-        self.seq += 1;
-        self.enqueue(entry);
     }
 
     /// Adds `entry`, its key already set, to the heap.
@@ -710,7 +756,8 @@ mod tests {
         eng.step(&mut order);
         eng.schedule_at(SimTime::from_nanos(1000), push, 2);
         // The release-build path of a past schedule (debug builds assert).
-        eng.push(SimTime::from_nanos(5), push, 3);
+        let past = eng.reserve(SimTime::from_nanos(5));
+        eng.queue(past, push, 3);
         eng.schedule_at(SimTime::from_nanos(1000), push, 4);
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3, 4]);
@@ -792,6 +839,72 @@ mod tests {
         eng.run(&mut order);
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(eng.events_fired(), 3);
+    }
+
+    /// A world holding an event reserved for later.
+    #[derive(Default)]
+    struct Held {
+        order: Vec<u32>,
+        held: Option<Reserved>,
+    }
+
+    fn record(w: &mut Held, _: &mut Engine<Held>, v: u64) {
+        w.order.push(v as u32);
+    }
+
+    /// Records 0, then queues the held event.
+    fn release_held(w: &mut Held, eng: &mut Engine<Held>, _: u64) {
+        w.order.push(0);
+        if let Some(r) = w.held.take() {
+            eng.schedule_reserved(r, record, 1);
+        }
+    }
+
+    #[test]
+    fn a_reserved_event_fires_where_schedule_at_would_have_put_it() {
+        type Fired = (Vec<u32>, u64, SimTime, u64);
+        fn run(reserve: bool) -> (Fired, usize) {
+            let mut w = Held::default();
+            let mut eng: Engine<Held> = Engine::new();
+            let at = SimTime::from_nanos(20);
+            eng.schedule_at(SimTime::from_nanos(10), release_held, 0);
+            // Ties event 1's deadline, scheduled before it.
+            eng.schedule_at(at, record, 4);
+            if reserve {
+                let r = eng.reserve_at(at);
+                assert_eq!(r.at(), at);
+                w.held = Some(r);
+            } else {
+                eng.schedule_at(at, record, 1);
+            }
+            // Ties it too, scheduled after it.
+            eng.schedule_at(at, record, 2);
+            eng.schedule_at(SimTime::from_nanos(15), record, 3);
+            let pending = eng.pending();
+            eng.run(&mut w);
+            let fired = (w.order, eng.events_fired(), eng.now(), eng.seq);
+            (fired, pending)
+        }
+        let ((plain, plain_pending), (reserved, reserved_pending)) = (run(false), run(true));
+        assert_eq!(plain.0, vec![0, 3, 4, 1, 2]);
+        assert_eq!(plain, reserved);
+        // A reserved event is pending only once it is queued.
+        assert_eq!((plain_pending, reserved_pending), (5, 4));
+    }
+
+    #[test]
+    fn a_reserved_event_never_queued_fires_nothing_but_keeps_its_number() {
+        let mut order = Vec::new();
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        let dropped = eng.reserve_at(SimTime::from_nanos(5));
+        eng.schedule_at(SimTime::from_nanos(5), push, 1);
+        assert_eq!((eng.pending(), eng.seq), (1, 2));
+        eng.run(&mut order);
+        assert_eq!(order, vec![1]);
+        assert_eq!(eng.events_fired(), 1);
+        // Its key still orders before the event scheduled after it.
+        let later = Reserved(key(5, 1));
+        assert!(dropped < later);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod rng;
 mod stats;
 mod time;
 
-pub use engine::{CallFn, Engine};
+pub use engine::{CallFn, Engine, Reserved};
 pub use profiler::{ProfGuard, ProfReport, Profiler, ScopeStats};
 pub use rng::{scenario_seed, SimRng};
 pub use stats::{BusyTracker, Histogram, OnlineStats};

@@ -1,32 +1,39 @@
 //! Model-based tests of the engine's event queue: for arbitrary schedules
 //! — same-time ties, stale deadlines, events scheduled from inside
 //! callbacks, callbacks that carry on inline as their own next event
-//! (`Engine::continue_at`), lazily queued series (`Engine::schedule_series`)
-//! and `run_until` boundaries — the engine must fire exactly what a
+//! (`Engine::continue_at`), lazily queued series (`Engine::schedule_series`),
+//! events reserved now and queued later (`Engine::reserve_at`) and
+//! `run_until` boundaries — the engine must fire exactly what a
 //! brute-force model fires when it always takes the pending `(at, seq)`
-//! minimum; the model expands each series into one event per occurrence. Plus a regression test that `schedule_now`
-//! bursts never reorder.
+//! minimum; the model expands each series into one event per occurrence
+//! and schedules each reserved event when it is reserved. Plus a
+//! regression test that `schedule_now` bursts never reorder.
 
 use proptest::prelude::*;
-use vrio_sim::{Engine, SimDuration, SimTime};
+use vrio_sim::{Engine, Reserved, SimDuration, SimTime};
 
 /// One scheduling instruction of a generated program, an event at an
 /// absolute offset: a root which, when fired, schedules `children` more
 /// events at the given relative delays (0 = same instant), a chain
 /// which carries on to a next link at each of `delays` in turn, or a
 /// series firing at `at` and every `interval` after it up to `last`
-/// (none when `last < at`).
+/// (none when `last < at`), or an event reserved at `at + after` and
+/// queued by a gate event at `at`, scheduled just before the reservation.
 #[derive(Debug, Clone)]
 enum Op {
     Root { at: u64, children: Vec<u64> },
     Chain { at: u64, delays: Vec<u64> },
     Series { at: u64, interval: u64, last: u64 },
+    Reserved { at: u64, after: u64 },
 }
 
 impl Op {
     fn at(&self) -> u64 {
         match self {
-            Op::Root { at, .. } | Op::Chain { at, .. } | Op::Series { at, .. } => *at,
+            Op::Root { at, .. }
+            | Op::Chain { at, .. }
+            | Op::Series { at, .. }
+            | Op::Reserved { at, .. } => *at,
         }
     }
 }
@@ -49,6 +56,9 @@ enum Action {
     /// Record link `link` of chain `label`, then schedule the next link
     /// at the chain's next delay.
     Chain { label: u64, link: usize },
+    /// Record `label`: the gate that queues a reserved event, which the
+    /// model has pending since its reservation.
+    Gate { label: u64 },
 }
 
 /// The brute-force reference queue: pending events in a plain list, each
@@ -62,6 +72,9 @@ struct Model {
     trace: Trace,
     /// Each chain's delays between links, by chain label.
     chains: Vec<Vec<u64>>,
+    /// Reserved events whose gate has not fired: pending here, but not
+    /// yet queued on the engine.
+    held: usize,
 }
 
 impl Model {
@@ -93,6 +106,10 @@ impl Model {
                 }
             }
             Action::Leaf { label } => self.trace.push((label, at)),
+            Action::Gate { label } => {
+                self.trace.push((label, at));
+                self.held -= 1;
+            }
             Action::Chain { label, link } => {
                 self.trace.push((link_label(label, link), at));
                 if let Some(&d) = self.chains[label as usize].get(link) {
@@ -121,12 +138,13 @@ fn link_label(chain: u64, link: usize) -> u64 {
 }
 
 /// The engine's world: the trace, plus each root's child delays, which
-/// a root event (its argument is its label) looks up when it fires, and
-/// each chain's link delays.
+/// a root event (its argument is its label) looks up when it fires, each
+/// chain's link delays, and the reserved event each gate queues.
 #[derive(Default)]
 struct World {
     children: Vec<Vec<u64>>,
     chains: Vec<Vec<u64>>,
+    held: Vec<Option<Reserved>>,
     trace: Trace,
 }
 
@@ -162,6 +180,15 @@ fn chain(w: &mut World, e: &mut Engine<World>, mut arg: u64) {
     }
 }
 
+/// Records gate `arg`, then queues the event its op reserved.
+fn gate(w: &mut World, e: &mut Engine<World>, arg: u64) {
+    leaf(w, e, arg);
+    let r = w.held[(arg >> 16) as usize]
+        .take()
+        .expect("one gate per reservation");
+    e.schedule_reserved(r, leaf, arg + 1);
+}
+
 /// Schedules root `label` on the engine: it records itself and schedules
 /// `children` at the given delays, each recording itself. Labels are
 /// scheduled in order from 0, so `label` indexes `w.children`.
@@ -190,13 +217,24 @@ type Boundary = (usize, u64, u64, usize);
 /// its state at each deadline.
 fn run_engine(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
     let mut eng = Engine::new();
-    let mut w = World::default();
+    let mut w = World {
+        held: vec![None; ops.len()],
+        ..World::default()
+    };
     for (label, op) in ops.iter().enumerate() {
         let label = label as u64;
         match op {
             Op::Root { at, children } => {
                 w.chains.push(Vec::new());
                 schedule_root(&mut w, &mut eng, *at, label, children.clone());
+            }
+            &Op::Reserved { at, after } => {
+                w.children.push(Vec::new());
+                w.chains.push(Vec::new());
+                eng.schedule_at(SimTime::from_nanos(at), gate, link_label(label, 0));
+                let r = eng.reserve_at(SimTime::from_nanos(at + after));
+                assert_eq!(r.at(), SimTime::from_nanos(at + after));
+                w.held[label as usize] = Some(r);
             }
             Op::Chain { at, delays } => {
                 w.children.push(Vec::new());
@@ -233,6 +271,13 @@ fn run_model(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
                 let children = children.clone();
                 model.schedule(*at, Action::Root { label, children });
             }
+            &Op::Reserved { at, after } => {
+                model.chains.push(Vec::new());
+                let label = link_label(label, 0);
+                model.schedule(at, Action::Gate { label });
+                model.schedule(at + after, Action::Leaf { label: label + 1 });
+                model.held += 1;
+            }
             Op::Chain { at, delays } => {
                 model.chains.push(delays.clone());
                 model.schedule(*at, Action::Chain { label, link: 0 });
@@ -250,7 +295,8 @@ fn run_model(ops: &[Op], deadlines: &[u64]) -> (Trace, Vec<Boundary>) {
     for &d in deadlines {
         model.run_until(d);
         let (now, fired) = (model.now, model.fired);
-        boundaries.push((model.trace.len(), now, fired, model.pending.len()));
+        let pending = model.pending.len() - model.held;
+        boundaries.push((model.trace.len(), now, fired, pending));
     }
     model.run();
     (model.trace, boundaries)
@@ -373,6 +419,34 @@ proptest! {
                     .prop_map(|(at, delays)| Op::Chain { at, delays }),
                 (dense(), 1u64..12, 0u64..16, 0u64..16).prop_map(series),
                 (deadline(), 1u64..5_000, 0u64..16, 0u64..16).prop_map(series),
+            ],
+            1..30,
+        ),
+        cuts in proptest::collection::vec(0u64..200, 0..5),
+    ) {
+        let mut deadlines = cuts;
+        deadlines.sort_unstable();
+        prop_assert_eq!(run_engine(&ops, &deadlines), run_model(&ops, &deadlines));
+    }
+
+    /// Events reserved now and queued later, by a gate event at or before
+    /// their deadline, among roots, continuing chains and series: each
+    /// fires where the model, which schedules it when it is reserved,
+    /// fires it, ties included; no chain continues past one still held;
+    /// and the trace, clock, event count and pending count (which counts
+    /// a reserved event once it is queued) match the model at every
+    /// `run_until` boundary.
+    #[test]
+    fn reserved_events_match_model(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                1 => (dense(), proptest::collection::vec(dense(), 0..3))
+                    .prop_map(|(at, children)| Op::Root { at, children }),
+                1 => (dense(), proptest::collection::vec(dense(), 0..8))
+                    .prop_map(|(at, delays)| Op::Chain { at, delays }),
+                1 => (dense(), 1u64..12, 0u64..16, 0u64..16).prop_map(series),
+                2 => (dense(), dense()).prop_map(|(at, after)| Op::Reserved { at, after }),
+                1 => (deadline(), deadline()).prop_map(|(at, after)| Op::Reserved { at, after }),
             ],
             1..30,
         ),

@@ -65,7 +65,7 @@ pub use json::{Json, JsonError};
 pub use metrics::MetricsRegistry;
 pub use slo::{DropCause, SloLedger, TenantSlo};
 pub use timeseries::{
-    Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackId, TrackKind,
+    Sample, Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackId, TrackKind,
     TELEM_SCHEMA_VERSION,
 };
 pub use tracer::{

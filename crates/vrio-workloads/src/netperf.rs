@@ -132,22 +132,7 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
     };
     let mut eng: Engine<RrWorld> = Engine::new();
     eng.set_profiler(world.tb.profiler.clone());
-    // Observe-only probe: count engine event firings on the tracer. The
-    // probe neither schedules nor draws randomness, so enabling it keeps
-    // the run bit-identical.
-    if world.tb.trace.enabled() || world.tb.oracle.enabled() {
-        let t = world.tb.trace.clone();
-        let o = world.tb.oracle.clone();
-        let p = world.tb.profiler.clone();
-        eng.set_probe(move |now| {
-            {
-                let _g = p.scope("probe.tracer");
-                t.on_engine_event();
-            }
-            let _g = p.scope("probe.oracle");
-            o.on_engine_event(now);
-        });
-    }
+    world.tb.install_probe(&mut eng);
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
     for vm in 0..num_vms {
@@ -310,14 +295,7 @@ pub fn netperf_stream_sized(
     };
     let mut eng: Engine<StreamWorld> = Engine::new();
     eng.set_profiler(world.tb.profiler.clone());
-    if world.tb.oracle.enabled() {
-        let o = world.tb.oracle.clone();
-        let p = world.tb.profiler.clone();
-        eng.set_probe(move |now| {
-            let _g = p.scope("probe.oracle");
-            o.on_engine_event(now);
-        });
-    }
+    world.tb.install_probe(&mut eng);
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
     for vm in 0..num_vms {

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use vrio_block::{BlockKind, BlockRequest};
 use vrio_hv::IoModel;
 use vrio_net::{reassemble_train, segment_message_into, MTU_VRIO_JUMBO};
-use vrio_sim::{Engine, SimTime};
+use vrio_sim::{Engine, Reserved, SimDuration, SimTime};
 use vrio_trace::{SpanId, Stage};
 
 use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
@@ -36,7 +36,8 @@ pub(super) struct BlkReq {
     /// The events to come that name the request: its completion and, on
     /// vRIO, the end of its timer chain. The last of them frees the slot.
     /// On vRIO either can come last: the accepted attempt may still be
-    /// charging the guest's CPU when the timer fires and finds it stale.
+    /// charging the guest's CPU when a queued timer fires and finds it
+    /// stale.
     holders: u8,
 }
 
@@ -48,6 +49,64 @@ fn release(tb: &mut Testbed, blk: usize) {
     if b.holders == 0 {
         tb.blks.remove(blk);
     }
+}
+
+/// An armed retransmission timer: the engine key reserved for it where
+/// the timer was armed, the block request it names, and whether its
+/// event is on the engine's heap.
+///
+/// A VM keeps its timers in one short list, one per block request in
+/// flight, and queues a timer only when it can fire next among them:
+/// every timer not queued has a queued timer of the same VM with a
+/// smaller key. That queued timer fires first, so the engine's earliest
+/// event, and with it the firing order and every continuation
+/// ([`Engine::continue_at`]), is the one it would be with every timer
+/// queued; when it fires, it queues the next ([`retx_timeout`]).
+#[derive(Clone, Copy)]
+pub(super) struct RetxTimer {
+    key: Reserved,
+    blk: usize,
+    queued: bool,
+}
+
+/// Whether every unqueued timer of `timers` has a queued one before it.
+fn timers_ordered(timers: &[RetxTimer]) -> bool {
+    let first_queued = timers.iter().filter(|t| t.queued).map(|t| t.key).min();
+    timers
+        .iter()
+        .all(|t| t.queued || first_queued.is_some_and(|q| q < t.key))
+}
+
+/// Arms block request `blk`'s retransmission timer to fire `timeout`
+/// from now, under the key scheduling it now would take; it is queued
+/// only if no queued timer of its VM comes before it.
+fn arm<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, timeout: SimDuration) {
+    let key = eng.reserve_at(eng.now() + timeout);
+    let tb = w.tb();
+    let timers = &mut tb.retx_timers[tb.blks[blk].vm];
+    let queued = !timers.iter().any(|t| t.queued && t.key < key);
+    if queued {
+        eng.schedule_reserved(key, retx_timeout::<W>, blk as u64);
+    }
+    timers.push(RetxTimer { key, blk, queued });
+    debug_assert!(timers_ordered(timers));
+}
+
+/// Queues the earliest unqueued timer of `timers` if no queued timer
+/// comes before it any more.
+fn queue_next<W: HasTestbed>(timers: &mut [RetxTimer], eng: &mut Engine<W>) {
+    let first_queued = timers.iter().filter(|t| t.queued).map(|t| t.key).min();
+    let next = timers
+        .iter_mut()
+        .filter(|t| !t.queued)
+        .min_by_key(|t| t.key);
+    if let Some(t) = next {
+        if first_queued.is_none_or(|q| t.key < q) {
+            t.queued = true;
+            eng.schedule_reserved(t.key, retx_timeout::<W>, t.blk as u64);
+        }
+    }
+    debug_assert!(timers_ordered(timers));
 }
 
 /// Completes block request `blk` on the guest's block ring with `status`
@@ -90,7 +149,27 @@ fn complete<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, status: u
 /// with the data the attempt read.
 pub(super) fn respond<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, read: &[u8]) {
     complete(w, eng, blk, vrio_virtio::BLK_S_OK, read);
-    release(w.tb(), blk);
+    let tb = w.tb();
+    // A timer never queued goes now: the request is accepted, so it could
+    // only have found it stale.
+    let timers = &mut tb.retx_timers[tb.blks[blk].vm];
+    if let Some(k) = timers.iter().position(|t| t.blk == blk && !t.queued) {
+        timers.swap_remove(k);
+        release(tb, blk);
+    }
+    release(tb, blk);
+}
+
+/// Sends a vRIO attempt of block request `blk`, its first or a
+/// retransmission, and arms its retransmission timer `timeout` from now.
+pub(super) fn vrio_send<W: HasTestbed>(
+    w: &mut W,
+    eng: &mut Engine<W>,
+    blk: usize,
+    timeout: SimDuration,
+) {
+    vrio_attempt(w, eng, blk);
+    arm(w, eng, blk, timeout);
 }
 
 /// What a back end executes for one block attempt. Each attempt has its
@@ -99,6 +178,9 @@ pub(super) fn respond<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize,
 pub(super) struct BlkExec {
     vm: usize,
     req: BlockRequest,
+    /// What the back end fetched from the guest's block ring: write data,
+    /// else empty. A vRIO front end encapsulates it after the request id.
+    fetched: Bytes,
     /// The vRIO message as sent (`None` for a local back end).
     wire: Option<BlkWire>,
 }
@@ -107,9 +189,6 @@ pub(super) struct BlkExec {
 struct BlkWire {
     wire_id: u64,
     encoded: Bytes,
-    /// The payload the front end fetched from the ring and encapsulated
-    /// after the request id.
-    fetched: Bytes,
 }
 
 /// Bytes the request moves: the payload of writes, the data returned by
@@ -124,11 +203,13 @@ fn moved_bytes(req: &BlockRequest) -> usize {
 
 impl Testbed {
     /// Executes a block attempt against the VM's backing store (real
-    /// bytes). A vRIO worker first receives and decodes the message.
-    /// Interposition transforms the data that moves: write payloads
-    /// before they reach the store, read data before it returns, as
-    /// `read`.
+    /// bytes). A vRIO worker first receives and decodes the message, and
+    /// a write stores the payload it decoded; a local back end stores what
+    /// it fetched from the ring. Interposition transforms the data that
+    /// moves: write payloads before they reach the store, read data
+    /// before it returns, as `read`.
     pub(super) fn blk_execute(&mut self, x: &BlkExec, read: &mut Bytes) {
+        let mut payload = x.fetched.clone();
         if let Some(wire) = &x.wire {
             let enc = &wire.encoded;
             // Messages larger than the channel MTU really segment with the
@@ -161,12 +242,13 @@ impl Testbed {
             assert_eq!(msg.hdr.request_id, wire.wire_id);
             let id = x.req.id.0.to_le_bytes();
             self.oracle
-                .check_parts("blk encap->decap", &[&id, &wire.fetched], &msg.payload);
+                .check_parts("blk encap->decap", &[&id, &x.fetched], &msg.payload);
+            payload = msg.payload.slice(id.len()..);
         }
         let (vm, req) = (x.vm, &x.req);
         match req.kind {
             BlockKind::Write => {
-                let data = self.interpose_transform(Direction::Outbound, req.data.clone());
+                let data = self.interpose_transform(Direction::Outbound, payload);
                 self.disk_stores[vm]
                     .write(req.byte_offset(), &data)
                     .expect("in range");
@@ -266,7 +348,8 @@ pub fn blk_request<W: HasTestbed>(
 /// vhost core and the device is local.
 pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let tb = w.tb();
-    let (vm, span, req) = (tb.blks[blk].vm, tb.blks[blk].span, tb.blks[blk].req.clone());
+    let b = &tb.blks[blk];
+    let (vm, span, req, fetched) = (b.vm, b.span, b.req.clone(), b.payload.clone());
     let req = &req;
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
@@ -306,6 +389,7 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
     s.push(Step::BlkExecute(Box::new(BlkExec {
         vm,
         req: req.clone(),
+        fetched,
         wire: None,
     })));
 
@@ -343,7 +427,7 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
 /// One vRIO block attempt: encapsulate, traverse the channel, execute at
 /// the IOhost, and return the response — subject to loss and stale
 /// filtering.
-pub(super) fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
+fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let tb = w.tb();
     let b = &tb.blks[blk];
     let (vm, t0, span, wire_id, req) = (b.vm, b.t0, b.span, b.wire_id, b.req.clone());
@@ -424,11 +508,8 @@ pub(super) fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
     s.push(Step::BlkExecute(Box::new(BlkExec {
         vm,
         req: req.clone(),
-        wire: Some(BlkWire {
-            wire_id,
-            encoded,
-            fetched,
-        }),
+        fetched,
+        wire: Some(BlkWire { wire_id, encoded }),
     })));
     s.push(Step::ReleaseBackend { vm, backend });
 
@@ -485,7 +566,8 @@ pub(super) fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
 /// retransmits, gives up with a device error, or — the request having
 /// been accepted — finds itself stale, which ends the timer chain. Late
 /// responses of earlier attempts stop at the transport as stale, so they
-/// never name the request again.
+/// never name the request again. The timer leaves its VM's list first,
+/// and the VM's next timer is queued if it now comes first.
 pub(super) fn retx_timeout<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u64) {
     let i = blk as usize;
     let now = eng.now();
@@ -495,6 +577,11 @@ pub(super) fn retx_timeout<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
         "retransmission timer of a freed block slot"
     );
     let (vm, wire_id) = (tb.blks[i].vm, tb.blks[i].wire_id);
+    let timers = &mut tb.retx_timers[vm];
+    let fired = timers.iter().position(|t| t.blk == i);
+    let fired = timers.swap_remove(fired.expect("a firing timer is armed"));
+    debug_assert!(fired.queued && fired.key.at() == now);
+    queue_next(timers, eng);
     match tb.retx[vm].on_timeout(wire_id, now) {
         TimeoutAction::Stale => release(tb, i),
         TimeoutAction::Retransmit {
@@ -503,13 +590,116 @@ pub(super) fn retx_timeout<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
         } => {
             tb.trace.instant("retx", req_track(vm), now);
             tb.blks[i].wire_id = new_wire_id;
-            vrio_attempt(w, eng, i);
-            eng.schedule_in(timeout, retx_timeout::<W>, blk);
+            vrio_send(w, eng, i, timeout);
         }
         TimeoutAction::DeviceError { .. } => {
             // The completion and the end of the timer chain at once.
             complete(w, eng, i, vrio_virtio::BLK_S_IOERR, &[]);
             w.tb().blks.remove(i);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vrio_block::RequestId;
+
+    use super::*;
+    use crate::oracle::OracleConfig;
+    use crate::testbed::TestbedConfig;
+    use crate::transport::RetxConfig;
+
+    #[test]
+    fn a_write_stores_the_bytes_that_crossed_the_wire() {
+        let mut config = TestbedConfig::simple(IoModel::Vrio, 1);
+        config.oracle = OracleConfig::on();
+        let mut tb = Testbed::new(config);
+        let held = Bytes::from(vec![0xAA; 4096]);
+        let req = BlockRequest::write(RequestId(7), 8, held.clone());
+        // The channel carries other bytes than the front end held.
+        let sent = [0x55; 4096];
+        let id = 7u64.to_le_bytes();
+        let device = DeviceId {
+            client: 0,
+            device: 1,
+        };
+        let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, 3, &[&id, &sent]);
+        let x = BlkExec {
+            vm: 0,
+            req,
+            fetched: held,
+            wire: Some(BlkWire {
+                wire_id: 3,
+                encoded,
+            }),
+        };
+        tb.blk_execute(&x, &mut Bytes::new());
+        let stored = tb.disk_stores[0].read(8 * 512, 4096).unwrap();
+        assert_eq!(&stored[..], &sent[..], "the store holds the wire bytes");
+        let violations = tb.oracle.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].message.contains("blk encap->decap"));
+    }
+
+    /// Sets the channel's uniform loss to `p` percent.
+    fn set_loss(tb: &mut Testbed, _: &mut Engine<Testbed>, p: u64) {
+        tb.config.channel_loss = p as f64 / 100.0;
+    }
+
+    /// Issues block request `id`: a write of sector `id`.
+    fn issue(tb: &mut Testbed, eng: &mut Engine<Testbed>, id: u64) {
+        let req = BlockRequest::write(RequestId(id), id, Bytes::from(vec![id as u8; 512]));
+        blk_request(tb, eng, 0, req, id);
+    }
+
+    #[test]
+    fn a_timer_armed_after_the_rto_shrinks_fires_at_its_own_deadline() {
+        let mut config = TestbedConfig::simple(IoModel::Vrio, 1);
+        config.retx = RetxConfig {
+            initial_timeout: SimDuration::millis(2),
+            min_rto: SimDuration::micros(10),
+            ..RetxConfig::default()
+        };
+        let mut tb = Testbed::new(config);
+        let mut eng = Engine::new();
+        let us = |n| SimTime::ZERO + SimDuration::micros(n);
+        // Two requests before any RTT sample arm 2 ms timers; their
+        // responses sample the RTT, so the RTO falls far below 2 ms.
+        eng.schedule_at(us(0), issue, 1);
+        eng.schedule_at(us(0), issue, 2);
+        // The third request is lost, under the shrunken RTO.
+        eng.schedule_at(us(100), set_loss, 100);
+        eng.schedule_at(us(100), issue, 3);
+        eng.run_until(&mut tb, us(100));
+        assert_eq!(tb.reliability_report().block_completed, 2);
+        assert!(tb.retx[0].current_rto() < SimDuration::micros(200));
+        while tb.retx_timers[0].len() < 2 {
+            eng.step(&mut tb);
+        }
+
+        // Request 1's timer is still queued (it will find its request
+        // stale at 2 ms); request 2's was never queued and went with its
+        // completion. Request 3's timer comes before request 1's, so it
+        // was queued as it was armed.
+        let timers = &tb.retx_timers[0];
+        assert_eq!(timers.len(), 2);
+        assert!(timers.iter().all(|t| t.queued));
+        let own = timers.iter().map(|t| t.key).min().unwrap();
+        assert!(own.at() < us(2000));
+        let blk = timers.iter().find(|t| t.key == own).unwrap().blk;
+        assert_eq!(tb.blks[blk].req.id, RequestId(3));
+
+        // It retransmits at its own deadline, not at request 1's.
+        eng.run_until(&mut tb, own.at() - SimDuration::nanos(1));
+        assert_eq!(tb.reliability_report().retransmissions, 0);
+        eng.run_until(&mut tb, own.at());
+        assert_eq!(tb.reliability_report().retransmissions, 1);
+
+        // With the loss over, everything completes and drains.
+        set_loss(&mut tb, &mut eng, 0);
+        eng.run(&mut tb);
+        assert_eq!(tb.reliability_report().block_completed, 3);
+        assert!(tb.retx_timers[0].is_empty());
+        assert_eq!(tb.blks.occupied(), 0);
     }
 }

@@ -367,10 +367,7 @@ fn finish<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, end: FlowEnd, data: Byt
             w.on_stream(eng, tag);
         }
         FlowEnd::BlkLocal(blk) => blk::local_backend(w, eng, blk),
-        FlowEnd::BlkVrio { blk, timeout } => {
-            blk::vrio_attempt(w, eng, blk);
-            eng.schedule_in(timeout, blk::retx_timeout::<W>, blk as u64);
-        }
+        FlowEnd::BlkVrio { blk, timeout } => blk::vrio_send(w, eng, blk, timeout),
         FlowEnd::BlkDone(blk) => blk::respond(w, eng, blk, &data),
     }
 }
@@ -730,6 +727,95 @@ mod tests {
         // Drained: nothing parked, no block request left in the table.
         assert_eq!(tb.flows.occupied(), 0, "parked flows outlived the run");
         assert_eq!(tb.blks.occupied(), 0, "block requests outlived the run");
+        assert!(
+            tb.retx_timers.iter().all(Vec::is_empty),
+            "armed retransmission timers outlived the run"
+        );
+    }
+
+    /// Closed-loop block threads on every VM of a testbed, reissuing on
+    /// each completion until a deadline.
+    struct ClosedBlk {
+        tb: Testbed,
+        until: SimTime,
+        next_id: u64,
+        samples: usize,
+    }
+
+    impl HasTestbed for ClosedBlk {
+        fn tb(&mut self) -> &mut Testbed {
+            &mut self.tb
+        }
+
+        fn on_blk(&mut self, eng: &mut Engine<Self>, thread: u64, _: crate::BlkOutcome) {
+            issue_blk(self, eng, thread);
+        }
+    }
+
+    /// Thread `thread` (four per VM, the last two writing) issues its
+    /// next 4 KB request.
+    fn issue_blk(w: &mut ClosedBlk, eng: &mut Engine<ClosedBlk>, thread: u64) {
+        if eng.now() >= w.until {
+            return;
+        }
+        w.next_id += 1;
+        let (id, sector) = (RequestId(w.next_id), 8 * (w.next_id % 64));
+        let req = if thread % 4 >= 2 {
+            BlockRequest::write(id, sector, Bytes::from_static(&[0xA5; 4096]))
+        } else {
+            BlockRequest::read(id, sector, 4096)
+        };
+        blk_request(w, eng, (thread / 4) as usize, req, thread);
+    }
+
+    fn sample(w: &mut ClosedBlk, eng: &mut Engine<ClosedBlk>, _: u64) {
+        w.tb.sample_telemetry(eng.now());
+        w.samples += 1;
+    }
+
+    #[test]
+    fn a_lossless_block_run_queues_one_timer_per_vm() {
+        let vms = 7;
+        let mut config = TestbedConfig::simple(IoModel::Vrio, vms).with_backend_cores(2);
+        config.telemetry = vrio_trace::TelemetryConfig::sampling(SimDuration::micros(100));
+        let initial = config.retx.initial_timeout;
+        let until = SimTime::ZERO + initial * 3u64;
+        let mut w = ClosedBlk {
+            tb: Testbed::new(config),
+            until,
+            next_id: 0,
+            samples: 0,
+        };
+        let mut eng = Engine::new();
+        let grid = SimDuration::micros(100);
+        eng.schedule_series(SimTime::ZERO, grid, until, sample, 0);
+        let occurrences = eng.pending();
+        for thread in 0..4 * vms as u64 {
+            issue_blk(&mut w, &mut eng, thread);
+        }
+        // Every pending event is a parked flow's resume, a queued timer or
+        // an occurrence of the series still to come. The first attempts' timers run on
+        // the initial timeout and the later ones on the far shorter RTO,
+        // so until the first ones have fired a VM may have two queued;
+        // after that, one.
+        while eng.step(&mut w) {
+            let tb = &w.tb;
+            let per_vm = if eng.now() <= SimTime::ZERO + initial {
+                2
+            } else {
+                1
+            };
+            let queued = eng.pending() - tb.flows.occupied() - (occurrences - w.samples);
+            assert!(
+                queued <= per_vm * vms,
+                "{} pending at {}: {} flows and {queued} timers",
+                eng.pending(),
+                eng.now(),
+                tb.flows.occupied()
+            );
+        }
+        assert!(w.tb.reliability_report().block_completed > 1000);
+        assert_eq!(w.tb.reliability_report().retransmissions, 0);
     }
 
     /// Issues one RR on VM `vm`.

@@ -46,6 +46,10 @@ for w in rr-rack blk-storm sweep-scaling; do
     echo "    $w: correct"
 done
 rm -rf "$PB"
+# run.py builds without --locked, so a run that rewrote perfbench's lock
+# file (or anything else the benchmark reads) would otherwise pass.
+git diff --exit-code -- perfbench BENCHMARK.json \
+    || { echo "FAIL: the perfbench runs changed committed benchmark files"; exit 1; }
 
 echo "==> trace/report smoke test"
 SMOKE=$(mktemp -d)
@@ -101,6 +105,16 @@ cargo run --release -q -p vrio-bench --bin repro -- \
     --quick --chaos primary-kill --threads 4 --json "$DET/ch4" > /dev/null 2> /dev/null
 diff "$DET/ch1/BENCH_chaos_primary-kill.json" "$DET/ch4/BENCH_chaos_primary-kill.json" \
     || { echo "FAIL: chaos JSON differs between --threads 1 and --threads 4"; exit 1; }
+# ge-storm carries block traffic through loss, retransmission and stale
+# timers; its BENCH and TELEM documents must not depend on the threads.
+cargo run --release -q -p vrio-bench --bin repro -- \
+    --quick --chaos ge-storm --telemetry --threads 1 --json "$DET/gs1" > /dev/null 2> /dev/null
+cargo run --release -q -p vrio-bench --bin repro -- \
+    --quick --chaos ge-storm --telemetry --threads 4 --json "$DET/gs4" > /dev/null 2> /dev/null
+for doc in BENCH TELEM; do
+    diff "$DET/gs1/${doc}_chaos_ge-storm.json" "$DET/gs4/${doc}_chaos_ge-storm.json" \
+        || { echo "FAIL: ge-storm $doc differs between --threads 1 and --threads 4"; exit 1; }
+done
 cargo run --release -q -p vrio-bench --bin checkjson -- \
     "$DET/ch4/BENCH_chaos_primary-kill.json" \
     --require schema_version \
