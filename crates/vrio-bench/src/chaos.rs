@@ -20,9 +20,6 @@
 //! completed requests under the campaign's latency SLO.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use bytes::Bytes;
 use vrio::{
@@ -35,6 +32,7 @@ use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{scenario_seed, Engine, SimDuration, SimTime};
 use vrio_trace::{DropCause, Json, SloLedger, TelemetryConfig, TelemetryExport};
 
+use crate::par::{par_map_ordered, Progress};
 use crate::report::{f, render_table, sparkline};
 use crate::sys_exps::ReproConfig;
 
@@ -563,49 +561,27 @@ pub struct ChaosResult {
 }
 
 /// Runs every replica of `campaign` across `threads` OS threads.
-/// Scheduling is work-stealing, but each replica's world is private and
-/// seeded only from `(base_seed, name, index)`, so the aggregated result
-/// is byte-identical for any `threads >= 1`.
+/// Scheduling is [`par_map_ordered`]'s shared index, but each replica's
+/// world is private and seeded only from `(base_seed, name, index)`, so
+/// the aggregated result is byte-identical for any `threads >= 1`.
 pub fn run_chaos(
     campaign: &ChaosCampaign,
     threads: usize,
     progress: bool,
 ) -> Result<ChaosResult, ChaosError> {
     campaign.validate()?;
-    let n = campaign.replicas;
-    let threads = threads.max(1).min(n);
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ReplicaResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run_replica(campaign, i);
-                *slots[i].lock().expect("chaos slot poisoned") = Some(r);
-                if progress {
-                    eprintln!(
-                        "chaos {}: replica {i} done ({:.1}s elapsed)",
-                        campaign.name,
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-            });
+    let clock = Progress::start();
+    let replicas = par_map_ordered(campaign.replicas, threads, |i| {
+        let r = run_replica(campaign, i);
+        if progress {
+            let (_, elapsed) = clock.tick();
+            eprintln!(
+                "chaos {}: replica {i} done ({elapsed:.1}s elapsed)",
+                campaign.name
+            );
         }
+        r
     });
-
-    let replicas = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("chaos slot poisoned")
-                .expect("every replica index was claimed and completed")
-        })
-        .collect();
     Ok(ChaosResult {
         campaign: campaign.clone(),
         replicas,

@@ -46,25 +46,15 @@ pub struct ObsReport {
 /// `experiment` only tags the JSON document (`"experiment"` key); the
 /// instrumented workload is always the canonical single-VM RR loop, the
 /// lifecycle every model shares.
-pub fn latency_breakdown(rc: ReproConfig, experiment: &str) -> ObsReport {
-    latency_breakdown_checked(rc, experiment, false)
-}
-
-/// [`latency_breakdown`] with the simulation oracle optionally enabled
-/// (`repro --oracle`): every traced run is additionally checked against the
-/// conservation invariants and panics on any violation. The oracle is
-/// observe-only, so the produced report is byte-identical either way.
-pub fn latency_breakdown_checked(rc: ReproConfig, experiment: &str, oracle: bool) -> ObsReport {
-    latency_breakdown_instrumented(rc, experiment, oracle, false, false)
-}
-
-/// The fully instrumented pass: [`latency_breakdown_checked`] plus optional
-/// continuous telemetry sampling (`repro --telemetry`) and wall-clock
-/// self-profiling (`repro --profile`). Telemetry is observe-only — the
-/// `json` report is byte-identical with it on or off, and the sampled
-/// tracks ride the Chrome document as Perfetto counter tracks plus a
-/// separate `TELEM_*` bundle. Profiling measures host time and lands in a
-/// `PROF_*` bundle that no byte-identity gate ever diffs.
+///
+/// With `oracle` (`repro --oracle`) every traced run is also checked
+/// against the conservation invariants and panics on any violation. With
+/// `telemetry` (`repro --telemetry`) each run samples continuous tracks,
+/// which ride the Chrome document as Perfetto counter tracks plus a
+/// separate `TELEM_*` bundle; `profile` (`repro --profile`) adds a
+/// wall-clock `PROF_*` bundle that no byte-identity gate ever diffs. The
+/// oracle and telemetry are observe-only: the `json` report is
+/// byte-identical with either on or off.
 pub fn latency_breakdown_instrumented(
     rc: ReproConfig,
     experiment: &str,
@@ -177,7 +167,7 @@ mod tests {
             tail_duration: vrio_sim::SimDuration::millis(20),
             ring: vrio_virtio::RingConfig::split_basic(),
         };
-        let rep = latency_breakdown(rc, "smoke");
+        let rep = latency_breakdown_instrumented(rc, "smoke", false, false, false);
         // Stable top-level schema.
         assert_eq!(
             rep.json.get("schema_version").and_then(Json::as_f64),
@@ -217,7 +207,7 @@ mod tests {
             tail_duration: vrio_sim::SimDuration::millis(8),
             ring: vrio_virtio::RingConfig::split_basic(),
         };
-        let plain = latency_breakdown_checked(rc, "smoke", false);
+        let plain = latency_breakdown_instrumented(rc, "smoke", false, false, false);
         let inst = latency_breakdown_instrumented(rc, "smoke", false, true, true);
         // Telemetry and profiling are observe-only: the BENCH document is
         // byte-identical with them on or off.

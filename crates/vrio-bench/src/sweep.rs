@@ -14,13 +14,11 @@
 //! `BENCH_sweep_*.json` document: per-scenario throughput and latency
 //! percentiles plus derived scaling-efficiency series (Fig 9/10-style
 //! throughput-per-sidecore) and the vRIO-vs-Elvis consolidation ratio.
-//! `checkbench` diffs such a document against the committed
-//! `benches/baseline.json` with tolerance bands, gating regressions in CI.
+//! CI diffs the quick `smoke` sweep's document against the committed
+//! `benches/baseline.json` byte for byte: every number in it is simulated,
+//! so any change to it is a change in behaviour.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use vrio::{OracleConfig, TestbedConfig};
 use vrio_hv::IoModel;
@@ -29,11 +27,13 @@ use vrio_trace::{Json, MetricsRegistry, SloLedger, TelemetryConfig, TelemetryExp
 use vrio_virtio::RingConfig;
 use vrio_workloads::{netperf_rr_sized, netperf_stream_sized};
 
+use crate::par::{par_map_ordered, Progress};
 use crate::report::{f, render_table};
 use crate::sys_exps::ReproConfig;
 
 /// Schema version of the `BENCH_sweep_*.json` document. Bump on any
-/// key-shape change so `checkbench` can refuse cross-schema comparisons.
+/// key-shape change, so that a reader can refuse a document it does not
+/// know.
 /// v2 added per-tenant SLO tables (`scenarios[].tenants`) and the spec's
 /// `telemetry` flag.
 pub const SWEEP_SCHEMA_VERSION: u64 = 2;
@@ -498,7 +498,7 @@ pub struct SweepResult {
 
 /// Expands `spec` and runs every scenario across `threads` OS threads.
 ///
-/// Scheduling is work-stealing off a shared index, but each scenario's
+/// Scheduling is [`par_map_ordered`]'s shared index, but each scenario's
 /// world is private to the thread that runs it and seeded only from
 /// `(base_seed, key)`, so the aggregated result — and its rendered JSON —
 /// is byte-identical for any `threads >= 1`. With `progress`, a line per
@@ -511,43 +511,19 @@ pub fn run_sweep(
 ) -> Result<SweepResult, SweepError> {
     let scenarios = spec.expand()?;
     let n = scenarios.len();
-    let threads = threads.max(1).min(n);
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = run_scenario(&scenarios[i]);
-                let key = r.key.clone();
-                *slots[i].lock().expect("sweep slot poisoned") = Some(r);
-                let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if progress {
-                    let elapsed = started.elapsed().as_secs_f64();
-                    let eta = elapsed / k as f64 * (n - k) as f64;
-                    eprintln!(
-                        "sweep {}: {k}/{n} {key} ({elapsed:.1}s elapsed, ~{eta:.0}s left)",
-                        spec.name
-                    );
-                }
-            });
+    let clock = Progress::start();
+    let results = par_map_ordered(n, threads, |i| {
+        let r = run_scenario(&scenarios[i]);
+        if progress {
+            let (k, elapsed) = clock.tick();
+            let eta = elapsed / k as f64 * (n - k) as f64;
+            eprintln!(
+                "sweep {}: {k}/{n} {} ({elapsed:.1}s elapsed, ~{eta:.0}s left)",
+                spec.name, r.key
+            );
         }
+        r
     });
-
-    let results = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every scenario index was claimed and completed")
-        })
-        .collect();
     Ok(SweepResult {
         spec: spec.clone(),
         results,

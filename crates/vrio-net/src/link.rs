@@ -76,11 +76,6 @@ impl Link {
         SimDuration::for_bytes_at_gbps(bytes as u64, self.gbps) + self.propagation
     }
 
-    /// Whether a frame of this payload size fits without segmentation.
-    pub fn frame_fits(&self, frame: &Frame) -> bool {
-        frame.fits_mtu(self.mtu)
-    }
-
     /// Rolls the loss dice for one frame.
     pub fn drops_frame(&self, rng: &mut SimRng) -> bool {
         rng.chance(self.loss_probability)
@@ -133,11 +128,6 @@ impl Switch {
             ports,
             fdb: HashMap::new(),
         }
-    }
-
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports
     }
 
     /// Statically pins `mac` to `port` (the operator configuration §4.6

@@ -370,11 +370,6 @@ impl SriovNic {
         &mut self.vfs[id.0]
     }
 
-    /// Number of virtual functions.
-    pub fn vf_count(&self) -> usize {
-        self.vfs.len()
-    }
-
     /// Demuxes an incoming frame by destination MAC: a VF with a matching
     /// MAC receives it; broadcast goes everywhere; otherwise the PF takes
     /// it. Returns what happened.

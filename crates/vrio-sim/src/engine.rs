@@ -197,11 +197,6 @@ impl<W> Engine<W> {
         self.probe = Some(Box::new(f));
     }
 
-    /// Removes the event probe.
-    pub fn clear_probe(&mut self) {
-        self.probe = None;
-    }
-
     /// Installs a wall-clock self-profiler. When the handle is enabled the
     /// engine times each event's queue pop (`engine.pop`), probe run
     /// (`engine.probe`) and callback body (`engine.callback`), and no

@@ -2,8 +2,8 @@
 //!
 //! Simulated time tells us where the *modeled* microseconds go; the
 //! profiler tells us where the *host's* microseconds go while computing
-//! them — event scheduling, event callbacks, observe-only probes (tracer
-//! and oracle overhead), telemetry sampling. Scopes accumulate call
+//! them — event scheduling, event callbacks, the observe-only oracle
+//! probe, telemetry sampling. Scopes accumulate call
 //! counts, total and maximum wall-clock time under `&'static str` names.
 //!
 //! Wall-clock readings are inherently nondeterministic, so profiler

@@ -213,7 +213,6 @@ struct Inner {
     next_id: u64,
     open: HashMap<u64, OpenSpan>,
     breakdown: Breakdown,
-    engine_events: u64,
 }
 
 impl Inner {
@@ -264,7 +263,6 @@ impl Tracer {
                     next_id: 1,
                     open: HashMap::new(),
                     breakdown: Breakdown::default(),
-                    engine_events: 0,
                 }))),
             },
         }
@@ -429,18 +427,6 @@ impl Tracer {
             tid,
             req: 0,
         });
-    }
-
-    /// Counts one engine event-fire (the `vrio_sim::Engine` probe hook).
-    pub fn on_engine_event(&self) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().engine_events += 1;
-        }
-    }
-
-    /// Engine events counted via [`Tracer::on_engine_event`].
-    pub fn engine_events(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().engine_events)
     }
 
     /// Events evicted from the ring buffer so far.

@@ -468,11 +468,6 @@ impl RedundancyMonitor {
         }
     }
 
-    /// Number of IOhost targets in the ladder.
-    pub fn num_targets(&self) -> usize {
-        self.monitors.len()
-    }
-
     /// The monitor for the primary IOhost (target 0).
     pub fn primary(&self) -> &HealthMonitor {
         &self.monitors[0]

@@ -84,10 +84,20 @@ cargo run --release -q -p vrio-bench --bin repro -- \
 diff "$DET/t1/BENCH_sweep_smoke.json" "$DET/t4/BENCH_sweep_smoke.json" \
     || { echo "FAIL: sweep JSON differs between --threads 1 and --threads 4"; exit 1; }
 
-echo "==> perf regression gate: sweep vs committed baseline"
-cargo run --release -q -p vrio-bench --bin checkbench -- \
-    "$DET/t4/BENCH_sweep_smoke.json" \
-    --baseline benches/baseline.json --tolerance 0.15
+echo "==> regression gate: sweep matches the committed baseline exactly"
+# Every number in the document is simulated, so any difference is a change
+# in behaviour. A change that moves it on purpose re-commits the baseline
+# (EXPERIMENTS.md, "Perf trajectory").
+diff "$DET/t4/BENCH_sweep_smoke.json" benches/baseline.json \
+    || { echo "FAIL: BENCH_sweep_smoke.json differs from benches/baseline.json"; exit 1; }
+
+echo "==> determinism gate: repro --all is thread-count invariant"
+cargo run --release -q -p vrio-bench --bin repro -- \
+    --quick --all --threads 1 > "$DET/all1.txt"
+cargo run --release -q -p vrio-bench --bin repro -- \
+    --quick --all --threads 2 > "$DET/all2.txt"
+diff "$DET/all1.txt" "$DET/all2.txt" \
+    || { echo "FAIL: repro --quick --all stdout differs between --threads 1 and --threads 2"; exit 1; }
 
 echo "==> oracle gate: invariant-checked runs are byte-identical"
 cargo run --release -q -p vrio-bench --bin repro -- \
