@@ -234,17 +234,18 @@ impl FaultInjector {
         self.config
     }
 
-    /// Attaches a tracer: subsequent `*_at` injections emit instant trace
-    /// markers on track `tid`. Purely observational — attaching a tracer
+    /// Attaches a tracer: subsequent injections emit instant trace markers
+    /// on track `tid`. Purely observational — attaching a tracer
     /// never changes which faults fire.
     pub fn set_tracer(&mut self, tracer: Tracer, tid: u32) {
         self.tracer = tracer;
         self.tracer_tid = tid;
     }
 
-    /// Offers one frame to the bursty-loss model; `true` means drop it.
-    /// Draws nothing when the model is disabled.
-    pub fn drop_frame(&mut self, rng: &mut SimRng) -> bool {
+    /// Offers one frame, at `now`, to the bursty-loss model; `true` means
+    /// drop it, with an instant `fault_loss` trace marker. Draws nothing
+    /// when the model is disabled.
+    pub fn drop_frame(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
         let Some(ge) = self.ge.as_mut() else {
             return false;
         };
@@ -255,66 +256,39 @@ impl FaultInjector {
         }
         if lost {
             self.stats.ge_losses += 1;
+            self.tracer.instant("fault_loss", self.tracer_tid, now);
         }
         lost
     }
 
-    /// Draws the extra delay for one channel traversal (`ZERO` almost
-    /// always; the configured spike occasionally). Draws nothing when
-    /// spikes are disabled.
-    pub fn traversal_delay(&mut self, rng: &mut SimRng) -> SimDuration {
+    /// Draws the extra delay for one channel traversal at `now` (`ZERO`
+    /// almost always; the configured spike occasionally, with an instant
+    /// `fault_delay_spike` trace marker). Draws nothing when spikes are
+    /// disabled.
+    pub fn traversal_delay(&mut self, rng: &mut SimRng, now: SimTime) -> SimDuration {
         if self.config.delay_spike_prob <= 0.0 {
             return SimDuration::ZERO;
         }
         if rng.chance(self.config.delay_spike_prob) {
             self.stats.delay_spikes += 1;
+            self.tracer
+                .instant("fault_delay_spike", self.tracer_tid, now);
             self.config.delay_spike
         } else {
             SimDuration::ZERO
         }
     }
 
-    /// Decides whether to duplicate one block response. Draws nothing
-    /// when duplication is disabled.
-    pub fn duplicate_response(&mut self, rng: &mut SimRng) -> bool {
+    /// Decides whether to duplicate one block response at `now`; a
+    /// duplication emits an instant `fault_duplicate` trace marker. Draws
+    /// nothing when duplication is disabled.
+    pub fn duplicate_response(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
         if self.config.duplicate_prob <= 0.0 {
             return false;
         }
         let dup = rng.chance(self.config.duplicate_prob);
         if dup {
             self.stats.duplicates += 1;
-        }
-        dup
-    }
-
-    /// [`FaultInjector::drop_frame`] plus an instant `fault_loss` trace
-    /// marker when the frame is dropped. Identical RNG behaviour.
-    pub fn drop_frame_at(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
-        let lost = self.drop_frame(rng);
-        if lost {
-            self.tracer.instant("fault_loss", self.tracer_tid, now);
-        }
-        lost
-    }
-
-    /// [`FaultInjector::traversal_delay`] plus an instant
-    /// `fault_delay_spike` trace marker when a spike fires. Identical RNG
-    /// behaviour.
-    pub fn traversal_delay_at(&mut self, rng: &mut SimRng, now: SimTime) -> SimDuration {
-        let d = self.traversal_delay(rng);
-        if !d.is_zero() {
-            self.tracer
-                .instant("fault_delay_spike", self.tracer_tid, now);
-        }
-        d
-    }
-
-    /// [`FaultInjector::duplicate_response`] plus an instant
-    /// `fault_duplicate` trace marker when a duplication fires. Identical
-    /// RNG behaviour.
-    pub fn duplicate_response_at(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
-        let dup = self.duplicate_response(rng);
-        if dup {
             self.tracer.instant("fault_duplicate", self.tracer_tid, now);
         }
         dup
@@ -331,9 +305,9 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         let mut witness = SimRng::seed_from(7);
         for _ in 0..1000 {
-            assert!(!inj.drop_frame(&mut rng));
-            assert!(inj.traversal_delay(&mut rng).is_zero());
-            assert!(!inj.duplicate_response(&mut rng));
+            assert!(!inj.drop_frame(&mut rng, SimTime::ZERO));
+            assert!(inj.traversal_delay(&mut rng, SimTime::ZERO).is_zero());
+            assert!(!inj.duplicate_response(&mut rng, SimTime::ZERO));
         }
         // The stream is untouched: the next draw matches a fresh clone.
         assert_eq!(rng.uniform(), witness.uniform());
@@ -388,9 +362,9 @@ mod tests {
             let fates: Vec<(bool, u64, bool)> = (0..5000)
                 .map(|_| {
                     (
-                        inj.drop_frame(&mut rng),
-                        inj.traversal_delay(&mut rng).as_nanos(),
-                        inj.duplicate_response(&mut rng),
+                        inj.drop_frame(&mut rng, SimTime::ZERO),
+                        inj.traversal_delay(&mut rng, SimTime::ZERO).as_nanos(),
+                        inj.duplicate_response(&mut rng, SimTime::ZERO),
                     )
                 })
                 .collect();
@@ -414,11 +388,11 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let mut spikes = 0u64;
         for _ in 0..10_000 {
-            inj.drop_frame(&mut rng);
-            if !inj.traversal_delay(&mut rng).is_zero() {
+            inj.drop_frame(&mut rng, SimTime::ZERO);
+            if !inj.traversal_delay(&mut rng, SimTime::ZERO).is_zero() {
                 spikes += 1;
             }
-            inj.duplicate_response(&mut rng);
+            inj.duplicate_response(&mut rng, SimTime::ZERO);
         }
         assert!(inj.stats.ge_losses > 0);
         assert!(inj.stats.bad_state_frames > 0);
