@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use vrio_sim::SimDuration;
-use vrio_virtio::{GuestAddr, GuestMemory};
+use vrio_virtio::PAGE_SIZE;
 
 use crate::request::BlockKind;
 
@@ -54,29 +54,74 @@ impl std::error::Error for BlockError {}
 /// An in-memory block device holding real bytes — the "1 GB ramdisk per VM"
 /// of the paper's Filebench experiments (§5).
 ///
-/// The bytes live in the same lazily paged store as guest memory, so a
-/// ramdisk costs only the 4 KB pages that have been written.
+/// The store keeps each written 4 KB page as shared [`Bytes`], so a page
+/// costs nothing until it is written and moves no more than a device
+/// would:
+///
+/// - a write that covers a whole page stores the caller's buffer by
+///   reference ([`Ramdisk::write_bytes`]); a partial write copies the page
+///   first, so every other holder of the old page keeps its bytes;
+/// - a read within one page returns a slice of the stored page (or of one
+///   static zero page); a read across pages copies once.
 ///
 /// # Examples
 ///
 /// ```
+/// use bytes::Bytes;
 /// use vrio_block::Ramdisk;
 ///
 /// let mut disk = Ramdisk::new(1 << 20);
 /// disk.write(4096, &[0xAA; 512]).unwrap();
 /// assert_eq!(&disk.read(4096, 512).unwrap()[..4], &[0xAA; 4]);
+///
+/// // A whole page is stored by reference and read back without a copy.
+/// let page = Bytes::from(vec![0x55; 4096]);
+/// disk.write_bytes(8192, &page).unwrap();
+/// assert_eq!(disk.read(8192, 4096).unwrap().as_ptr(), page.as_ptr());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Ramdisk {
-    store: GuestMemory,
+    /// The pages written so far, by page index; an empty entry, or one
+    /// past the end, reads as zero. Grown at the first write, so a fresh
+    /// ramdisk allocates nothing.
+    pages: Vec<Bytes>,
+    capacity: u64,
     require_aligned: bool,
+}
+
+impl std::fmt::Debug for Ramdisk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let resident = self.pages.iter().filter(|p| !p.is_empty()).count();
+        f.debug_struct("Ramdisk")
+            .field("capacity", &self.capacity)
+            .field("resident_pages", &resident)
+            .field("require_aligned", &self.require_aligned)
+            .finish()
+    }
+}
+
+/// What every page reads as until its first write.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// Calls `f` with each page-bounded piece of `[start, start + len)`, in
+/// order: `(page, offset in page, offset in range, piece length)`.
+fn for_each_piece(start: usize, len: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+    let mut done = 0;
+    while done < len {
+        let at = start + done;
+        let off = at % PAGE_SIZE;
+        let n = (PAGE_SIZE - off).min(len - done);
+        f(at / PAGE_SIZE, off, done, n);
+        done += n;
+    }
 }
 
 impl Ramdisk {
     /// Creates a zero-filled ramdisk of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         Ramdisk {
-            store: GuestMemory::new(capacity),
+            pages: Vec::new(),
+            capacity: capacity as u64,
             require_aligned: false,
         }
     }
@@ -84,14 +129,14 @@ impl Ramdisk {
     /// Creates a ramdisk that rejects unaligned access (O_DIRECT mode).
     pub fn new_direct(capacity: usize) -> Self {
         Ramdisk {
-            store: GuestMemory::new(capacity),
             require_aligned: true,
+            ..Ramdisk::new(capacity)
         }
     }
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.store.size()
+        self.capacity
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<(), BlockError> {
@@ -108,22 +153,86 @@ impl Ramdisk {
         Ok(())
     }
 
-    /// Reads `len` bytes at byte `offset`.
-    pub fn read(&self, offset: u64, len: u64) -> Result<Bytes, BlockError> {
-        self.check(offset, len)?;
-        Ok(self
-            .store
-            .read_bytes(GuestAddr(offset), len)
-            .expect("range checked"))
+    /// The bytes of page `index`.
+    fn page(&self, index: usize) -> &[u8] {
+        match self.pages.get(index) {
+            Some(page) if !page.is_empty() => page,
+            _ => &ZERO_PAGE,
+        }
     }
 
-    /// Writes `data` at byte `offset`.
+    /// Reads `len` bytes at byte `offset`. A read within one page shares
+    /// the stored page; a read across pages copies once.
+    pub fn read(&self, offset: u64, len: u64) -> Result<Bytes, BlockError> {
+        self.check(offset, len)?;
+        let (start, len) = (offset as usize, len as usize);
+        let off = start % PAGE_SIZE;
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
+        if off + len <= PAGE_SIZE {
+            return Ok(match self.pages.get(start / PAGE_SIZE) {
+                Some(page) if !page.is_empty() => page.slice(off..off + len),
+                _ => Bytes::from_static(&ZERO_PAGE[off..off + len]),
+            });
+        }
+        let mut out = Vec::with_capacity(len);
+        for_each_piece(start, len, |page, off, _, n| {
+            out.extend_from_slice(&self.page(page)[off..off + n]);
+        });
+        Ok(Bytes::from(out))
+    }
+
+    /// Writes `data` at byte `offset`, copying it.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), BlockError> {
         self.check(offset, data.len() as u64)?;
-        self.store
-            .write(GuestAddr(offset), data)
-            .expect("range checked");
+        self.store(offset as usize, data, None);
         Ok(())
+    }
+
+    /// Writes `data` at byte `offset`. A write of at most one page that
+    /// covers a whole page is stored by reference: the page shares
+    /// `data`'s buffer, and a later read of it returns that buffer. A
+    /// longer write copies, so that one stored page never keeps a
+    /// multi-page buffer alive; a page-long `data` keeps alive only the
+    /// buffer it is a view of (for the vRIO worker, the one decoded
+    /// message: a page plus its headers).
+    pub fn write_bytes(&mut self, offset: u64, data: &Bytes) -> Result<(), BlockError> {
+        self.check(offset, data.len() as u64)?;
+        let shared = (data.len() <= PAGE_SIZE).then_some(data);
+        self.store(offset as usize, data, shared);
+        Ok(())
+    }
+
+    /// Stores the checked range `data` at `start`: a whole page as a view
+    /// of `shared` when given, else as a copy; part of a page into a copy
+    /// of that page.
+    fn store(&mut self, start: usize, data: &[u8], shared: Option<&Bytes>) {
+        if data.is_empty() {
+            return;
+        }
+        if self.pages.is_empty() {
+            self.pages = vec![Bytes::new(); (self.capacity as usize).div_ceil(PAGE_SIZE)];
+        }
+        for_each_piece(start, data.len(), |index, off, at, n| {
+            let piece = &data[at..at + n];
+            let page = &mut self.pages[index];
+            *page = if n == PAGE_SIZE {
+                match shared {
+                    Some(buf) => buf.slice(at..at + n),
+                    None => Bytes::copy_from_slice(piece),
+                }
+            } else {
+                // Copy-on-write: the old page may be shared.
+                let mut copy = if page.is_empty() {
+                    vec![0; PAGE_SIZE]
+                } else {
+                    page.to_vec()
+                };
+                copy[off..off + n].copy_from_slice(piece);
+                Bytes::from(copy)
+            };
+        });
     }
 }
 

@@ -725,6 +725,18 @@ impl Vm {
     /// Back-end fetches one block request: `(head, hdr, write payload)`,
     /// reading the header and the payload out of the chain once each.
     pub fn blk_fetch(&mut self) -> Result<Option<(u16, BlkHdr, Bytes)>, DeviceError> {
+        let mut payload = Vec::new();
+        let fetched = self.blk_fetch_into(&mut payload)?;
+        Ok(fetched.map(|(head, hdr)| (head, hdr, Bytes::from(payload))))
+    }
+
+    /// [`Vm::blk_fetch`] appending the write payload to `payload`, so a
+    /// caller can fetch it straight into a buffer that already holds what
+    /// goes before it (a vRIO message's headers).
+    pub fn blk_fetch_into(
+        &mut self,
+        payload: &mut Vec<u8>,
+    ) -> Result<Option<(u16, BlkHdr)>, DeviceError> {
         self.ring_epochs[Self::BLK] += 1;
         let mut chain = self.blk.spare_chains.pop().unwrap_or_default();
         if !self.blk.dev.pop_avail_into(&self.mem, &mut chain)? {
@@ -739,10 +751,10 @@ impl Vm {
         let mut hdr = [0; BLK_HDR_SIZE];
         chain.read_readable(&self.mem, 0, &mut hdr)?;
         let hdr = BlkHdr::decode(&hdr).ok_or_else(bad)?;
-        let payload = chain.readable_bytes(&self.mem, BLK_HDR_SIZE as u64)?;
+        chain.readable_append(&self.mem, BLK_HDR_SIZE as u64, payload)?;
         let head = chain.head;
         self.blk.inflight_chains[usize::from(head)] = Some(chain);
-        Ok(Some((head, hdr, payload)))
+        Ok(Some((head, hdr)))
     }
 
     /// Back-end completes a block request: writes read data (if any) and

@@ -13,8 +13,6 @@
 //! driver and device that only share the memory — like a real guest and
 //! host — interoperate through these bytes alone.
 
-use bytes::Bytes;
-
 use crate::mem::{GuestAddr, GuestMemory, MemError};
 
 /// Descriptor flag: buffer continues via the `next` field.
@@ -586,10 +584,7 @@ impl DescChain {
         out: &mut Vec<u8>,
     ) -> Result<(), QueueError> {
         out.clear();
-        for &(addr, len) in &self.readable {
-            mem.read_append(addr, u64::from(len), out)?;
-        }
-        Ok(())
+        self.readable_append(mem, 0, out)
     }
 
     /// The readable buffers' pieces from byte `offset` of the readable
@@ -631,23 +626,18 @@ impl DescChain {
         Ok(())
     }
 
-    /// Copies the readable bytes from byte `offset` on into new [`Bytes`],
-    /// once; with one allocation when they lie in one buffer inside one
-    /// guest page ([`GuestMemory::read_bytes`]).
-    pub fn readable_bytes(&self, mem: &GuestMemory, offset: u64) -> Result<Bytes, QueueError> {
-        let mut pieces = self.readable_from(offset);
-        let Some((addr, len)) = pieces.next() else {
-            return Ok(Bytes::new());
-        };
-        if pieces.clone().next().is_none() {
-            return Ok(mem.read_bytes(addr, len)?);
+    /// Appends the readable bytes from byte `offset` on to `out`, copying
+    /// each once.
+    pub fn readable_append(
+        &self,
+        mem: &GuestMemory,
+        offset: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), QueueError> {
+        for (addr, len) in self.readable_from(offset) {
+            mem.read_append(addr, len, out)?;
         }
-        let mut out = Vec::with_capacity(self.readable_len().saturating_sub(offset) as usize);
-        mem.read_append(addr, len, &mut out)?;
-        for (addr, len) in pieces {
-            mem.read_append(addr, len, &mut out)?;
-        }
-        Ok(Bytes::from(out))
+        Ok(())
     }
 
     /// Scatters `data` into the writable buffers, in order. Returns the
@@ -1342,13 +1332,15 @@ mod tests {
         chain.read_readable(&mem, 1, &mut hdr).unwrap();
         assert_eq!(&hdr, b"dr!dat");
         assert!(chain.read_readable(&mem, 3, &mut hdr).is_err());
-        assert_eq!(chain.readable_bytes(&mem, 4).unwrap(), b"data"[..]);
-        assert_eq!(chain.readable_bytes(&mem, 2).unwrap(), b"r!data"[..]);
-        assert_eq!(chain.readable_bytes(&mem, 8).unwrap(), b""[..]);
-        assert_eq!(
-            chain.readable_bytes(&mem, 0).unwrap(),
-            chain.copy_readable(&mem).unwrap()
-        );
+        let from = |offset| {
+            let mut out = b"kept".to_vec();
+            chain.readable_append(&mem, offset, &mut out).unwrap();
+            out
+        };
+        assert_eq!(from(4), b"keptdata");
+        assert_eq!(from(2), b"keptr!data");
+        assert_eq!(from(8), b"kept");
+        assert_eq!(from(0)[4..], chain.copy_readable(&mem).unwrap());
     }
 
     #[test]

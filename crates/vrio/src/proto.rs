@@ -173,27 +173,28 @@ impl VrioMsg {
 
     /// Serializes header + payload into one buffer.
     pub fn encode(&self) -> Bytes {
-        encode_with(&self.hdr, &[&self.payload])
+        let mut b = Vec::with_capacity(VRIO_HDR_SIZE + self.payload.len());
+        b.extend_from_slice(&self.hdr.encode());
+        b.extend_from_slice(&self.payload);
+        Bytes::from(b)
     }
 
-    /// Serializes a message whose payload is `parts` back to back
-    /// straight into one buffer: what [`VrioMsg::new`] plus
-    /// [`VrioMsg::encode`] return for that payload, with no payload
-    /// built in between.
-    pub fn encode_parts(
-        kind: VrioMsgKind,
-        device: DeviceId,
-        request_id: u64,
-        parts: &[&[u8]],
-    ) -> Bytes {
-        let len = parts.iter().map(|p| p.len()).sum::<usize>();
+    /// Encodes in place a message whose payload already sits in `buf`
+    /// after [`VRIO_HDR_SIZE`] bytes of room: writes the header there, so
+    /// `buf` holds what [`VrioMsg::new`] plus [`VrioMsg::encode`] return
+    /// for that payload, with the payload never copied.
+    ///
+    /// # Panics
+    ///
+    /// If `buf` is shorter than a header.
+    pub fn encode_in_place(kind: VrioMsgKind, device: DeviceId, request_id: u64, buf: &mut [u8]) {
         let hdr = VrioHdr {
             kind,
             device,
             request_id,
-            len: len as u32,
+            len: (buf.len() - VRIO_HDR_SIZE) as u32,
         };
-        encode_with(&hdr, parts)
+        buf[..VRIO_HDR_SIZE].copy_from_slice(&hdr.encode());
     }
 
     /// Parses a buffer into a message (payload is a zero-copy slice).
@@ -210,33 +211,29 @@ impl VrioMsg {
     }
 }
 
-/// `hdr` and then `parts`, in one buffer.
-fn encode_with(hdr: &VrioHdr, parts: &[&[u8]]) -> Bytes {
-    let len = parts.iter().map(|p| p.len()).sum::<usize>();
-    let mut b = Vec::with_capacity(VRIO_HDR_SIZE + len);
-    b.extend_from_slice(&hdr.encode());
-    for part in parts {
-        b.extend_from_slice(part);
-    }
-    Bytes::from(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn encoding_parts_is_encoding_their_concatenation() {
+    fn encoding_in_place_is_encoding() {
         let device = DeviceId {
             client: 2,
             device: 1,
         };
-        let parts: [&[u8]; 3] = [&7u64.to_le_bytes(), b"", &[0xA5; 100]];
-        let whole = Bytes::from(parts.concat());
-        let msg = VrioMsg::new(VrioMsgKind::BlkReq, device, 9, whole);
-        let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, 9, &parts);
-        assert_eq!(encoded, msg.encode());
-        assert_eq!(VrioMsg::decode(encoded), Some(msg));
+        for payload in [&[][..], &[0xA5; 100][..]] {
+            let msg = VrioMsg::new(
+                VrioMsgKind::BlkReq,
+                device,
+                9,
+                Bytes::from(payload.to_vec()),
+            );
+            let mut buf = vec![0xFF; VRIO_HDR_SIZE];
+            buf.extend_from_slice(payload);
+            VrioMsg::encode_in_place(VrioMsgKind::BlkReq, device, 9, &mut buf);
+            assert_eq!(buf, &msg.encode()[..]);
+            assert_eq!(VrioMsg::decode(Bytes::from(buf)), Some(msg));
+        }
     }
 
     #[test]

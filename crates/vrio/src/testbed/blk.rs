@@ -12,7 +12,7 @@ use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
 use super::{req_track, BlkOutcome, HasTestbed, Testbed};
 use crate::interpose::Direction;
 use crate::oracle::FlowToken;
-use crate::proto::{DeviceId, VrioMsg, VrioMsgKind};
+use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 use crate::transport::TimeoutAction;
 
 /// One in-flight block request, kept in the testbed's block table until
@@ -23,8 +23,11 @@ pub(super) struct BlkReq {
     req: BlockRequest,
     /// The request's chain head on the VM's block ring.
     head: u16,
-    /// What the back end fetched from the ring: write data, else empty.
-    payload: Bytes,
+    /// The vRIO `BlkReq` message of the latest attempt: its headers, the
+    /// request id and the write payload the back end fetched from the
+    /// ring, in one buffer. A local back end uses only the payload, and
+    /// only a vRIO retransmission encodes the message anew.
+    msg: Bytes,
     t0: SimTime,
     span: SpanId,
     flow: FlowToken,
@@ -118,15 +121,15 @@ fn queue_next<W: HasTestbed>(timers: &mut [RetxTimer], eng: &mut Engine<W>) {
 fn complete<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, status: u8, read: &[u8]) {
     let tb = w.tb();
     let b = &tb.blks[blk];
-    let (vm, id, t0, span, flow, tag) = (b.vm, b.req.id, b.t0, b.span, b.flow, b.tag);
-    tb.vms[vm]
-        .blk_complete(b.head, status, read)
-        .expect("complete");
-    let reaped = &mut tb.blk_reaped;
-    tb.vms[vm].blk_reap_into(reaped).expect("reap");
+    let (vm, id, head, t0, span, flow, tag) = (b.vm, b.req.id, b.head, b.t0, b.span, b.flow, b.tag);
+    let mut reaped = std::mem::take(&mut tb.blk_reaped);
+    let rings = tb.rings(vm);
+    rings.blk_complete(head, status, read).expect("complete");
+    rings.blk_reap_into(&mut reaped).expect("reap");
     let own = reaped.iter().position(|c| c.id == id);
     let c = reaped.swap_remove(own.expect("own completion"));
     reaped.clear();
+    tb.blk_reaped = reaped;
     let now = eng.now();
     if status == vrio_virtio::BLK_S_IOERR {
         tb.trace.instant("blk_device_error", req_track(vm), now);
@@ -172,23 +175,31 @@ pub(super) fn vrio_send<W: HasTestbed>(
     arm(w, eng, blk, timeout);
 }
 
-/// What a back end executes for one block attempt. Each attempt has its
-/// own, because two attempts of one request can be in flight at once, and
-/// an attempt can still reach its back end after its request completed.
+/// What a back end executes for one block attempt, kept in the
+/// testbed's attempt table until it runs or its flow stops. Each attempt
+/// has its own, because two attempts of one request can be in flight at
+/// once, and an attempt can still reach its back end after its request
+/// completed.
 pub(super) struct BlkExec {
     vm: usize,
     req: BlockRequest,
-    /// What the back end fetched from the guest's block ring: write data,
-    /// else empty. A vRIO front end encapsulates it after the request id.
-    fetched: Bytes,
-    /// The vRIO message as sent (`None` for a local back end).
-    wire: Option<BlkWire>,
+    /// A vRIO attempt's message as sent; for a local back end, the write
+    /// payload it fetched from the guest's block ring (empty for reads).
+    data: Bytes,
+    /// The vRIO attempt's wire id (`None` for a local back end).
+    wire_id: Option<u64>,
 }
 
-/// A vRIO `BlkReq` message on the channel.
-struct BlkWire {
-    wire_id: u64,
-    encoded: Bytes,
+/// Bytes before the payload in a vRIO `BlkReq` message: the header and
+/// the guest's request id.
+const BLK_MSG_PREFIX: usize = VRIO_HDR_SIZE + 8;
+
+/// The vRIO device a VM's block requests name.
+fn blk_device(vm: usize) -> DeviceId {
+    DeviceId {
+        client: vm as u32,
+        device: 1,
+    }
 }
 
 /// Bytes the request moves: the payload of writes, the data returned by
@@ -208,49 +219,22 @@ impl Testbed {
     /// it fetched from the ring. Interposition transforms the data that
     /// moves: write payloads before they reach the store, read data
     /// before it returns, as `read`.
-    pub(super) fn blk_execute(&mut self, x: &BlkExec, read: &mut Bytes) {
-        let mut payload = x.fetched.clone();
-        if let Some(wire) = &x.wire {
-            let enc = &wire.encoded;
-            // Messages larger than the channel MTU really segment with the
-            // fake-TCP TSO path and reassemble zero-copy at the worker.
-            if enc.len() > MTU_VRIO_JUMBO {
-                let msg_id = self.fresh_msg_id();
-                // Batched train: the whole segment train is emitted into a
-                // recycled scratch vector and reassembled through the SKB
-                // pool in this one event — steady state allocates nothing.
-                let mut segs = std::mem::take(&mut self.tso_scratch);
-                segment_message_into(enc.clone(), MTU_VRIO_JUMBO, msg_id, &mut segs)
-                    .expect("block message within TSO bound");
-                let skb =
-                    reassemble_train(&mut segs, &mut self.skb_pool).expect("consistent fragments");
-                self.tso_scratch = segs;
-                assert_eq!(
-                    skb.bytes_copied(),
-                    0,
-                    "TSO segment->reassemble path must not copy payload bytes"
-                );
-                self.oracle
-                    .check_skb("blk tso segment->reassemble", enc, &skb);
-                self.skb_pool
-                    .release(skb)
-                    .expect("reassembled skb returns to the pool exactly once");
-            }
-            // Decode the request the worker actually received.
-            let msg = VrioMsg::decode(enc.clone()).expect("valid blk message");
-            assert_eq!(msg.hdr.kind, VrioMsgKind::BlkReq);
-            assert_eq!(msg.hdr.request_id, wire.wire_id);
-            let id = x.req.id.0.to_le_bytes();
-            self.oracle
-                .check_parts("blk encap->decap", &[&id, &x.fetched], &msg.payload);
-            payload = msg.payload.slice(id.len()..);
-        }
-        let (vm, req) = (x.vm, &x.req);
+    pub(super) fn blk_execute(&mut self, x: BlkExec, read: &mut Bytes) {
+        let BlkExec {
+            vm,
+            req,
+            data,
+            wire_id,
+        } = x;
+        let payload = match wire_id {
+            None => data,
+            Some(wire_id) => self.blk_receive(&req, data, wire_id),
+        };
         match req.kind {
             BlockKind::Write => {
                 let data = self.interpose_transform(Direction::Outbound, payload);
                 self.disk_stores[vm]
-                    .write(req.byte_offset(), &data)
+                    .write_bytes(req.byte_offset(), &data)
                     .expect("in range");
             }
             BlockKind::Read => {
@@ -263,6 +247,44 @@ impl Testbed {
             }
             BlockKind::Flush => {}
         }
+    }
+
+    /// A vRIO worker receives `enc`, attempt `wire_id` of `req`, and
+    /// decodes it: returns the write payload the message carries.
+    fn blk_receive(&mut self, req: &BlockRequest, enc: Bytes, wire_id: u64) -> Bytes {
+        // Messages larger than the channel MTU really segment with the
+        // fake-TCP TSO path and reassemble zero-copy at the worker.
+        if enc.len() > MTU_VRIO_JUMBO {
+            let msg_id = self.fresh_msg_id();
+            // Batched train: the whole segment train is emitted into a
+            // recycled scratch vector and reassembled through the SKB
+            // pool in this one event — steady state allocates nothing.
+            let mut segs = std::mem::take(&mut self.tso_scratch);
+            segment_message_into(enc.clone(), MTU_VRIO_JUMBO, msg_id, &mut segs)
+                .expect("block message within TSO bound");
+            let skb =
+                reassemble_train(&mut segs, &mut self.skb_pool).expect("consistent fragments");
+            self.tso_scratch = segs;
+            assert_eq!(
+                skb.bytes_copied(),
+                0,
+                "TSO segment->reassemble path must not copy payload bytes"
+            );
+            self.oracle
+                .check_skb("blk tso segment->reassemble", &enc, &skb);
+            self.skb_pool
+                .release(skb)
+                .expect("reassembled skb returns to the pool exactly once");
+        }
+        // Decode the request the worker actually received.
+        let msg = VrioMsg::decode(enc).expect("valid blk message");
+        assert_eq!(msg.hdr.kind, VrioMsgKind::BlkReq);
+        assert_eq!(msg.hdr.request_id, wire_id);
+        // What the worker decoded is what the front end held.
+        let id = req.id.0.to_le_bytes();
+        self.oracle
+            .check_parts("blk encap->decap", &[&id, &req.data], &msg.payload);
+        msg.payload.slice(id.len()..)
     }
 }
 
@@ -301,10 +323,16 @@ pub fn blk_request<W: HasTestbed>(
     let flow = tb.oracle.flow_begin("blk", t0);
 
     // The front-end publishes the request on the real virtio ring; the
-    // local back-end half (sidecore/vhost/transport) fetches it at once.
-    tb.vms[vm].blk_submit(&req).expect("blk ring slot");
-    let (head, _hdr, payload) = tb.vms[vm]
-        .blk_fetch()
+    // local back-end half (sidecore/vhost/transport) fetches it at once,
+    // straight into the vRIO message after its header and request id.
+    let id = req.id.0.to_le_bytes();
+    let mut msg = Vec::with_capacity(BLK_MSG_PREFIX + req.data.len());
+    msg.extend_from_slice(&[0; VRIO_HDR_SIZE]);
+    msg.extend_from_slice(&id);
+    let rings = tb.rings(vm);
+    rings.blk_submit(&req).expect("blk ring slot");
+    let (head, _hdr) = rings
+        .blk_fetch_into(&mut msg)
         .expect("fetch")
         .expect("just submitted");
 
@@ -322,7 +350,7 @@ pub fn blk_request<W: HasTestbed>(
         vm,
         req,
         head,
-        payload,
+        msg: Bytes::new(),
         t0,
         span,
         flow,
@@ -331,9 +359,15 @@ pub fn blk_request<W: HasTestbed>(
         holders: 1,
     };
     let end = match model {
-        IoModel::Elvis | IoModel::Baseline => FlowEnd::BlkLocal(tb.blks.insert(b)),
+        IoModel::Elvis | IoModel::Baseline => {
+            b.msg = Bytes::from(msg);
+            FlowEnd::BlkLocal(tb.blks.insert(b))
+        }
         IoModel::Vrio | IoModel::VrioNoPoll => {
             let (wire_id, timeout) = tb.retx[vm].send(id, eng.now());
+            let kind = VrioMsgKind::BlkReq;
+            VrioMsg::encode_in_place(kind, blk_device(vm), wire_id, &mut msg);
+            b.msg = Bytes::from(msg);
             b.wire_id = wire_id;
             b.holders = 2;
             let blk = tb.blks.insert(b);
@@ -350,15 +384,14 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
     let tb = w.tb();
     let b = &tb.blks[blk];
     let (vm, span, flow) = (b.vm, b.span, b.flow);
-    let (req, fetched) = (b.req.clone(), b.payload.clone());
-    let req = &req;
+    let (req, fetched) = (b.req.clone(), b.msg.slice(BLK_MSG_PREFIX..));
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
     let backend = tb.pick_backend_at(vm, 0); // local models: iohost unused
     let mut s = tb.program(span, flow);
     s.mark(Stage::Backend);
 
-    let moved = moved_bytes(req);
+    let moved = moved_bytes(&req);
     let icost = tb.interpose_cost(moved);
     match model {
         IoModel::Elvis => {
@@ -387,12 +420,12 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
     let svc = tb.config.block_profile.service_time(req.kind, moved as u64);
     s.mark(Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
-    s.push(Step::BlkExecute(Box::new(BlkExec {
+    s.push(tb.blk_execute_step(BlkExec {
         vm,
-        req: req.clone(),
-        fetched,
-        wire: None,
-    })));
+        req,
+        data: fetched,
+        wire_id: None,
+    }));
 
     // Completion pass back to the guest.
     s.mark(Stage::Interrupt);
@@ -433,16 +466,9 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let b = &tb.blks[blk];
     let (vm, t0, span, flow) = (b.vm, b.t0, b.span, b.flow);
     let (wire_id, req) = (b.wire_id, b.req.clone());
-    let req = &req;
-    // Transport: encapsulate (real bytes: header, request id and payload
-    // in one buffer) and segment if needed.
-    let fetched = b.payload.clone();
-    let device = DeviceId {
-        client: vm as u32,
-        device: 1,
-    };
-    let id = req.id.0.to_le_bytes();
-    let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, wire_id, &[&id, &fetched]);
+    // Transport: the encapsulated message (real bytes: header, request id
+    // and payload in one buffer), segmented if needed.
+    let encoded = b.msg.clone();
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
@@ -487,7 +513,7 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     s.mark(Stage::Backend);
 
     // Worker: reassemble, decode, interpose, execute on the remote store.
-    let moved = moved_bytes(req);
+    let moved = moved_bytes(&req);
     let icost = tb.interpose_cost(moved);
     let mut w_worker = tb.jitter(costs.vrio_worker_blk) + costs.reassemble_per_frag * frags + icost;
     // Zero-copy write discipline: only unaligned edges are copied; reads
@@ -507,12 +533,12 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let svc = tb.config.block_profile.service_time(req.kind, moved as u64);
     s.mark(Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
-    s.push(Step::BlkExecute(Box::new(BlkExec {
+    s.push(tb.blk_execute_step(BlkExec {
         vm,
-        req: req.clone(),
-        fetched,
-        wire: Some(BlkWire { wire_id, encoded }),
-    })));
+        req,
+        data: encoded,
+        wire_id: Some(wire_id),
+    }));
     s.push(Step::ReleaseBackend { vm, backend });
 
     // Response path: worker -> wire -> transport -> guest.
@@ -591,7 +617,11 @@ pub(super) fn retx_timeout<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u
             timeout,
         } => {
             tb.trace.instant("retx", req_track(vm), now);
-            tb.blks[i].wire_id = new_wire_id;
+            let b = &mut tb.blks[i];
+            let mut msg = VrioMsg::decode(b.msg.clone()).expect("the request's own message");
+            msg.hdr.request_id = new_wire_id;
+            b.msg = msg.encode();
+            b.wire_id = new_wire_id;
             vrio_send(w, eng, i, timeout);
         }
         TimeoutAction::DeviceError { .. } => {
@@ -620,24 +650,22 @@ mod tests {
         let req = BlockRequest::write(RequestId(7), 8, held.clone());
         // The channel carries other bytes than the front end held.
         let sent = [0x55; 4096];
-        let id = 7u64.to_le_bytes();
-        let device = DeviceId {
-            client: 0,
-            device: 1,
-        };
-        let encoded = VrioMsg::encode_parts(VrioMsgKind::BlkReq, device, 3, &[&id, &sent]);
+        let mut msg = vec![0; VRIO_HDR_SIZE];
+        msg.extend_from_slice(&7u64.to_le_bytes());
+        msg.extend_from_slice(&sent);
+        VrioMsg::encode_in_place(VrioMsgKind::BlkReq, blk_device(0), 3, &mut msg);
+        let encoded = Bytes::from(msg);
         let x = BlkExec {
             vm: 0,
             req,
-            fetched: held,
-            wire: Some(BlkWire {
-                wire_id: 3,
-                encoded,
-            }),
+            data: encoded.clone(),
+            wire_id: Some(3),
         };
-        tb.blk_execute(&x, &mut Bytes::new());
+        tb.blk_execute(x, &mut Bytes::new());
         let stored = tb.disk_stores[0].read(8 * 512, 4096).unwrap();
         assert_eq!(&stored[..], &sent[..], "the store holds the wire bytes");
+        // By reference: the stored page is the wire message's payload.
+        assert_eq!(stored.as_ptr(), encoded[BLK_MSG_PREFIX..].as_ptr());
         let violations = tb.oracle.violations();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].message.contains("blk encap->decap"));

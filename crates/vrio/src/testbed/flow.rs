@@ -51,6 +51,7 @@ pub(super) enum CounterKind {
 /// interprets. Queueing, contention and saturation emerge from the FIFO
 /// charges; the data steps run the real plumbing (virtqueue operations,
 /// vRIO encapsulation, interposition, the retransmission transport).
+#[derive(Clone, Copy)]
 pub(super) enum Step {
     /// Pure latency (wire propagation, DMA, ELI delivery).
     Fixed(SimDuration),
@@ -78,18 +79,15 @@ pub(super) enum Step {
     Mark(SpanId, FlowToken, Stage),
     /// A net frame for VM `vm` reaches IOhost worker `backend`
     /// ([`Testbed::iohost_arrival`]). A drop ends the flow and closes its
-    /// oracle entry and SLO record: the request is lost, and TCP above
+    /// records ([`Next::Lost`]): the request is lost, and TCP above
     /// retransmits.
-    NetArrival {
-        vm: usize,
-        backend: usize,
-        flow: FlowToken,
-    },
+    NetArrival { vm: usize, backend: usize },
     /// A block frame reaches the IOhost, through the same gate. A drop
     /// ends only this attempt; the retransmission timer recovers it.
     BlkArrival { vm: usize, backend: usize },
-    /// Hand a frame to the guest's rx ring ([`Testbed::deliver_rx`]).
-    DeliverRx(Box<RxFrame>),
+    /// Hand the frame in slot `i` of the testbed's rx frame table to the
+    /// guest's rx ring ([`Testbed::deliver_rx`]).
+    DeliverRx(usize),
     /// The guest transmits the canonical `len`-byte response. When its tx
     /// ring is full, the request is shed ([`DropCause::ShedQueue`]).
     SendTx { vm: usize, len: usize },
@@ -101,9 +99,10 @@ pub(super) enum Step {
     InterposeTx,
     /// Release VM `vm`'s steering designation on `backend`.
     ReleaseBackend { vm: usize, backend: usize },
-    /// Execute a block attempt on the store ([`Testbed::blk_execute`]);
-    /// a read's data becomes the flow's data.
-    BlkExecute(Box<BlkExec>),
+    /// Execute the block attempt in slot `i` of the testbed's attempt
+    /// table on the store ([`Testbed::blk_execute`]); a read's data
+    /// becomes the flow's data.
+    BlkExecute(usize),
     /// The transport receives a block response: anything but the
     /// accepted response of a still-outstanding attempt ends the flow.
     RetxAccept { vm: usize, wire_id: u64 },
@@ -112,15 +111,20 @@ pub(super) enum Step {
     StaleDuplicate { vm: usize, wire_id: u64 },
 }
 
-// Flows keep their steps in a `Vec`, so steps stay this small: the large
-// payloads, an rx frame and a block attempt, are boxed. Steps, flow
-// tables and block tables hold no shared or thread-bound state.
+// Flows keep their steps in a `Vec`, so steps stay this small and plain:
+// the large payloads, an rx frame and a block attempt, wait in testbed
+// tables that the steps name by index. Steps, flow tables and block
+// tables hold no shared or thread-bound state.
 const _: () = {
     assert!(std::mem::size_of::<Step>() <= 32);
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<Step>();
     const fn assert_send<T: Send>() {}
     assert_send::<Step>();
     assert_send::<FlowTable>();
     assert_send::<Slab<blk::BlkReq>>();
+    assert_send::<Slab<RxFrame>>();
+    assert_send::<Slab<BlkExec>>();
 };
 
 /// A frame for VM `vm`'s rx ring. A vRIO frame arrives as the encoded
@@ -130,17 +134,6 @@ pub(super) struct RxFrame {
     pub vm: usize,
     pub payload: Bytes,
     pub encoded: Option<Bytes>,
-}
-
-impl Step {
-    /// Delivers a plain (unencapsulated) frame to VM `vm`.
-    pub fn deliver(vm: usize, payload: Bytes) -> Step {
-        Step::DeliverRx(Box::new(RxFrame {
-            vm,
-            payload,
-            encoded: None,
-        }))
-    }
 }
 
 /// What runs when a flow's steps run out. A stopped flow (a dropped
@@ -211,8 +204,13 @@ enum Next {
     Go,
     /// Resume the flow at this instant.
     Wait(SimTime),
-    /// The flow ends here (a dropped frame or a stale response).
+    /// The block attempt ends here (a dropped frame or a stale response);
+    /// its request lives on.
     Stop,
+    /// The request is lost at the arrival gate for this cause: the flow
+    /// ends and its records close as a drop. The steering designations
+    /// its steps still hold stay taken.
+    Lost(DropCause),
     /// The request is dropped here for this cause: the flow ends, the
     /// steering designations its steps still hold are released, and its
     /// records close as a drop.
@@ -314,11 +312,11 @@ fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
 fn drive<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, i: usize, tail: bool) {
     let tb = w.tb();
     let parked = &mut tb.flows[i];
-    let mut steps = std::mem::take(&mut parked.steps);
+    let steps = std::mem::take(&mut parked.steps);
     let mut next = parked.next;
     let mut data = std::mem::take(&mut parked.data);
     let outcome = loop {
-        match tb.advance(&mut steps, &mut next, &mut data, eng.now()) {
+        match tb.advance(&steps, &mut next, &mut data, eng.now()) {
             Next::Wait(at) if tail && eng.continue_at(at) => {}
             outcome => break outcome,
         }
@@ -336,21 +334,10 @@ fn drive<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, i: usize, tail: bool) {
             parked.data = data;
             eng.schedule_at(at, resume::<W>, i as u64);
         }
-        Next::Stop => {
-            tb.flows.remove(i);
+        how => {
+            let end = tb.flows.remove(i).end;
+            tb.end_early(&steps[next..], end, how, eng.now());
             tb.recycle_steps(steps);
-        }
-        Next::Drop(cause) => {
-            let FlowEnd::Rr { net, .. } = tb.flows.remove(i).end else {
-                unreachable!("only request-responses drop mid-flow");
-            };
-            for step in &steps[next..] {
-                if let Step::ReleaseBackend { vm, backend } = *step {
-                    tb.release_backend(vm, backend);
-                }
-            }
-            tb.recycle_steps(steps);
-            net.dropped(tb, cause, eng.now());
         }
     }
 }
@@ -395,8 +382,7 @@ impl Testbed {
     }
 
     /// Returns a flow's step storage to the pool (capped so a burst of
-    /// aborted flows cannot hoard memory). The steps of a stopped flow are
-    /// discarded.
+    /// aborted flows cannot hoard memory).
     fn recycle_steps(&mut self, mut steps: Vec<Step>) {
         if self.step_pool.len() < 64 {
             steps.clear();
@@ -404,20 +390,65 @@ impl Testbed {
         }
     }
 
+    /// A step delivering to VM `vm` the frame `payload`, arriving as the
+    /// `encoded` vRIO message if given ([`RxFrame`]). The frame waits in
+    /// the rx frame table until the step runs or its flow ends early.
+    pub(super) fn deliver_step(
+        &mut self,
+        vm: usize,
+        payload: Bytes,
+        encoded: Option<Bytes>,
+    ) -> Step {
+        let frame = RxFrame {
+            vm,
+            payload,
+            encoded,
+        };
+        Step::DeliverRx(self.rx_frames.insert(frame))
+    }
+
+    /// A step executing block attempt `x`, which waits in the attempt
+    /// table until the step runs or its flow ends early.
+    pub(super) fn blk_execute_step(&mut self, x: BlkExec) -> Step {
+        Step::BlkExecute(self.blk_execs.insert(x))
+    }
+
+    /// Ends a flow that stopped (`how`) before its `unrun` steps ran:
+    /// frees the table slots those steps name, and closes the records of
+    /// a request lost or dropped there, after a drop releasing the
+    /// steering designations the unrun steps hold.
+    fn end_early(&mut self, unrun: &[Step], end: FlowEnd, how: Next, now: SimTime) {
+        for step in unrun {
+            match *step {
+                Step::DeliverRx(i) => drop(self.rx_frames.remove(i)),
+                Step::BlkExecute(i) => drop(self.blk_execs.remove(i)),
+                Step::ReleaseBackend { vm, backend } if matches!(how, Next::Drop(_)) => {
+                    self.release_backend(vm, backend)
+                }
+                _ => {}
+            }
+        }
+        let (Next::Lost(cause) | Next::Drop(cause)) = how else {
+            return;
+        };
+        let FlowEnd::Rr { net, .. } = end else {
+            unreachable!("only request-responses are lost or dropped mid-flow");
+        };
+        net.dropped(self, cause, now);
+    }
+
     /// Runs `steps` from index `next` at `now` until one waits or stops
     /// the flow, or they run out ([`Next::Go`]); `next` is left at the
-    /// first step not run. A step that ran is left as a zero delay. Data
-    /// steps write the flow's `data`.
+    /// first step not run. Data steps write the flow's `data`.
     fn advance(
         &mut self,
-        steps: &mut [Step],
+        steps: &[Step],
         next: &mut usize,
         data: &mut Bytes,
         now: SimTime,
     ) -> Next {
-        while let Some(slot) = steps.get_mut(*next) {
+        while let Some(mut step) = steps.get(*next).copied() {
             *next += 1;
-            let mut step = std::mem::replace(slot, Step::Fixed(SimDuration::ZERO));
             if let Step::Fixed(total) = &mut step {
                 // Coalesce a run of consecutive fixed delays into one
                 // scheduled event. Pure latencies have no observable
@@ -473,11 +504,9 @@ impl Testbed {
                     self.audit_rings();
                 }
             }
-            Step::NetArrival { vm, backend, flow } => {
+            Step::NetArrival { vm, backend } => {
                 if let Err(cause) = self.iohost_arrival(vm, backend, now) {
-                    self.oracle.flow_drop(flow, now);
-                    self.slo.record_drop(vm, cause);
-                    return Next::Stop;
+                    return Next::Lost(cause);
                 }
             }
             Step::BlkArrival { vm, backend } => {
@@ -485,10 +514,13 @@ impl Testbed {
                     return Next::Stop;
                 }
             }
-            Step::DeliverRx(frame) => self.deliver_rx(*frame),
+            Step::DeliverRx(i) => {
+                let frame = self.rx_frames.remove(i);
+                self.deliver_rx(frame);
+            }
             Step::SendTx { vm, len } => {
                 let payload = self.resp_payload(len);
-                if self.vms[vm].net_send(&payload).is_err() {
+                if self.rings(vm).net_send(&payload).is_err() {
                     // More responses in flight than the tx ring holds:
                     // the guest sheds this one.
                     return Next::Drop(DropCause::ShedQueue);
@@ -500,7 +532,10 @@ impl Testbed {
                 *data = self.interpose_transform(Direction::Outbound, payload);
             }
             Step::ReleaseBackend { vm, backend } => self.release_backend(vm, backend),
-            Step::BlkExecute(exec) => self.blk_execute(&exec, data),
+            Step::BlkExecute(i) => {
+                let x = self.blk_execs.remove(i);
+                self.blk_execute(x, data);
+            }
             Step::RetxAccept { vm, wire_id } => {
                 if !matches!(
                     self.retx[vm].on_response(wire_id, now),
@@ -570,7 +605,7 @@ impl Testbed {
             }
             None => frame.payload,
         };
-        let vm = &mut self.vms[frame.vm];
+        let vm = self.rings(frame.vm);
         vm.net_deliver_rx(&payload).expect("rx posted");
         vm.net_recv().expect("recv").expect("delivered");
         vm.net_refill_rx().expect("refill");
@@ -580,12 +615,13 @@ impl Testbed {
     /// and completes it, interposing in `dir` when given (a drop verdict
     /// yields an empty payload).
     fn fetch_tx(&mut self, vm: usize, dir: Option<Direction>) -> Bytes {
-        let (head, _hdr, payload) = self.vms[vm]
+        let rings = self.rings(vm);
+        let (head, _hdr, payload) = rings
             .net_fetch_tx()
             .expect("fetch")
             .expect("guest transmitted");
-        self.vms[vm].net_complete_tx(head).expect("complete");
-        self.vms[vm].net_reap_tx().expect("reap");
+        rings.net_complete_tx(head).expect("complete");
+        rings.net_reap_tx().expect("reap");
         match dir {
             Some(dir) => self.interpose(dir, payload).0.unwrap_or_default(),
             None => payload,
@@ -674,7 +710,7 @@ mod tests {
         // A ring method moves its own queue's epoch, so the next mark
         // re-audits that one queue of that VM and nothing else.
         mark(&mut seven);
-        seven.vms[3].net_refill_rx().unwrap();
+        seven.rings(3).net_refill_rx().unwrap();
         assert_eq!(mark(&mut seven), 1);
         seven.oracle.finish();
         seven.oracle.assert_clean("7-VM audit locality");
@@ -730,7 +766,9 @@ mod tests {
 
     #[test]
     fn no_slot_outlives_its_flow() {
-        let tb = drain_lossy(lossy_rack());
+        let mut config = lossy_rack();
+        config.trace = vrio_trace::TraceConfig::memory();
+        let tb = drain_lossy(config);
 
         // The run took every path that ends a flow early or late.
         assert!(tb.slo.total_dropped() > 0, "no RR was dropped");
@@ -739,9 +777,18 @@ mod tests {
         assert!(retx.device_errors > 0, "no block request gave up");
         assert!(retx.stale_responses > 0, "no response was stale");
         assert_eq!(retx.block_completed + retx.device_errors, 400);
-        // Drained: nothing parked, no block request left in the table.
+        // Drained: nothing parked, no block request left in the table, no
+        // payload left waiting for a step, and every span closed, those
+        // of requests lost at the arrival gate included.
         assert_eq!(tb.flows.occupied(), 0, "parked flows outlived the run");
         assert_eq!(tb.blks.occupied(), 0, "block requests outlived the run");
+        assert_eq!(tb.rx_frames.occupied(), 0, "rx frames outlived the run");
+        assert_eq!(
+            tb.blk_execs.occupied(),
+            0,
+            "block attempts outlived the run"
+        );
+        assert_eq!(tb.trace.open_spans(), 0, "spans outlived the run");
         assert!(
             tb.retx_timers.iter().all(Vec::is_empty),
             "armed retransmission timers outlived the run"

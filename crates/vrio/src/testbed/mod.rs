@@ -46,7 +46,7 @@ use crate::proto::DeviceId;
 use crate::transport::{BlockRetx, RetxConfig};
 
 pub use blk::blk_request;
-use flow::{CoreRef, CounterKind, FlowTable, Slab, Step};
+use flow::{CoreRef, CounterKind, FlowTable, RxFrame, Slab, Step};
 pub use net::{net_request_response, stream_batch};
 
 /// Gives the engine world access to the embedded [`Testbed`] and hands it
@@ -582,7 +582,10 @@ pub struct Testbed {
     pub config: TestbedConfig,
     /// Deterministic RNG.
     pub rng: SimRng,
-    /// The VMs (real guest memory + virtqueues + VCPU each).
+    /// The VMs (real guest memory + virtqueues + VCPU each). The testbed
+    /// moves a VM's rings only through `Testbed::rings`, which marks the
+    /// VM for the oracle's next audit; rings moved from outside are not
+    /// audited until the VM is next marked.
     pub vms: Vec<Vm>,
     /// VMhost index of each VM.
     pub vm_host: Vec<usize>,
@@ -653,6 +656,10 @@ pub struct Testbed {
     flows: FlowTable,
     /// The block requests in flight.
     blks: Slab<blk::BlkReq>,
+    /// Frames waiting for the [`Step::DeliverRx`] that names them.
+    rx_frames: Slab<RxFrame>,
+    /// Block attempts waiting for the [`Step::BlkExecute`] that names them.
+    blk_execs: Slab<blk::BlkExec>,
     /// Per VM: the armed retransmission timers of its block requests.
     retx_timers: Vec<Vec<blk::RetxTimer>>,
     /// Block completions just reaped; kept for its capacity.
@@ -665,6 +672,10 @@ pub struct Testbed {
     /// before the first; sized at the first mark), so a mark re-audits
     /// only the queues that moved.
     audited_epochs: Vec<[u64; Vm::QUEUES]>,
+    /// One bit per VM whose rings [`Testbed::rings`] handed out since the
+    /// last oracle audit: the VMs the next audit visits. Sized at the
+    /// first audit, so with the oracle off marking is one length check.
+    rings_moved: Vec<u64>,
     /// Debug builds: each VM's queue snapshots at their last oracle audit,
     /// against which every skipped audit is verified.
     #[cfg(debug_assertions)]
@@ -814,11 +825,14 @@ impl Testbed {
             step_pool: Vec::new(),
             flows: FlowTable::default(),
             blks: Slab::default(),
+            rx_frames: Slab::default(),
+            blk_execs: Slab::default(),
             retx_timers: vec![Vec::new(); config.num_vms],
             blk_reaped: Vec::new(),
             trace,
             oracle,
             audited_epochs: Vec::new(),
+            rings_moved: Vec::new(),
             #[cfg(debug_assertions)]
             audited_rings,
             telemetry,
@@ -832,55 +846,93 @@ impl Testbed {
         }
     }
 
+    /// VM `vm`, for calls that can move its virtqueues: the testbed's one
+    /// way to them, which marks the VM for the next oracle audit.
+    pub(super) fn rings(&mut self, vm: usize) -> &mut Vm {
+        if let Some(bits) = self.rings_moved.get_mut(vm / 64) {
+            *bits |= 1 << (vm % 64);
+        }
+        &mut self.vms[vm]
+    }
+
     /// Runs the oracle's descriptor-conservation audit over the VMs'
     /// virtqueues (no-op when the oracle is off). Invoked inline at every
     /// lifecycle mark, so ring laws are checked continuously while flows
     /// are mid-flight, not just at quiescence.
     ///
-    /// Every queue state present at a mark is audited once: a queue
-    /// whose epoch ([`Vm::ring_epochs`]) has not moved since its last
-    /// audit is still the queue that audit checked, so it is skipped.
+    /// Every queue state present at a mark is audited once. The audit
+    /// visits, in VM order, only the VMs whose rings the testbed handed
+    /// out (`Testbed::rings`) since the last one (every VM at the first),
+    /// and of those only the queues whose epoch ([`Vm::ring_epochs`])
+    /// moved: any other queue is still the one the last audit checked.
     /// Debug builds verify each skip against the snapshot the last audit
     /// took.
     pub fn audit_rings(&mut self) {
         if !self.oracle.enabled() {
             return;
         }
-        self.audited_epochs
-            .resize(self.vms.len(), [u64::MAX; Vm::QUEUES]);
-        for (v, vm) in self.vms.iter().enumerate() {
-            let epochs = vm.ring_epochs();
-            if self.audited_epochs[v] == epochs {
+        let n = self.vms.len();
+        if self.audited_epochs.is_empty() {
+            self.audited_epochs = vec![[u64::MAX; Vm::QUEUES]; n];
+            self.rings_moved = vec![0; n.div_ceil(64)];
+            for v in 0..n {
+                self.rings_moved[v / 64] |= 1 << (v % 64);
+            }
+        }
+        #[cfg(debug_assertions)]
+        for v in 0..n {
+            if self.rings_moved[v / 64] & (1 << (v % 64)) == 0 {
+                let vm = &self.vms[v];
+                assert_eq!(
+                    vm.ring_epochs(),
+                    self.audited_epochs[v],
+                    "{}: its rings moved unmarked",
+                    vm.id
+                );
+                self.verify_unchanged(v, 0..Vm::QUEUES);
+            }
+        }
+        for word in 0..self.rings_moved.len() {
+            let mut bits = std::mem::take(&mut self.rings_moved[word]);
+            while bits != 0 {
+                self.audit_vm(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Audits the queues of VM `v` whose epoch moved since its last audit.
+    fn audit_vm(&mut self, v: usize) {
+        let vm = &self.vms[v];
+        let epochs = vm.ring_epochs();
+        for (q, &epoch) in epochs.iter().enumerate() {
+            if self.audited_epochs[v][q] == epoch {
                 #[cfg(debug_assertions)]
-                for (q, audited) in self.audited_rings[v].iter().enumerate() {
-                    assert_eq!(
-                        &vm.queue_audit(q),
-                        audited,
-                        "{}: a queue changed without an epoch bump",
-                        vm.id
-                    );
-                }
+                self.verify_unchanged(v, q..q + 1);
                 continue;
             }
-            for (q, &epoch) in epochs.iter().enumerate() {
-                if self.audited_epochs[v][q] == epoch {
-                    #[cfg(debug_assertions)]
-                    assert_eq!(
-                        vm.queue_audit(q),
-                        self.audited_rings[v][q],
-                        "{}: a queue changed without an epoch bump",
-                        vm.id
-                    );
-                    continue;
-                }
-                let audit = vm.queue_audit(q);
-                self.oracle.audit_queue(vm.id.0, &audit);
-                #[cfg(debug_assertions)]
-                {
-                    self.audited_rings[v][q] = audit;
-                }
+            let audit = vm.queue_audit(q);
+            self.oracle.audit_queue(vm.id.0, &audit);
+            #[cfg(debug_assertions)]
+            {
+                self.audited_rings[v][q] = audit;
             }
-            self.audited_epochs[v] = epochs;
+        }
+        self.audited_epochs[v] = epochs;
+    }
+
+    /// Debug builds: checks that VM `v`'s `queues` are what their last
+    /// audit saw.
+    #[cfg(debug_assertions)]
+    fn verify_unchanged(&self, v: usize, queues: std::ops::Range<usize>) {
+        let vm = &self.vms[v];
+        for q in queues {
+            assert_eq!(
+                vm.queue_audit(q),
+                self.audited_rings[v][q],
+                "{}: a queue changed without an epoch bump",
+                vm.id
+            );
         }
     }
 

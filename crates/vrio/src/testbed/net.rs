@@ -7,7 +7,7 @@ use vrio_net::MTU_VRIO_JUMBO;
 use vrio_sim::{Engine, SimDuration, SimTime};
 use vrio_trace::{DropCause, SpanId, Stage};
 
-use super::flow::{CoreRef, CounterKind, FlowEnd, RxFrame, Step};
+use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
 use super::{req_track, HasTestbed, Testbed};
 use crate::health::Route;
 use crate::interpose::Direction;
@@ -121,7 +121,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
-            s.push(Step::deliver(vm, req.clone()));
+            s.push(tb.deliver_step(vm, req.clone(), None));
             s.mark(Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
@@ -138,7 +138,7 @@ pub fn net_request_response<W: HasTestbed>(
             let Some(fwd) = fwd else {
                 return f.firewalled(tb);
             };
-            s.push(Step::deliver(vm, fwd));
+            s.push(tb.deliver_step(vm, fwd, None));
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
             s.mark(Stage::Interrupt);
@@ -151,11 +151,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::RingPush(backend));
             // The IOhost arrival gate (net traffic: a drop means the
             // request is simply lost; TCP above retransmits).
-            s.push(Step::NetArrival {
-                vm,
-                backend,
-                flow: f.flow,
-            });
+            s.push(Step::NetArrival { vm, backend });
             s.mark(Stage::WorkerPickup);
             if model == IoModel::VrioNoPoll {
                 s.push(Step::Count(CounterKind::IohostIntr));
@@ -206,11 +202,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
             // Transport decapsulates (real decode) and hands to front-end.
-            s.push(Step::DeliverRx(Box::new(RxFrame {
-                vm,
-                payload: fwd_check,
-                encoded: Some(encoded),
-            })));
+            s.push(tb.deliver_step(vm, fwd_check, Some(encoded)));
             s.mark(Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.vrio_decap + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
@@ -227,7 +219,7 @@ pub fn net_request_response<W: HasTestbed>(
             let Some(fwd) = fwd else {
                 return f.firewalled(tb);
             };
-            s.push(Step::deliver(vm, fwd));
+            s.push(tb.deliver_step(vm, fwd, None));
             s.push(Step::Count(CounterKind::Injection));
             s.push(Step::Charge(
                 CoreRef::Backend(backend),
@@ -307,7 +299,6 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::NetArrival {
                 vm,
                 backend: backend_out,
-                flow: f.flow,
             });
             s.mark(Stage::WorkerPickup);
             if model == IoModel::VrioNoPoll {
@@ -432,7 +423,7 @@ fn fallback_request_response<W: HasTestbed>(
     );
     s.push(Step::Count(CounterKind::Injection));
     s.push(Step::ChargeVm(vm, w_in));
-    s.push(Step::deliver(vm, req.clone()));
+    s.push(tb.deliver_step(vm, req.clone(), None));
     s.push(Step::Count(CounterKind::GuestIntr));
     s.push(Step::Count(CounterKind::Exit)); // EOI
     s.mark(Stage::Interrupt);

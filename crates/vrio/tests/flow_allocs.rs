@@ -7,15 +7,20 @@
 //!
 //! A block request's data steps do allocate: the counts of a warmed 4 KB
 //! vRIO write and read are pinned, so a copy or allocation added to the
-//! block path shows here.
+//! block path shows here. The ramdisk holds the wire bytes by reference,
+//! which is pinned by address.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use vrio::{blk_request, net_request_response, Testbed, TestbedConfig};
+use vrio::{
+    blk_request, net_request_response, Direction, InterpositionService, Testbed, TestbedConfig,
+    Verdict,
+};
 use vrio_block::{BlockRequest, RequestId};
-use vrio_hv::IoModel;
+use vrio_hv::{CostModel, IoModel};
 use vrio_sim::{Engine, SimDuration};
 
 /// Counts the allocations (and reallocations) of the current thread.
@@ -106,10 +111,60 @@ fn a_warmed_vrio_block_request_makes_a_pinned_number_of_allocations() {
     for k in 0..200 {
         blk(&mut tb, &mut eng, k, k % 2 == 0);
     }
-    // A write: the payload fetched from the ring (1), the encoded message
-    // and its shared handle (2), and the attempt the back end executes (1).
-    assert_eq!(blk(&mut tb, &mut eng, 1000, true), 4, "4 KB write");
-    // A read: the encoded message and its handle (2), the attempt (1),
-    // the data read from the ramdisk (1) and the data the guest reaps (1).
-    assert_eq!(blk(&mut tb, &mut eng, 1001, false), 5, "4 KB read");
+    // A write: the message the payload is fetched into, after room for
+    // its headers (1), and its shared handle (1). The attempt waits in a
+    // testbed table, and the ramdisk keeps the decoded payload itself.
+    assert_eq!(blk(&mut tb, &mut eng, 1000, true), 2, "4 KB write");
+    // A read: the message, headers and request id only (1), its shared
+    // handle (1), and the data the guest reaps (1). The ramdisk hands out
+    // its stored page.
+    assert_eq!(blk(&mut tb, &mut eng, 1001, false), 3, "4 KB read");
+}
+
+/// The address of every payload the back end's interposition chain sees,
+/// passed through unchanged.
+struct Witness(Arc<Mutex<Vec<(Direction, usize)>>>);
+
+impl InterpositionService for Witness {
+    fn name(&self) -> &'static str {
+        "witness"
+    }
+
+    fn process(&mut self, dir: Direction, payload: Bytes) -> Verdict {
+        self.0
+            .lock()
+            .unwrap()
+            .push((dir, payload.as_ptr() as usize));
+        Verdict::Pass(payload)
+    }
+
+    fn cost(&self, _: &CostModel, _: usize) -> SimDuration {
+        SimDuration::ZERO
+    }
+}
+
+#[test]
+fn a_4k_write_is_stored_and_read_back_by_reference() {
+    let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    tb.chain.push(Box::new(Witness(seen.clone())));
+    let mut eng = Engine::new();
+    let page = |tb: &Testbed| tb.disk_stores[0].read(8 * 512, 4096).unwrap();
+
+    // The worker interposes on the payload it decoded from the wire, and
+    // the store keeps that very buffer: a copy of the guest's, fetched
+    // from its ring once.
+    blk(&mut tb, &mut eng, 1, true);
+    let stored = page(&tb);
+    assert_eq!(&stored[..], &CHUNK[..]);
+    assert_ne!(stored.as_ptr(), CHUNK.as_ptr(), "fetched from the ring");
+    let decoded = seen.lock().unwrap().clone();
+    assert_eq!(decoded, [(Direction::Outbound, stored.as_ptr() as usize)]);
+
+    // A read of the page (request 65 reads request 1's sector) hands the
+    // stored page itself to the worker.
+    blk(&mut tb, &mut eng, 65, false);
+    let read = seen.lock().unwrap()[1];
+    assert_eq!(read, (Direction::Inbound, stored.as_ptr() as usize));
+    assert_eq!(page(&tb).as_ptr(), stored.as_ptr());
 }
