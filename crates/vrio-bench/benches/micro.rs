@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 
 use bytes::Bytes;
 use vrio::{AesCtr, BlockRetx, DeviceId, RetxConfig, Steering, VrioMsg, VrioMsgKind};
-use vrio_block::{split_sector_aligned, BlockRequest, Elevator, Ramdisk, RequestId};
+use vrio_block::{BlockRequest, Elevator, Ramdisk, RequestId};
 use vrio_net::{segment_message, EtherType, Frame, MacAddr, Reassembler, MTU_VRIO_JUMBO};
 use vrio_sim::{SimDuration, SimTime};
 use vrio_virtio::{DeviceQueue, DriverQueue, GuestAddr, GuestMemory, VirtqueueLayout};
@@ -120,9 +120,10 @@ fn bench_iohost(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             let now = SimTime::ZERO + SimDuration::micros(i);
-            let (wire, _) = rx.send(RequestId(i), now);
+            let mut req = rx.send(now);
+            let wire = req.wire_id();
             i += 1;
-            rx.on_response(wire, now + SimDuration::micros(44))
+            rx.on_response(&mut req, wire, now + SimDuration::micros(44))
         });
     });
     g.finish();
@@ -130,10 +131,6 @@ fn bench_iohost(c: &mut Criterion) {
 
 fn bench_block(c: &mut Criterion) {
     let mut g = c.benchmark_group("block");
-    g.bench_function("aligned_split_5000B", |b| {
-        let data = Bytes::from(vec![1u8; 5000]);
-        b.iter(|| split_sector_aligned(300, data.clone()));
-    });
     g.bench_function("ramdisk_write_read_4k", |b| {
         let mut d = Ramdisk::new(1 << 20);
         let buf = [0xCDu8; 4096];

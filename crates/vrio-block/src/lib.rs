@@ -5,24 +5,23 @@
 //! paper measures (ramdisk, SATA SSD, FusionIO PCIe SSD), the
 //! [`BlockGate`] implementing the guest disk-scheduler invariant that
 //! vRIO's retransmission protocol relies on (§4.5), a C-LOOK [`Elevator`],
-//! and the sector-alignment split behind the zero-copy write path (§4.4).
+//! and the unaligned-edge count behind the zero-copy write path (§4.4).
 //!
 //! ## Example: the zero-copy write discipline
 //!
 //! ```
-//! use vrio_block::{split_sector_aligned, Ramdisk};
-//! use bytes::Bytes;
+//! use vrio_block::{unaligned_edge_bytes, Ramdisk};
 //!
 //! // A DMA buffer lands at an unaligned device offset. The worker writes
-//! // the aligned interior directly and copies only the edges (§4.4).
-//! let payload = Bytes::from((0..5000u32).map(|i| i as u8).collect::<Vec<_>>());
-//! let split = split_sector_aligned(300, payload.clone());
-//! assert!(split.zero_copy_bytes() > 8 * split.copied_bytes());
+//! // the aligned interior [512, 5120) directly and copies only the edges
+//! // [300, 512) and [5120, 5300) (§4.4).
+//! let payload: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+//! let copied = unaligned_edge_bytes(300, payload.len());
+//! assert_eq!(copied, 212 + 180);
+//! assert!(payload.len() - copied > 8 * copied);
 //!
 //! let mut disk = Ramdisk::new(1 << 20);
-//! disk.write(300, &split.head).unwrap();
-//! disk.write(300 + split.head.len() as u64, &split.middle).unwrap();
-//! disk.write(300 + (split.head.len() + split.middle.len()) as u64, &split.tail).unwrap();
+//! disk.write(300, &payload).unwrap();
 //! assert_eq!(&disk.read(300, 5000).unwrap()[..], &payload[..]);
 //! ```
 
@@ -36,5 +35,5 @@ mod scheduler;
 
 pub use backing::{BlockError, DeviceProfile, Ramdisk};
 pub use gate::BlockGate;
-pub use request::{split_sector_aligned, AlignedSplit, BlockKind, BlockRequest, RequestId};
+pub use request::{unaligned_edge_bytes, BlockKind, BlockRequest, RequestId};
 pub use scheduler::Elevator;

@@ -1,4 +1,4 @@
-//! Block request types and the sector-alignment split used by the zero-copy
+//! Block request types and the unaligned-edge count behind the zero-copy
 //! write path.
 
 use bytes::Bytes;
@@ -15,9 +15,8 @@ pub enum BlockKind {
     Flush,
 }
 
-/// A unique, monotonically assigned request identifier. vRIO's
-/// retransmission protocol (§4.5) keys its timeout and stale-response
-/// filtering on this.
+/// A unique, monotonically assigned request identifier: the guest
+/// matches each completion to its request by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
@@ -83,71 +82,30 @@ impl BlockRequest {
     }
 }
 
-/// How a buffer splits for the zero-copy write path (paper §4.4): the
-/// worker writes the *aligned interior* directly from the DMA buffer and
-/// copies only the unaligned edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlignedSplit {
-    /// Unaligned leading edge (must be copied), possibly empty.
-    pub head: Bytes,
-    /// Sector-aligned interior (zero-copy), possibly empty.
-    pub middle: Bytes,
-    /// Unaligned trailing edge (must be copied), possibly empty.
-    pub tail: Bytes,
-    /// Byte offset within the device where `head` starts.
-    pub offset: u64,
-}
-
-impl AlignedSplit {
-    /// Bytes that require copying (the edges).
-    pub fn copied_bytes(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
-
-    /// Bytes written zero-copy (the interior).
-    pub fn zero_copy_bytes(&self) -> usize {
-        self.middle.len()
-    }
-}
-
-/// Splits a write buffer destined for byte `offset` into unaligned edges
-/// and an aligned interior.
+/// Bytes of a `len`-byte write at device byte `offset` that lie outside
+/// its sector-aligned interior: the unaligned edges, which the zero-copy
+/// write path (paper §4.4) copies while it writes the interior straight
+/// from the DMA buffer. A write that covers no whole sector is all edge.
 ///
 /// # Examples
 ///
 /// ```
-/// use vrio_block::split_sector_aligned;
-/// use bytes::Bytes;
+/// use vrio_block::unaligned_edge_bytes;
 ///
-/// // A 2000-byte write at offset 100: head pads to the 512 boundary,
-/// // interior covers [512, 2048), tail is the remainder.
-/// let split = split_sector_aligned(100, Bytes::from(vec![0u8; 2000]));
-/// assert_eq!(split.head.len(), 412);   // 100..512
-/// assert_eq!(split.middle.len(), 1536); // 512..2048
-/// assert_eq!(split.tail.len(), 52);    // 2048..2100
-/// assert_eq!(split.copied_bytes(), 464);
+/// // A 2000-byte write at offset 100: the interior is [512, 2048), the
+/// // edges are [100, 512) and [2048, 2100).
+/// assert_eq!(unaligned_edge_bytes(100, 2000), 412 + 52);
+/// assert_eq!(unaligned_edge_bytes(1024, 4096), 0);
+/// assert_eq!(unaligned_edge_bytes(10, 100), 100);
 /// ```
-pub fn split_sector_aligned(offset: u64, data: Bytes) -> AlignedSplit {
-    let end = offset + data.len() as u64;
+pub fn unaligned_edge_bytes(offset: u64, len: usize) -> usize {
+    let end = offset + len as u64;
     let first_aligned = offset.div_ceil(SECTOR_SIZE) * SECTOR_SIZE;
-    let last_aligned = (end / SECTOR_SIZE) * SECTOR_SIZE;
+    let last_aligned = end / SECTOR_SIZE * SECTOR_SIZE;
     if first_aligned >= last_aligned {
-        // No aligned interior at all: the whole buffer is an edge.
-        return AlignedSplit {
-            head: data,
-            middle: Bytes::new(),
-            tail: Bytes::new(),
-            offset,
-        };
+        return len;
     }
-    let head_len = (first_aligned - offset) as usize;
-    let mid_len = (last_aligned - first_aligned) as usize;
-    AlignedSplit {
-        head: data.slice(0..head_len),
-        middle: data.slice(head_len..head_len + mid_len),
-        tail: data.slice(head_len + mid_len..),
-        offset,
-    }
+    len - (last_aligned - first_aligned) as usize
 }
 
 #[cfg(test)]
@@ -156,30 +114,13 @@ mod tests {
 
     #[test]
     fn fully_aligned_buffer_is_all_interior() {
-        let s = split_sector_aligned(1024, Bytes::from(vec![1u8; 4096]));
-        assert!(s.head.is_empty());
-        assert!(s.tail.is_empty());
-        assert_eq!(s.zero_copy_bytes(), 4096);
-        assert_eq!(s.copied_bytes(), 0);
+        assert_eq!(unaligned_edge_bytes(1024, 4096), 0);
     }
 
     #[test]
     fn tiny_unaligned_buffer_is_all_edge() {
-        let s = split_sector_aligned(10, Bytes::from(vec![1u8; 100]));
-        assert_eq!(s.head.len(), 100);
-        assert_eq!(s.zero_copy_bytes(), 0);
-    }
-
-    #[test]
-    fn split_preserves_content() {
-        let data: Vec<u8> = (0..3000u32).map(|i| i as u8).collect();
-        let s = split_sector_aligned(200, Bytes::from(data.clone()));
-        let mut rebuilt = Vec::new();
-        rebuilt.extend_from_slice(&s.head);
-        rebuilt.extend_from_slice(&s.middle);
-        rebuilt.extend_from_slice(&s.tail);
-        assert_eq!(rebuilt, data);
-        assert_eq!((s.offset + s.head.len() as u64) % SECTOR_SIZE, 0);
+        assert_eq!(unaligned_edge_bytes(10, 100), 100);
+        assert_eq!(unaligned_edge_bytes(500, 24), 24);
     }
 
     #[test]

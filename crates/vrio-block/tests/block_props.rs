@@ -1,12 +1,12 @@
-//! Property tests for the block substrate: alignment splitting preserves
-//! content and alignment, the gate never admits overlapping requests, the
+//! Property tests for the block substrate: the unaligned-edge count
+//! matches a byte-by-byte count, the gate never admits overlapping requests, the
 //! elevator never loses or duplicates requests, and the ramdisk reads
 //! back what a flat byte array would.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use vrio_block::{
-    split_sector_aligned, BlockError, BlockGate, BlockRequest, Elevator, Ramdisk, RequestId,
+    unaligned_edge_bytes, BlockError, BlockGate, BlockRequest, Elevator, Ramdisk, RequestId,
 };
 
 const PAGE: u64 = 4096;
@@ -54,29 +54,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn aligned_split_partitions_buffer(
+    fn unaligned_edge_bytes_count_the_bytes_outside_whole_sectors(
         offset in 0u64..10_000,
-        len in 1usize..20_000,
+        len in 0usize..20_000,
     ) {
-        let data: Vec<u8> = (0..len).map(|i| (i ^ 0x5a) as u8).collect();
-        let s = split_sector_aligned(offset, Bytes::from(data.clone()));
-        // Partition: head+middle+tail reconstruct the buffer.
-        let mut rebuilt = s.head.to_vec();
-        rebuilt.extend_from_slice(&s.middle);
-        rebuilt.extend_from_slice(&s.tail);
-        prop_assert_eq!(rebuilt, data);
-        // Alignment: the middle starts and ends on sector boundaries.
-        if !s.middle.is_empty() {
-            let mid_start = offset + s.head.len() as u64;
-            prop_assert_eq!(mid_start % 512, 0);
-            prop_assert_eq!(s.middle.len() % 512, 0);
-        }
-        // Edges are each shorter than a sector... except when there is no
-        // aligned interior at all, in which case everything is "head".
-        if !s.middle.is_empty() {
-            prop_assert!(s.head.len() < 512);
-            prop_assert!(s.tail.len() < 512);
-        }
+        // A byte is interior when the whole sector holding it lies inside
+        // the write; every other byte is an edge the worker copies.
+        let end = offset + len as u64;
+        let edges = (offset..end)
+            .filter(|&b| {
+                let sector = b / 512 * 512;
+                sector < offset || sector + 512 > end
+            })
+            .count();
+        prop_assert_eq!(unaligned_edge_bytes(offset, len), edges);
     }
 
     #[test]

@@ -592,11 +592,8 @@ impl Vm {
             self.net.rx_dev.arm(&mut self.mem)?;
             return Err(DeviceError::RxStarved);
         }
-        let buf = &mut self.net.scratch_buf;
-        buf.clear();
-        buf.extend_from_slice(&NetHdr::plain().encode());
-        buf.extend_from_slice(payload);
-        let written = chain.write_writable(&mut self.mem, buf)?;
+        let hdr = NetHdr::plain().encode();
+        let written = chain.write_writable_parts(&mut self.mem, &[&hdr, payload])?;
         self.net
             .rx_dev
             .push_used(&mut self.mem, chain.head, written)?;

@@ -42,7 +42,7 @@
 //! let bytes = chain.copy_readable(&mem).unwrap();
 //! let parsed = BlkHdr::decode(&bytes).unwrap();
 //! assert_eq!(parsed.sector, 8);
-//! chain.write_writable(&mut mem, &[BLK_S_OK]).unwrap();
+//! chain.write_writable_parts(&mut mem, &[&[BLK_S_OK]]).unwrap();
 //! device.push_used(&mut mem, chain.head, 1).unwrap();
 //! assert!(driver.poll_used(&mem).unwrap().is_some());
 //! ```

@@ -756,7 +756,9 @@ mod tests {
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         assert_eq!(chain.head, id);
         assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
-        let n = chain.write_writable(&mut mem, b"RESPONSE").unwrap();
+        let n = chain
+            .write_writable_parts(&mut mem, &[b"RESPONSE"])
+            .unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
 
         let used = drv.poll_used(&mem).unwrap().unwrap();
@@ -863,7 +865,9 @@ mod tests {
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
         assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
-        let n = chain.write_writable(&mut mem, b"RESPONSE").unwrap();
+        let n = chain
+            .write_writable_parts(&mut mem, &[b"RESPONSE"])
+            .unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
         let used = drv.poll_used(&mem).unwrap().unwrap();
         assert_eq!(used.written, 8);

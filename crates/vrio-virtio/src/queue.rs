@@ -563,7 +563,9 @@ mod tests {
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         assert_eq!(chain.head, head);
         assert_eq!(chain.copy_readable(&mem).unwrap(), b"request!");
-        let n = chain.write_writable(&mut mem, b"RESPONSE").unwrap();
+        let n = chain
+            .write_writable_parts(&mut mem, &[b"RESPONSE"])
+            .unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
         assert!(dev.should_signal(&mem).unwrap());
         let used = drv.poll_used(&mem).unwrap().unwrap();

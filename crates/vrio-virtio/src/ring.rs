@@ -640,15 +640,10 @@ impl DescChain {
         Ok(())
     }
 
-    /// Scatters `data` into the writable buffers, in order. Returns the
-    /// number of bytes written (may be less than `data.len()` if the chain
-    /// is too small).
-    pub fn write_writable(&self, mem: &mut GuestMemory, data: &[u8]) -> Result<u32, QueueError> {
-        self.write_writable_parts(mem, &[data])
-    }
-
-    /// [`DescChain::write_writable`] of the concatenated `parts`, without
-    /// concatenating them first.
+    /// Scatters the concatenated `parts` into the writable buffers, in
+    /// order, without concatenating them first. Returns the number of
+    /// bytes written (less than the parts' total if the chain is too
+    /// small).
     pub fn write_writable_parts(
         &self,
         mem: &mut GuestMemory,
@@ -960,7 +955,9 @@ mod tests {
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
         assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
-        let n = chain.write_writable(&mut mem, b"RESPONSE").unwrap();
+        let n = chain
+            .write_writable_parts(&mut mem, &[b"RESPONSE"])
+            .unwrap();
         assert_eq!(n, 8);
         dev.push_used(&mut mem, chain.head, n).unwrap();
 
@@ -1238,7 +1235,9 @@ mod tests {
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
         assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
-        let n = chain.write_writable(&mut mem, b"RESPONSE").unwrap();
+        let n = chain
+            .write_writable_parts(&mut mem, &[b"RESPONSE"])
+            .unwrap();
         dev.push_used(&mut mem, chain.head, n).unwrap();
 
         let used = drv.poll_used(&mem).unwrap().unwrap();
@@ -1309,7 +1308,7 @@ mod tests {
         ] {
             let whole = parts.concat();
             let mut by_parts = mem.clone();
-            let n = chain.write_writable(&mut mem, &whole).unwrap();
+            let n = chain.write_writable_parts(&mut mem, &[&whole]).unwrap();
             assert_eq!(chain.write_writable_parts(&mut by_parts, parts).unwrap(), n);
             assert_eq!(n as usize, whole.len().min(6));
             assert_eq!(read(&by_parts), read(&mem), "{parts:?}");
@@ -1353,7 +1352,7 @@ mod tests {
         )
         .unwrap();
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
-        let n = chain.write_writable(&mut mem, b"abcde").unwrap();
+        let n = chain.write_writable_parts(&mut mem, &[b"abcde"]).unwrap();
         assert_eq!(n, 5);
         let (mut first, mut second) = ([0; 3], [0; 2]);
         mem.read_into(GuestAddr(0x5000), &mut first).unwrap();

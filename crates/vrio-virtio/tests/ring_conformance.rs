@@ -120,7 +120,10 @@ fn replay(config: RingConfig, ops: &[Op]) -> Outcome {
                     assert_eq!(got, tag, "payload intact under {config}");
                     let cap = chain.writable_len() as u32;
                     let written = chain
-                        .write_writable(&mut mem, &tag.to_le_bytes()[..(cap.min(8) as usize)])
+                        .write_writable_parts(
+                            &mut mem,
+                            &[&tag.to_le_bytes()[..(cap.min(8) as usize)]],
+                        )
                         .unwrap();
                     outstanding.push((chain.head, tag, written));
                 }

@@ -133,7 +133,7 @@ proptest! {
             &[(GuestAddr(0x5000), first.max(1)), (GuestAddr(0x6000), total)],
         ).unwrap();
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
-        let written = chain.write_writable(&mut mem, &payload).unwrap();
+        let written = chain.write_writable_parts(&mut mem, &[&payload]).unwrap();
         prop_assert_eq!(written as usize, payload.len());
         dev.push_used(&mut mem, chain.head, written).unwrap();
         drv.poll_used(&mem).unwrap().unwrap();

@@ -338,69 +338,6 @@ impl InterpositionService for CompressionService {
     }
 }
 
-/// Record-replay: captures the full I/O stream of a device for later
-/// deterministic replay — one of the security/debugging capabilities the
-/// paper lists as enabled by interposition (§1).
-#[derive(Default)]
-pub struct RecordReplayService {
-    recording: Vec<(Direction, Bytes)>,
-    /// Whether capture is active.
-    pub recording_enabled: bool,
-}
-
-impl RecordReplayService {
-    /// Creates a service with recording enabled.
-    pub fn new() -> Self {
-        RecordReplayService {
-            recording: Vec::new(),
-            recording_enabled: true,
-        }
-    }
-
-    /// Number of captured messages.
-    pub fn len(&self) -> usize {
-        self.recording.len()
-    }
-
-    /// Whether nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.recording.is_empty()
-    }
-
-    /// The captured stream, in arrival order.
-    pub fn recording(&self) -> &[(Direction, Bytes)] {
-        &self.recording
-    }
-
-    /// Replays the capture against a consumer; returns how many messages
-    /// were replayed. The consumer seeing the identical byte stream is
-    /// what makes record-replay debugging possible.
-    pub fn replay<F: FnMut(Direction, &Bytes)>(&self, mut consumer: F) -> usize {
-        for (dir, payload) in &self.recording {
-            consumer(*dir, payload);
-        }
-        self.recording.len()
-    }
-}
-
-impl InterpositionService for RecordReplayService {
-    fn name(&self) -> &'static str {
-        "record-replay"
-    }
-
-    fn process(&mut self, dir: Direction, payload: Bytes) -> Verdict {
-        if self.recording_enabled {
-            self.recording.push((dir, payload.clone()));
-        }
-        Verdict::Pass(payload)
-    }
-
-    fn cost(&self, costs: &CostModel, len: usize) -> SimDuration {
-        // Copying the payload into the capture buffer.
-        costs.copy_cost(len)
-    }
-}
-
 /// An ordered chain of interposition services, applied per message.
 ///
 /// # Examples
@@ -557,35 +494,6 @@ mod tests {
             CompressionService::decompress(&CompressionService::compress(&mixed)),
             mixed
         );
-    }
-
-    #[test]
-    fn record_replay_captures_and_replays_identically() {
-        let mut rr = RecordReplayService::new();
-        let msgs: Vec<&[u8]> = vec![b"first", b"second", b"third"];
-        for (i, m) in msgs.iter().enumerate() {
-            let dir = if i % 2 == 0 {
-                Direction::Outbound
-            } else {
-                Direction::Inbound
-            };
-            rr.process(dir, Bytes::copy_from_slice(m));
-        }
-        assert_eq!(rr.len(), 3);
-        let mut replayed = Vec::new();
-        let n = rr.replay(|_, p| replayed.push(p.to_vec()));
-        assert_eq!(n, 3);
-        assert_eq!(
-            replayed,
-            msgs.iter().map(|m| m.to_vec()).collect::<Vec<_>>()
-        );
-        // Disabling capture stops recording without affecting traffic.
-        rr.recording_enabled = false;
-        assert!(matches!(
-            rr.process(Direction::Inbound, Bytes::from_static(b"late")),
-            Verdict::Pass(_)
-        ));
-        assert_eq!(rr.len(), 3);
     }
 
     #[test]

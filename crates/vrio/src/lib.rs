@@ -94,8 +94,7 @@ pub use health::{
 };
 pub use interpose::{
     CompressionService, DedupService, Direction, EncryptionService, FirewallService,
-    InterpositionChain, InterpositionService, IntrusionDetectionService, MeteringService,
-    RecordReplayService, Verdict,
+    InterpositionChain, InterpositionService, IntrusionDetectionService, MeteringService, Verdict,
 };
 pub use iohost::{
     AdaptivePollConfig, ControlError, DeviceKind, DeviceRegistry, DeviceSpec, PollMode, Steering,
@@ -108,6 +107,7 @@ pub use testbed::{
     Testbed, TestbedConfig,
 };
 pub use transport::{
-    BlockRetx, ResponseAction, RetxConfig, RetxConfigError, RetxStats, TimeoutAction, TransportMode,
+    Attempt, BlockRetx, ResponseAction, RetxConfig, RetxConfigError, RetxStats, TimeoutAction,
+    TransportMode,
 };
 pub use vrio_virtio::{RingConfig, RingOps};

@@ -17,7 +17,8 @@
 //!   lifecycle mark is audited once ([`Oracle::audit_queue`]).
 //! * **Byte conservation** — payloads survive encapsulation → wire →
 //!   decapsulation unchanged, including the fake-TCP TSO
-//!   segmentation/reassembly path ([`Oracle::check_bytes`]).
+//!   segmentation/reassembly path ([`Oracle::check_parts`],
+//!   [`Oracle::check_skb`]).
 //! * **Per-device FIFO steering** — a device's requests never migrate to a
 //!   different IOhost worker while any are in flight
 //!   ([`Oracle::steer_assign`] / [`Oracle::steer_release`]).
@@ -486,15 +487,17 @@ impl Oracle {
 
     // ---- byte conservation ------------------------------------------------
 
-    /// Checks that a payload survived a transformation pipeline
-    /// byte-for-byte (encapsulation → wire → decapsulation, or TSO
-    /// segmentation → reassembly).
+    /// [`Oracle::check_parts`] with one expected part. Every caller in
+    /// the workspace passes its parts to `check_parts`; this stays only
+    /// for perfbench's self-test, a package outside the workspace.
     pub fn check_bytes(&self, what: &'static str, expected: &[u8], actual: &[u8]) {
         self.check_parts(what, &[expected], actual);
     }
 
-    /// [`Oracle::check_bytes`] against `expected` parts back to back,
-    /// without concatenating them (one check).
+    /// Checks that a payload survived a transformation pipeline
+    /// byte-for-byte (encapsulation → wire → decapsulation): `actual`
+    /// must be the `expected` parts back to back. One check, with no
+    /// concatenation unless it fails.
     pub fn check_parts(&self, what: &'static str, expected: &[&[u8]], actual: &[u8]) {
         let Some(inner) = &self.inner else { return };
         let mut i = inner.borrow_mut();
@@ -536,10 +539,10 @@ impl Oracle {
         i.violate("byte-conservation", msg);
     }
 
-    /// Like [`Oracle::check_bytes`] but compares a reassembled [`Skb`]
+    /// Like [`Oracle::check_parts`] but compares a reassembled [`Skb`]
     /// against the expected wire bytes *without linearizing it* — the
     /// zero-copy path's byte-conservation check. Counts as one check, same
-    /// as `check_bytes`, so enabling it is output-identical.
+    /// as `check_parts`, so enabling it is output-identical.
     ///
     /// [`Skb`]: vrio_net::Skb
     pub fn check_skb(&self, what: &'static str, expected: &[u8], skb: &vrio_net::Skb) {
@@ -832,7 +835,7 @@ mod tests {
         o.audit_queue(0, &healthy_queue());
         o.steer_assign(0, 1);
         o.steer_release(0);
-        o.check_bytes("wire", b"payload", b"payload");
+        o.check_parts("wire", &[b"payload"], b"payload");
         o.flow_complete(a, t(5));
         o.flow_drop(b, t(6));
         o.finish();
@@ -1001,7 +1004,7 @@ mod tests {
     #[test]
     fn seeded_truncated_payload_fires_byte_conservation() {
         let o = on();
-        o.check_bytes("blk tso reassembly", b"0123456789", b"01234");
+        o.check_parts("blk tso reassembly", &[b"0123456789"], b"01234");
         let v = o.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "byte-conservation");
@@ -1012,7 +1015,7 @@ mod tests {
         );
 
         let o = on();
-        o.check_bytes("wire", b"abcdef", b"abXdef");
+        o.check_parts("wire", &[b"abcdef"], b"abXdef");
         let v = o.violations();
         assert!(
             v[0].message.contains("first difference at byte 2"),
@@ -1129,7 +1132,7 @@ mod tests {
     #[test]
     fn assert_clean_panics_with_every_violation_listed() {
         let o = on();
-        o.check_bytes("a", b"x", b"y");
+        o.check_parts("a", &[b"x"], b"y");
         o.steer_release(0);
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.assert_clean("unit test")))

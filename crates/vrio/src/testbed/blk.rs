@@ -13,7 +13,7 @@ use super::{req_track, BlkOutcome, HasTestbed, Testbed};
 use crate::interpose::Direction;
 use crate::oracle::FlowToken;
 use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
-use crate::transport::TimeoutAction;
+use crate::transport::{Attempt, ResponseAction, TimeoutAction};
 
 /// One in-flight block request, kept in the testbed's block table until
 /// no event can name it. Its flows and its retransmission timer name it
@@ -33,9 +33,10 @@ pub(super) struct BlkReq {
     flow: FlowToken,
     /// The world's name for the request ([`HasTestbed::on_blk`]).
     tag: u64,
-    /// vRIO: the wire id of the attempt whose timer is armed. A request
-    /// has one armed timer at a time, the latest attempt's.
-    wire_id: u64,
+    /// vRIO: the transport's record of the latest attempt, whose timer
+    /// is armed (a request has one armed timer at a time). Retired once
+    /// the request is accepted or fails, and for a local back end.
+    attempt: Attempt,
     /// The events to come that name the request: its completion and, on
     /// vRIO, the end of its timer chain. The last of them frees the slot.
     /// On vRIO either can come last: the accepted attempt may still be
@@ -163,15 +164,11 @@ pub(super) fn respond<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize,
     release(tb, blk);
 }
 
-/// Sends a vRIO attempt of block request `blk`, its first or a
-/// retransmission, and arms its retransmission timer `timeout` from now.
-pub(super) fn vrio_send<W: HasTestbed>(
-    w: &mut W,
-    eng: &mut Engine<W>,
-    blk: usize,
-    timeout: SimDuration,
-) {
+/// Sends the latest vRIO attempt of block request `blk`, its first or a
+/// retransmission, and arms its retransmission timer.
+pub(super) fn vrio_send<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     vrio_attempt(w, eng, blk);
+    let timeout = w.tb().blks[blk].attempt.timeout();
     arm(w, eng, blk, timeout);
 }
 
@@ -286,6 +283,27 @@ impl Testbed {
             .check_parts("blk encap->decap", &[&id, &req.data], &msg.payload);
         msg.payload.slice(id.len()..)
     }
+
+    /// VM `vm`'s transport receives the response to attempt `wire_id` of
+    /// the block request in slot `blk`. It is stale unless the slot is
+    /// live, holds a request of `vm`, and that request's record holds
+    /// `wire_id` outstanding. Wire ids rise per VM, so (`vm`, `wire_id`)
+    /// names one attempt for the whole run, even once a superseded
+    /// attempt's slot has been freed and reused.
+    pub(super) fn blk_response(
+        &mut self,
+        vm: usize,
+        blk: usize,
+        wire_id: u64,
+        now: SimTime,
+    ) -> ResponseAction {
+        let mut retired = Attempt::default();
+        let record = match self.blks.get_mut(blk) {
+            Some(b) if b.vm == vm => &mut b.attempt,
+            _ => &mut retired,
+        };
+        self.retx[vm].on_response(record, wire_id, now)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +363,6 @@ pub fn blk_request<W: HasTestbed>(
     let mut prologue = tb.program(span, flow);
     prologue.push(Step::ChargeVm(vm, submit_work));
 
-    let id = req.id;
     let mut b = BlkReq {
         vm,
         req,
@@ -355,7 +372,7 @@ pub fn blk_request<W: HasTestbed>(
         span,
         flow,
         tag,
-        wire_id: 0,
+        attempt: Attempt::default(),
         holders: 1,
     };
     let end = match model {
@@ -364,14 +381,12 @@ pub fn blk_request<W: HasTestbed>(
             FlowEnd::BlkLocal(tb.blks.insert(b))
         }
         IoModel::Vrio | IoModel::VrioNoPoll => {
-            let (wire_id, timeout) = tb.retx[vm].send(id, eng.now());
-            let kind = VrioMsgKind::BlkReq;
+            b.attempt = tb.retx[vm].send(eng.now());
+            let (kind, wire_id) = (VrioMsgKind::BlkReq, b.attempt.wire_id());
             VrioMsg::encode_in_place(kind, blk_device(vm), wire_id, &mut msg);
             b.msg = Bytes::from(msg);
-            b.wire_id = wire_id;
             b.holders = 2;
-            let blk = tb.blks.insert(b);
-            FlowEnd::BlkVrio { blk, timeout }
+            FlowEnd::BlkVrio(tb.blks.insert(b))
         }
         IoModel::Optimum => unreachable!("checked above"),
     };
@@ -465,7 +480,7 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let tb = w.tb();
     let b = &tb.blks[blk];
     let (vm, t0, span, flow) = (b.vm, b.t0, b.span, b.flow);
-    let (wire_id, req) = (b.wire_id, b.req.clone());
+    let (wire_id, req) = (b.attempt.wire_id(), b.req.clone());
     // Transport: the encapsulated message (real bytes: header, request id
     // and payload in one buffer), segmented if needed.
     let encoded = b.msg.clone();
@@ -520,8 +535,8 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     // must be fully copied out of the block system (§4.4).
     match req.kind {
         BlockKind::Write => {
-            let split = vrio_block::split_sector_aligned(req.byte_offset(), req.data.clone());
-            w_worker += costs.copy_cost(split.copied_bytes());
+            let edges = vrio_block::unaligned_edge_bytes(req.byte_offset(), req.data.len());
+            w_worker += costs.copy_cost(edges);
         }
         BlockKind::Read => {
             w_worker += costs.copy_cost(req.len as usize);
@@ -572,9 +587,9 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     s.push(Step::Fixed(costs.nic_dma));
 
     // Transport receive: stale filtering, then guest completion.
-    s.push(Step::RetxAccept { vm, wire_id });
+    s.push(Step::RetxAccept { vm, blk, wire_id });
     if tb.fault_duplicate(t0) {
-        s.push(Step::StaleDuplicate { vm, wire_id });
+        s.push(Step::StaleDuplicate { vm, blk, wire_id });
     }
     s.push(Step::Fixed(costs.eli_delivery));
     s.push(Step::Count(CounterKind::GuestIntr));
@@ -592,39 +607,36 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
 
 /// The retransmission timer of block request `blk`'s latest vRIO attempt:
 /// retransmits, gives up with a device error, or — the request having
-/// been accepted — finds itself stale, which ends the timer chain. Late
-/// responses of earlier attempts stop at the transport as stale, so they
-/// never name the request again. The timer leaves its VM's list first,
+/// been accepted — finds its record retired, which ends the timer chain.
+/// Late responses of earlier attempts can name the slot after it is freed;
+/// [`Testbed::blk_response`] finds them stale. The timer leaves its VM's
+/// list first,
 /// and the VM's next timer is queued if it now comes first.
 pub(super) fn retx_timeout<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: u64) {
     let i = blk as usize;
     let now = eng.now();
     let tb = w.tb();
     debug_assert!(
-        tb.blks.is_live(i),
+        tb.blks.get_mut(i).is_some(),
         "retransmission timer of a freed block slot"
     );
-    let (vm, wire_id) = (tb.blks[i].vm, tb.blks[i].wire_id);
+    let vm = tb.blks[i].vm;
     let timers = &mut tb.retx_timers[vm];
     let fired = timers.iter().position(|t| t.blk == i);
     let fired = timers.swap_remove(fired.expect("a firing timer is armed"));
     debug_assert!(fired.queued && fired.key.at() == now);
     queue_next(timers, eng);
-    match tb.retx[vm].on_timeout(wire_id, now) {
+    match tb.retx[vm].on_timeout(&mut tb.blks[i].attempt, now) {
         TimeoutAction::Stale => release(tb, i),
-        TimeoutAction::Retransmit {
-            new_wire_id,
-            timeout,
-        } => {
+        TimeoutAction::Retransmit => {
             tb.trace.instant("retx", req_track(vm), now);
             let b = &mut tb.blks[i];
             let mut msg = VrioMsg::decode(b.msg.clone()).expect("the request's own message");
-            msg.hdr.request_id = new_wire_id;
+            msg.hdr.request_id = b.attempt.wire_id();
             b.msg = msg.encode();
-            b.wire_id = new_wire_id;
-            vrio_send(w, eng, i, timeout);
+            vrio_send(w, eng, i);
         }
-        TimeoutAction::DeviceError { .. } => {
+        TimeoutAction::DeviceError => {
             // The completion and the end of the timer chain at once.
             complete(w, eng, i, vrio_virtio::BLK_S_IOERR, &[]);
             w.tb().blks.remove(i);
@@ -680,6 +692,51 @@ mod tests {
     fn issue(tb: &mut Testbed, eng: &mut Engine<Testbed>, id: u64) {
         let req = BlockRequest::write(RequestId(id), id, Bytes::from(vec![id as u8; 512]));
         blk_request(tb, eng, 0, req, id);
+    }
+
+    /// Issues block request `vm + 1` on VM `vm`: a write of sector 8.
+    fn issue_on(tb: &mut Testbed, eng: &mut Engine<Testbed>, vm: u64) {
+        let req = BlockRequest::write(RequestId(vm + 1), 8, Bytes::from(vec![vm as u8; 512]));
+        blk_request(tb, eng, vm as usize, req, vm);
+    }
+
+    #[test]
+    fn a_superseded_response_never_completes_another_vms_request_in_its_slot() {
+        let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 2));
+        let mut eng = Engine::new();
+        let us = |n| SimTime::ZERO + SimDuration::micros(n);
+        // VM 0's first attempt, wire id 1, is lost; its retransmission,
+        // wire id 2, completes the request, and the drained run frees
+        // the request's slot.
+        eng.schedule_at(us(0), set_loss, 100);
+        eng.schedule_at(us(0), issue_on, 0);
+        eng.schedule_at(us(100), set_loss, 0);
+        eng.run(&mut tb);
+        assert_eq!(tb.retx[0].stats.retransmissions, 1);
+        assert_eq!(tb.retx[0].stats.completed, 1);
+        assert_eq!(tb.blks.occupied(), 0);
+
+        // VM 1's first request takes the freed slot under its own first
+        // wire id, 1.
+        issue_on(&mut tb, &mut eng, 1);
+        let blk = 0;
+        assert_eq!(tb.blks[blk].vm, 1);
+        assert_eq!(tb.blks[blk].attempt.wire_id(), 1);
+
+        // The response to VM 0's superseded attempt straggles in, naming
+        // the slot and wire id 1: it is stale, and VM 1's request stays
+        // outstanding.
+        let now = eng.now();
+        assert_eq!(tb.blk_response(0, blk, 1, now), ResponseAction::Stale);
+        assert_eq!(tb.retx[0].stats.stale_responses, 1);
+        assert!(tb.blks[blk].attempt.is_outstanding());
+
+        // VM 1's request completes once, under its own response.
+        eng.run(&mut tb);
+        assert_eq!(tb.retx[1].stats.completed, 1);
+        assert_eq!(tb.retx[1].stats.stale_responses, 0);
+        assert_eq!(tb.reliability_report().block_completed, 2);
+        assert_eq!(tb.blks.occupied(), 0);
     }
 
     #[test]

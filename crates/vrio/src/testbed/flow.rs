@@ -103,12 +103,14 @@ pub(super) enum Step {
     /// table on the store ([`Testbed::blk_execute`]); a read's data
     /// becomes the flow's data.
     BlkExecute(usize),
-    /// The transport receives a block response: anything but the
-    /// accepted response of a still-outstanding attempt ends the flow.
-    RetxAccept { vm: usize, wire_id: u64 },
+    /// VM `vm`'s transport receives the response to attempt `wire_id` of
+    /// the block request in slot `blk` ([`Testbed::blk_response`]):
+    /// anything but the accepted response of the request's outstanding
+    /// attempt ends the flow.
+    RetxAccept { vm: usize, blk: usize, wire_id: u64 },
     /// A duplicated response frame right behind the original; it must
     /// filter as stale, so the guest never sees a second completion.
-    StaleDuplicate { vm: usize, wire_id: u64 },
+    StaleDuplicate { vm: usize, blk: usize, wire_id: u64 },
 }
 
 // Flows keep their steps in a `Vec`, so steps stay this small and plain:
@@ -149,7 +151,7 @@ pub(super) enum FlowEnd {
     BlkLocal(usize),
     /// A block request was submitted: send its first vRIO attempt and arm
     /// that attempt's retransmission timer.
-    BlkVrio { blk: usize, timeout: SimDuration },
+    BlkVrio(usize),
     /// A block attempt responded: complete the request with the data the
     /// flow read.
     BlkDone(usize),
@@ -257,9 +259,9 @@ impl<T> Slab<T> {
         value
     }
 
-    /// Whether an entry lives at `i`.
-    pub fn is_live(&self, i: usize) -> bool {
-        self.slots.get(i).is_some_and(Option::is_some)
+    /// The entry at `i`, if one lives there.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.slots.get_mut(i).and_then(Option::as_mut)
     }
 
     /// The number of live entries.
@@ -356,7 +358,7 @@ fn finish<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, end: FlowEnd, data: Byt
             w.on_stream(eng, tag);
         }
         FlowEnd::BlkLocal(blk) => blk::local_backend(w, eng, blk),
-        FlowEnd::BlkVrio { blk, timeout } => blk::vrio_send(w, eng, blk, timeout),
+        FlowEnd::BlkVrio(blk) => blk::vrio_send(w, eng, blk),
         FlowEnd::BlkDone(blk) => blk::respond(w, eng, blk, &data),
     }
 }
@@ -536,17 +538,14 @@ impl Testbed {
                 let x = self.blk_execs.remove(i);
                 self.blk_execute(x, data);
             }
-            Step::RetxAccept { vm, wire_id } => {
-                if !matches!(
-                    self.retx[vm].on_response(wire_id, now),
-                    ResponseAction::Accept { .. }
-                ) {
+            Step::RetxAccept { vm, blk, wire_id } => {
+                if self.blk_response(vm, blk, wire_id, now) == ResponseAction::Stale {
                     return Next::Stop;
                 }
             }
-            Step::StaleDuplicate { vm, wire_id } => {
-                let r = self.retx[vm].on_response(wire_id, now);
-                debug_assert!(matches!(r, ResponseAction::Stale));
+            Step::StaleDuplicate { vm, blk, wire_id } => {
+                let r = self.blk_response(vm, blk, wire_id, now);
+                debug_assert_eq!(r, ResponseAction::Stale);
             }
         }
         Next::Go
@@ -600,7 +599,7 @@ impl Testbed {
                 let msg = VrioMsg::decode(encoded).expect("valid vRIO message");
                 assert_eq!(msg.hdr.kind, VrioMsgKind::NetRx);
                 self.oracle
-                    .check_bytes("net_rr encap->decap", &frame.payload, &msg.payload);
+                    .check_parts("net_rr encap->decap", &[&frame.payload], &msg.payload);
                 msg.payload
             }
             None => frame.payload,

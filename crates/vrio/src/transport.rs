@@ -28,11 +28,8 @@
 //! `max_rto`, with optional multiplicative jitter to de-synchronize
 //! retransmission storms across devices.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use vrio_block::RequestId;
 use vrio_sim::{SimDuration, SimTime};
 
 /// Retransmission parameters.
@@ -154,114 +151,105 @@ pub struct RetxStats {
     pub rto_ns: u64,
 }
 
-/// Hashes a key that hashes as one integer (a wire id, a [`RequestId`])
-/// with one multiply instead of SipHash. The maps keyed with it are never
-/// iterated, so their order cannot leak into any output.
-#[derive(Debug, Default, Clone, Copy)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A map keyed by integers, hashed with [`IntHasher`].
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-
-#[derive(Debug, Clone, Copy)]
-struct Outstanding {
-    guest_req: RequestId,
+/// The transport's record of one block request's latest attempt: its
+/// wire id, attempt number, armed timeout and send time. The caller keeps
+/// it with the request (the testbed, in the request's block-table slot)
+/// and [`BlockRetx`] advances it. [`BlockRetx::send`] makes one; accepting
+/// a response or giving up retires it, after which every response and
+/// timer finds it stale. The default record is retired.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Attempt {
+    /// The attempt's wire id; 0 once the request is retired (wire ids
+    /// start at 1).
+    wire_id: u64,
     attempt: u32,
     timeout: SimDuration,
     /// When this attempt went on the wire (for RTT sampling).
     sent_at: SimTime,
 }
 
+impl Attempt {
+    /// The wire id the attempt travels under (0 once retired).
+    pub fn wire_id(&self) -> u64 {
+        self.wire_id
+    }
+
+    /// The timeout to arm for the attempt.
+    pub fn timeout(&self) -> SimDuration {
+        self.timeout
+    }
+
+    /// Whether the request still awaits a response.
+    pub fn is_outstanding(&self) -> bool {
+        self.wire_id != 0
+    }
+}
+
 /// What to do when a retransmission timer fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutAction {
-    /// Resend under `new_wire_id`, arming a timer for `timeout`.
-    Retransmit {
-        /// Fresh wire identifier for the retransmission.
-        new_wire_id: u64,
-        /// The backed-off timeout to arm.
-        timeout: SimDuration,
-    },
+    /// Resend under the record's fresh wire id and arm its backed-off
+    /// timeout.
+    Retransmit,
     /// Attempts exhausted: surface a device error to the guest.
-    DeviceError {
-        /// The guest request that failed.
-        guest_req: RequestId,
-    },
-    /// The timer is stale (request already completed or superseded): no-op.
+    DeviceError,
+    /// The timer is stale (the request was already retired): no-op.
     Stale,
 }
 
 /// What to do when a response arrives from the IOhost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseAction {
-    /// Deliver the completion for `guest_req` to the front-end.
-    Accept {
-        /// The guest request this response completes.
-        guest_req: RequestId,
-    },
-    /// The response's wire id was superseded or unknown: drop it.
+    /// Deliver the request's completion to the front-end.
+    Accept,
+    /// The response's wire id was superseded or retired: drop it.
     Stale,
 }
 
-/// The block-retransmission state machine.
+/// The block-retransmission state machine of one device. It keeps only
+/// per-device state; each request's [`Attempt`] travels with the request.
 ///
 /// # Examples
 ///
 /// ```
 /// use vrio::{BlockRetx, ResponseAction, RetxConfig, TimeoutAction};
-/// use vrio_block::RequestId;
 /// use vrio_sim::{SimDuration, SimTime};
 ///
 /// let mut retx = BlockRetx::new(RetxConfig::default());
 /// let t0 = SimTime::ZERO;
-/// let (wire1, t1) = retx.send(RequestId(7), t0);
-/// assert_eq!(t1, SimDuration::millis(10)); // no RTT sample yet
+/// let mut req = retx.send(t0);
+/// let wire1 = req.wire_id();
+/// assert_eq!(req.timeout(), SimDuration::millis(10)); // no RTT sample yet
 ///
 /// // The request is lost; the timer fires: retransmit with doubled timeout.
-/// let TimeoutAction::Retransmit { new_wire_id, timeout } = retx.on_timeout(wire1, t0 + t1)
-///     else { panic!("expected retransmit") };
-/// assert_eq!(timeout, SimDuration::millis(20));
+/// let fired = t0 + req.timeout();
+/// assert_eq!(retx.on_timeout(&mut req, fired), TimeoutAction::Retransmit);
+/// assert_eq!(req.timeout(), SimDuration::millis(20));
 ///
 /// // A late response for the ORIGINAL id is stale and ignored...
-/// let now = t0 + t1 + SimDuration::micros(40);
-/// assert_eq!(retx.on_response(wire1, now), ResponseAction::Stale);
+/// let now = fired + SimDuration::micros(40);
+/// assert_eq!(retx.on_response(&mut req, wire1, now), ResponseAction::Stale);
 /// // ...but the retransmission's response completes the request.
-/// assert_eq!(
-///     retx.on_response(new_wire_id, now),
-///     ResponseAction::Accept { guest_req: RequestId(7) },
-/// );
+/// let wire2 = req.wire_id();
+/// assert_eq!(retx.on_response(&mut req, wire2, now), ResponseAction::Accept);
+/// assert!(!req.is_outstanding());
 ///
 /// // Once a first-attempt response samples the RTT, fresh sends arm the
 /// // adaptive RTO instead of the 10 ms initial timeout. The ~44us RTT
 /// // computes a raw RTO of 132us, clamped up to the 1 ms `min_rto` floor —
 /// // still 10x faster loss detection than the paper's fixed timeout.
-/// let (wire3, _) = retx.send(RequestId(8), now);
-/// retx.on_response(wire3, now + SimDuration::micros(44));
-/// let (_, rto) = retx.send(RequestId(9), now + SimDuration::micros(100));
-/// assert_eq!(rto, SimDuration::millis(1));
+/// let mut req = retx.send(now);
+/// let wire3 = req.wire_id();
+/// retx.on_response(&mut req, wire3, now + SimDuration::micros(44));
+/// let req = retx.send(now + SimDuration::micros(100));
+/// assert_eq!(req.timeout(), SimDuration::millis(1));
 /// ```
 #[derive(Debug, Default)]
 pub struct BlockRetx {
     config: RetxConfig,
     next_wire_id: u64,
-    outstanding: IntMap<u64, Outstanding>,
-    current_wire: IntMap<RequestId, u64>,
+    /// Requests sent and not yet retired.
+    in_flight: usize,
     /// Smoothed RTT in nanoseconds; `None` until the first sample.
     srtt_ns: Option<u64>,
     /// RTT variance in nanoseconds.
@@ -286,7 +274,7 @@ impl BlockRetx {
 
     /// Number of requests currently awaiting a response.
     pub fn outstanding(&self) -> usize {
-        self.current_wire.len()
+        self.in_flight
     }
 
     /// The configuration this state machine was built with.
@@ -358,94 +346,80 @@ impl BlockRetx {
         ))
     }
 
-    /// Registers a new request at simulated time `now`. Returns its wire
-    /// id and the timeout to arm.
-    pub fn send(&mut self, guest_req: RequestId, now: SimTime) -> (u64, SimDuration) {
-        assert!(
-            !self.current_wire.contains_key(&guest_req),
-            "request {guest_req:?} already in flight"
-        );
-        let wire = self.fresh_id();
+    /// Registers a new request at simulated time `now`: returns the
+    /// record of its first attempt, with its wire id and the timeout to
+    /// arm.
+    pub fn send(&mut self, now: SimTime) -> Attempt {
+        let wire_id = self.fresh_id();
         let timeout = self.current_rto();
-        self.outstanding.insert(
-            wire,
-            Outstanding {
-                guest_req,
-                attempt: 1,
-                timeout,
-                sent_at: now,
-            },
-        );
-        self.current_wire.insert(guest_req, wire);
+        self.in_flight += 1;
         self.stats.sent += 1;
-        (wire, timeout)
+        Attempt {
+            wire_id,
+            attempt: 1,
+            timeout,
+            sent_at: now,
+        }
     }
 
-    /// Handles a timer expiry for `wire_id` at simulated time `now`.
-    pub fn on_timeout(&mut self, wire_id: u64, now: SimTime) -> TimeoutAction {
-        // Stale timer: the id is no longer outstanding (completed) or was
-        // already superseded by a newer retransmission.
-        let Some(out) = self.outstanding.get(&wire_id).copied() else {
-            return TimeoutAction::Stale;
-        };
-        if self.current_wire.get(&out.guest_req) != Some(&wire_id) {
+    /// Retires `record`: its request awaits nothing any more.
+    fn retire(&mut self, record: &mut Attempt) {
+        record.wire_id = 0;
+        self.in_flight -= 1;
+    }
+
+    /// Handles the expiry of `record`'s timer at simulated time `now`.
+    /// A retired record's timer is stale and changes nothing; otherwise
+    /// the record moves to its retransmission, or retires as a device
+    /// error once the attempts are exhausted.
+    pub fn on_timeout(&mut self, record: &mut Attempt, now: SimTime) -> TimeoutAction {
+        if !record.is_outstanding() {
             return TimeoutAction::Stale;
         }
-        self.outstanding.remove(&wire_id);
-        if out.attempt >= self.config.max_attempts {
-            self.current_wire.remove(&out.guest_req);
+        if record.attempt >= self.config.max_attempts {
+            self.retire(record);
             self.stats.device_errors += 1;
-            return TimeoutAction::DeviceError {
-                guest_req: out.guest_req,
-            };
+            return TimeoutAction::DeviceError;
         }
-        let new_wire_id = self.fresh_id();
+        let wire_id = self.fresh_id();
         // Exponential backoff (§4.5), capped at max_rto, optionally jittered.
         let doubled = SimDuration::nanos(
-            (out.timeout * 2u64)
+            (record.timeout * 2u64)
                 .as_nanos()
                 .min(self.config.max_rto.as_nanos()),
         );
         let timeout = self.jittered(doubled);
-        self.outstanding.insert(
-            new_wire_id,
-            Outstanding {
-                guest_req: out.guest_req,
-                attempt: out.attempt + 1,
-                timeout,
-                sent_at: now,
-            },
-        );
-        self.current_wire.insert(out.guest_req, new_wire_id);
-        self.stats.retransmissions += 1;
-        TimeoutAction::Retransmit {
-            new_wire_id,
+        *record = Attempt {
+            wire_id,
+            attempt: record.attempt + 1,
             timeout,
-        }
+            sent_at: now,
+        };
+        self.stats.retransmissions += 1;
+        TimeoutAction::Retransmit
     }
 
-    /// Handles a response carrying `wire_id`, arriving at simulated time
-    /// `now`.
-    pub fn on_response(&mut self, wire_id: u64, now: SimTime) -> ResponseAction {
-        let Some(out) = self.outstanding.get(&wire_id).copied() else {
-            self.stats.stale_responses += 1;
-            return ResponseAction::Stale;
-        };
-        if self.current_wire.get(&out.guest_req) != Some(&wire_id) {
+    /// Handles a response carrying `wire_id` for the request whose record
+    /// is `record`, arriving at simulated time `now`. Only the latest
+    /// attempt of an outstanding request is accepted, which retires it.
+    pub fn on_response(
+        &mut self,
+        record: &mut Attempt,
+        wire_id: u64,
+        now: SimTime,
+    ) -> ResponseAction {
+        if !record.is_outstanding() || record.wire_id != wire_id {
             self.stats.stale_responses += 1;
             return ResponseAction::Stale;
         }
-        self.outstanding.remove(&wire_id);
-        self.current_wire.remove(&out.guest_req);
+        self.retire(record);
         self.stats.completed += 1;
         // Karn's rule: a response to a retransmitted request is ambiguous
         // (it may answer any earlier copy), so only first attempts sample.
-        if out.attempt == 1 {
-            self.sample_rtt(now.since(out.sent_at));
+        if record.attempt == 1 {
+            self.sample_rtt(now.since(record.sent_at));
         }
-        ResponseAction::Accept {
-            guest_req: out.guest_req,
-        }
+        ResponseAction::Accept
     }
 }
 
@@ -490,43 +464,40 @@ mod tests {
         SimTime::ZERO + SimDuration::micros(us)
     }
 
+    /// Answers `record`'s latest attempt at `now`.
+    fn respond(rx: &mut BlockRetx, record: &mut Attempt, now: SimTime) -> ResponseAction {
+        let wire = record.wire_id();
+        rx.on_response(record, wire, now)
+    }
+
     #[test]
     fn clean_completion() {
         let mut rx = BlockRetx::new(RetxConfig::default());
-        let (w, _) = rx.send(RequestId(1), t(0));
+        let mut r = rx.send(t(0));
         assert_eq!(rx.outstanding(), 1);
-        assert_eq!(
-            rx.on_response(w, t(44)),
-            ResponseAction::Accept {
-                guest_req: RequestId(1)
-            }
-        );
+        assert_eq!(respond(&mut rx, &mut r, t(44)), ResponseAction::Accept);
+        assert!(!r.is_outstanding());
         assert_eq!(rx.outstanding(), 0);
         assert_eq!(rx.stats.completed, 1);
         // The original timer later fires: stale, no-op.
-        assert_eq!(rx.on_timeout(w, t(10_000)), TimeoutAction::Stale);
+        let retired = r;
+        assert_eq!(rx.on_timeout(&mut r, t(10_000)), TimeoutAction::Stale);
+        assert_eq!(r, retired);
+        assert_eq!(rx.outstanding(), 0);
     }
 
     #[test]
     fn timeout_doubles_each_attempt() {
         let mut rx = BlockRetx::new(cfg(10, 5));
-        let (mut w, mut to) = rx.send(RequestId(1), t(0));
+        let mut r = rx.send(t(0));
         let mut expected = 10u64;
         for _ in 0..4 {
-            assert_eq!(to, SimDuration::millis(expected));
-            match rx.on_timeout(w, t(0) + to) {
-                TimeoutAction::Retransmit {
-                    new_wire_id,
-                    timeout,
-                } => {
-                    w = new_wire_id;
-                    to = timeout;
-                    expected *= 2;
-                }
-                other => panic!("expected retransmit, got {other:?}"),
-            }
+            assert_eq!(r.timeout(), SimDuration::millis(expected));
+            let fired = t(0) + r.timeout();
+            assert_eq!(rx.on_timeout(&mut r, fired), TimeoutAction::Retransmit);
+            expected *= 2;
         }
-        assert_eq!(to, SimDuration::millis(160));
+        assert_eq!(r.timeout(), SimDuration::millis(160));
         assert_eq!(rx.stats.retransmissions, 4);
     }
 
@@ -538,19 +509,11 @@ mod tests {
             max_rto: SimDuration::millis(1000),
             ..RetxConfig::default()
         });
-        let (mut w, _) = rx.send(RequestId(1), t(0));
+        let mut r = rx.send(t(0));
         let mut seen = Vec::new();
         for _ in 0..4 {
-            match rx.on_timeout(w, t(0)) {
-                TimeoutAction::Retransmit {
-                    new_wire_id,
-                    timeout,
-                } => {
-                    w = new_wire_id;
-                    seen.push(timeout.as_nanos() / 1_000_000);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(rx.on_timeout(&mut r, t(0)), TimeoutAction::Retransmit);
+            seen.push(r.timeout().as_nanos() / 1_000_000);
         }
         assert_eq!(seen, vec![800, 1000, 1000, 1000]);
     }
@@ -558,70 +521,59 @@ mod tests {
     #[test]
     fn attempts_exhausted_raises_device_error() {
         let mut rx = BlockRetx::new(cfg(1, 3));
-        let (mut w, _) = rx.send(RequestId(9), t(0));
+        let mut r = rx.send(t(0));
         for _ in 0..2 {
-            match rx.on_timeout(w, t(1_000)) {
-                TimeoutAction::Retransmit { new_wire_id, .. } => w = new_wire_id,
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(rx.on_timeout(&mut r, t(1_000)), TimeoutAction::Retransmit);
         }
-        assert_eq!(
-            rx.on_timeout(w, t(4_000)),
-            TimeoutAction::DeviceError {
-                guest_req: RequestId(9)
-            }
-        );
+        let last = r.wire_id();
+        assert_eq!(rx.on_timeout(&mut r, t(4_000)), TimeoutAction::DeviceError);
         assert_eq!(rx.stats.device_errors, 1);
         assert_eq!(rx.outstanding(), 0);
+        // The failed request's last attempt answers late: stale.
+        assert_eq!(
+            rx.on_response(&mut r, last, t(4_100)),
+            ResponseAction::Stale
+        );
+        assert_eq!(rx.stats.completed, 0);
     }
 
     #[test]
     fn stale_response_after_retransmission_is_ignored() {
         let mut rx = BlockRetx::new(cfg(10, 8));
-        let (w1, _) = rx.send(RequestId(3), t(0));
-        let TimeoutAction::Retransmit {
-            new_wire_id: w2, ..
-        } = rx.on_timeout(w1, t(10_000))
-        else {
-            panic!()
-        };
+        let mut r = rx.send(t(0));
+        let w1 = r.wire_id();
+        assert_eq!(rx.on_timeout(&mut r, t(10_000)), TimeoutAction::Retransmit);
+        let w2 = r.wire_id();
+        assert_ne!(w1, w2);
         // The ORIGINAL response arrives late (it was delayed, not lost).
-        assert_eq!(rx.on_response(w1, t(10_050)), ResponseAction::Stale);
+        assert_eq!(rx.on_response(&mut r, w1, t(10_050)), ResponseAction::Stale);
         assert_eq!(rx.stats.stale_responses, 1);
         // The request still completes via the retransmission.
         assert_eq!(
-            rx.on_response(w2, t(10_100)),
-            ResponseAction::Accept {
-                guest_req: RequestId(3)
-            }
+            rx.on_response(&mut r, w2, t(10_100)),
+            ResponseAction::Accept
         );
         // A duplicate of the accepted response is also stale.
-        assert_eq!(rx.on_response(w2, t(10_100)), ResponseAction::Stale);
+        assert_eq!(rx.on_response(&mut r, w2, t(10_100)), ResponseAction::Stale);
         assert_eq!(rx.stats.completed, 1);
     }
 
     #[test]
     fn many_concurrent_requests_do_not_cross() {
         let mut rx = BlockRetx::new(RetxConfig::default());
-        let wires: Vec<u64> = (0..100).map(|i| rx.send(RequestId(i), t(i)).0).collect();
-        // Complete in reverse order; each maps to its own request.
-        for (i, &w) in wires.iter().enumerate().rev() {
-            assert_eq!(
-                rx.on_response(w, t(200)),
-                ResponseAction::Accept {
-                    guest_req: RequestId(i as u64)
-                }
-            );
+        let mut records: Vec<Attempt> = (0..100).map(|i| rx.send(t(i))).collect();
+        let wires: Vec<u64> = records.iter().map(Attempt::wire_id).collect();
+        // Another request's wire id never completes a request.
+        for (i, r) in records.iter_mut().enumerate() {
+            let other = wires[(i + 1) % wires.len()];
+            assert_eq!(rx.on_response(r, other, t(150)), ResponseAction::Stale);
+        }
+        // Complete in reverse order; each record takes its own wire id.
+        for (r, &w) in records.iter_mut().zip(&wires).rev() {
+            assert_eq!(rx.on_response(r, w, t(200)), ResponseAction::Accept);
         }
         assert_eq!(rx.outstanding(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already in flight")]
-    fn double_send_of_same_request_panics() {
-        let mut rx = BlockRetx::new(RetxConfig::default());
-        rx.send(RequestId(1), t(0));
-        rx.send(RequestId(1), t(0));
+        assert_eq!(rx.stats.completed, 100);
     }
 
     #[test]
@@ -632,16 +584,16 @@ mod tests {
             ..RetxConfig::default()
         });
         // First sample 100us: SRTT = 100us, RTTVAR = 50us.
-        let (w, _) = rx.send(RequestId(1), t(0));
-        rx.on_response(w, t(100));
+        let mut r = rx.send(t(0));
+        respond(&mut rx, &mut r, t(100));
         assert_eq!(rx.stats.srtt_ns, 100_000);
         assert_eq!(rx.stats.rttvar_ns, 50_000);
         assert_eq!(rx.stats.rto_ns, 300_000); // 100 + 4·50 us
                                               // Second sample 60us:
                                               //   RTTVAR = 3/4·50 + 1/4·|100-60| = 47.5us
                                               //   SRTT   = 7/8·100 + 1/8·60     = 95us
-        let (w, _) = rx.send(RequestId(2), t(1_000));
-        rx.on_response(w, t(1_060));
+        let mut r = rx.send(t(1_000));
+        respond(&mut rx, &mut r, t(1_060));
         assert_eq!(rx.stats.srtt_ns, 95_000);
         assert_eq!(rx.stats.rttvar_ns, 47_500);
         assert_eq!(rx.stats.last_rtt_ns, 60_000);
@@ -654,16 +606,15 @@ mod tests {
             min_rto: SimDuration::micros(50),
             ..RetxConfig::default()
         });
-        let (w, to) = rx.send(RequestId(1), t(0));
+        let mut r = rx.send(t(0));
         assert_eq!(
-            to,
+            r.timeout(),
             SimDuration::millis(10),
             "no sample yet: initial timeout"
         );
-        rx.on_response(w, t(44));
-        let (_, to2) = rx.send(RequestId(2), t(100));
+        respond(&mut rx, &mut r, t(44));
         // SRTT 44us, RTTVAR 22us -> raw RTO 132us, above the 50us floor.
-        assert_eq!(to2, SimDuration::micros(132));
+        assert_eq!(rx.send(t(100)).timeout(), SimDuration::micros(132));
     }
 
     #[test]
@@ -672,10 +623,9 @@ mod tests {
         // a timer below queueing jitter (the consolidation workloads rely
         // on this — see `min_rto`'s doc).
         let mut rx = BlockRetx::new(RetxConfig::default());
-        let (w, _) = rx.send(RequestId(1), t(0));
-        rx.on_response(w, t(44));
-        let (_, to) = rx.send(RequestId(2), t(100));
-        assert_eq!(to, SimDuration::millis(1));
+        let mut r = rx.send(t(0));
+        respond(&mut rx, &mut r, t(44));
+        assert_eq!(rx.send(t(100)).timeout(), SimDuration::millis(1));
     }
 
     #[test]
@@ -686,31 +636,25 @@ mod tests {
             ..RetxConfig::default()
         });
         // The configured initial timeout is honored verbatim...
-        let (w, to) = rx.send(RequestId(1), t(0));
-        assert_eq!(to, SimDuration::micros(200));
-        rx.on_response(w, t(10));
+        let mut r = rx.send(t(0));
+        assert_eq!(r.timeout(), SimDuration::micros(200));
+        respond(&mut rx, &mut r, t(10));
         // ...but the adaptive RTO (10us + 4·5us = 30us raw) is floored.
-        let (_, to2) = rx.send(RequestId(2), t(100));
-        assert_eq!(to2, SimDuration::millis(5));
+        assert_eq!(rx.send(t(100)).timeout(), SimDuration::millis(5));
     }
 
     #[test]
     fn karn_rule_skips_retransmitted_attempts() {
         let mut rx = BlockRetx::new(cfg(10, 8));
-        let (w1, _) = rx.send(RequestId(1), t(0));
-        let TimeoutAction::Retransmit {
-            new_wire_id: w2, ..
-        } = rx.on_timeout(w1, t(10_000))
-        else {
-            panic!()
-        };
+        let mut r = rx.send(t(0));
+        assert_eq!(rx.on_timeout(&mut r, t(10_000)), TimeoutAction::Retransmit);
         // The response answers attempt 2: ambiguous, so no RTT sample.
-        rx.on_response(w2, t(10_040));
+        respond(&mut rx, &mut r, t(10_040));
         assert_eq!(rx.stats.rtt_samples, 0);
         assert_eq!(rx.current_rto(), SimDuration::millis(10));
         // A clean first-attempt exchange does sample.
-        let (w3, _) = rx.send(RequestId(2), t(20_000));
-        rx.on_response(w3, t(20_044));
+        let mut r = rx.send(t(20_000));
+        respond(&mut rx, &mut r, t(20_044));
         assert_eq!(rx.stats.rtt_samples, 1);
         assert_eq!(rx.stats.last_rtt_ns, 44_000);
     }
@@ -722,19 +666,11 @@ mod tests {
                 backoff_jitter: 0.25,
                 ..RetxConfig::default()
             });
-            let (mut w, _) = rx.send(RequestId(1), t(0));
+            let mut r = rx.send(t(0));
             let mut timeouts = Vec::new();
             for _ in 0..3 {
-                match rx.on_timeout(w, t(0)) {
-                    TimeoutAction::Retransmit {
-                        new_wire_id,
-                        timeout,
-                    } => {
-                        w = new_wire_id;
-                        timeouts.push(timeout);
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
+                assert_eq!(rx.on_timeout(&mut r, t(0)), TimeoutAction::Retransmit);
+                timeouts.push(r.timeout());
             }
             timeouts
         };

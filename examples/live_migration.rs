@@ -10,7 +10,6 @@
 use vrio::{
     BlockRetx, ClientFlavor, IoClient, ResponseAction, RetxConfig, TimeoutAction, TransportMode,
 };
-use vrio_block::RequestId;
 use vrio_sim::{SimDuration, SimTime};
 
 fn main() {
@@ -42,8 +41,9 @@ fn main() {
     //    anything lost in the blackout window simply retransmits.
     let mut retx = BlockRetx::new(RetxConfig::default());
     let mut now = SimTime::ZERO;
-    let (wire_a, _) = retx.send(RequestId(1), now);
-    let (wire_b, _) = retx.send(RequestId(2), now);
+    let mut req_a = retx.send(now);
+    let mut req_b = retx.send(now);
+    let (wire_a, wire_b) = (req_a.wire_id(), req_b.wire_id());
     client.begin_migration().unwrap();
     println!(
         "3. migration begins with {} block requests in flight",
@@ -52,16 +52,16 @@ fn main() {
 
     // Request A's response is lost in the blackout; its timer fires.
     now += SimDuration::millis(10);
-    let TimeoutAction::Retransmit { new_wire_id, .. } = retx.on_timeout(wire_a, now) else {
-        panic!("expected a retransmission");
-    };
+    assert_eq!(
+        retx.on_timeout(&mut req_a, now),
+        TimeoutAction::Retransmit,
+        "expected a retransmission"
+    );
     // Request B's response arrives late, after the VM landed: still valid.
     now += SimDuration::millis(5);
     assert_eq!(
-        retx.on_response(wire_b, now),
-        ResponseAction::Accept {
-            guest_req: RequestId(2)
-        }
+        retx.on_response(&mut req_b, wire_b, now),
+        ResponseAction::Accept
     );
 
     client.complete_migration(1);
@@ -70,14 +70,16 @@ fn main() {
         client.vmhost()
     );
     now += SimDuration::millis(1);
+    let new_wire_a = req_a.wire_id();
     assert_eq!(
-        retx.on_response(new_wire_id, now),
-        ResponseAction::Accept {
-            guest_req: RequestId(1)
-        }
+        retx.on_response(&mut req_a, new_wire_a, now),
+        ResponseAction::Accept
     );
     // The original (pre-migration) response for A would now be stale.
-    assert_eq!(retx.on_response(wire_a, now), ResponseAction::Stale);
+    assert_eq!(
+        retx.on_response(&mut req_a, wire_a, now),
+        ResponseAction::Stale
+    );
 
     // 5. Back to the fast path.
     client.set_transport_mode(TransportMode::Sriov);

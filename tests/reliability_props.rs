@@ -4,8 +4,7 @@
 //! one-request-per-block invariant.
 
 use proptest::prelude::*;
-use vrio::{BlockRetx, ResponseAction, RetxConfig, TimeoutAction};
-use vrio_block::RequestId;
+use vrio::{Attempt, BlockRetx, ResponseAction, RetxConfig, TimeoutAction};
 use vrio_net::{GeConfig, GilbertElliott};
 use vrio_sim::{SimDuration, SimRng, SimTime};
 
@@ -77,43 +76,48 @@ proptest! {
         let mut clock = Clock(SimTime::ZERO);
         let mut outcomes = 0u32;
 
-        for (i, seq) in fates.chunks(4).enumerate() {
-            let req = RequestId(i as u64);
-            let (mut wire, _) = retx.send(req, clock.tick());
+        for seq in fates.chunks(4) {
+            let mut req = retx.send(clock.tick());
             let mut done = false;
             // Play at most 4 channel decisions for this request.
             for &fate in seq {
                 prop_assert!(!done);
                 match fate {
                     Fate::Deliver => {
+                        let wire = req.wire_id();
                         prop_assert_eq!(
-                            retx.on_response(wire, clock.tick()),
-                            ResponseAction::Accept { guest_req: req }
+                            retx.on_response(&mut req, wire, clock.tick()),
+                            ResponseAction::Accept
                         );
                         outcomes += 1;
                         done = true;
                     }
                     Fate::DeliverTwice => {
+                        let wire = req.wire_id();
                         prop_assert_eq!(
-                            retx.on_response(wire, clock.tick()),
-                            ResponseAction::Accept { guest_req: req }
+                            retx.on_response(&mut req, wire, clock.tick()),
+                            ResponseAction::Accept
                         );
                         // The duplicate must be filtered.
                         prop_assert_eq!(
-                            retx.on_response(wire, clock.tick()),
+                            retx.on_response(&mut req, wire, clock.tick()),
                             ResponseAction::Stale
                         );
                         outcomes += 1;
                         done = true;
                     }
                     Fate::Lose | Fate::DeliverLate | Fate::Reorder => {
-                        let old_wire = wire;
-                        match retx.on_timeout(wire, clock.tick()) {
-                            TimeoutAction::Retransmit { new_wire_id, .. } => {
-                                wire = new_wire_id;
+                        let old_wire = req.wire_id();
+                        match retx.on_timeout(&mut req, clock.tick()) {
+                            TimeoutAction::Retransmit => {
+                                prop_assert!(req.wire_id() > old_wire, "a fresh wire id");
                             }
-                            TimeoutAction::DeviceError { guest_req } => {
-                                prop_assert_eq!(guest_req, req);
+                            TimeoutAction::DeviceError => {
+                                // A failed request never completes too.
+                                prop_assert_eq!(
+                                    retx.on_response(&mut req, old_wire, clock.tick()),
+                                    ResponseAction::Stale
+                                );
                                 outcomes += 1;
                                 done = true;
                             }
@@ -122,7 +126,7 @@ proptest! {
                         if matches!(fate, Fate::DeliverLate) && !done {
                             // The superseded response straggles in: stale.
                             prop_assert_eq!(
-                                retx.on_response(old_wire, clock.tick()),
+                                retx.on_response(&mut req, old_wire, clock.tick()),
                                 ResponseAction::Stale
                             );
                         }
@@ -130,12 +134,13 @@ proptest! {
                             // The retransmission's response overtakes the
                             // original attempt's: accept the new, then the
                             // old straggler arrives after completion.
+                            let wire = req.wire_id();
                             prop_assert_eq!(
-                                retx.on_response(wire, clock.tick()),
-                                ResponseAction::Accept { guest_req: req }
+                                retx.on_response(&mut req, wire, clock.tick()),
+                                ResponseAction::Accept
                             );
                             prop_assert_eq!(
-                                retx.on_response(old_wire, clock.tick()),
+                                retx.on_response(&mut req, old_wire, clock.tick()),
                                 ResponseAction::Stale
                             );
                             outcomes += 1;
@@ -150,9 +155,9 @@ proptest! {
             // If the channel never delivered and attempts remain, drain via
             // timeouts until the protocol settles.
             while !done {
-                match retx.on_timeout(wire, clock.tick()) {
-                    TimeoutAction::Retransmit { new_wire_id, .. } => wire = new_wire_id,
-                    TimeoutAction::DeviceError { .. } => {
+                match retx.on_timeout(&mut req, clock.tick()) {
+                    TimeoutAction::Retransmit => {}
+                    TimeoutAction::DeviceError => {
                         outcomes += 1;
                         done = true;
                     }
@@ -182,32 +187,27 @@ proptest! {
         let mut retx = BlockRetx::new(cfg);
         let mut clock = Clock(SimTime::ZERO);
         // Interleave unrelated requests to perturb wire-id allocation.
-        let noise: Vec<(u64, RequestId)> = (0..others)
-            .map(|i| {
-                let req = RequestId(1000 + i as u64);
-                (retx.send(req, clock.tick()).0, req)
-            })
-            .collect();
-        let (mut wire, mut t) = retx.send(RequestId(1), clock.tick());
+        let mut noise: Vec<Attempt> = (0..others).map(|_| retx.send(clock.tick())).collect();
+        let mut req = retx.send(clock.tick());
         let mut expect = 10u64;
         loop {
-            prop_assert_eq!(t, SimDuration::millis(expect));
-            match retx.on_timeout(wire, clock.tick()) {
-                TimeoutAction::Retransmit { new_wire_id, timeout } => {
-                    wire = new_wire_id;
-                    t = timeout;
+            prop_assert_eq!(req.timeout(), SimDuration::millis(expect));
+            match retx.on_timeout(&mut req, clock.tick()) {
+                TimeoutAction::Retransmit => {
                     expect = (expect * 2).min(retx.config().max_rto.as_nanos() / 1_000_000);
                 }
-                TimeoutAction::DeviceError { .. } => break,
+                TimeoutAction::DeviceError => break,
                 TimeoutAction::Stale => prop_assert!(false),
             }
         }
         prop_assert_eq!(expect, (10 * (1u64 << (attempts - 1))).min(1000));
         // The unrelated requests were untouched by the backoff storm.
-        for (w, req) in noise {
+        for r in &mut noise {
+            prop_assert_eq!(r.timeout(), SimDuration::millis(10));
+            let wire = r.wire_id();
             prop_assert_eq!(
-                retx.on_response(w, clock.tick()),
-                ResponseAction::Accept { guest_req: req }
+                retx.on_response(r, wire, clock.tick()),
+                ResponseAction::Accept
             );
         }
     }
@@ -237,26 +237,26 @@ proptest! {
         let mut outcomes = 0u64;
         let mut losses = 0u64;
 
-        for i in 0..requests {
-            let req = RequestId(i);
-            let (mut wire, _) = retx.send(req, clock.tick());
+        for _ in 0..requests {
+            let mut req = retx.send(clock.tick());
             loop {
                 if channel.step(&mut rng) {
                     // The channel ate this transmission: only the timer fires.
                     losses += 1;
-                    match retx.on_timeout(wire, clock.tick()) {
-                        TimeoutAction::Retransmit { new_wire_id, .. } => wire = new_wire_id,
-                        TimeoutAction::DeviceError { guest_req } => {
-                            prop_assert_eq!(guest_req, req);
+                    match retx.on_timeout(&mut req, clock.tick()) {
+                        TimeoutAction::Retransmit => {}
+                        TimeoutAction::DeviceError => {
+                            prop_assert!(!req.is_outstanding());
                             outcomes += 1;
                             break;
                         }
                         TimeoutAction::Stale => prop_assert!(false, "live timer was stale"),
                     }
                 } else {
+                    let wire = req.wire_id();
                     prop_assert_eq!(
-                        retx.on_response(wire, clock.tick()),
-                        ResponseAction::Accept { guest_req: req }
+                        retx.on_response(&mut req, wire, clock.tick()),
+                        ResponseAction::Accept
                     );
                     outcomes += 1;
                     break;
