@@ -8,8 +8,8 @@ use bytes::Bytes;
 use vrio_block::{BlockKind, BlockRequest, RequestId};
 use vrio_virtio::{
     ring_pair, BlkHdr, BlkReqKind, DescChain, DeviceRing, DriverRing, GuestAddr, GuestMemory,
-    IndirectAudit, NetHdr, QueueError, RingConfig, RingOps, BLK_HDR_SIZE, BLK_S_OK, NET_HDR_SIZE,
-    PAGE_SIZE,
+    IndirectAudit, MemError, NetHdr, QueueError, RingConfig, RingOps, BLK_HDR_SIZE, BLK_S_OK,
+    NET_HDR_SIZE, PAGE_SIZE,
 };
 
 use crate::guest::GuestCpu;
@@ -534,19 +534,38 @@ impl Vm {
     /// Guest receives one message if available: parses the virtio header
     /// and returns the payload.
     pub fn net_recv(&mut self) -> Result<Option<Bytes>, DeviceError> {
+        self.net_recv_with(GuestMemory::read_bytes)
+    }
+
+    /// Guest receives one message if available, as [`Vm::net_recv`] does,
+    /// but reads the payload into `buf` (cleared first), so a reused
+    /// buffer makes the receive allocation-free. Returns whether a
+    /// message was received.
+    pub fn net_recv_into(&mut self, buf: &mut Vec<u8>) -> Result<bool, DeviceError> {
+        buf.clear();
+        let read = |mem: &GuestMemory, addr, len| mem.read_append(addr, len, buf);
+        Ok(self.net_recv_with(read)?.is_some())
+    }
+
+    /// Takes one message off the rx used ring, if there is one, hands
+    /// `read` the address and length of its payload (past the virtio
+    /// header), and releases its buffer.
+    fn net_recv_with<T>(
+        &mut self,
+        read: impl FnOnce(&GuestMemory, GuestAddr, u64) -> Result<T, MemError>,
+    ) -> Result<Option<T>, DeviceError> {
         self.ring_epochs[Self::NET_RX] += 1;
         let Some(used) = self.net.rx_drv.poll_used(&self.mem)? else {
             return Ok(None);
         };
         let slot = take_head(&mut self.net.rx_slot_of_head, used.head)?;
         let hdr_len = (NET_HDR_SIZE as u64).min(u64::from(used.written));
-        let payload = self
-            .mem
-            .read_bytes(
-                self.net.rx_pool.addr(slot).offset(hdr_len),
-                u64::from(used.written) - hdr_len,
-            )
-            .map_err(QueueError::from)?;
+        let payload = read(
+            &self.mem,
+            self.net.rx_pool.addr(slot).offset(hdr_len),
+            u64::from(used.written) - hdr_len,
+        )
+        .map_err(QueueError::from)?;
         self.net.rx_pool.release(slot);
         self.net.rx_count += 1;
         self.net.rx_drv.arm(&mut self.mem)?;
@@ -792,6 +811,14 @@ mod tests {
         let rx = vm.net_recv().unwrap().unwrap();
         assert_eq!(&rx[..], b"hello guest");
         assert_eq!(vm.net_counters(), (1, 1));
+
+        // Reading into a reused buffer replaces what it held.
+        let mut buf = b"stale bytes, longer than the next message".to_vec();
+        vm.net_deliver_rx(b"again").unwrap();
+        assert!(vm.net_recv_into(&mut buf).unwrap());
+        assert_eq!(buf, b"again");
+        assert!(!vm.net_recv_into(&mut buf).unwrap());
+        assert_eq!(vm.net_counters(), (1, 2));
     }
 
     #[test]
@@ -921,7 +948,7 @@ mod tests {
         const TX: &[usize] = &[Vm::NET_TX];
         const RX: &[usize] = &[Vm::NET_RX];
         const BLK: &[usize] = &[Vm::BLK];
-        let mutating: [(&str, &[usize], RingOp); 13] = [
+        let mutating: [(&str, &[usize], RingOp); 15] = [
             ("set_device_polling", ALL, |vm, _| {
                 vm.set_device_polling(true).unwrap()
             }),
@@ -948,6 +975,12 @@ mod tests {
             }),
             ("net_recv", RX, |vm, _| {
                 vm.net_recv().unwrap().unwrap();
+            }),
+            ("net_deliver_rx", RX, |vm, _| {
+                vm.net_deliver_rx(b"pong").unwrap()
+            }),
+            ("net_recv_into", RX, |vm, _| {
+                assert!(vm.net_recv_into(&mut Vec::new()).unwrap());
             }),
             ("blk_submit", BLK, |vm, _| {
                 vm.blk_submit(&BlockRequest::read(RequestId(1), 0, 512))

@@ -71,4 +71,4 @@ pub use engine::{CallFn, Engine, Reserved};
 pub use profiler::{ProfGuard, ProfReport, Profiler, ScopeStats};
 pub use rng::{scenario_seed, SimRng};
 pub use stats::{BusyTracker, Histogram, OnlineStats};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};

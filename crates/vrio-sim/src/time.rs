@@ -10,6 +10,42 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64`, exactly, for every `x`: rounds half away from zero
+/// and saturates as the cast does (negatives and NaN to 0, values past
+/// `u64::MAX` and +∞ to `u64::MAX`), without calling the software `round`
+/// that `f64::round` compiles to on targets lacking a rounding
+/// instruction.
+///
+/// On `[0, 2^52)`, where every simulated duration lies, adding 2^52
+/// rounds `x` to the nearest integer, ties to even, and that integer is
+/// the sum's mantissa: no float-to-integer conversion is needed. The sum
+/// less 2^52 is exact, and so is `x` less that integer, which equals one
+/// half exactly when a tie went down to an even integer; half away from
+/// zero then takes the next one. Every other `x` (negatives, NaN, the
+/// integers from 2^52 on, ±∞) is its own truncation, which the
+/// saturating cast gives.
+///
+/// # Examples
+///
+/// ```
+/// use vrio_sim::round_u64;
+///
+/// assert_eq!(round_u64(2.5), 3);
+/// assert_eq!(round_u64(2.4999999999999996), 2);
+/// assert_eq!(round_u64(-0.7), 0);
+/// assert_eq!(round_u64(f64::INFINITY), u64::MAX);
+/// ```
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    if !(0.0..TWO_52).contains(&x) {
+        return x as u64;
+    }
+    let sum = x + TWO_52;
+    let nearest_even = sum.to_bits() - TWO_52.to_bits();
+    nearest_even + (x - (sum - TWO_52) == 0.5) as u64
+}
+
 /// An absolute instant in simulated time, in nanoseconds since simulation
 /// start.
 ///
@@ -109,7 +145,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_u64(s * 1e9))
     }
 
     /// Creates a duration from a float number of microseconds (rounds to ns).
@@ -119,7 +155,7 @@ impl SimDuration {
         if !us.is_finite() || us <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((us * 1e3).round() as u64)
+        SimDuration(round_u64(us * 1e3))
     }
 
     /// Returns the duration in nanoseconds.
@@ -160,7 +196,7 @@ impl SimDuration {
     /// ```
     pub fn for_bytes_at_gbps(bytes: u64, gbps: f64) -> SimDuration {
         debug_assert!(gbps > 0.0);
-        SimDuration(((bytes as f64 * 8.0) / gbps).round() as u64)
+        SimDuration(round_u64((bytes as f64 * 8.0) / gbps))
     }
 }
 
@@ -234,7 +270,7 @@ impl Mul<f64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: f64) -> SimDuration {
         debug_assert!(rhs >= 0.0);
-        SimDuration((self.0 as f64 * rhs).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * rhs))
     }
 }
 

@@ -202,11 +202,19 @@ impl VrioMsg {
     /// disagrees with the actual payload length in either direction — a
     /// truncated *or* padded frame is corrupt, not salvageable.
     pub fn decode(mut wire: Bytes) -> Option<VrioMsg> {
-        let hdr = VrioHdr::decode(&wire)?;
-        if wire.len() != VRIO_HDR_SIZE + hdr.len as usize {
+        let hdr: [u8; VRIO_HDR_SIZE] = wire.get(..VRIO_HDR_SIZE)?.try_into().expect("header-sized");
+        let payload = wire.split_off(VRIO_HDR_SIZE);
+        VrioMsg::decode_parts(&hdr, payload)
+    }
+
+    /// Parses a message that travels as its encoded header beside its
+    /// payload, as a vRIO NetRx frame does, with the checks of
+    /// [`VrioMsg::decode`]; nothing is copied or allocated.
+    pub fn decode_parts(hdr: &[u8; VRIO_HDR_SIZE], payload: Bytes) -> Option<VrioMsg> {
+        let hdr = VrioHdr::decode(hdr)?;
+        if payload.len() != hdr.len as usize {
             return None;
         }
-        let payload = wire.split_off(VRIO_HDR_SIZE);
         Some(VrioMsg { hdr, payload })
     }
 }
@@ -296,6 +304,29 @@ mod tests {
         let back = VrioMsg::decode(m.encode()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.hdr.len, 13);
+    }
+
+    #[test]
+    fn a_header_beside_its_payload_decodes_as_the_encoded_message() {
+        let m = VrioMsg::new(
+            VrioMsgKind::NetRx,
+            DeviceId {
+                client: 3,
+                device: 0,
+            },
+            0,
+            Bytes::from_static(b"netperf"),
+        );
+        let hdr = m.hdr.encode();
+        assert_eq!(
+            VrioMsg::decode_parts(&hdr, m.payload.clone()),
+            Some(m.clone())
+        );
+        // A payload longer or shorter than its header's `len` is corrupt.
+        for len in [6, 8] {
+            let payload = Bytes::from(vec![b'x'; len]);
+            assert_eq!(VrioMsg::decode_parts(&hdr, payload), None, "{len} bytes");
+        }
     }
 
     #[test]

@@ -215,8 +215,8 @@ impl Testbed {
     /// a write stores the payload it decoded; a local back end stores what
     /// it fetched from the ring. Interposition transforms the data that
     /// moves: write payloads before they reach the store, read data
-    /// before it returns, as `read`.
-    pub(super) fn blk_execute(&mut self, x: BlkExec, read: &mut Bytes) {
+    /// before it returns. Returns the data read (empty but for a read).
+    pub(super) fn blk_execute(&mut self, x: BlkExec) -> Bytes {
         let BlkExec {
             vm,
             req,
@@ -239,11 +239,12 @@ impl Testbed {
                     .read(req.byte_offset(), u64::from(req.len))
                     .expect("in range");
                 if !data.is_empty() {
-                    *read = self.interpose_transform(Direction::Inbound, data);
+                    return self.interpose_transform(Direction::Inbound, data);
                 }
             }
             BlockKind::Flush => {}
         }
+        Bytes::new()
     }
 
     /// A vRIO worker receives `enc`, attempt `wire_id` of `req`, and
@@ -673,7 +674,7 @@ mod tests {
             data: encoded.clone(),
             wire_id: Some(3),
         };
-        tb.blk_execute(x, &mut Bytes::new());
+        tb.blk_execute(x);
         let stored = tb.disk_stores[0].read(8 * 512, 4096).unwrap();
         assert_eq!(&stored[..], &sent[..], "the store holds the wire bytes");
         // By reference: the stored page is the wire message's payload.

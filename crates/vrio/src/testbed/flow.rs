@@ -12,7 +12,7 @@ use super::{HasTestbed, RrOutcome, Testbed};
 use crate::admission::Decision;
 use crate::interpose::Direction;
 use crate::oracle::FlowToken;
-use crate::proto::{VrioMsg, VrioMsgKind};
+use crate::proto::{VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 use crate::transport::ResponseAction;
 
 /// Which resource a step charges.
@@ -129,13 +129,16 @@ const _: () = {
     assert_send::<Slab<BlkExec>>();
 };
 
-/// A frame for VM `vm`'s rx ring. A vRIO frame arrives as the encoded
-/// `NetRx` message, which the VMhost transport decodes and the oracle
-/// checks against the `payload` the worker sent.
+/// A frame for VM `vm`'s rx ring. A vRIO frame is a `NetRx` message: its
+/// encoded header travels beside the `payload` the worker sent, which
+/// is never copied into one buffer with it. The VMhost transport decodes
+/// the two, and the oracle checks what the guest reads against `payload`.
 pub(super) struct RxFrame {
     pub vm: usize,
     pub payload: Bytes,
-    pub encoded: Option<Bytes>,
+    /// A vRIO frame's encoded [`crate::VrioHdr`]; `None` for a frame the
+    /// back end hands the guest as it is.
+    pub vrio_hdr: Option<[u8; VRIO_HDR_SIZE]>,
 }
 
 /// What runs when a flow's steps run out. A stopped flow (a dropped
@@ -285,9 +288,10 @@ impl<T> std::ops::IndexMut<usize> for Slab<T> {
     }
 }
 
-/// The flows waiting on the engine. A waiting flow's steps stay in a slot
-/// and the resume event carries only the slot index, so once the table
-/// and the engine's heap have grown, a wait allocates nothing.
+/// The flows waiting on the engine. A flow runs in place in its slot: its
+/// steps and data never leave it until the flow ends, and the resume
+/// event carries only the slot index, so once the table and the engine's
+/// heap have grown, a wait allocates nothing.
 pub(super) type FlowTable = Slab<Parked>;
 
 /// One [`FlowTable`] slot.
@@ -313,31 +317,25 @@ fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
 /// fire next anyway ([`Engine::continue_at`]).
 fn drive<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, i: usize, tail: bool) {
     let tb = w.tb();
-    let parked = &mut tb.flows[i];
-    let steps = std::mem::take(&mut parked.steps);
-    let mut next = parked.next;
-    let mut data = std::mem::take(&mut parked.data);
     let outcome = loop {
-        match tb.advance(&steps, &mut next, &mut data, eng.now()) {
+        match tb.advance(i, eng.now()) {
             Next::Wait(at) if tail && eng.continue_at(at) => {}
             outcome => break outcome,
         }
     };
     match outcome {
+        Next::Wait(at) => eng.schedule_at(at, resume::<W>, i as u64),
         Next::Go => {
-            let end = tb.flows.remove(i).end;
+            let Parked {
+                steps, data, end, ..
+            } = tb.flows.remove(i);
             tb.recycle_steps(steps);
             finish(w, eng, end, data);
         }
-        Next::Wait(at) => {
-            let parked = &mut tb.flows[i];
-            parked.steps = steps;
-            parked.next = next;
-            parked.data = data;
-            eng.schedule_at(at, resume::<W>, i as u64);
-        }
         how => {
-            let end = tb.flows.remove(i).end;
+            let Parked {
+                steps, next, end, ..
+            } = tb.flows.remove(i);
             tb.end_early(&steps[next..], end, how, eng.now());
             tb.recycle_steps(steps);
         }
@@ -392,19 +390,20 @@ impl Testbed {
         }
     }
 
-    /// A step delivering to VM `vm` the frame `payload`, arriving as the
-    /// `encoded` vRIO message if given ([`RxFrame`]). The frame waits in
-    /// the rx frame table until the step runs or its flow ends early.
+    /// A step delivering to VM `vm` the frame `payload`, arriving as a
+    /// vRIO message with the encoded header `vrio_hdr` if given
+    /// ([`RxFrame`]). The frame waits in the rx frame table until the
+    /// step runs or its flow ends early.
     pub(super) fn deliver_step(
         &mut self,
         vm: usize,
         payload: Bytes,
-        encoded: Option<Bytes>,
+        vrio_hdr: Option<[u8; VRIO_HDR_SIZE]>,
     ) -> Step {
         let frame = RxFrame {
             vm,
             payload,
-            encoded,
+            vrio_hdr,
         };
         Step::DeliverRx(self.rx_frames.insert(frame))
     }
@@ -439,18 +438,18 @@ impl Testbed {
         net.dropped(self, cause, now);
     }
 
-    /// Runs `steps` from index `next` at `now` until one waits or stops
-    /// the flow, or they run out ([`Next::Go`]); `next` is left at the
-    /// first step not run. Data steps write the flow's `data`.
-    fn advance(
-        &mut self,
-        steps: &[Step],
-        next: &mut usize,
-        data: &mut Bytes,
-        now: SimTime,
-    ) -> Next {
-        while let Some(mut step) = steps.get(*next).copied() {
-            *next += 1;
+    /// Runs the flow in slot `i` from its cursor at `now` until a step
+    /// waits or stops the flow, or the steps run out ([`Next::Go`]); the
+    /// cursor is left at the first step not run. The steps are read where
+    /// the flow is parked, one at a time, and its cursor moves past each
+    /// before it runs.
+    fn advance(&mut self, i: usize, now: SimTime) -> Next {
+        loop {
+            let flow = &mut self.flows[i];
+            let Some(mut step) = flow.steps.get(flow.next).copied() else {
+                return Next::Go;
+            };
+            flow.next += 1;
             if let Step::Fixed(total) = &mut step {
                 // Coalesce a run of consecutive fixed delays into one
                 // scheduled event. Pure latencies have no observable
@@ -458,21 +457,21 @@ impl Testbed {
                 // rng), so summing them is exact: the flow resumes at the
                 // same instant, it just skips the intermediate no-op
                 // wakeups.
-                while let Some(Step::Fixed(d)) = steps.get(*next) {
+                while let Some(Step::Fixed(d)) = flow.steps.get(flow.next) {
                     *total += *d;
-                    *next += 1;
+                    flow.next += 1;
                 }
             }
-            match self.exec(step, data, now) {
+            match self.exec(step, i, now) {
                 Next::Go => {}
                 stop_or_wait => return stop_or_wait,
             }
         }
-        Next::Go
     }
 
-    /// Runs one step at `now`, on the flow's `data`.
-    fn exec(&mut self, step: Step, data: &mut Bytes, now: SimTime) -> Next {
+    /// Runs one step of the flow in slot `i` at `now`. Data steps write
+    /// the flow's data in its slot.
+    fn exec(&mut self, step: Step, i: usize, now: SimTime) -> Next {
         match step {
             Step::Fixed(d) => return after(now, d),
             Step::Charge(core, work) => return Next::Wait(self.resource(core).charge(now, work)),
@@ -516,8 +515,8 @@ impl Testbed {
                     return Next::Stop;
                 }
             }
-            Step::DeliverRx(i) => {
-                let frame = self.rx_frames.remove(i);
+            Step::DeliverRx(f) => {
+                let frame = self.rx_frames.remove(f);
                 self.deliver_rx(frame);
             }
             Step::SendTx { vm, len } => {
@@ -528,15 +527,15 @@ impl Testbed {
                     return Next::Drop(DropCause::ShedQueue);
                 }
             }
-            Step::FetchTx { vm, dir } => *data = self.fetch_tx(vm, dir),
+            Step::FetchTx { vm, dir } => self.flows[i].data = self.fetch_tx(vm, dir),
             Step::InterposeTx => {
-                let payload = std::mem::take(data);
-                *data = self.interpose_transform(Direction::Outbound, payload);
+                let payload = std::mem::take(&mut self.flows[i].data);
+                self.flows[i].data = self.interpose_transform(Direction::Outbound, payload);
             }
             Step::ReleaseBackend { vm, backend } => self.release_backend(vm, backend),
-            Step::BlkExecute(i) => {
-                let x = self.blk_execs.remove(i);
-                self.blk_execute(x, data);
+            Step::BlkExecute(x) => {
+                let x = self.blk_execs.remove(x);
+                self.flows[i].data = self.blk_execute(x);
             }
             Step::RetxAccept { vm, blk, wire_id } => {
                 if self.blk_response(vm, blk, wire_id, now) == ResponseAction::Stale {
@@ -591,23 +590,29 @@ impl Testbed {
         Err(cause)
     }
 
-    /// Hands `frame` to its VM's rx ring, and the guest receives it and
-    /// reposts the buffer.
+    /// Hands `frame` to its VM's rx ring, and the guest receives it into
+    /// the testbed's reused buffer and reposts the ring buffer. The VMhost
+    /// transport decodes a vRIO frame first, and the oracle checks what
+    /// the guest read against the payload the worker sent.
     fn deliver_rx(&mut self, frame: RxFrame) {
-        let payload = match frame.encoded {
-            Some(encoded) => {
-                let msg = VrioMsg::decode(encoded).expect("valid vRIO message");
-                assert_eq!(msg.hdr.kind, VrioMsgKind::NetRx);
-                self.oracle
-                    .check_parts("net_rr encap->decap", &[&frame.payload], &msg.payload);
-                msg.payload
-            }
-            None => frame.payload,
-        };
+        let mut read = std::mem::take(&mut self.rx_read);
         let vm = self.rings(frame.vm);
-        vm.net_deliver_rx(&payload).expect("rx posted");
-        vm.net_recv().expect("recv").expect("delivered");
+        match frame.vrio_hdr {
+            Some(hdr) => {
+                let msg =
+                    VrioMsg::decode_parts(&hdr, frame.payload.clone()).expect("valid vRIO message");
+                assert_eq!(msg.hdr.kind, VrioMsgKind::NetRx);
+                vm.net_deliver_rx(&msg.payload).expect("rx posted");
+            }
+            None => vm.net_deliver_rx(&frame.payload).expect("rx posted"),
+        }
+        assert!(vm.net_recv_into(&mut read).expect("recv"), "delivered");
         vm.net_refill_rx().expect("refill");
+        if frame.vrio_hdr.is_some() {
+            self.oracle
+                .check_parts("net_rr encap->decap", &[&frame.payload], &read);
+        }
+        self.rx_read = read;
     }
 
     /// The back end fetches VM `vm`'s transmitted frame from the tx ring
@@ -647,15 +652,18 @@ mod tests {
     }
 
     /// Runs one lifecycle mark and returns the oracle checks it made. The
-    /// mark belongs to no flow, so every check is a queue audit.
+    /// mark belongs to no flow, so every check is a queue audit; it runs
+    /// as the one step of a flow parked for it.
     fn mark(tb: &mut Testbed) -> u64 {
         let before = tb.oracle.checks();
-        let mut data = Bytes::new();
-        tb.exec(
-            Step::Mark(SpanId::NONE, FlowToken::NONE, Stage::Wire),
-            &mut data,
-            SimTime::ZERO,
-        );
+        let i = tb.flows.insert(Parked {
+            steps: vec![Step::Mark(SpanId::NONE, FlowToken::NONE, Stage::Wire)],
+            next: 0,
+            data: Bytes::new(),
+            end: FlowEnd::BlkDone(0),
+        });
+        assert!(matches!(tb.advance(i, SimTime::ZERO), Next::Go));
+        tb.flows.remove(i);
         tb.oracle.checks() - before
     }
 

@@ -658,6 +658,9 @@ pub struct Testbed {
     blks: Slab<blk::BlkReq>,
     /// Frames waiting for the [`Step::DeliverRx`] that names them.
     rx_frames: Slab<RxFrame>,
+    /// What the guest read of the last frame delivered to it; kept for
+    /// its capacity.
+    rx_read: Vec<u8>,
     /// Block attempts waiting for the [`Step::BlkExecute`] that names them.
     blk_execs: Slab<blk::BlkExec>,
     /// Per VM: the armed retransmission timers of its block requests.
@@ -826,6 +829,7 @@ impl Testbed {
             flows: FlowTable::default(),
             blks: Slab::default(),
             rx_frames: Slab::default(),
+            rx_read: Vec::new(),
             blk_execs: Slab::default(),
             retx_timers: vec![Vec::new(); config.num_vms],
             blk_reaped: Vec::new(),

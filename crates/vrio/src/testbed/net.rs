@@ -12,7 +12,7 @@ use super::{req_track, HasTestbed, Testbed};
 use crate::health::Route;
 use crate::interpose::Direction;
 use crate::oracle::FlowToken;
-use crate::proto::{DeviceId, VrioMsg, VrioMsgKind};
+use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 
 /// One net request's observer records: its trace span, oracle ledger
 /// entry and SLO tenant.
@@ -177,8 +177,7 @@ pub fn net_request_response<W: HasTestbed>(
                 0,
                 fwd,
             );
-            let fwd_check = msg.payload.clone();
-            let encoded = msg.encode();
+            let wire_len = VRIO_HDR_SIZE + msg.payload.len();
             let w_worker = tb.jitter(costs.vrio_worker_net + costs.reassemble_per_frag) + icost;
             s.push(Step::Charge(CoreRef::Backend(backend), w_worker));
             s.push(Step::ReleaseBackend { vm, backend });
@@ -194,7 +193,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Charge(
                 CoreRef::IohostLink(iohost),
-                tb.wire(encoded.len() + 54),
+                tb.wire(wire_len + 54),
             ));
             s.push(Step::Fixed(tb.config.hop_latency));
             s.push(Step::Fixed(tb.fault_delay(t0)));
@@ -202,7 +201,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
             // Transport decapsulates (real decode) and hands to front-end.
-            s.push(tb.deliver_step(vm, fwd_check, Some(encoded)));
+            s.push(tb.deliver_step(vm, msg.payload, Some(msg.hdr.encode())));
             s.mark(Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.vrio_decap + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));

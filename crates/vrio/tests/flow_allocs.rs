@@ -5,9 +5,9 @@
 //! index, so only the testbed's own data steps could allocate. The bare
 //! testbed world discards the outcome.
 //!
-//! A block request's data steps do allocate: the counts of a warmed 4 KB
-//! vRIO write and read are pinned, so a copy or allocation added to the
-//! block path shows here. The ramdisk holds the wire bytes by reference,
+//! A request's data steps do allocate: the counts of a warmed netperf RR
+//! and of a warmed 4 KB vRIO write and read are pinned, so a copy or
+//! allocation added to the net or block path shows here. The ramdisk holds the wire bytes by reference,
 //! which is pinned by address.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,6 +82,27 @@ fn a_parked_rr_waits_and_resumes_without_allocating() {
     let resumes = eng.events_fired() - events;
     assert_eq!(allocs() - before, 0, "{resumes} resumes allocated");
     assert!(resumes >= 15, "the RR waited only {resumes} times");
+}
+
+#[test]
+fn a_warmed_vrio_rr_allocates_only_its_fetched_response() {
+    let mut tb = Testbed::new(TestbedConfig::simple(IoModel::Vrio, 1));
+    let mut eng = Engine::new();
+    // netperf's transaction: a 1-byte request and a 1-byte response.
+    let rr = |tb: &mut Testbed, eng: &mut Engine<Testbed>| {
+        let (req, app) = (Bytes::from_static(b"?"), SimDuration::micros(5));
+        net_request_response(tb, eng, 0, req, 1, app, 0);
+        eng.run(tb);
+    };
+    for _ in 0..100 {
+        rr(&mut tb, &mut eng);
+    }
+    let before = allocs();
+    rr(&mut tb, &mut eng);
+    // The back end's copy of the response it fetched from the tx ring is
+    // the one allocation: the NetRx frame keeps its header beside the
+    // request, and the guest reads the request into a reused buffer.
+    assert_eq!(allocs() - before, 1, "1-byte vRIO RR");
 }
 
 /// What one 4 KB write carries (shared, as the Filebench writer's is).

@@ -12,10 +12,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> vendored bytes: zero-copy unit tests"
+echo "==> vendored bytes and rand: zero-copy and stream unit tests"
 # third_party/ is outside the workspace's default members, so the plain
-# run above does not reach these.
+# run above does not reach these. Every simulated number rests on the
+# vendored rand stream (determinism per seed, range bounds).
 cargo test -q -p bytes
+cargo test -q -p rand
 
 echo "==> property tests on a rotating seed"
 # The plain run above replays each property's fixed case stream; this one
@@ -29,7 +31,7 @@ PROPTEST_SEED=$PROPTEST_SEED cargo test -q \
     --test interpose_props --test poll_props --test proto_props --test steering_props \
     -p vrio-block --test block_props \
     -p vrio-net --test tso_props \
-    -p vrio-sim --test queue_props \
+    -p vrio-sim --test queue_props --test round_props \
     -p vrio-trace --test hist_props \
     -p vrio-virtio --test mem_props --test ring_conformance --test virtqueue_props
 
