@@ -1,12 +1,12 @@
 //! Microbenchmarks of the substrate machinery: the protocol and data-path
 //! primitives every simulated I/O operation executes.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bytes::Bytes;
 use vrio::{AesCtr, BlockRetx, DeviceId, RetxConfig, Steering, VrioMsg, VrioMsgKind};
-use vrio_block::{BlockRequest, Elevator, Ramdisk, RequestId};
-use vrio_net::{segment_message, EtherType, Frame, MacAddr, Reassembler, MTU_VRIO_JUMBO};
+use vrio_block::Ramdisk;
+use vrio_net::{segment_message, Reassembler, MTU_VRIO_JUMBO};
 use vrio_sim::{SimDuration, SimTime};
 use vrio_virtio::{DeviceQueue, DriverQueue, GuestAddr, GuestMemory, VirtqueueLayout};
 
@@ -87,15 +87,6 @@ fn bench_proto(c: &mut Criterion) {
             VrioMsg::decode(wire).unwrap()
         });
     });
-    let frame = Frame::new(
-        MacAddr::local(1),
-        MacAddr::local(2),
-        EtherType::Vrio,
-        Bytes::from(vec![0u8; 1500]),
-    );
-    g.bench_function("frame_encode_decode_1500", |b| {
-        b.iter(|| Frame::decode(frame.encode()).unwrap());
-    });
     g.finish();
 }
 
@@ -138,24 +129,6 @@ fn bench_block(c: &mut Criterion) {
             d.write(4096, &buf).unwrap();
             d.read(4096, 4096).unwrap()
         });
-    });
-    g.bench_function("elevator_push_pop", |b| {
-        b.iter_batched(
-            || {
-                let mut e = Elevator::new(4);
-                for i in 0..64u64 {
-                    e.push(BlockRequest::read(RequestId(i), (i * 37) % 1000, 512));
-                }
-                e
-            },
-            |mut e| {
-                let mut head = 0;
-                while let Some(r) = e.pop(head) {
-                    head = r.sector;
-                }
-            },
-            BatchSize::SmallInput,
-        );
     });
     g.finish();
 }

@@ -282,12 +282,7 @@ impl ChaosCampaign {
             // bucket width.
             c.telemetry = TelemetryConfig::sampling(self.bucket);
         }
-        if let Some(primary) = self.outages.first() {
-            c.iohost_outages = primary.clone();
-        }
-        if self.outages.len() > 1 {
-            c.backup_outages = self.outages[1..].to_vec();
-        }
+        c.outages = self.outages.clone();
         c.faults = self.faults;
         c.admission = self.admission.clone();
         c.oracle = OracleConfig::on();

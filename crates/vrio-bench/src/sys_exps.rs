@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use vrio::{
-    net_request_response, EncryptionService, HasTestbed, RrOutcome, Testbed, TestbedConfig,
+    net_request_response, EncryptionService, HasTestbed, Outage, RrOutcome, Testbed, TestbedConfig,
 };
 use vrio_hv::{table3_expected, IoModel};
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -586,8 +586,10 @@ pub fn failover(rc: ReproConfig) -> String {
     let fail_at = SimTime::ZERO + horizon / 3;
     let recover_at = SimTime::ZERO + (horizon * 2u64) / 3;
     let mut cfg = cfg(rc, IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(fail_at);
-    cfg.iohost_recovers_at = Some(recover_at);
+    cfg.outages = vec![vec![Outage {
+        fails_at: fail_at,
+        recovers_at: Some(recover_at),
+    }]];
     let mut w = FailoverWorld {
         tb: Testbed::new(cfg),
         horizon: SimTime::ZERO + horizon,

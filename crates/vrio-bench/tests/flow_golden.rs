@@ -19,8 +19,8 @@
 use bytes::Bytes;
 use vrio::{
     blk_request, net_request_response, stream_batch, AdmissionConfig, BlkOutcome,
-    EncryptionService, FirewallService, HasTestbed, OracleConfig, RetxConfig, RrOutcome, Testbed,
-    TestbedConfig,
+    EncryptionService, FirewallService, HasTestbed, OracleConfig, Outage, RetxConfig, RrOutcome,
+    Testbed, TestbedConfig,
 };
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
@@ -289,8 +289,10 @@ fn all_cases() -> Vec<(String, u64)> {
     {
         let name = "rr_vrio_outage_local_fallback".to_string();
         let mut c = base(IoModel::Vrio, 2);
-        c.iohost_fails_at = Some(SimTime::ZERO + ms(1));
-        c.iohost_recovers_at = Some(SimTime::ZERO + ms(3));
+        c.outages = vec![vec![Outage {
+            fails_at: SimTime::ZERO + ms(1),
+            recovers_at: Some(SimTime::ZERO + ms(3)),
+        }]];
         let d = run_case(
             &name,
             c,

@@ -4,8 +4,9 @@
 //! [`Ramdisk`] holding real bytes, [`DeviceProfile`]s for the devices the
 //! paper measures (ramdisk, SATA SSD, FusionIO PCIe SSD), the
 //! [`BlockGate`] implementing the guest disk-scheduler invariant that
-//! vRIO's retransmission protocol relies on (§4.5), a C-LOOK [`Elevator`],
-//! and the unaligned-edge count behind the zero-copy write path (§4.4).
+//! vRIO's retransmission protocol relies on (§4.5), and the unaligned-edge
+//! count behind the zero-copy write path (§4.4). The disk queue itself is
+//! a FIFO disk resource of the `vrio` crate's testbed.
 //!
 //! ## Example: the zero-copy write discipline
 //!
@@ -31,9 +32,7 @@
 mod backing;
 mod gate;
 mod request;
-mod scheduler;
 
 pub use backing::{BlockError, DeviceProfile, Ramdisk};
 pub use gate::BlockGate;
 pub use request::{unaligned_edge_bytes, BlockKind, BlockRequest, RequestId};
-pub use scheduler::Elevator;

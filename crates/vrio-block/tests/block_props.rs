@@ -1,13 +1,10 @@
 //! Property tests for the block substrate: the unaligned-edge count
-//! matches a byte-by-byte count, the gate never admits overlapping requests, the
-//! elevator never loses or duplicates requests, and the ramdisk reads
-//! back what a flat byte array would.
+//! matches a byte-by-byte count, the gate never admits overlapping requests,
+//! and the ramdisk reads back what a flat byte array would.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use vrio_block::{
-    unaligned_edge_bytes, BlockError, BlockGate, BlockRequest, Elevator, Ramdisk, RequestId,
-};
+use vrio_block::{unaligned_edge_bytes, BlockError, BlockGate, BlockRequest, Ramdisk, RequestId};
 
 const PAGE: u64 = 4096;
 
@@ -113,25 +110,6 @@ proptest! {
         }
         prop_assert_eq!(completed as u64, submitted);
         prop_assert_eq!(gate.pending(), 0);
-    }
-
-    #[test]
-    fn elevator_serves_every_request_exactly_once(
-        sectors in proptest::collection::vec(0u64..1000, 1..80),
-    ) {
-        let mut e = Elevator::new(4);
-        for (i, &s) in sectors.iter().enumerate() {
-            e.push(BlockRequest::read(RequestId(i as u64), s, 512));
-        }
-        let mut served: Vec<u64> = Vec::new();
-        let mut head = 0;
-        while let Some(r) = e.pop(head) {
-            head = r.sector;
-            served.push(r.id.0);
-        }
-        served.sort_unstable();
-        let expect: Vec<u64> = (0..sectors.len() as u64).collect();
-        prop_assert_eq!(served, expect);
     }
 
     #[test]

@@ -25,12 +25,10 @@
 
 mod costs;
 mod counters;
-mod eli;
 mod guest;
 mod vm;
 
 pub use costs::CostModel;
 pub use counters::{table3_expected, EventCounters, IoModel, ReliabilityCounters};
-pub use eli::{MsrBitmap, MSR_X2APIC_EOI, MSR_X2APIC_ICR, MSR_X2APIC_TPR};
 pub use guest::GuestCpu;
 pub use vm::{BlkCompletion, DeviceError, QueueAudit, VirtioBlkDevice, VirtioNetDevice, Vm, VmId};

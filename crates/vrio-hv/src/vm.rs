@@ -588,7 +588,8 @@ impl Vm {
             self.net.tx_dev.arm(&mut self.mem)?;
             return Ok(None);
         }
-        chain.copy_readable_into(&self.mem, &mut self.net.scratch_buf)?;
+        self.net.scratch_buf.clear();
+        chain.readable_append(&self.mem, 0, &mut self.net.scratch_buf)?;
         let bytes = &self.net.scratch_buf;
         let hdr = NetHdr::decode(bytes).unwrap_or_default();
         let payload = Bytes::copy_from_slice(&bytes[NET_HDR_SIZE.min(bytes.len())..]);

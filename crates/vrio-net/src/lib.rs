@@ -1,15 +1,14 @@
 //! # vrio-net
 //!
-//! The Ethernet substrate of the vRIO reproduction: frames and MAC
-//! addressing, the SKB model with Linux's 17-fragment/4 KB-page constraints,
-//! TSO segmentation with fake TCP headers and zero-copy reassembly
-//! (paper §4.3–§4.4), NICs with rx/tx rings and SRIOV virtual functions,
-//! links with bandwidth/latency/loss, and a learning L2 switch.
+//! The Ethernet substrate of the vRIO reproduction: MAC addressing, the
+//! SKB model with Linux's 17-fragment/4 KB-page constraints, TSO
+//! segmentation with fake TCP headers and zero-copy reassembly (paper
+//! §4.3–§4.4), and channel fault injection (Gilbert–Elliott loss).
 //!
-//! These are passive data structures plus pure logic: the discrete-event
-//! wiring (who polls what when, what each operation costs) lives in the
-//! `vrio` crate's testbed, which keeps every piece here independently
-//! testable.
+//! These are passive data structures plus pure logic. The hardware itself
+//! (NIC rings, polling versus interrupts, link bandwidth and latency, the
+//! switch hop) is a calibrated cost step of the `vrio` crate's testbed,
+//! which also decides who polls what when.
 //!
 //! ## The paper's MTU-8100 invariant, executable
 //!
@@ -40,10 +39,7 @@
 #![warn(missing_docs)]
 
 mod fault;
-mod frame;
-mod link;
 mod mac;
-mod nic;
 mod pool;
 mod skb;
 mod tso;
@@ -51,16 +47,28 @@ mod tso;
 pub use fault::{
     FaultConfig, FaultConfigError, FaultInjector, FaultStats, GeConfig, GilbertElliott,
 };
-pub use frame::{EtherType, Frame, ETH_HDR_SIZE, MTU_JUMBO_MAX, MTU_STANDARD, MTU_VRIO_JUMBO};
-pub use link::{Forward, Link, PortId, Switch};
 pub use mac::{MacAddr, ParseMacError};
-pub use nic::{
-    Coalescer, NicMode, NicPort, NicStats, PacketRing, RxOutcome, SriovNic, VfId, RX_RING_DEFAULT,
-    RX_RING_LARGE,
-};
 pub use pool::{PoolError, SkbPool};
 pub use skb::{Frag, Skb, SkbError, MAX_SKB_FRAGS, PAGE_SIZE};
 pub use tso::{
     fragment_count, internet_checksum, reassemble_train, segment_message, segment_message_into,
-    FakeTcpHdr, Reassembler, Segment, TsoError, FAKE_TCP_HDR_SIZE, MAX_TSO_MSG,
+    FakeTcpHdr, Reassembler, Segment, TsoError, FAKE_TCP_HDR_SIZE, MAX_TSO_MSG, MTU_VRIO_JUMBO,
 };
+
+/// Default receive-ring capacity. The paper found 512 too small under load
+/// at the IOhost ("increasing the vRIO receive ring buffers (Rx) from 512
+/// to 4096 packets ... eliminated this problem", §4.5).
+pub const RX_RING_DEFAULT: usize = 512;
+/// The enlarged receive ring the paper settled on for the IOhost.
+pub const RX_RING_LARGE: usize = 4096;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ring_size_constants_match_paper() {
+        assert_eq!(RX_RING_DEFAULT, 512);
+        assert_eq!(RX_RING_LARGE, 4096);
+    }
+}

@@ -20,6 +20,11 @@ use crate::skb::{Skb, SkbError, PAGE_SIZE};
 /// Maximum TSO message: the largest TCP/IP buffer (64 KB).
 pub const MAX_TSO_MSG: usize = 65_536;
 
+/// The jumbo MTU vRIO chooses (paper §4.4): 8100 bytes, so that each TSO
+/// fragment plus headers fits in two 4 KB pages and a 64 KB message fits in
+/// the 17 fragments a Linux SKB can map.
+pub const MTU_VRIO_JUMBO: usize = 8100;
+
 /// The RFC 1071 internet checksum (one's-complement sum of 16-bit words).
 /// Real NICs compute this in hardware for TSO segments; the fake-TCP
 /// path fills and verifies it so corrupted fragments are caught.
@@ -485,6 +490,7 @@ mod tests {
     #[test]
     fn paper_fragment_arithmetic_at_mtu_8100() {
         // 64KB - 8*8100 = 736 (paper section 4.4).
+        assert_eq!(MTU_VRIO_JUMBO, 8100);
         assert_eq!(65_536 - 8 * 8100, 736);
         let segs = segment_message(Bytes::from(vec![0u8; 65_536]), 8100, 0).unwrap();
         assert_eq!(segs.len(), 9);
@@ -495,6 +501,20 @@ mod tests {
         assert_eq!(segs[8].chunk.len(), 736);
         assert_eq!(segs[8].pages(), 1);
         assert_eq!(segs.iter().map(Segment::pages).sum::<usize>(), 17);
+    }
+
+    #[test]
+    fn mtu_constants_match_paper() {
+        // Paper §4.4: vRIO's jumbo MTU is 8100, not the 1500 standard nor
+        // the 9000 jumbo maximum, because a full fragment plus its fake TCP
+        // header must fit in two 4 KB pages.
+        assert_eq!(MTU_VRIO_JUMBO, 8100);
+        assert!(MTU_VRIO_JUMBO + FAKE_TCP_HDR_SIZE <= 2 * PAGE_SIZE);
+        assert!(9000 + FAKE_TCP_HDR_SIZE > 2 * PAGE_SIZE);
+        // ...and so a maximal 64 KB message maps into one SKB's 17 fragments.
+        let segs = segment_message(Bytes::from(vec![0u8; MAX_TSO_MSG]), MTU_VRIO_JUMBO, 0).unwrap();
+        let pages: usize = segs.iter().map(Segment::pages).sum();
+        assert!(pages <= crate::MAX_SKB_FRAGS);
     }
 
     #[test]

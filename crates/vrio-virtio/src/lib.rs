@@ -16,7 +16,7 @@
 //! ```
 //! use vrio_virtio::{
 //!     BlkHdr, BlkReqKind, DeviceQueue, DriverQueue, GuestAddr, GuestMemory,
-//!     VirtqueueLayout, BLK_S_OK,
+//!     VirtqueueLayout, BLK_HDR_SIZE, BLK_S_OK,
 //! };
 //!
 //! // One shared guest-physical memory, a queue laid out inside it.
@@ -39,8 +39,9 @@
 //!
 //! // Back-end pops, decodes and completes it.
 //! let chain = device.pop_avail(&mem).unwrap().unwrap();
-//! let bytes = chain.copy_readable(&mem).unwrap();
-//! let parsed = BlkHdr::decode(&bytes).unwrap();
+//! let mut hdr = [0; BLK_HDR_SIZE];
+//! chain.read_readable(&mem, 0, &mut hdr).unwrap();
+//! let parsed = BlkHdr::decode(&hdr).unwrap();
 //! assert_eq!(parsed.sector, 8);
 //! chain.write_writable_parts(&mut mem, &[&[BLK_S_OK]]).unwrap();
 //! device.push_used(&mut mem, chain.head, 1).unwrap();

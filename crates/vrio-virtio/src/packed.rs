@@ -755,7 +755,9 @@ mod tests {
 
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         assert_eq!(chain.head, id);
-        assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
+        let mut got = Vec::new();
+        chain.readable_append(&mem, 0, &mut got).unwrap();
+        assert_eq!(got, b"abcdef");
         let n = chain
             .write_writable_parts(&mut mem, &[b"RESPONSE"])
             .unwrap();
@@ -864,7 +866,9 @@ mod tests {
         assert_eq!(chain.head, id);
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
-        assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
+        let mut got = Vec::new();
+        chain.readable_append(&mem, 0, &mut got).unwrap();
+        assert_eq!(got, b"abcdef");
         let n = chain
             .write_writable_parts(&mut mem, &[b"RESPONSE"])
             .unwrap();

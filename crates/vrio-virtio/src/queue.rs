@@ -562,7 +562,9 @@ mod tests {
         assert!(drv.should_kick(&mem).unwrap(), "reset state always kicks");
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         assert_eq!(chain.head, head);
-        assert_eq!(chain.copy_readable(&mem).unwrap(), b"request!");
+        let mut got = Vec::new();
+        chain.readable_append(&mem, 0, &mut got).unwrap();
+        assert_eq!(got, b"request!");
         let n = chain
             .write_writable_parts(&mut mem, &[b"RESPONSE"])
             .unwrap();

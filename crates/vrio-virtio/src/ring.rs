@@ -569,24 +569,6 @@ impl DescChain {
         self.writable.iter().map(|&(_, l)| u64::from(l)).sum()
     }
 
-    /// Copies all readable bytes out of guest memory, in order.
-    pub fn copy_readable(&self, mem: &GuestMemory) -> Result<Vec<u8>, QueueError> {
-        let mut out = Vec::with_capacity(self.readable_len() as usize);
-        self.copy_readable_into(mem, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`DescChain::copy_readable`] into a caller-provided scratch buffer
-    /// (cleared first; capacity survives across calls).
-    pub fn copy_readable_into(
-        &self,
-        mem: &GuestMemory,
-        out: &mut Vec<u8>,
-    ) -> Result<(), QueueError> {
-        out.clear();
-        self.readable_append(mem, 0, out)
-    }
-
     /// The readable buffers' pieces from byte `offset` of the readable
     /// bytes on, empty pieces left out.
     fn readable_from(&self, offset: u64) -> impl Iterator<Item = (GuestAddr, u64)> + Clone + '_ {
@@ -954,7 +936,9 @@ mod tests {
         let chain = dev.pop_avail(&mem).unwrap().unwrap();
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
-        assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
+        let mut got = Vec::new();
+        chain.readable_append(&mem, 0, &mut got).unwrap();
+        assert_eq!(got, b"abcdef");
         let n = chain
             .write_writable_parts(&mut mem, &[b"RESPONSE"])
             .unwrap();
@@ -1234,7 +1218,9 @@ mod tests {
         assert_eq!(chain.head, head);
         assert_eq!(chain.readable.len(), 2);
         assert_eq!(chain.writable.len(), 1);
-        assert_eq!(chain.copy_readable(&mem).unwrap(), b"abcdef");
+        let mut got = Vec::new();
+        chain.readable_append(&mem, 0, &mut got).unwrap();
+        assert_eq!(got, b"abcdef");
         let n = chain
             .write_writable_parts(&mut mem, &[b"RESPONSE"])
             .unwrap();
@@ -1339,7 +1325,7 @@ mod tests {
         assert_eq!(from(4), b"keptdata");
         assert_eq!(from(2), b"keptr!data");
         assert_eq!(from(8), b"kept");
-        assert_eq!(from(0)[4..], chain.copy_readable(&mem).unwrap());
+        assert_eq!(from(0), b"kepthdr!data");
     }
 
     #[test]

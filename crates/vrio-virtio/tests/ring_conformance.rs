@@ -114,8 +114,9 @@ fn replay(config: RingConfig, ops: &[Op]) -> Outcome {
                 if let Some(chain) = dev.pop_avail(&mem).unwrap() {
                     // First readable segment carries the tag: payload bytes
                     // survive the layout encoding.
-                    let bytes = chain.copy_readable(&mem).unwrap();
-                    let got = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
+                    let mut first = [0; 8];
+                    chain.read_readable(&mem, 0, &mut first).unwrap();
+                    let got = u64::from_le_bytes(first);
                     let tag = tag_of_head[&chain.head];
                     assert_eq!(got, tag, "payload intact under {config}");
                     let cap = chain.writable_len() as u32;

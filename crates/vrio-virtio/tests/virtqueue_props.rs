@@ -74,8 +74,9 @@ proptest! {
                         let (head, tag) = submitted.remove(0);
                         prop_assert_eq!(chain.head, head);
                         // First readable buffer carries the tag.
-                        let bytes = chain.copy_readable(&mem).unwrap();
-                        let got = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
+                        let mut first = [0; 8];
+                        chain.read_readable(&mem, 0, &mut first).unwrap();
+                        let got = u64::from_le_bytes(first);
                         prop_assert_eq!(got, tag);
                         dev.push_used(&mut mem, chain.head, 0).unwrap();
                         served.push((head, tag));

@@ -168,32 +168,24 @@ pub struct TestbedConfig {
     /// monitor/mwait low-power state and pay this extra wake-up latency on
     /// the next packet (trading latency for polling energy).
     pub sidecore_mwait_wake: Option<SimDuration>,
-    /// §4.6 fault tolerance: the IOhost crashes at this instant. Net
-    /// front-ends fail over to regular local virtio once the health
+    /// §4.6 fault tolerance: per-IOhost crash/recover schedules. Index `k`
+    /// is IOhost `k`'s schedule, sorted and non-overlapping; hosts past
+    /// the end are never down. While the primary is down, net front-ends
+    /// fail over to a backup or to regular local virtio once the health
     /// monitor detects the crash (vhost work runs on the VM's own cores —
     /// vRIO VMhosts have no sidecores); in-flight and new block requests
     /// fail through the retransmission machinery, as when the storage
-    /// "resides exclusively on the IOhost". Sugar for a one-entry
-    /// [`TestbedConfig::iohost_outages`] schedule.
-    pub iohost_fails_at: Option<SimTime>,
-    /// When the IOhost crashed via [`TestbedConfig::iohost_fails_at`]
-    /// comes back up. Heartbeats resume being acked, the health monitors
-    /// fail back, and net traffic returns to vRIO. `None` = never.
-    pub iohost_recovers_at: Option<SimTime>,
-    /// Explicit IOhost crash/recover schedule, merged with the
-    /// `iohost_fails_at`/`iohost_recovers_at` sugar pair.
-    pub iohost_outages: Vec<Outage>,
+    /// "resides exclusively on the IOhost". When a host recovers,
+    /// heartbeats are acked again, the health monitors fail back, and net
+    /// traffic returns to it. Must not name more than
+    /// [`TestbedConfig::num_iohosts`] hosts.
+    pub outages: Vec<Vec<Outage>>,
     /// Number of IOhosts in each VMhost's ordered preference list (N+1
     /// redundancy). With more than one, vRIO traffic fails over primary →
     /// backup(s) → local virtio and fails back in reverse as hosts
     /// recover; the default of 1 reproduces the PR 1 primary-or-local
     /// ladder exactly.
     pub num_iohosts: usize,
-    /// Outage schedules for the backup IOhosts (index 0 = IOhost 1, the
-    /// first backup); the primary's schedule comes from
-    /// `iohost_fails_at`/`iohost_outages`. Must not name more hosts than
-    /// `num_iohosts - 1`.
-    pub backup_outages: Vec<Vec<Outage>>,
     /// Overload-aware admission control at each IOhost (queue-depth
     /// backpressure, weighted per-tenant shedding, circuit breaker).
     /// Disabled by default — a disabled controller admits everything and
@@ -263,11 +255,8 @@ impl TestbedConfig {
             tail_model: false,
             retx: RetxConfig::default(),
             sidecore_mwait_wake: None,
-            iohost_fails_at: None,
-            iohost_recovers_at: None,
-            iohost_outages: Vec::new(),
+            outages: Vec::new(),
             num_iohosts: 1,
-            backup_outages: Vec::new(),
             admission: AdmissionConfig::default(),
             health: HealthConfig::default(),
             faults: FaultConfig::default(),
@@ -279,35 +268,6 @@ impl TestbedConfig {
             ring: RingConfig::split_basic(),
             adaptive_poll: AdaptivePollConfig::disabled(),
         }
-    }
-
-    /// The full outage schedule: the `iohost_fails_at`/`iohost_recovers_at`
-    /// sugar pair merged with the explicit [`TestbedConfig::iohost_outages`]
-    /// list, sorted by crash time.
-    pub fn outage_schedule(&self) -> Vec<Outage> {
-        let mut v = self.iohost_outages.clone();
-        if let Some(fails_at) = self.iohost_fails_at {
-            v.push(Outage {
-                fails_at,
-                recovers_at: self.iohost_recovers_at,
-            });
-        }
-        v.sort_by_key(|o| o.fails_at);
-        v
-    }
-
-    /// Per-IOhost outage schedules for the full redundancy ladder: index
-    /// 0 is the primary's merged [`TestbedConfig::outage_schedule`], then
-    /// the configured [`TestbedConfig::backup_outages`], padded with
-    /// never-down schedules out to [`TestbedConfig::num_iohosts`].
-    pub fn outage_schedules(&self) -> Vec<Vec<Outage>> {
-        let mut v = Vec::with_capacity(self.num_iohosts.max(1));
-        v.push(self.outage_schedule());
-        v.extend(self.backup_outages.iter().cloned());
-        while v.len() < self.num_iohosts {
-            v.push(Vec::new());
-        }
-        v
     }
 
     /// Enables the stochastic service-time and tail models (Table 4 runs).
@@ -715,9 +675,9 @@ impl Testbed {
             .collect();
         assert!(config.num_iohosts > 0, "at least one IOhost required");
         assert!(
-            config.backup_outages.len() < config.num_iohosts,
-            "backup_outages names {} backups but num_iohosts is {}",
-            config.backup_outages.len(),
+            config.outages.len() <= config.num_iohosts,
+            "outages names {} IOhosts but num_iohosts is {}",
+            config.outages.len(),
             config.num_iohosts
         );
         // vRIO workers exist per IOhost; local models keep their per-host
@@ -745,7 +705,8 @@ impl Testbed {
         // A separate stream keyed off the seed: fault draws never consume
         // from (or shift) the workload stream.
         let fault_rng = SimRng::seed_from(config.seed ^ 0xFA17);
-        let outages = config.outage_schedules();
+        let mut outages = config.outages.clone();
+        outages.resize(config.num_iohosts, Vec::new());
         for (k, sched) in outages.iter().enumerate() {
             if let Err(e) = validate_outage_schedule(sched) {
                 panic!("invalid outage schedule for iohost{k}: {e}");

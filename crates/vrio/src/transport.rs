@@ -8,9 +8,12 @@
 //! expiry the request is presumed lost and retransmitted under a fresh
 //! identifier with an exponentially backed-off timeout, and responses
 //! carrying a superseded ("stale") identifier are ignored. After too many
-//! attempts the device raises an error. The guest-side
-//! [`vrio_block::BlockGate`] guarantees no competing request for the same
-//! blocks can race a retransmission.
+//! attempts the device raises an error. The paper relies on the guest's
+//! disk scheduler to keep a competing request for the same blocks from
+//! racing a retransmission; [`vrio_block::BlockGate`] implements that
+//! invariant, but the testbed does not apply it: Filebench threads pick
+//! their 4 KB sectors independently, so two in-flight requests of one VM
+//! may overlap.
 //!
 //! The paper uses a fixed 10 ms timeout. On a rack where the channel RTT
 //! is tens of microseconds that wastes three orders of magnitude of

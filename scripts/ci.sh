@@ -200,4 +200,7 @@ else
     echo "    cargo-llvm-cov not installed; the coverage job in CI enforces the floor"
 fi
 
+echo "==> Rust line counts (information, not a gate)"
+scripts/loc.sh | sed 's/^/    /'
+
 echo "==> tier-1 gate passed"

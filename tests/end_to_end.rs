@@ -12,6 +12,7 @@ use vrio::{
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{table3_expected, IoModel};
 use vrio_sim::SimDuration;
+use vrio_trace::DropCause;
 use vrio_virtio::{BLK_S_IOERR, BLK_S_OK};
 
 fn one_rr(tb: &mut Testbed, payload: &'static [u8], resp_len: usize) -> RrOutcome {
@@ -202,4 +203,31 @@ fn steering_keeps_per_device_order_under_load() {
     cfg.backend_cores = 3;
     let r = vrio_workloads::netperf_rr(cfg, SimDuration::millis(20));
     assert!(r.completed > 100);
+}
+
+#[test]
+fn iohost_rx_ring_overflow_drops_are_counted_once_as_shed_queue() {
+    // The IOhost's receive ring is the testbed's one rx-ring model: a
+    // frame that lands on a worker already holding more than
+    // `iohost_rx_ring` frames is dropped at the arrival gate (§4.5's
+    // 512-vs-4096 ablation). Each drop is one channel drop and one
+    // ShedQueue terminal drop, never a fault loss.
+    let run = |vms: usize, ring: u64| {
+        let mut cfg = TestbedConfig::simple(IoModel::Vrio, vms);
+        cfg.iohost_rx_ring = ring;
+        let r = vrio_workloads::netperf_rr(cfg, SimDuration::millis(5));
+        let shed = r.slo.total_drops_of(DropCause::ShedQueue);
+        assert_eq!(r.slo.total_drops_of(DropCause::FaultLoss), 0);
+        assert_eq!(r.slo.total_dropped(), shed, "{vms} VMs, ring {ring}");
+        assert_eq!(r.reliability.channel_drops, shed, "{vms} VMs, ring {ring}");
+        shed
+    };
+    for vms in [4, 8, 16] {
+        for ring in [1, 2] {
+            assert!(run(vms, ring) > 0, "{vms} VMs overflow a ring of {ring}");
+        }
+        for ring in [4, vrio_net::RX_RING_LARGE as u64] {
+            assert_eq!(run(vms, ring), 0, "{vms} VMs fit a ring of {ring}");
+        }
+    }
 }

@@ -7,7 +7,7 @@ mod common;
 
 use bytes::Bytes;
 use common::{one_blk, try_rr};
-use vrio::{net_request_response, HasTestbed, RrOutcome, Testbed, TestbedConfig};
+use vrio::{net_request_response, HasTestbed, Outage, RrOutcome, Testbed, TestbedConfig};
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_sim::{Engine, SimDuration, SimTime};
@@ -19,6 +19,14 @@ struct Loops {
     tb: Testbed,
     before: Vec<f64>,
     after: Vec<f64>,
+}
+
+/// An IOhost crash at `fails_at` that never recovers.
+fn down_from(fails_at: SimTime) -> Outage {
+    Outage {
+        fails_at,
+        recovers_at: None,
+    }
 }
 
 /// Issues VM `vm`'s next request.
@@ -33,7 +41,7 @@ impl HasTestbed for Loops {
     }
 
     fn on_rr(&mut self, eng: &mut Engine<Self>, vm: u64, o: RrOutcome) {
-        let fail_at = self.tb.config.iohost_fails_at.unwrap();
+        let fail_at = self.tb.config.outages[0][0].fails_at;
         let l = o.latency.as_micros_f64();
         if eng.now() < fail_at {
             self.before.push(l);
@@ -49,7 +57,7 @@ impl HasTestbed for Loops {
 #[test]
 fn network_survives_iohost_crash_at_fallback_performance() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(10));
+    cfg.outages = vec![vec![down_from(SimTime::ZERO + SimDuration::millis(10))]];
     let mut w = Loops {
         tb: Testbed::new(cfg),
         before: Vec::new(),
@@ -99,7 +107,7 @@ fn network_survives_iohost_crash_at_fallback_performance() {
 #[test]
 fn iohost_resident_block_device_fails_cleanly() {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 1);
-    cfg.iohost_fails_at = Some(SimTime::ZERO); // dead from the start
+    cfg.outages = vec![vec![down_from(SimTime::ZERO)]]; // dead from the start
     cfg.retx.initial_timeout = SimDuration::micros(200);
     cfg.retx.max_attempts = 3;
     let mut tb = Testbed::new(cfg);
@@ -118,7 +126,7 @@ fn iohost_resident_block_device_fails_cleanly() {
 fn healthy_iohost_is_unaffected_by_the_knob() {
     // A failure scheduled after the horizon never triggers.
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 1);
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::secs(3600));
+    cfg.outages = vec![vec![down_from(SimTime::ZERO + SimDuration::secs(3600))]];
     let mut tb = Testbed::new(cfg);
     let ok = try_rr(&mut tb, b"x", 1).is_some_and(|o| o.response.len() == 1);
     assert!(ok);

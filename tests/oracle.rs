@@ -7,8 +7,8 @@
 
 use bytes::Bytes;
 use vrio::{
-    blk_request, net_request_response, BlkOutcome, HasTestbed, OracleConfig, RrOutcome, Testbed,
-    TestbedConfig,
+    blk_request, net_request_response, BlkOutcome, HasTestbed, OracleConfig, Outage, RrOutcome,
+    Testbed, TestbedConfig,
 };
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
@@ -283,8 +283,10 @@ fn run_failover(oracle: bool) -> (u64, Testbed) {
     let fail_at = SimTime::ZERO + horizon / 3;
     let recover_at = SimTime::ZERO + (horizon * 2u64) / 3;
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
-    cfg.iohost_fails_at = Some(fail_at);
-    cfg.iohost_recovers_at = Some(recover_at);
+    cfg.outages = vec![vec![Outage {
+        fails_at: fail_at,
+        recovers_at: Some(recover_at),
+    }]];
     if oracle {
         cfg.oracle = OracleConfig::on();
     }

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use vrio::{
-    blk_request, net_request_response, BlkOutcome, HasTestbed, HealthState, RrOutcome, Testbed,
-    TestbedConfig,
+    blk_request, net_request_response, BlkOutcome, HasTestbed, HealthState, Outage, RrOutcome,
+    Testbed, TestbedConfig,
 };
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
@@ -101,8 +101,10 @@ struct RunResult {
 fn run_scenario(seed: u64) -> RunResult {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2);
     cfg.seed = seed;
-    cfg.iohost_fails_at = Some(SimTime::ZERO + SimDuration::millis(CRASH_MS));
-    cfg.iohost_recovers_at = Some(SimTime::ZERO + SimDuration::millis(RECOVER_MS));
+    cfg.outages = vec![vec![Outage {
+        fails_at: SimTime::ZERO + SimDuration::millis(CRASH_MS),
+        recovers_at: Some(SimTime::ZERO + SimDuration::millis(RECOVER_MS)),
+    }]];
     let mut w = World {
         tb: Testbed::new(cfg),
         pre: Vec::new(),

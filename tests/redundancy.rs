@@ -100,14 +100,16 @@ struct RunResult {
     report: ReliabilityCounters,
 }
 
-/// Crash-and-recover with `backup_outages` describing the backup IOhost's
-/// own schedule (empty = backup stays healthy the whole run).
-fn run_scenario(seed: u64, backup_outages: Vec<Vec<Outage>>) -> RunResult {
+/// Crash-and-recover of the primary, with `backup` the backup IOhost's own
+/// schedule (empty = backup stays healthy the whole run).
+fn run_scenario(seed: u64, backup: Vec<Outage>) -> RunResult {
     let mut cfg = TestbedConfig::simple(IoModel::Vrio, 2).with_iohosts(2);
     cfg.seed = seed;
-    cfg.iohost_fails_at = Some(ms(CRASH_MS));
-    cfg.iohost_recovers_at = Some(ms(RECOVER_MS));
-    cfg.backup_outages = backup_outages;
+    let primary = Outage {
+        fails_at: ms(CRASH_MS),
+        recovers_at: Some(ms(RECOVER_MS)),
+    };
+    cfg.outages = vec![vec![primary], backup];
     cfg.oracle = OracleConfig::on();
     let mut w = World {
         tb: Testbed::new(cfg),
@@ -218,10 +220,10 @@ fn blocks_straddling_outage_complete_on_backup_exactly_once() {
 fn correlated_outage_falls_back_to_local_then_climbs_back() {
     // Backup dies at the same instant as the primary but recovers earlier:
     // the ladder walks primary -> (both down) local -> backup -> primary.
-    let backup = vec![vec![Outage {
+    let backup = vec![Outage {
         fails_at: ms(CRASH_MS),
         recovers_at: Some(ms(20)),
-    }]];
+    }];
     let r = run_scenario(1, backup);
     assert!(r.oracle_clean);
     let routes: Vec<Route> = r.route_log.iter().map(|&(_, rt)| rt).collect();
