@@ -461,8 +461,9 @@ fn supervise(w: &mut ChaosWorld, eng: &mut Engine<ChaosWorld>, _: u64) {
     w.last.by_vm.copy_from_slice(&w.completed_by_vm);
 }
 
-/// Runs one replica to completion on the calling thread, asserting the
-/// oracle clean at exit.
+/// Runs one replica to completion on the calling thread, then runs the
+/// oracle's end-of-run audits (leaked flows, the skb pool) and asserts
+/// it clean.
 pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
     let seed = c.replica_seed(replica);
     let horizon = SimTime::ZERO + c.horizon;
@@ -508,6 +509,8 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
     }
 
     eng.run(&mut w);
+    w.tb.oracle.finish();
+    w.tb.oracle.audit_pool("skb pool", &w.tb.skb_pool);
     w.tb.oracle
         .assert_clean(&format!("chaos/{}/r{replica}", c.name));
     // Every request has exactly one fate: completed, dropped with one

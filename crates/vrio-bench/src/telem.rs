@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn telemetry_bundle_embeds_each_run_under_its_name() {
-        let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
+        let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
         let depth = tm.track("q.depth", TrackKind::Gauge);
         tm.record(depth, SimTime::from_nanos(10_000), 2.0);
         let doc = telemetry_bundle(&[

@@ -1,10 +1,10 @@
-//! Engine-probe bit-identity: the per-event observation probe stays a
-//! boxed `FnMut` invoked *outside* the typed-event arena path, so wiring
-//! an observer into the engine (the oracle does this via
-//! `Engine::set_probe`) must not change a single simulated bit — under
-//! every I/O model. This is the regression gate for the hot-path memory
-//! work: recycling event storage must never give the probe a way to
-//! perturb firing order or RNG streams.
+//! Engine-probe bit-identity: the per-event observation probe is a plain
+//! `fn(&mut W, SimTime)` invoked between an event's pop and its firing,
+//! outside the heap, so wiring an observer into the engine (the oracle
+//! does this via `Engine::set_probe`) must not change a single simulated
+//! bit — under every I/O model. This is the regression gate for the
+//! hot-path memory work: recycling event storage must never give the
+//! probe a way to perturb firing order or RNG streams.
 
 use vrio::{OracleConfig, TestbedConfig};
 use vrio_hv::IoModel;

@@ -141,7 +141,7 @@ const NET_SLOTS: u16 = 64;
 /// let rx = vm.net_recv().unwrap().unwrap();
 /// assert_eq!(&rx[..], b"pong");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VirtioNetDevice {
     tx_drv: DriverRing,
     tx_dev: DeviceRing,
@@ -217,6 +217,7 @@ fn blk_slot_layout(base: GuestAddr, data_len: usize) -> (GuestAddr, GuestAddr, G
     )
 }
 
+#[derive(Clone)]
 struct PendingBlk {
     id: RequestId,
     kind: BlockKind,
@@ -225,6 +226,7 @@ struct PendingBlk {
 }
 
 /// A paravirtual block device (driver + device halves).
+#[derive(Clone)]
 pub struct VirtioBlkDevice {
     drv: DriverRing,
     dev: DeviceRing,
@@ -324,6 +326,7 @@ pub struct BlkCompletion {
 
 /// A virtual machine: guest memory, one VCPU, a net device, and a block
 /// device. See [`VirtioNetDevice`] for a front/back-end example.
+#[derive(Clone)]
 pub struct Vm {
     /// The VM's identity.
     pub id: VmId,

@@ -14,8 +14,7 @@
 //! at all — wiring the injector into an existing simulation leaves every
 //! established RNG stream untouched until a knob is actually turned on.
 
-use vrio_sim::{SimDuration, SimRng, SimTime};
-use vrio_trace::Tracer;
+use vrio_sim::{SimDuration, SimRng};
 
 /// Parameters of the two-state Gilbert–Elliott loss chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,10 +209,6 @@ pub struct FaultInjector {
     ge: Option<GilbertElliott>,
     /// Accounting, exposed for reliability reports.
     pub stats: FaultStats,
-    /// Observe-only trace hook: injections emit instant markers on this
-    /// tracer (inert by default). Never draws randomness.
-    tracer: Tracer,
-    tracer_tid: u32,
 }
 
 impl FaultInjector {
@@ -224,8 +219,6 @@ impl FaultInjector {
             config,
             ge: config.ge.map(GilbertElliott::new),
             stats: FaultStats::default(),
-            tracer: Tracer::off(),
-            tracer_tid: 0,
         }
     }
 
@@ -234,18 +227,9 @@ impl FaultInjector {
         self.config
     }
 
-    /// Attaches a tracer: subsequent injections emit instant trace markers
-    /// on track `tid`. Purely observational — attaching a tracer
-    /// never changes which faults fire.
-    pub fn set_tracer(&mut self, tracer: Tracer, tid: u32) {
-        self.tracer = tracer;
-        self.tracer_tid = tid;
-    }
-
-    /// Offers one frame, at `now`, to the bursty-loss model; `true` means
-    /// drop it, with an instant `fault_loss` trace marker. Draws nothing
-    /// when the model is disabled.
-    pub fn drop_frame(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
+    /// Offers one frame to the bursty-loss model; `true` means drop it.
+    /// Draws nothing when the model is disabled.
+    pub fn drop_frame(&mut self, rng: &mut SimRng) -> bool {
         let Some(ge) = self.ge.as_mut() else {
             return false;
         };
@@ -256,40 +240,34 @@ impl FaultInjector {
         }
         if lost {
             self.stats.ge_losses += 1;
-            self.tracer.instant("fault_loss", self.tracer_tid, now);
         }
         lost
     }
 
-    /// Draws the extra delay for one channel traversal at `now` (`ZERO`
-    /// almost always; the configured spike occasionally, with an instant
-    /// `fault_delay_spike` trace marker). Draws nothing when spikes are
-    /// disabled.
-    pub fn traversal_delay(&mut self, rng: &mut SimRng, now: SimTime) -> SimDuration {
+    /// Draws the extra delay for one channel traversal (`ZERO` almost
+    /// always; the configured spike occasionally). Draws nothing when
+    /// spikes are disabled.
+    pub fn traversal_delay(&mut self, rng: &mut SimRng) -> SimDuration {
         if self.config.delay_spike_prob <= 0.0 {
             return SimDuration::ZERO;
         }
         if rng.chance(self.config.delay_spike_prob) {
             self.stats.delay_spikes += 1;
-            self.tracer
-                .instant("fault_delay_spike", self.tracer_tid, now);
             self.config.delay_spike
         } else {
             SimDuration::ZERO
         }
     }
 
-    /// Decides whether to duplicate one block response at `now`; a
-    /// duplication emits an instant `fault_duplicate` trace marker. Draws
-    /// nothing when duplication is disabled.
-    pub fn duplicate_response(&mut self, rng: &mut SimRng, now: SimTime) -> bool {
+    /// Decides whether to duplicate one block response. Draws nothing when
+    /// duplication is disabled.
+    pub fn duplicate_response(&mut self, rng: &mut SimRng) -> bool {
         if self.config.duplicate_prob <= 0.0 {
             return false;
         }
         let dup = rng.chance(self.config.duplicate_prob);
         if dup {
             self.stats.duplicates += 1;
-            self.tracer.instant("fault_duplicate", self.tracer_tid, now);
         }
         dup
     }
@@ -305,9 +283,9 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         let mut witness = SimRng::seed_from(7);
         for _ in 0..1000 {
-            assert!(!inj.drop_frame(&mut rng, SimTime::ZERO));
-            assert!(inj.traversal_delay(&mut rng, SimTime::ZERO).is_zero());
-            assert!(!inj.duplicate_response(&mut rng, SimTime::ZERO));
+            assert!(!inj.drop_frame(&mut rng));
+            assert!(inj.traversal_delay(&mut rng).is_zero());
+            assert!(!inj.duplicate_response(&mut rng));
         }
         // The stream is untouched: the next draw matches a fresh clone.
         assert_eq!(rng.uniform(), witness.uniform());
@@ -362,9 +340,9 @@ mod tests {
             let fates: Vec<(bool, u64, bool)> = (0..5000)
                 .map(|_| {
                     (
-                        inj.drop_frame(&mut rng, SimTime::ZERO),
-                        inj.traversal_delay(&mut rng, SimTime::ZERO).as_nanos(),
-                        inj.duplicate_response(&mut rng, SimTime::ZERO),
+                        inj.drop_frame(&mut rng),
+                        inj.traversal_delay(&mut rng).as_nanos(),
+                        inj.duplicate_response(&mut rng),
                     )
                 })
                 .collect();
@@ -388,11 +366,11 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let mut spikes = 0u64;
         for _ in 0..10_000 {
-            inj.drop_frame(&mut rng, SimTime::ZERO);
-            if !inj.traversal_delay(&mut rng, SimTime::ZERO).is_zero() {
+            inj.drop_frame(&mut rng);
+            if !inj.traversal_delay(&mut rng).is_zero() {
                 spikes += 1;
             }
-            inj.duplicate_response(&mut rng, SimTime::ZERO);
+            inj.duplicate_response(&mut rng);
         }
         assert!(inj.stats.ge_losses > 0);
         assert!(inj.stats.bad_state_frames > 0);

@@ -72,7 +72,7 @@ impl std::error::Error for PoolError {}
 /// assert_eq!(pool.recycled(), 1);
 /// pool.leak_check().unwrap();
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SkbPool {
     /// Retired linear buffers, cleared but with capacity intact.
     bufs: Vec<Vec<u8>>,

@@ -321,6 +321,7 @@ pub fn fragment_count(len: usize, mtu: usize) -> usize {
     len.div_ceil(mtu)
 }
 
+#[derive(Clone)]
 struct Partial {
     total_len: u32,
     received: u32,
@@ -354,7 +355,7 @@ struct Partial {
 /// assert_eq!(skb.bytes_copied(), 0); // zero-copy reassembly
 /// assert_eq!(skb.linearize(), msg);
 /// ```
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct Reassembler {
     partials: HashMap<(u64, u32), Partial>,
 }
@@ -509,8 +510,8 @@ mod tests {
         // the 9000 jumbo maximum, because a full fragment plus its fake TCP
         // header must fit in two 4 KB pages.
         assert_eq!(MTU_VRIO_JUMBO, 8100);
-        assert!(MTU_VRIO_JUMBO + FAKE_TCP_HDR_SIZE <= 2 * PAGE_SIZE);
-        assert!(9000 + FAKE_TCP_HDR_SIZE > 2 * PAGE_SIZE);
+        const { assert!(MTU_VRIO_JUMBO + FAKE_TCP_HDR_SIZE <= 2 * PAGE_SIZE) };
+        const { assert!(9000 + FAKE_TCP_HDR_SIZE > 2 * PAGE_SIZE) };
         // ...and so a maximal 64 KB message maps into one SKB's 17 fragments.
         let segs = segment_message(Bytes::from(vec![0u8; MAX_TSO_MSG]), MTU_VRIO_JUMBO, 0).unwrap();
         let pages: usize = segs.iter().map(Segment::pages).sum();

@@ -37,11 +37,17 @@
 //! its reserved key as it fires. The heap stays as small as the live
 //! events, not the whole grid.
 //!
-//! The observe-only probe ([`Engine::set_probe`]) is a
-//! `Box<dyn FnMut(SimTime)>`: it is invoked *after* an event is popped
-//! off the heap (or continued) and *before* it fires, so it never touches
-//! event storage and cannot perturb the simulation — enabling it is
-//! bit-identical on every model.
+//! The observe-only probe ([`Engine::set_probe`]) is a plain
+//! `fn(&mut W, SimTime)`: it is invoked *after* an event is popped off
+//! the heap (or continued) and *before* it fires, so it never touches
+//! event storage; a probe that only reads the world cannot perturb the
+//! simulation, and enabling it is bit-identical on every model.
+//!
+//! The engine is plain data: the heap holds `(fn, u64)` entries, the
+//! probe is a function pointer and the self-profiler is owned, so cloning
+//! an engine together with its world forks the run.
+
+use std::time::Instant;
 
 use crate::profiler::Profiler;
 use crate::time::{SimDuration, SimTime};
@@ -102,6 +108,7 @@ impl Reserved {
 }
 
 /// The not yet queued rest of a series ([`Engine::schedule_series`]).
+#[derive(Clone)]
 struct Series<W> {
     f: CallFn<W>,
     arg: u64,
@@ -137,6 +144,7 @@ struct Series<W> {
 /// assert_eq!(world.pings, 2);
 /// assert_eq!(engine.now(), SimTime::from_nanos(10_000));
 /// ```
+#[derive(Clone)]
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
@@ -152,15 +160,13 @@ pub struct Engine<W> {
     /// callback may continue ([`Engine::continue_at`]); `None` outside
     /// them, and in profiled runs, whose scopes time one event each.
     horizon: Option<SimTime>,
-    /// Observe-only hook fired once per event (see [`Engine::set_probe`]).
-    /// A boxed closure: it runs outside the heap (between pop and fire)
-    /// and is installed O(1) times per run, so boxing it costs nothing on
-    /// the hot path.
-    probe: Option<Box<dyn FnMut(SimTime)>>,
-    /// Wall-clock self-profiler; `None` unless an enabled handle was
-    /// installed (see [`Engine::set_profiler`]), so the hot path pays one
-    /// branch when profiling is off.
-    profiler: Option<Profiler>,
+    /// Observe-only hook fired once per event, between pop and fire (see
+    /// [`Engine::set_probe`]).
+    probe: Option<fn(&mut W, SimTime)>,
+    /// Wall-clock self-profiler, inert unless [`Engine::set_profiler`]
+    /// installed an enabled one, so the hot path pays one branch when
+    /// profiling is off.
+    profiler: Profiler,
 }
 
 impl<W> Default for Engine<W> {
@@ -181,32 +187,35 @@ impl<W> Engine<W> {
             unqueued: 0,
             horizon: None,
             probe: None,
-            profiler: None,
+            profiler: Profiler::off(),
         }
     }
 
-    /// Installs an observe-only probe called with the firing time of every
-    /// event, just before its callback runs (the tracing layer's event-fire
-    /// hook). The probe cannot schedule events or touch the world, so it
-    /// cannot perturb the simulation; replacing or clearing it does not
+    /// Installs an observe-only probe called with the world and the firing
+    /// time of every event, just before its callback runs (the oracle's
+    /// clock check). The probe cannot schedule events; one that only reads
+    /// the world cannot perturb the simulation, and installing it does not
     /// affect reproducibility.
-    pub fn set_probe<F>(&mut self, f: F)
-    where
-        F: FnMut(SimTime) + 'static,
-    {
-        self.probe = Some(Box::new(f));
+    pub fn set_probe(&mut self, probe: fn(&mut W, SimTime)) {
+        self.probe = Some(probe);
     }
 
-    /// Installs a wall-clock self-profiler. When the handle is enabled the
-    /// engine times each event's queue pop (`engine.pop`), probe run
-    /// (`engine.probe`) and callback body (`engine.callback`), and no
-    /// callback continues ([`Engine::continue_at`]), so each callback
-    /// scope times one event; a disabled handle is dropped so the hot path
-    /// stays timestamp-free. Profiling is observe-only for the simulation:
-    /// results are bit-identical with it on or off (only wall-clock PROF
-    /// output differs, which is excluded from byte-identity gates).
+    /// Installs a wall-clock self-profiler. When it is enabled the engine
+    /// times each event's queue pop (`engine.pop`), heap push
+    /// (`engine.push`), probe run (`engine.probe`) and callback body
+    /// (`engine.callback`), and no callback continues
+    /// ([`Engine::continue_at`]), so each callback scope times one event.
+    /// Profiling is observe-only for the simulation: results are
+    /// bit-identical with it on or off (only wall-clock PROF output
+    /// differs, which is excluded from byte-identity gates).
     pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler.enabled().then_some(profiler);
+        self.profiler = profiler;
+    }
+
+    /// The engine's self-profiler, for callbacks timing scopes of their
+    /// own and for the end-of-run export.
+    pub fn profiler(&self) -> &Profiler {
+        &self.profiler
     }
 
     /// The current simulated time.
@@ -394,10 +403,10 @@ impl<W> Engine<W> {
     /// clamped to now, as [`Engine::schedule_at`] clamps it.
     ///
     /// Only a callback whose remaining body is that event may continue:
-    /// after it, nothing of the current event may run. Nothing continues
-    /// under [`Engine::step`] or [`Engine::run_while`], which checks its
-    /// condition before every event, nor in a profiled run.
-    pub fn continue_at(&mut self, at: SimTime) -> bool {
+    /// after it, nothing of the current event may run. The callback hands
+    /// back the `world` it was called with, for the probe. Nothing
+    /// continues under [`Engine::step`], nor in a profiled run.
+    pub fn continue_at(&mut self, world: &mut W, at: SimTime) -> bool {
         let Some(horizon) = self.horizon else {
             return false;
         };
@@ -414,17 +423,18 @@ impl<W> Engine<W> {
         }
         self.seq += 1;
         self.advance_to(at);
-        if let Some(probe) = &mut self.probe {
-            probe(at);
+        if let Some(probe) = self.probe {
+            probe(world, at);
         }
         true
     }
 
     /// Adds `entry`, its key already set, to the heap.
     fn enqueue(&mut self, entry: Entry<W>) {
-        if let Some(prof) = &self.profiler {
-            let _g = prof.scope("engine.push");
+        if self.profiler.enabled() {
+            let t = Instant::now();
             self.sift_up(entry);
+            self.profiler.record("engine.push", t.elapsed());
         } else {
             self.sift_up(entry);
         }
@@ -487,15 +497,15 @@ impl<W> Engine<W> {
     ///
     /// Returns `false` if the queue was empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        if self.profiler.is_some() {
+        if self.profiler.enabled() {
             return self.step_profiled(world);
         }
         match self.pop() {
             Some(e) => {
                 let at = SimTime::from_nanos(e.at());
                 self.advance_to(at);
-                if let Some(probe) = &mut self.probe {
-                    probe(at);
+                if let Some(probe) = self.probe {
+                    probe(world, at);
                 }
                 (e.f)(world, self, e.arg);
                 true
@@ -516,28 +526,23 @@ impl<W> Engine<W> {
     /// probe and the callback. Identical event semantics — only timing is
     /// added.
     fn step_profiled(&mut self, world: &mut W) -> bool {
-        let prof = self
-            .profiler
-            .clone()
-            .expect("step_profiled without profiler");
-        let popped = {
-            let _g = prof.scope("engine.pop");
-            self.pop()
+        let t = Instant::now();
+        let popped = self.pop();
+        self.profiler.record("engine.pop", t.elapsed());
+        let Some(e) = popped else {
+            return false;
         };
-        match popped {
-            Some(e) => {
-                let at = SimTime::from_nanos(e.at());
-                self.advance_to(at);
-                if let Some(probe) = &mut self.probe {
-                    let _g = prof.scope("engine.probe");
-                    probe(at);
-                }
-                let _g = prof.scope("engine.callback");
-                (e.f)(world, self, e.arg);
-                true
-            }
-            None => false,
+        let at = SimTime::from_nanos(e.at());
+        self.advance_to(at);
+        if let Some(probe) = self.probe {
+            let t = Instant::now();
+            probe(world, at);
+            self.profiler.record("engine.probe", t.elapsed());
         }
+        let t = Instant::now();
+        (e.f)(world, self, e.arg);
+        self.profiler.record("engine.callback", t.elapsed());
+        true
     }
 
     /// Runs until no events remain.
@@ -549,7 +554,7 @@ impl<W> Engine<W> {
     /// `deadline`. Time is left at the last fired event (it does not jump to
     /// the deadline).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        self.horizon = self.profiler.is_none().then_some(deadline);
+        self.horizon = (!self.profiler.enabled()).then_some(deadline);
         while self
             .heap
             .first()
@@ -559,25 +564,12 @@ impl<W> Engine<W> {
         }
         self.horizon = None;
     }
-
-    /// Runs for `span` of simulated time from the current instant.
-    pub fn run_for(&mut self, world: &mut W, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(world, deadline);
-    }
-
-    /// Runs while `cond` holds (checked before each event) and events remain.
-    pub fn run_while<F>(&mut self, world: &mut W, mut cond: F)
-    where
-        F: FnMut(&W) -> bool,
-    {
-        while cond(world) && self.step(world) {}
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::ProfReport;
 
     /// Records its argument.
     fn push(w: &mut Vec<u32>, _: &mut Engine<Vec<u32>>, v: u64) {
@@ -648,17 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn run_while_condition() {
-        let mut n = 0u32;
-        let mut eng: Engine<u32> = Engine::new();
-        for i in 0..100u64 {
-            eng.schedule_at(SimTime::from_nanos(i), hit, 0);
-        }
-        eng.run_while(&mut n, |w| *w < 10);
-        assert_eq!(n, 10);
-    }
-
-    #[test]
     fn schedule_now_runs_after_pending_same_time_events() {
         fn first(w: &mut Vec<u32>, eng: &mut Engine<Vec<u32>>, _: u64) {
             w.push(1);
@@ -705,22 +686,20 @@ mod tests {
             w.push(2);
             eng.schedule_in(SimDuration::nanos(50), push, 3);
         }
-        fn run(profiled: bool) -> (Vec<u32>, SimTime, Profiler) {
+        fn run(profiled: bool) -> (Vec<u32>, SimTime, ProfReport) {
             let mut order: Vec<u32> = Vec::new();
             let mut eng: Engine<Vec<u32>> = Engine::new();
-            let prof = Profiler::new(profiled);
-            eng.set_profiler(prof.clone());
+            eng.set_profiler(Profiler::new(profiled));
             eng.schedule_at(SimTime::from_nanos(200), two, 0);
             eng.schedule_at(SimTime::from_nanos(100), push, 1);
             eng.run(&mut order);
-            (order, eng.now(), prof)
+            (order, eng.now(), eng.profiler().export())
         }
         let (plain, plain_now, off) = run(false);
-        let (profiled, prof_now, prof) = run(true);
+        let (profiled, prof_now, report) = run(true);
         assert_eq!(plain, profiled);
         assert_eq!(plain_now, prof_now);
-        assert!(off.export().scopes.is_empty());
-        let report = prof.export();
+        assert!(off.scopes.is_empty());
         for scope in ["engine.pop", "engine.push", "engine.callback"] {
             let s = report
                 .scope(scope)
@@ -729,18 +708,6 @@ mod tests {
         }
         // No probe installed: the probe scope never opened.
         assert!(report.scope("engine.probe").is_none());
-    }
-
-    #[test]
-    fn run_for_is_relative() {
-        let mut n = 0u32;
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_nanos(100), hit, 0);
-        eng.schedule_at(SimTime::from_nanos(250), hit, 0);
-        eng.run_for(&mut n, SimDuration::nanos(150));
-        assert_eq!(n, 1);
-        eng.run_for(&mut n, SimDuration::nanos(300));
-        assert_eq!(n, 2);
     }
 
     #[test]
@@ -769,7 +736,7 @@ mod tests {
             }
             left -= 1;
             let at = eng.now() + SimDuration::nanos(10);
-            if !eng.continue_at(at) {
+            if !eng.continue_at(w, at) {
                 eng.schedule_at(at, tail, left);
                 return;
             }
@@ -791,19 +758,26 @@ mod tests {
         assert_eq!(eng.events_fired(), 5);
     }
 
+    /// The probe of a counting world: marks each firing in the record.
+    const PROBED: u32 = u32::MAX;
+
+    fn mark_probe(w: &mut Vec<u32>, _: SimTime) {
+        w.push(PROBED);
+    }
+
     #[test]
     fn a_tail_continues_inside_run_and_counts_as_an_event() {
         let mut order = Vec::new();
         let mut eng: Engine<Vec<u32>> = Engine::new();
-        let probed = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        let seen = probed.clone();
-        eng.set_probe(move |_| seen.set(seen.get() + 1));
+        eng.set_probe(mark_probe);
         eng.schedule_at(SimTime::ZERO, tail, 3);
         // A pending event tying the tail's third link fires before it.
         eng.schedule_at(SimTime::from_nanos(20), push, 7);
         eng.run(&mut order);
-        assert_eq!(order, vec![0, 10, 7, 20, 30]);
-        assert_eq!((eng.events_fired(), probed.get()), (5, 5));
+        // The probe fires before every event, the continued links too.
+        let p = PROBED;
+        assert_eq!(order, vec![p, 0, p, 10, p, 7, p, 20, p, 30]);
+        assert_eq!(eng.events_fired(), 5);
         // Continued events took scheduling numbers: an event scheduled now
         // gets the one it would have had.
         assert_eq!(eng.seq, 5);
@@ -819,7 +793,7 @@ mod tests {
         assert_eq!((eng.events_fired(), eng.pending()), (2, 1));
         assert_eq!(eng.now(), SimTime::from_nanos(10));
         // Outside a run, nothing continues.
-        assert!(!eng.continue_at(SimTime::from_nanos(11)));
+        assert!(!eng.continue_at(&mut order, SimTime::from_nanos(11)));
         eng.run(&mut order);
         assert_eq!(order, vec![0, 10, 20, 30]);
     }

@@ -13,24 +13,24 @@
 //! simulation — it draws no randomness and schedules nothing, so enabling
 //! it cannot change simulation results (only slow them down slightly).
 //!
-//! The handle follows the tracer/oracle pattern: an
-//! `Option<Rc<RefCell<..>>>` whose clones share one accumulator, and
-//! whose disabled form is `None`, so a disabled scope is an inlined null
-//! check that allocates nothing and takes no timestamp.
+//! The engine owns its profiler ([`crate::Engine::set_profiler`]): the
+//! accumulator is an `Option<RefCell<..>>`, so a scope records through a
+//! shared reference, a clone is an independent copy, and the disabled
+//! form is `None`: a disabled scope is an inlined null check that
+//! allocates nothing and takes no timestamp.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ScopeAcc {
     calls: u64,
     total: Duration,
     max: Duration,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ProfilerInner {
     scopes: BTreeMap<&'static str, ScopeAcc>,
 }
@@ -47,7 +47,7 @@ impl ProfilerInner {
 /// Wall-clock statistics for one named scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScopeStats {
-    /// The scope name (`"engine.callback"`, `"probe.oracle"`, …).
+    /// The scope name (`"engine.callback"`, `"telemetry.sample"`, …).
     pub name: &'static str,
     /// Times the scope was entered.
     pub calls: u64,
@@ -83,8 +83,8 @@ impl ProfReport {
     }
 }
 
-/// The self-profiler handle. Clones share the accumulator; the disabled
-/// handle ignores every call and takes no timestamps.
+/// The self-profiler. A clone copies the accumulator; the disabled
+/// profiler ignores every call and takes no timestamps.
 ///
 /// # Examples
 ///
@@ -102,38 +102,38 @@ impl ProfReport {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    inner: Option<Rc<RefCell<ProfilerInner>>>,
+    inner: Option<RefCell<ProfilerInner>>,
 }
 
 impl Profiler {
-    /// Creates a handle: live when `enabled`, inert otherwise.
+    /// Creates a profiler: live when `enabled`, inert otherwise.
     pub fn new(enabled: bool) -> Self {
         Profiler {
-            inner: enabled.then(Rc::default),
+            inner: enabled.then(RefCell::default),
         }
     }
 
-    /// The inert handle: every call is a no-op.
+    /// The inert profiler: every call is a no-op.
     pub fn off() -> Self {
         Profiler::default()
     }
 
-    /// Whether this handle records anything.
+    /// Whether this profiler records anything.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Enters a named scope; the returned guard records the elapsed
-    /// wall-clock time into the scope when dropped. On a disabled handle
-    /// no timestamp is even taken.
+    /// wall-clock time into the scope when dropped. On a disabled
+    /// profiler no timestamp is even taken.
     #[must_use = "the guard records on drop; binding it to _ ends the scope immediately"]
     #[inline]
-    pub fn scope(&self, name: &'static str) -> ProfGuard {
+    pub fn scope(&self, name: &'static str) -> ProfGuard<'_> {
         ProfGuard {
             active: self
                 .inner
                 .as_ref()
-                .map(|inner| (inner.clone(), name, Instant::now())),
+                .map(|inner| (inner, name, Instant::now())),
         }
     }
 
@@ -167,11 +167,11 @@ impl Profiler {
 
 /// RAII guard returned by [`Profiler::scope`]; records on drop.
 #[derive(Debug)]
-pub struct ProfGuard {
-    active: Option<(Rc<RefCell<ProfilerInner>>, &'static str, Instant)>,
+pub struct ProfGuard<'a> {
+    active: Option<(&'a RefCell<ProfilerInner>, &'static str, Instant)>,
 }
 
-impl Drop for ProfGuard {
+impl Drop for ProfGuard<'_> {
     #[inline]
     fn drop(&mut self) {
         if let Some((inner, name, start)) = self.active.take() {
@@ -213,14 +213,19 @@ mod tests {
     }
 
     #[test]
-    fn guard_records_on_drop_and_clones_share() {
+    fn guard_records_on_drop_and_clones_are_independent() {
         let p = Profiler::new(true);
+        {
+            let _g = p.scope("before");
+        }
         let other = p.clone();
         {
-            let _g = other.scope("shared");
+            let _g = other.scope("after");
         }
-        let r = p.export();
-        assert_eq!(r.scope("shared").unwrap().calls, 1);
+        assert!(p.export().scope("after").is_none());
+        let r = other.export();
+        assert_eq!(r.scope("before").unwrap().calls, 1);
+        assert_eq!(r.scope("after").unwrap().calls, 1);
     }
 
     #[test]

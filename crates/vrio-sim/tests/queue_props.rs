@@ -173,7 +173,7 @@ fn chain(w: &mut World, e: &mut Engine<World>, mut arg: u64) {
         };
         arg += 1;
         let at = e.now() + SimDuration::nanos(d);
-        if !e.continue_at(at) {
+        if !e.continue_at(w, at) {
             e.schedule_at(at, chain, arg);
             return;
         }

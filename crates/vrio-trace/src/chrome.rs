@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn export_is_valid_event_array() {
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(64));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         t.set_process(3, "vrio");
         t.set_thread_name(1000, "vm0 requests");
         let s = t.begin("rr", 1000, Stage::GuestEnqueue, SimTime::from_nanos(100));
@@ -147,9 +147,9 @@ mod tests {
         use crate::timeseries::{Telemetry, TelemetryConfig, TrackKind};
         use vrio_sim::SimDuration;
 
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(8));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(8));
         t.set_process(3, "vrio");
-        let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
+        let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
         let depth = tm.track("steer.iohost0.worker0.depth", TrackKind::Gauge);
         let shed = tm.track("admission.iohost0.shed", TrackKind::Counter);
         tm.record(depth, SimTime::from_nanos(10_000), 4.0);

@@ -32,7 +32,7 @@
 //! use vrio_sim::SimTime;
 //! use vrio_trace::{render_chrome_trace, Stage, TraceConfig, Tracer};
 //!
-//! let tracer = Tracer::new(&TraceConfig::memory());
+//! let mut tracer = Tracer::new(&TraceConfig::memory());
 //! tracer.set_process(0, "vrio");
 //! let span = tracer.begin("rr", 1000, Stage::GuestEnqueue, SimTime::ZERO);
 //! tracer.mark(span, Stage::Wire, SimTime::from_nanos(700));

@@ -9,14 +9,12 @@
 //! simulation clock and record named tracks of `(t, value)` points.
 //!
 //! Like the tracer and the oracle, telemetry is **observe-only**: the
-//! handle draws no randomness and mutates no simulation state, so a run
+//! sampler draws no randomness and mutates no simulation state, so a run
 //! with sampling enabled is bit-identical to one without (the workloads'
 //! telemetry bit-identity suite proves it under fault injection). The
-//! handle is an `Option<Rc<RefCell<..>>>`: cloning it shares the buffer,
-//! and a disabled handle is a no-op with no allocation behind it.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! sampler is plain data owned by the world it observes and records
+//! through `&mut self`; a clone is an independent copy, and a disabled
+//! sampler is a no-op with no allocation behind it.
 
 use vrio_sim::{SimDuration, SimTime};
 
@@ -98,14 +96,14 @@ impl TrackKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrackId(usize);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Track {
     name: String,
     kind: TrackKind,
     points: Vec<(u64, f64)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TelemetryInner {
     interval: SimDuration,
     /// Tracks in interning order; [`TrackId`] indexes this.
@@ -174,8 +172,8 @@ impl TelemetryExport {
     }
 }
 
-/// The time-series sampler handle. Clones share the underlying buffer;
-/// a disabled handle ignores every call.
+/// The time-series sampler. A clone copies the buffer; a disabled
+/// sampler ignores every call.
 ///
 /// # Examples
 ///
@@ -183,7 +181,7 @@ impl TelemetryExport {
 /// use vrio_sim::{SimDuration, SimTime};
 /// use vrio_trace::{Telemetry, TelemetryConfig, TrackKind};
 ///
-/// let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
+/// let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
 /// let depth = tm.track("q.depth", TrackKind::Gauge);
 /// tm.record(depth, SimTime::from_nanos(0), 3.0);
 /// tm.record(depth, SimTime::from_nanos(10_000), 5.0);
@@ -194,11 +192,11 @@ impl TelemetryExport {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Rc<RefCell<TelemetryInner>>>,
+    inner: Option<TelemetryInner>,
 }
 
 impl Telemetry {
-    /// Creates a handle from a config: live when enabled, inert otherwise.
+    /// Creates a sampler from a config: live when enabled, inert otherwise.
     pub fn new(config: &TelemetryConfig) -> Self {
         if !config.enabled {
             return Telemetry::off();
@@ -208,38 +206,37 @@ impl Telemetry {
             "telemetry sampling interval must be non-zero"
         );
         Telemetry {
-            inner: Some(Rc::new(RefCell::new(TelemetryInner {
+            inner: Some(TelemetryInner {
                 interval: config.interval,
                 tracks: Vec::new(),
-            }))),
+            }),
         }
     }
 
-    /// The inert handle: every call is a no-op.
+    /// The inert sampler: every call is a no-op.
     pub fn off() -> Self {
         Telemetry::default()
     }
 
-    /// Whether this handle records anything.
+    /// Whether this sampler records anything.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// The sampling interval, when enabled.
     pub fn interval(&self) -> Option<SimDuration> {
-        self.inner.as_ref().map(|i| i.borrow().interval)
+        self.inner.as_ref().map(|i| i.interval)
     }
 
     /// Interns the track `name`, creating it empty on first use, and
     /// returns its handle. A track holds one kind for its whole life
     /// (debug-asserted). Callers resolve each handle once, so the lookup
-    /// is a plain scan of the interned names. On a disabled handle this
+    /// is a plain scan of the interned names. On a disabled sampler this
     /// allocates nothing and returns an inert id.
-    pub fn track(&self, name: &str, kind: TrackKind) -> TrackId {
-        let Some(inner) = &self.inner else {
+    pub fn track(&mut self, name: &str, kind: TrackKind) -> TrackId {
+        let Some(inner) = &mut self.inner else {
             return TrackId(0);
         };
-        let mut inner = inner.borrow_mut();
         if let Some(at) = inner.tracks.iter().position(|t| t.name == name) {
             debug_assert!(
                 inner.tracks[at].kind == kind,
@@ -258,19 +255,19 @@ impl Telemetry {
     /// Records one sample on an interned track. Samples must arrive in
     /// non-decreasing time order per track (debug-asserted): the fixed
     /// sampling grid guarantees it.
-    pub fn record(&self, id: TrackId, at: SimTime, value: f64) {
+    pub fn record(&mut self, id: TrackId, at: SimTime, value: f64) {
         self.sample(at, |s| s.record(id, value));
     }
 
-    /// Records a whole sample at `at` under one borrow of the buffer: `f`
-    /// records each track's value through the [`Sample`] it is handed. On
-    /// a disabled handle `f` is not called.
+    /// Records a whole sample at `at`: `f` records each track's value
+    /// through the [`Sample`] it is handed. On a disabled sampler `f` is
+    /// not called.
     ///
     /// ```
     /// use vrio_sim::{SimDuration, SimTime};
     /// use vrio_trace::{Telemetry, TelemetryConfig, TrackKind};
     ///
-    /// let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
+    /// let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
     /// let depth = tm.track("q.depth", TrackKind::Gauge);
     /// let total = tm.track("q.total", TrackKind::Counter);
     /// tm.sample(SimTime::from_nanos(0), |s| {
@@ -279,23 +276,14 @@ impl Telemetry {
     /// });
     /// assert_eq!(tm.export().track("q.total").unwrap().points, vec![(0, 9.0)]);
     /// ```
-    pub fn sample(&self, at: SimTime, f: impl FnOnce(&mut Sample<'_>)) {
-        let Some(inner) = &self.inner else {
+    pub fn sample(&mut self, at: SimTime, f: impl FnOnce(&mut Sample<'_>)) {
+        let Some(inner) = &mut self.inner else {
             return;
         };
-        let mut inner = inner.borrow_mut();
         f(&mut Sample {
             tracks: &mut inner.tracks,
             at: at.as_nanos(),
         });
-    }
-
-    /// Number of tracks holding at least one sample (0 when disabled).
-    pub fn num_tracks(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| {
-            let i = i.borrow();
-            i.tracks.iter().filter(|t| !t.points.is_empty()).count()
-        })
     }
 
     /// Exports every track holding a sample as plain data, sorted by
@@ -304,7 +292,6 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return TelemetryExport::default();
         };
-        let inner = inner.borrow();
         let mut tracks: Vec<TrackExport> = inner
             .tracks
             .iter()
@@ -353,12 +340,12 @@ mod tests {
 
     #[test]
     fn disabled_handle_records_nothing() {
-        let tm = Telemetry::off();
+        let mut tm = Telemetry::off();
         assert!(!tm.enabled());
         let x = tm.track("x", TrackKind::Gauge);
         tm.record(x, t(0), 1.0);
-        tm.record(tm.track("y", TrackKind::Counter), t(5), 2.0);
-        assert_eq!(tm.num_tracks(), 0);
+        let y = tm.track("y", TrackKind::Counter);
+        tm.record(y, t(5), 2.0);
         let ex = tm.export();
         assert!(ex.tracks.is_empty());
         assert!(ex.interval.is_zero());
@@ -380,7 +367,7 @@ mod tests {
 
     #[test]
     fn tracks_export_sorted_with_points_in_order() {
-        let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
+        let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
         let total = tm.track("b.total", TrackKind::Counter);
         let depth = tm.track("a.depth", TrackKind::Gauge);
         let unsampled = tm.track("c.idle", TrackKind::Gauge);
@@ -390,7 +377,6 @@ mod tests {
         tm.record(total, t(1_000), 4.0);
         tm.record(depth, t(1_000), 2.0);
         assert_ne!(unsampled, depth);
-        assert_eq!(tm.num_tracks(), 2);
         let ex = tm.export();
         // Sorted by name, not by interning order; a track that was never
         // sampled is not exported.
@@ -405,18 +391,24 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_buffer() {
-        let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
-        let other = tm.clone();
-        other.record(other.track("shared", TrackKind::Gauge), t(0), 7.0);
-        assert_eq!(tm.num_tracks(), 1);
-        assert_eq!(tm.export().track("shared").unwrap().points, vec![(0, 7.0)]);
+    fn clones_copy_the_buffer() {
+        let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
+        let id = tm.track("copied", TrackKind::Gauge);
+        tm.record(id, t(0), 7.0);
+        let mut other = tm.clone();
+        other.record(id, t(1), 8.0);
+        assert_eq!(tm.export().track("copied").unwrap().points, vec![(0, 7.0)]);
+        assert_eq!(
+            other.export().track("copied").unwrap().points,
+            vec![(0, 7.0), (1, 8.0)]
+        );
     }
 
     #[test]
     fn json_document_has_the_stable_schema() {
-        let tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
-        tm.record(tm.track("q", TrackKind::Gauge), t(10_000), 3.0);
+        let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
+        let q = tm.track("q", TrackKind::Gauge);
+        tm.record(q, t(10_000), 3.0);
         let doc = tm.export().to_json();
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_f64),

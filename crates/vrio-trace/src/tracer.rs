@@ -1,20 +1,19 @@
 //! The request-lifecycle tracer: ring-buffered structured events plus
 //! per-request stage accounting.
 //!
-//! A [`Tracer`] is a cheaply-cloneable handle (internally `Rc<RefCell<..>>`,
-//! matching the workspace's single-threaded simulation idiom). When built
-//! from a [`TraceConfig`] whose sink is [`TraceSink::Off`] the handle holds
-//! no allocation at all and every operation is a single `Option` check, so
-//! instrumentation compiles down to near-zero cost in untraced runs.
+//! A [`Tracer`] is plain data owned by the world it observes (the
+//! testbed); it records through `&mut self`, and a clone is an
+//! independent copy. When built from a [`TraceConfig`] whose sink is
+//! [`TraceSink::Off`] it holds no allocation at all and every operation
+//! is a single `Option` check, so instrumentation compiles down to
+//! near-zero cost in untraced runs.
 //!
 //! Tracing is **observe-only by construction**: the tracer owns no RNG,
 //! never schedules simulation events, and only reads timestamps handed to
 //! it — enabling it cannot perturb simulation results (a property the
 //! workspace integration tests assert bit-for-bit).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::rc::Rc;
 
 use vrio_sim::{SimDuration, SimTime};
 
@@ -192,7 +191,7 @@ pub struct TraceEvent {
     pub req: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OpenSpan {
     kind: &'static str,
     tid: u32,
@@ -202,7 +201,7 @@ struct OpenSpan {
     acc: [SimDuration; NUM_STAGES],
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Inner {
     capacity: usize,
     pid: u32,
@@ -240,20 +239,20 @@ pub struct TraceExport {
     pub dropped: u64,
 }
 
-/// The tracer handle. See the module docs for semantics; all methods take
-/// `&self` and are no-ops when the handle was built from an `Off` config.
+/// The tracer. See the module docs for semantics; every method is a
+/// no-op when the tracer was built from an `Off` config.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Rc<RefCell<Inner>>>,
+    inner: Option<Inner>,
 }
 
 impl Tracer {
     /// Builds a tracer from a config (inert when the sink is `Off`).
     pub fn new(config: &TraceConfig) -> Self {
         match config.sink {
-            TraceSink::Off => Tracer { inner: None },
+            TraceSink::Off => Tracer::default(),
             TraceSink::Memory { capacity } => Tracer {
-                inner: Some(Rc::new(RefCell::new(Inner {
+                inner: Some(Inner {
                     capacity: capacity.max(1),
                     pid: 0,
                     process_name: String::new(),
@@ -263,14 +262,9 @@ impl Tracer {
                     next_id: 1,
                     open: HashMap::new(),
                     breakdown: Breakdown::default(),
-                }))),
+                }),
             },
         }
-    }
-
-    /// The inert tracer (equivalent to `Tracer::new(&TraceConfig::off())`).
-    pub fn off() -> Self {
-        Tracer { inner: None }
     }
 
     /// Whether this tracer records anything. Instrumentation sites use this
@@ -282,32 +276,27 @@ impl Tracer {
 
     /// Names the Chrome-trace process this tracer's events belong to
     /// (`pid` groups all its tracks; one process per testbed/model).
-    pub fn set_process(&self, pid: u32, name: &str) {
-        if let Some(inner) = &self.inner {
-            let mut i = inner.borrow_mut();
+    pub fn set_process(&mut self, pid: u32, name: &str) {
+        if let Some(i) = &mut self.inner {
             i.pid = pid;
             i.process_name = name.to_string();
         }
     }
 
     /// Names a thread (track) within this tracer's process.
-    pub fn set_thread_name(&self, tid: u32, name: &str) {
-        if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .thread_names
-                .insert(tid, name.to_string());
+    pub fn set_thread_name(&mut self, tid: u32, name: &str) {
+        if let Some(i) = &mut self.inner {
+            i.thread_names.insert(tid, name.to_string());
         }
     }
 
     /// Opens a request-lifecycle span of the given kind (`"rr"`, `"stream"`,
     /// `"blk"`, …) on track `tid`, starting in `stage` at time `now`.
     /// Returns [`SpanId::NONE`] when tracing is off.
-    pub fn begin(&self, kind: &'static str, tid: u32, stage: Stage, now: SimTime) -> SpanId {
-        let Some(inner) = &self.inner else {
+    pub fn begin(&mut self, kind: &'static str, tid: u32, stage: Stage, now: SimTime) -> SpanId {
+        let Some(i) = &mut self.inner else {
             return SpanId::NONE;
         };
-        let mut i = inner.borrow_mut();
         let id = i.next_id;
         i.next_id += 1;
         i.open.insert(
@@ -327,12 +316,11 @@ impl Tracer {
     /// Records a stage transition on an open span: the time since the
     /// previous mark is attributed (and emitted as a slice) for the stage
     /// that was active, then the span enters `stage`.
-    pub fn mark(&self, span: SpanId, stage: Stage, now: SimTime) {
-        let Some(inner) = &self.inner else { return };
+    pub fn mark(&mut self, span: SpanId, stage: Stage, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
         if span == SpanId::NONE {
             return;
         }
-        let mut i = inner.borrow_mut();
         let Some(mut open) = i.open.remove(&span.0) else {
             return;
         };
@@ -357,12 +345,11 @@ impl Tracer {
     /// Closes a span at `now`: the trailing segment is attributed to the
     /// current stage, a request-level slice spanning the whole lifetime is
     /// emitted, and the per-stage durations are folded into the breakdown.
-    pub fn end(&self, span: SpanId, now: SimTime) {
-        let Some(inner) = &self.inner else { return };
+    pub fn end(&mut self, span: SpanId, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
         if span == SpanId::NONE {
             return;
         }
-        let mut i = inner.borrow_mut();
         let Some(mut open) = i.open.remove(&span.0) else {
             return;
         };
@@ -394,18 +381,18 @@ impl Tracer {
 
     /// Discards an open span without recording it (e.g. a request whose
     /// frame was dropped and abandoned rather than retried).
-    pub fn abort(&self, span: SpanId) {
-        let Some(inner) = &self.inner else { return };
+    pub fn abort(&mut self, span: SpanId) {
+        let Some(i) = &mut self.inner else { return };
         if span == SpanId::NONE {
             return;
         }
-        inner.borrow_mut().open.remove(&span.0);
+        i.open.remove(&span.0);
     }
 
     /// Emits a point-in-time marker (exits, interrupts, faults, retx, …).
-    pub fn instant(&self, name: &'static str, tid: u32, now: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        inner.borrow_mut().push_event(TraceEvent {
+    pub fn instant(&mut self, name: &'static str, tid: u32, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
+        i.push_event(TraceEvent {
             phase: EventPhase::Instant,
             name,
             ts: now,
@@ -417,9 +404,9 @@ impl Tracer {
 
     /// Emits a standalone duration slice on a track (used to replay
     /// `BusyTracker` intervals as per-core utilization tracks).
-    pub fn slice(&self, name: &'static str, tid: u32, start: SimTime, end: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        inner.borrow_mut().push_event(TraceEvent {
+    pub fn slice(&mut self, name: &'static str, tid: u32, start: SimTime, end: SimTime) {
+        let Some(i) = &mut self.inner else { return };
+        i.push_event(TraceEvent {
             phase: EventPhase::Complete,
             name,
             ts: start,
@@ -431,24 +418,24 @@ impl Tracer {
 
     /// Events evicted from the ring buffer so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
+        self.inner.as_ref().map_or(0, |i| i.dropped)
     }
 
     /// Number of events currently buffered.
     pub fn buffered(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().events.len())
+        self.inner.as_ref().map_or(0, |i| i.events.len())
     }
 
     /// Spans begun but not yet ended/aborted.
     pub fn open_spans(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().open.len())
+        self.inner.as_ref().map_or(0, |i| i.open.len())
     }
 
     /// Snapshot of the per-kind latency breakdown accumulated so far.
     pub fn breakdown(&self) -> Breakdown {
         self.inner
             .as_ref()
-            .map_or_else(Breakdown::default, |i| i.borrow().breakdown.clone())
+            .map_or_else(Breakdown::default, |i| i.breakdown.clone())
     }
 
     /// Snapshot of everything recorded, for Chrome export.
@@ -461,20 +448,17 @@ impl Tracer {
                 events: Vec::new(),
                 dropped: 0,
             },
-            Some(inner) => {
-                let i = inner.borrow();
-                TraceExport {
-                    pid: i.pid,
-                    process_name: i.process_name.clone(),
-                    thread_names: i
-                        .thread_names
-                        .iter()
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect(),
-                    events: i.events.iter().cloned().collect(),
-                    dropped: i.dropped,
-                }
-            }
+            Some(i) => TraceExport {
+                pid: i.pid,
+                process_name: i.process_name.clone(),
+                thread_names: i
+                    .thread_names
+                    .iter()
+                    .map(|(k, v)| (*k, v.clone()))
+                    .collect(),
+                events: i.events.iter().cloned().collect(),
+                dropped: i.dropped,
+            },
         }
     }
 }
@@ -485,7 +469,7 @@ mod tests {
 
     #[test]
     fn off_tracer_is_inert() {
-        let t = Tracer::off();
+        let mut t = Tracer::new(&TraceConfig::off());
         assert!(!t.enabled());
         let s = t.begin("rr", 1, Stage::Generator, SimTime::ZERO);
         assert_eq!(s, SpanId::NONE);
@@ -498,7 +482,7 @@ mod tests {
 
     #[test]
     fn span_segments_sum_to_total() {
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(64));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = t.begin("rr", 1, Stage::GuestEnqueue, SimTime::from_nanos(100));
         t.mark(s, Stage::Wire, SimTime::from_nanos(400));
         t.mark(s, Stage::Backend, SimTime::from_nanos(1000));
@@ -513,7 +497,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(4));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(4));
         for i in 0..10u64 {
             t.instant("tick", 0, SimTime::from_nanos(i));
         }
@@ -525,7 +509,7 @@ mod tests {
 
     #[test]
     fn zero_length_segments_emit_no_events() {
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(64));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = t.begin("rr", 1, Stage::Kick, SimTime::from_nanos(5));
         t.mark(s, Stage::Wire, SimTime::from_nanos(5)); // zero-length kick
         t.end(s, SimTime::from_nanos(10));
@@ -535,7 +519,7 @@ mod tests {
 
     #[test]
     fn abort_discards_without_recording() {
-        let t = Tracer::new(&TraceConfig::memory_with_capacity(64));
+        let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = t.begin("blk", 1, Stage::GuestEnqueue, SimTime::ZERO);
         assert_eq!(t.open_spans(), 1);
         t.abort(s);

@@ -67,9 +67,9 @@ pub struct FilebenchResult {
     pub backend_traces: Vec<Vec<f64>>,
     /// Aggregated reliability accounting for the run.
     pub reliability: ReliabilityCounters,
-    /// The run's tracer handle (inert when the config left tracing off).
+    /// The run's tracer (inert when the config left tracing off).
     pub trace: Tracer,
-    /// The run's oracle handle (inert when the config left it off).
+    /// The run's oracle (inert when the config left it off).
     pub oracle: Oracle,
     /// Time-series telemetry export (empty when sampling was off).
     pub telemetry: vrio_trace::TelemetryExport,
@@ -324,7 +324,7 @@ pub fn run_filebench_with(
         threads: Vec::new(),
     };
     let mut eng: Engine<FbWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
+    eng.set_profiler(vrio_sim::Profiler::new(world.tb.config.profile));
     world.tb.install_probe(&mut eng);
     crate::netperf::schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
@@ -398,7 +398,8 @@ pub fn run_filebench_with(
 
     let horizon = deadline;
     let window = SimDuration::millis(1);
-    let (inv, vol) = world.tb.vms.iter().fold((0, 0), |(i, v), vm| {
+    let tb = world.tb;
+    let (inv, vol) = tb.vms.iter().fold((0, 0), |(i, v), vm| {
         (
             i + vm.cpu.involuntary_switches(),
             v + vm.cpu.voluntary_switches(),
@@ -409,24 +410,22 @@ pub fn run_filebench_with(
         mbps: world.bytes as f64 * 8.0 / duration.as_secs_f64() / 1e6,
         involuntary_switches: inv,
         voluntary_switches: vol,
-        backend_utilization: world
-            .tb
+        backend_utilization: tb
             .backends
             .iter()
             .map(|b| b.busy.utilization(horizon))
             .collect(),
-        backend_traces: world
-            .tb
+        backend_traces: tb
             .backends
             .iter()
             .map(|b| b.busy.utilization_trace(horizon, window))
             .collect(),
-        reliability: world.tb.reliability_report(),
-        trace: world.tb.trace.clone(),
-        oracle: world.tb.oracle.clone(),
-        telemetry: world.tb.telemetry.export(),
-        profile: world.tb.profiler.export(),
-        ring_ops: world.tb.ring_ops(),
+        reliability: tb.reliability_report(),
+        telemetry: tb.telemetry.export(),
+        profile: eng.profiler().export(),
+        ring_ops: tb.ring_ops(),
+        trace: tb.trace,
+        oracle: tb.oracle,
     }
 }
 

@@ -7,7 +7,7 @@ use vrio::{
     TestbedConfig,
 };
 use vrio_hv::{EventCounters, ReliabilityCounters};
-use vrio_sim::{Engine, Histogram, ProfReport, SimDuration, SimTime};
+use vrio_sim::{Engine, Histogram, ProfReport, Profiler, SimDuration, SimTime};
 use vrio_trace::{SloLedger, TelemetryExport, Tracer};
 
 /// Results of a netperf RR run.
@@ -27,11 +27,11 @@ pub struct RrResult {
     pub counters: EventCounters,
     /// Aggregated reliability accounting for the run.
     pub reliability: ReliabilityCounters,
-    /// The run's tracer handle (inert when the config left tracing off):
+    /// The run's tracer (inert when the config left tracing off):
     /// buffered events, open/ended spans, and the latency breakdown.
     pub trace: Tracer,
-    /// The run's oracle handle (inert when the config left it off):
-    /// invariant check counts and any recorded violations.
+    /// The run's oracle (inert when the config left it off): invariant
+    /// check counts and any recorded violations.
     pub oracle: Oracle,
     /// Time-series telemetry export (empty when sampling was off).
     pub telemetry: TelemetryExport,
@@ -131,7 +131,7 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         resp: resp_len,
     };
     let mut eng: Engine<RrWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
+    eng.set_profiler(Profiler::new(world.tb.config.profile));
     world.tb.install_probe(&mut eng);
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
@@ -153,20 +153,22 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
     world.tb.oracle.finish();
     world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);
 
-    let mean = world.hist.mean();
+    let tb = world.tb;
     RrResult {
-        mean_latency_us: mean,
+        mean_latency_us: world.hist.mean(),
         requests_per_sec: world.completed as f64 / duration.as_secs_f64(),
         completed: world.completed,
-        contention: world.tb.backend_contention(),
-        counters: world.tb.counters,
-        reliability: world.tb.reliability_report(),
-        trace: world.tb.trace.clone(),
-        oracle: world.tb.oracle.clone(),
-        telemetry: world.tb.telemetry.export(),
-        profile: world.tb.profiler.export(),
-        slo: world.tb.slo.clone(),
-        ring_ops: world.tb.ring_ops(),
+        contention: tb.backend_contention(),
+        counters: tb.counters,
+        reliability: tb.reliability_report(),
+        telemetry: tb.telemetry.export(),
+        profile: eng.profiler().export(),
+        ring_ops: tb.ring_ops(),
+        // A clone, not a move: it sheds the latency histograms' spare
+        // capacity, which adds up over the hundreds of results a sweep keeps.
+        slo: tb.slo.clone(),
+        trace: tb.trace,
+        oracle: tb.oracle,
         histogram: world.hist,
     }
 }
@@ -186,10 +188,8 @@ pub(crate) fn schedule_telemetry_grid<W: HasTestbed>(
         return;
     };
     fn sample<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, _: u64) {
-        let now = eng.now();
-        let tb = w.tb();
-        let _g = tb.profiler.scope("telemetry.sample");
-        tb.sample_telemetry(now);
+        let _g = eng.profiler().scope("telemetry.sample");
+        w.tb().sample_telemetry(eng.now());
     }
     eng.schedule_series(SimTime::ZERO + interval, interval, deadline, sample::<W>, 0);
 }
@@ -204,7 +204,7 @@ pub struct StreamResult {
     /// Mean VM-side (VM cores + backend cores) CPU cycles per message —
     /// the paper's Figure 10 metric.
     pub cycles_per_msg: f64,
-    /// The run's oracle handle (inert when the config left it off).
+    /// The run's oracle (inert when the config left it off).
     pub oracle: Oracle,
     /// Time-series telemetry export (empty when sampling was off).
     pub telemetry: TelemetryExport,
@@ -294,7 +294,7 @@ pub fn netperf_stream_sized(
         msg_bytes,
     };
     let mut eng: Engine<StreamWorld> = Engine::new();
-    eng.set_profiler(world.tb.profiler.clone());
+    eng.set_profiler(Profiler::new(world.tb.config.profile));
     world.tb.install_probe(&mut eng);
     schedule_telemetry_grid(&world.tb, &mut eng, deadline);
 
@@ -321,15 +321,16 @@ pub fn netperf_stream_sized(
     } else {
         busy.as_secs_f64() * ghz * 1e9 / world.delivered_msgs as f64
     };
+    let tb = world.tb;
     StreamResult {
         gbps,
         messages: world.delivered_msgs,
         cycles_per_msg,
-        oracle: world.tb.oracle.clone(),
-        telemetry: world.tb.telemetry.export(),
-        profile: world.tb.profiler.export(),
-        slo: world.tb.slo.clone(),
-        ring_ops: world.tb.ring_ops(),
+        telemetry: tb.telemetry.export(),
+        profile: eng.profiler().export(),
+        ring_ops: tb.ring_ops(),
+        slo: tb.slo.clone(),
+        oracle: tb.oracle,
     }
 }
 

@@ -36,8 +36,9 @@ pub enum Verdict {
     },
 }
 
-/// One pluggable interposition service.
-pub trait InterpositionService {
+/// One pluggable interposition service: plain data, so a testbed that
+/// runs it can be cloned ([`BoxClone`]) and sent to another thread.
+pub trait InterpositionService: BoxClone + Send {
     /// Service name for reports.
     fn name(&self) -> &'static str;
 
@@ -48,8 +49,27 @@ pub trait InterpositionService {
     fn cost(&self, costs: &CostModel, len: usize) -> SimDuration;
 }
 
+/// Clones a boxed service; every `Clone` service has it.
+pub trait BoxClone {
+    /// A boxed copy of the service.
+    fn box_clone(&self) -> Box<dyn InterpositionService>;
+}
+
+impl<T: InterpositionService + Clone + 'static> BoxClone for T {
+    fn box_clone(&self) -> Box<dyn InterpositionService> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn InterpositionService> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
+}
+
 /// Seamless AES-256-CTR encryption of outbound data, decryption of inbound
 /// (the paper's §5 imbalance experiment interposes exactly this).
+#[derive(Clone)]
 pub struct EncryptionService {
     out_stream_key: [u8; 32],
     nonce_out: u64,
@@ -101,6 +121,7 @@ impl InterpositionService for EncryptionService {
 }
 
 /// A stateless packet filter over byte-prefix rules.
+#[derive(Clone)]
 pub struct FirewallService {
     /// Prefixes that cause a drop.
     deny_prefixes: Vec<Vec<u8>>,
@@ -142,7 +163,7 @@ impl InterpositionService for FirewallService {
 
 /// Byte/message metering (the "monitoring and accounting" benefit of
 /// interposition).
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct MeteringService {
     /// Messages seen per direction (outbound, inbound).
     pub messages: (u64, u64),
@@ -183,7 +204,7 @@ impl InterpositionService for MeteringService {
 
 /// Content-hash deduplication detector (for storage streams): counts how
 /// many payloads were byte-identical to an earlier one.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct DedupService {
     seen: HashSet<u64>,
     /// Number of duplicate payloads observed.
@@ -226,6 +247,7 @@ impl InterpositionService for DedupService {
 }
 
 /// Signature-based intrusion detection: scans payloads for byte patterns.
+#[derive(Clone)]
 pub struct IntrusionDetectionService {
     signatures: Vec<Vec<u8>>,
     /// Messages that matched a signature (passed through but flagged).
@@ -275,7 +297,7 @@ impl InterpositionService for IntrusionDetectionService {
 }
 
 /// Run-length compression of storage payloads (counting achieved ratio).
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct CompressionService {
     /// Total input bytes.
     pub bytes_in: u64,
@@ -359,7 +381,7 @@ impl InterpositionService for CompressionService {
 /// }
 /// assert!(cpu > vrio_sim::SimDuration::ZERO);
 /// ```
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct InterpositionChain {
     services: Vec<Box<dyn InterpositionService>>,
     /// Per-service message counts, keyed by service name.

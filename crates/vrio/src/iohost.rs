@@ -37,7 +37,7 @@ pub struct WorkerId(pub usize);
 /// s.complete(d); // both drained: the device may now move
 /// assert_eq!(s.inflight_of(d), 0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Steering {
     workers: usize,
     /// Per device, indexed by client and then device index: the worker

@@ -93,7 +93,7 @@ pub use health::{
     HealthStats, Outage, OutageScheduleError, RedundancyMonitor, Route,
 };
 pub use interpose::{
-    CompressionService, DedupService, Direction, EncryptionService, FirewallService,
+    BoxClone, CompressionService, DedupService, Direction, EncryptionService, FirewallService,
     InterpositionChain, InterpositionService, IntrusionDetectionService, MeteringService, Verdict,
 };
 pub use iohost::{

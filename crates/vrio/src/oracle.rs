@@ -27,9 +27,12 @@
 //!   ([`Oracle::on_mark`] / [`Oracle::on_engine_event`]).
 //!
 //! Like the tracer, the oracle is **strictly observe-only**: it owns no
-//! RNG, schedules no events, and every method takes `&self` on a shared
-//! handle, so enabling it is bit-identical to disabling it (asserted under
-//! active fault injection in `tests/oracle.rs`). Violations are recorded,
+//! RNG and schedules no events, so enabling it is bit-identical to
+//! disabling it (asserted under active fault injection in
+//! `tests/oracle.rs`). The testbed owns its oracle, and a run's result
+//! takes it over; its ledger sits in a `RefCell`, so every method takes
+//! `&self` and a finished result can still be checked. A clone is an
+//! independent copy, as a fork of its world needs. Violations are recorded,
 //! not panicked, so a run can complete and report everything it found;
 //! [`Oracle::assert_clean`] is the panicking gate for tests and CI.
 //!
@@ -40,14 +43,13 @@
 //! span, counts) to act on.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use vrio_hv::QueueAudit;
 use vrio_sim::SimTime;
 use vrio_trace::Stage;
 
 /// Configuration for the oracle: plain data so [`TestbedConfig`] stays
-/// `Send`; the live handle is built by `Testbed::new`.
+/// `Send`; the live oracle is built by `Testbed::new`.
 ///
 /// [`TestbedConfig`]: crate::TestbedConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,7 +151,7 @@ enum FlowState {
 /// ballooning; the overflow is still counted.
 const MAX_VIOLATIONS: usize = 256;
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Inner {
     checks: u64,
     /// The exactly-once ledger: tokens are dense from 1, so token `t`
@@ -190,12 +192,12 @@ impl Inner {
     }
 }
 
-/// The oracle handle: cheap to clone (all clones share state), inert when
-/// the config left the oracle off. The private `oracle` module's docs
+/// The oracle: inert when the config left it off; a clone copies the
+/// ledger. The private `oracle` module's docs
 /// give the invariant catalog and the observe-only construction.
 #[derive(Clone, Default)]
 pub struct Oracle {
-    inner: Option<Rc<RefCell<Inner>>>,
+    inner: Option<RefCell<Inner>>,
 }
 
 impl std::fmt::Debug for Oracle {
@@ -216,18 +218,11 @@ impl std::fmt::Debug for Oracle {
 }
 
 impl Oracle {
-    /// Builds a handle from the configuration.
+    /// Builds an oracle from the configuration.
     pub fn new(config: &OracleConfig) -> Self {
         Oracle {
-            inner: config
-                .enabled
-                .then(|| Rc::new(RefCell::new(Inner::default()))),
+            inner: config.enabled.then(RefCell::default),
         }
-    }
-
-    /// The inert handle (equivalent to `Oracle::new(&OracleConfig::off())`).
-    pub fn off() -> Self {
-        Oracle { inner: None }
     }
 
     /// Whether the oracle is recording.
@@ -815,7 +810,7 @@ mod tests {
 
     #[test]
     fn disabled_oracle_is_inert_and_clean() {
-        let o = Oracle::off();
+        let o = Oracle::new(&OracleConfig::off());
         assert!(!o.enabled());
         let tok = o.flow_begin("x", t(0));
         assert_eq!(tok, FlowToken::NONE);
@@ -1155,12 +1150,18 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state() {
+    fn clones_are_independent() {
         let o = on();
-        let tok = o.clone().flow_begin("x", t(0));
+        let tok = o.flow_begin("x", t(0));
+        let fork = o.clone();
         o.flow_complete(tok, t(1));
         o.finish();
         assert!(o.is_clean());
         assert_eq!(o.report().flows_completed, 1);
+        // The copy's entry is still open: closing it there is its own
+        // first closure, and its ledger never saw the original's.
+        assert_eq!(fork.report().flows_completed, 0);
+        fork.flow_complete(tok, t(2));
+        assert!(fork.is_clean());
     }
 }

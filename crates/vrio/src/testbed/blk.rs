@@ -18,6 +18,7 @@ use crate::transport::{Attempt, ResponseAction, TimeoutAction};
 /// One in-flight block request, kept in the testbed's block table until
 /// no event can name it. Its flows and its retransmission timer name it
 /// by table index.
+#[derive(Clone)]
 pub(super) struct BlkReq {
     vm: usize,
     req: BlockRequest,
@@ -177,6 +178,7 @@ pub(super) fn vrio_send<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usiz
 /// has its own, because two attempts of one request can be in flight at
 /// once, and an attempt can still reach its back end after its request
 /// completed.
+#[derive(Clone)]
 pub(super) struct BlkExec {
     vm: usize,
     req: BlockRequest,

@@ -116,7 +116,9 @@ pub(super) enum Step {
 // Flows keep their steps in a `Vec`, so steps stay this small and plain:
 // the large payloads, an rx frame and a block attempt, wait in testbed
 // tables that the steps name by index. Steps, flow tables and block
-// tables hold no shared or thread-bound state.
+// tables hold no shared or thread-bound state, and neither does the
+// testbed as a whole: it owns its observers, so it and its engine clone
+// into an independent fork of the run.
 const _: () = {
     assert!(std::mem::size_of::<Step>() <= 32);
     const fn assert_copy<T: Copy>() {}
@@ -127,12 +129,17 @@ const _: () = {
     assert_send::<Slab<blk::BlkReq>>();
     assert_send::<Slab<RxFrame>>();
     assert_send::<Slab<BlkExec>>();
+    assert_send::<Testbed>();
+    const fn assert_clone<T: Clone>() {}
+    assert_clone::<Testbed>();
+    assert_clone::<Engine<Testbed>>();
 };
 
 /// A frame for VM `vm`'s rx ring. A vRIO frame is a `NetRx` message: its
 /// encoded header travels beside the `payload` the worker sent, which
 /// is never copied into one buffer with it. The VMhost transport decodes
 /// the two, and the oracle checks what the guest reads against `payload`.
+#[derive(Clone)]
 pub(super) struct RxFrame {
     pub vm: usize,
     pub payload: Bytes,
@@ -143,6 +150,7 @@ pub(super) struct RxFrame {
 
 /// What runs when a flow's steps run out. A stopped flow (a dropped
 /// frame, a stale response) never reaches its end.
+#[derive(Clone)]
 pub(super) enum FlowEnd {
     /// Close a request-response's records and hand the world its outcome
     /// with the response the flow fetched ([`HasTestbed::on_rr`]).
@@ -225,6 +233,7 @@ enum Next {
 /// Index-addressed storage with a free list: an entry keeps its index
 /// until it is removed, and a removed entry's index is reused. Once the
 /// table has grown, inserting allocates nothing.
+#[derive(Clone)]
 pub(super) struct Slab<T> {
     slots: Vec<Option<T>>,
     /// Indices of the unoccupied slots.
@@ -295,6 +304,7 @@ impl<T> std::ops::IndexMut<usize> for Slab<T> {
 pub(super) type FlowTable = Slab<Parked>;
 
 /// One [`FlowTable`] slot.
+#[derive(Clone)]
 pub(super) struct Parked {
     steps: Vec<Step>,
     /// The index of the next step to run.
@@ -316,13 +326,13 @@ fn resume<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, slot: u64) {
 /// wait, so the flow carries on inline through every wait that would
 /// fire next anyway ([`Engine::continue_at`]).
 fn drive<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, i: usize, tail: bool) {
-    let tb = w.tb();
     let outcome = loop {
-        match tb.advance(i, eng.now()) {
-            Next::Wait(at) if tail && eng.continue_at(at) => {}
+        match w.tb().advance(i, eng.now()) {
+            Next::Wait(at) if tail && eng.continue_at(w, at) => {}
             outcome => break outcome,
         }
     };
+    let tb = w.tb();
     match outcome {
         Next::Wait(at) => eng.schedule_at(at, resume::<W>, i as u64),
         Next::Go => {

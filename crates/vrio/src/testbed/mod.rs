@@ -23,14 +23,12 @@ mod blk;
 mod flow;
 mod net;
 
-use std::cell::RefCell;
-
 use bytes::Bytes;
 use vrio_block::{DeviceProfile, Ramdisk};
 use vrio_hv::ReliabilityCounters;
 use vrio_hv::{BlkCompletion, CostModel, EventCounters, GuestCpu, IoModel, Vm, VmId};
 use vrio_net::{FaultConfig, FaultInjector, Reassembler, Segment, SkbPool};
-use vrio_sim::{BusyTracker, Engine, Profiler, SimDuration, SimRng, SimTime};
+use vrio_sim::{BusyTracker, Engine, SimDuration, SimRng, SimTime};
 use vrio_trace::{SloLedger, Telemetry, TelemetryConfig, TraceConfig, Tracer, TrackId, TrackKind};
 
 use vrio_virtio::RingConfig;
@@ -94,7 +92,7 @@ impl HasTestbed for Testbed {
 }
 
 /// A FIFO-serialized resource (a core or a shared machine resource).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Resource {
     /// Busy-time accounting (utilization, Fig 15 traces). Only backends
     /// log their busy intervals (Filebench utilization traces, Chrome
@@ -213,7 +211,8 @@ pub struct TestbedConfig {
     /// randomness and schedules nothing through the testbed, so sampled
     /// runs stay bit-identical to unsampled ones.
     pub telemetry: TelemetryConfig,
-    /// Wall-clock self-profiling (see [`vrio_sim::Profiler`]). Off by
+    /// Wall-clock self-profiling (see [`vrio_sim::Profiler`]): the
+    /// workloads give the run's engine an enabled profiler. Off by
     /// default. Profiler output is host wall-clock data — inherently
     /// nondeterministic — and is emitted as separate `PROF_*` artifacts
     /// that are never part of any byte-identity gate.
@@ -409,6 +408,7 @@ pub fn req_track(vm: usize) -> u32 {
 /// The handles of the tracks [`Testbed::sample_telemetry`] records,
 /// interned once, at the first sample, so that sampling formats no track
 /// names. Each vector runs parallel to the testbed part it samples.
+#[derive(Clone)]
 struct TelemetryTracks {
     /// Per IOhost, per worker: `steer.iohost{k}.worker{w}.depth`.
     steer_depth: Vec<Vec<TrackId>>,
@@ -434,6 +434,7 @@ struct TelemetryTracks {
 /// tracks, and the values it last read where rereading is the cost,
 /// with what they were read at. A value is reread only when that moved,
 /// so every sample records what a fresh read would.
+#[derive(Clone)]
 struct Sampler {
     tracks: TelemetryTracks,
     /// Per VM: the queue epochs ([`Vm::ring_epochs`]) at the last read
@@ -449,9 +450,9 @@ struct Sampler {
 }
 
 impl Sampler {
-    fn new(tb: &Testbed) -> Self {
+    fn new(tb: &Testbed, tm: &mut Telemetry) -> Self {
         Sampler {
-            tracks: TelemetryTracks::intern(tb),
+            tracks: TelemetryTracks::intern(tb, tm),
             rings: vec![([u64::MAX; Vm::QUEUES], [[0.0; 4]; Vm::QUEUES]); tb.vms.len()],
             slo: vec![(u64::MAX, [0.0; 2]); tb.slo.tenants().len()],
         }
@@ -459,10 +460,10 @@ impl Sampler {
 }
 
 impl TelemetryTracks {
-    fn intern(tb: &Testbed) -> Self {
-        let tm = &tb.telemetry;
-        let gauge = |name: String| tm.track(&name, TrackKind::Gauge);
-        let counter = |name: String| tm.track(&name, TrackKind::Counter);
+    /// Interns every track on `tm`, the telemetry taken out of `tb`.
+    fn intern(tb: &Testbed, tm: &mut Telemetry) -> Self {
+        use TrackKind::{Counter, Gauge};
+        let mut track = |name: String, kind| tm.track(&name, kind);
         TelemetryTracks {
             steer_depth: tb
                 .steering
@@ -470,19 +471,19 @@ impl TelemetryTracks {
                 .enumerate()
                 .map(|(k, steer)| {
                     (0..steer.workers())
-                        .map(|w| gauge(format!("steer.iohost{k}.worker{w}.depth")))
+                        .map(|w| track(format!("steer.iohost{k}.worker{w}.depth"), Gauge))
                         .collect()
                 })
                 .collect(),
             backend_pending: (0..tb.backends.len())
-                .map(|b| gauge(format!("backend.{b}.pending")))
+                .map(|b| track(format!("backend.{b}.pending"), Gauge))
                 .collect(),
             poll: (0..tb.worker_poll.len())
                 .map(|b| {
                     [
-                        gauge(format!("poll.backend{b}.mode")),
-                        counter(format!("poll.backend{b}.doorbells")),
-                        counter(format!("poll.backend{b}.polled")),
+                        track(format!("poll.backend{b}.mode"), Gauge),
+                        track(format!("poll.backend{b}.doorbells"), Counter),
+                        track(format!("poll.backend{b}.polled"), Counter),
                     ]
                 })
                 .collect(),
@@ -494,10 +495,10 @@ impl TelemetryTracks {
                     vm.ring_audit().map(|q| {
                         let queue = format!("ring.vm{v}.{}", q.name);
                         [
-                            gauge(format!("{queue}.free")),
-                            gauge(format!("{queue}.inflight")),
-                            counter(format!("{queue}.kicks_suppressed")),
-                            counter(format!("{queue}.signals_suppressed")),
+                            track(format!("{queue}.free"), Gauge),
+                            track(format!("{queue}.inflight"), Gauge),
+                            track(format!("{queue}.kicks_suppressed"), Counter),
+                            track(format!("{queue}.signals_suppressed"), Counter),
                         ]
                     })
                 })
@@ -508,27 +509,27 @@ impl TelemetryTracks {
                 .enumerate()
                 .map(|(h, ladder)| {
                     let states = (0..ladder.targets().len())
-                        .map(|k| gauge(format!("health.vmhost{h}.iohost{k}.state")))
+                        .map(|k| track(format!("health.vmhost{h}.iohost{k}.state"), Gauge))
                         .collect();
-                    (gauge(format!("health.vmhost{h}.route")), states)
+                    (track(format!("health.vmhost{h}.route"), Gauge), states)
                 })
                 .collect(),
             admission: (0..tb.admission.len())
                 .map(|k| {
                     [
-                        counter(format!("admission.iohost{k}.offered")),
-                        counter(format!("admission.iohost{k}.shed")),
-                        gauge(format!("admission.iohost{k}.breaker_open")),
+                        track(format!("admission.iohost{k}.offered"), Counter),
+                        track(format!("admission.iohost{k}.shed"), Counter),
+                        track(format!("admission.iohost{k}.breaker_open"), Gauge),
                     ]
                 })
                 .collect(),
-            retx_outstanding: gauge("retx.outstanding".to_string()),
+            retx_outstanding: track("retx.outstanding".to_string(), Gauge),
             slo: (0..tb.slo.tenants().len())
                 .map(|v| {
                     [
-                        gauge(format!("slo.vm{v}.p50_us")),
-                        gauge(format!("slo.vm{v}.p99_us")),
-                        counter(format!("slo.vm{v}.completed")),
+                        track(format!("slo.vm{v}.p50_us"), Gauge),
+                        track(format!("slo.vm{v}.p99_us"), Gauge),
+                        track(format!("slo.vm{v}.completed"), Counter),
                     ]
                 })
                 .collect(),
@@ -536,7 +537,9 @@ impl TelemetryTracks {
     }
 }
 
-/// The instantiated rack.
+/// The instantiated rack. It is plain data and owns its observers, so a
+/// clone, with a clone of its engine, forks the run.
+#[derive(Clone)]
 pub struct Testbed {
     /// The configuration this testbed was built from.
     pub config: TestbedConfig,
@@ -646,9 +649,7 @@ pub struct Testbed {
     /// Time-series telemetry sampler (inert unless the config enables it).
     pub telemetry: Telemetry,
     /// The sampler's tracks and caches, built at the first sample.
-    sampler: RefCell<Option<Sampler>>,
-    /// Wall-clock self-profiler (inert unless the config enables it).
-    pub profiler: Profiler,
+    sampler: Option<Sampler>,
     /// Per-tenant SLO accounting and drop attribution. Always on: plain
     /// counters plus a log histogram — no RNG, no events — so it cannot
     /// perturb the simulation.
@@ -700,8 +701,7 @@ impl Testbed {
         let health = (0..config.num_vmhosts)
             .map(|h| RedundancyMonitor::new(h as u32, health_cfg, config.num_iohosts))
             .collect();
-        let mut faults =
-            FaultInjector::new(config.faults.validated().expect("invalid fault config"));
+        let faults = FaultInjector::new(config.faults.validated().expect("invalid fault config"));
         // A separate stream keyed off the seed: fault draws never consume
         // from (or shift) the workload stream.
         let fault_rng = SimRng::seed_from(config.seed ^ 0xFA17);
@@ -712,7 +712,7 @@ impl Testbed {
                 panic!("invalid outage schedule for iohost{k}: {e}");
             }
         }
-        let trace = Tracer::new(&config.trace);
+        let mut trace = Tracer::new(&config.trace);
         if !trace.enabled() {
             // VCPU busy intervals feed only the Chrome thread tracks.
             for vm in &mut vms {
@@ -733,13 +733,11 @@ impl Testbed {
             for b in 0..n_backends {
                 trace.set_thread_name(TRACK_WORKER_BASE + b as u32, &format!("backend{b}"));
             }
-            faults.set_tracer(trace.clone(), TRACK_FAULTS);
         }
         #[cfg(debug_assertions)]
         let audited_rings = vms.iter().map(Vm::ring_audit).collect();
         let oracle = Oracle::new(&config.oracle);
         let telemetry = Telemetry::new(&config.telemetry);
-        let profiler = Profiler::new(config.profile);
         let slo = SloLedger::new(config.num_vms, config.slo.as_micros_f64());
         Testbed {
             rng,
@@ -801,8 +799,7 @@ impl Testbed {
             #[cfg(debug_assertions)]
             audited_rings,
             telemetry,
-            sampler: RefCell::new(None),
-            profiler,
+            sampler: None,
             slo,
             worker_poll: (0..n_backends)
                 .map(|_| WorkerPoll::new(config.adaptive_poll))
@@ -902,21 +899,15 @@ impl Testbed {
     }
 
     /// Installs on `eng` the oracle's clock check as the observe-only
-    /// event probe, under its own profiler scope when the profiler is on.
-    /// With the oracle off, no probe is installed. The probe neither
-    /// schedules nor draws randomness, so a probed run is bit-identical.
-    pub fn install_probe<W>(&self, eng: &mut Engine<W>) {
-        if !self.oracle.enabled() {
-            return;
+    /// event probe. With the oracle off, no probe is installed. The probe
+    /// neither schedules nor draws randomness, so a probed run is
+    /// bit-identical.
+    pub fn install_probe<W: HasTestbed>(&self, eng: &mut Engine<W>) {
+        fn probe<W: HasTestbed>(w: &mut W, now: SimTime) {
+            w.tb().oracle.on_engine_event(now);
         }
-        let (o, p) = (self.oracle.clone(), self.profiler.clone());
-        if p.enabled() {
-            eng.set_probe(move |now| {
-                let _g = p.scope("probe.oracle");
-                o.on_engine_event(now);
-            });
-        } else {
-            eng.set_probe(move |now| o.on_engine_event(now));
+        if self.oracle.enabled() {
+            eng.set_probe(probe::<W>);
         }
     }
 
@@ -1017,21 +1008,34 @@ impl Testbed {
     }
 
     /// Offers one vRIO frame arrival to the fault injector's bursty-loss
-    /// model; `true` means the channel ate it. Injections emit instant
-    /// trace markers stamped `now` when tracing is on.
+    /// model; `true` means the channel ate it. Each injection here and in
+    /// the two below emits an instant trace marker stamped `now` on the
+    /// [`TRACK_FAULTS`] track when tracing is on.
     fn fault_drop(&mut self, now: SimTime) -> bool {
-        self.faults.drop_frame(&mut self.fault_rng, now)
+        let lost = self.faults.drop_frame(&mut self.fault_rng);
+        if lost {
+            self.trace.instant("fault_loss", TRACK_FAULTS, now);
+        }
+        lost
     }
 
     /// Draws the injected extra delay for one VMhost/IOhost channel
     /// traversal (zero unless delay spikes are enabled).
     fn fault_delay(&mut self, now: SimTime) -> SimDuration {
-        self.faults.traversal_delay(&mut self.fault_rng, now)
+        let extra = self.faults.traversal_delay(&mut self.fault_rng);
+        if !extra.is_zero() {
+            self.trace.instant("fault_delay_spike", TRACK_FAULTS, now);
+        }
+        extra
     }
 
     /// Draws whether one block response gets duplicated in flight.
     fn fault_duplicate(&mut self, now: SimTime) -> bool {
-        self.faults.duplicate_response(&mut self.fault_rng, now)
+        let dup = self.faults.duplicate_response(&mut self.fault_rng);
+        if dup {
+            self.trace.instant("fault_duplicate", TRACK_FAULTS, now);
+        }
+        dup
     }
 
     /// Aggregates the run's reliability accounting: retransmission and
@@ -1230,7 +1234,7 @@ impl Testbed {
     /// `TRACK_VCPU_BASE + vm` and `TRACK_WORKER_BASE + backend`).
     /// Call once at end of run, after the engine has drained; a no-op when
     /// tracing is off.
-    pub fn export_thread_tracks(&self) {
+    pub fn export_thread_tracks(&mut self) {
         if !self.trace.enabled() {
             return;
         }
@@ -1283,23 +1287,30 @@ impl Testbed {
     /// retransmissions, and per-tenant SLO percentiles. A no-op when
     /// telemetry is off.
     ///
-    /// Sampling is observe-only by construction: `&self`, so nothing here
-    /// can draw randomness, schedule events, or mutate simulation state —
-    /// runs with sampling enabled stay bit-identical to runs without (the
-    /// telemetry bit-identity suite proves it end to end). The one thing
-    /// it writes besides the samples is the sampler's own cache: queue
-    /// gauges are reread only for queues whose epoch moved, and a
-    /// tenant's percentiles only when its latency count moved.
-    pub fn sample_telemetry(&self, now: SimTime) {
+    /// Sampling is observe-only: it writes only the samples and the
+    /// sampler's own cache, and draws no randomness and schedules nothing,
+    /// so runs with sampling enabled stay bit-identical to runs without
+    /// (the telemetry bit-identity suite proves it end to end). The cache
+    /// spares rereads: queue gauges are reread only for queues whose
+    /// epoch moved, and a tenant's percentiles only when its latency
+    /// count moved.
+    pub fn sample_telemetry(&mut self, now: SimTime) {
         if !self.telemetry.enabled() {
             return;
         }
-        let mut sampler = self.sampler.borrow_mut();
-        let Sampler {
+        if self.sampler.is_none() {
+            let mut tm = std::mem::take(&mut self.telemetry);
+            self.sampler = Some(Sampler::new(self, &mut tm));
+            self.telemetry = tm;
+        }
+        let Some(Sampler {
             tracks: ids,
             rings,
             slo,
-        } = sampler.get_or_insert_with(|| Sampler::new(self));
+        }) = &mut self.sampler
+        else {
+            unreachable!("the sampler was built above");
+        };
         self.telemetry.sample(now, |s| {
             for (steer, depth) in self.steering.iter().zip(&ids.steer_depth) {
                 for (w, &id) in depth.iter().enumerate() {

@@ -247,7 +247,7 @@ pub enum ResponseAction {
 /// let req = retx.send(now + SimDuration::micros(100));
 /// assert_eq!(req.timeout(), SimDuration::millis(1));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct BlockRetx {
     config: RetxConfig,
     next_wire_id: u64,

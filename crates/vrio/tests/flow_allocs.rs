@@ -144,6 +144,7 @@ fn a_warmed_vrio_block_request_makes_a_pinned_number_of_allocations() {
 
 /// The address of every payload the back end's interposition chain sees,
 /// passed through unchanged.
+#[derive(Clone)]
 struct Witness(Arc<Mutex<Vec<(Direction, usize)>>>);
 
 impl InterpositionService for Witness {

@@ -9,6 +9,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> observers are owned: no Rc in production code"
+# A world that is plain data clones into an independent fork of its run;
+# an Rc handle would share state between the copies. Production is each
+# file under crates/*/src up to its first #[cfg(test)] line, the cut
+# scripts/loc.sh counts.
+RC=$(git ls-files 'crates/*/src/*.rs' \
+    | xargs awk 'FNR==1{stop=0} /^#\[cfg\(test\)\]/{stop=1}
+        !stop && /(^|[^A-Za-z0-9_])Rc(<|::)/{print FILENAME ":" FNR ": " $0}')
+if [ -n "$RC" ]; then
+    echo "$RC"
+    echo "FAIL: Rc in production code"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
