@@ -7,9 +7,12 @@
 //! `to_bits` of the microsecond float the SLO ledger consumes), every
 //! response payload and block status/data, the Table 3 `EventCounters`,
 //! the `ReliabilityCounters`, the full SLO ledger, the aggregated
-//! `RingOps` and `channel_drops`. A change in RNG draw order, step
-//! order, latency or drop attribution moves the digest of the cases it
-//! touches, which the failure message names.
+//! `RingOps` and `channel_drops`. A traced case also folds in its
+//! rendered Chrome trace and the oracle's report, so the request ids
+//! that reach `args.req` and the oracle's accounting are pinned too. A
+//! change in RNG draw order, step order, latency or drop attribution
+//! moves the digest of the cases it touches, which the failure message
+//! names.
 //!
 //! The digests live in `tests/golden/flows.txt`, one `case digest` line
 //! each. To refresh after an intentional behaviour change, copy the
@@ -26,7 +29,7 @@ use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::DropCause;
+use vrio_trace::{render_chrome_trace, DropCause, TraceConfig};
 
 /// The digest accumulator: 64-bit FNV-1a.
 struct Digest(u64);
@@ -149,6 +152,10 @@ fn run_case(
     d.u64(rep.flows_begun);
     d.u64(rep.flows_completed);
     d.u64(rep.flows_dropped);
+    if tb.trace.enabled() {
+        d.bytes(render_chrome_trace(&[tb.trace.export()]).as_bytes());
+        d.bytes(format!("{rep:?}").as_bytes());
+    }
     d.0
 }
 
@@ -469,6 +476,54 @@ fn all_cases() -> Vec<(String, u64)> {
             firewalled,
             |w, eng| open_loop_rr(w, eng, SimDuration::micros(40), one_byte, alternating_req),
             |tb| assert!(tb.slo.total_drops_of(DropCause::Firewall) > 0),
+        );
+        out.push((name, d));
+    }
+
+    {
+        // Request-response and block traffic share a traced vRIO rack
+        // under bursty loss, delay spikes and duplicated responses: spans
+        // end, abort (a lost RR) and outlive retransmissions, and a block
+        // request gives up with a device error.
+        let name = "trace_mixed_rr_blk_vrio".to_string();
+        let mut c = base(IoModel::Vrio, 4);
+        c.trace = TraceConfig::memory();
+        c.faults = FaultConfig {
+            ge: Some(GeConfig {
+                p_good_to_bad: 0.05,
+                p_bad_to_good: 0.2,
+                loss_good: 0.01,
+                loss_bad: 0.8,
+            }),
+            delay_spike_prob: 0.05,
+            delay_spike: SimDuration::micros(50),
+            duplicate_prob: 0.1,
+        };
+        c.retx = RetxConfig {
+            initial_timeout: SimDuration::micros(300),
+            max_attempts: 2,
+            min_rto: SimDuration::micros(100),
+            ..RetxConfig::default()
+        };
+        let d = run_case(
+            &name,
+            c,
+            ms(6),
+            no_setup,
+            |w, eng| {
+                open_loop_rr(w, eng, SimDuration::micros(40), mixed_resp_len, plain_req);
+                start_blk_loops(w, eng, 0..4);
+            },
+            |tb| {
+                assert!(
+                    tb.slo.total_drops_of(DropCause::FaultLoss) > 0,
+                    "no RR lost"
+                );
+                let rel = tb.reliability_report();
+                assert!(rel.device_errors > 0, "no device error: {rel:?}");
+                assert!(rel.injected_delay_spikes > 0 && rel.injected_duplicates > 0);
+                assert_eq!(tb.trace.dropped(), 0, "the trace ring overflowed");
+            },
         );
         out.push((name, d));
     }
