@@ -80,7 +80,7 @@ mod tests {
     fn telemetry_bundle_embeds_each_run_under_its_name() {
         let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
         let depth = tm.track("q.depth", TrackKind::Gauge);
-        tm.record(depth, SimTime::from_nanos(10_000), 2.0);
+        tm.sample(SimTime::from_nanos(10_000), |s| s.record(depth, 2.0));
         let doc = telemetry_bundle(&[
             ("vrio".to_string(), tm.export()),
             ("elvis".to_string(), TelemetryExport::default()),

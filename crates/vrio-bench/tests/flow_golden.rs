@@ -134,7 +134,7 @@ fn run_case(
     let mut eng: Engine<World> = Engine::new();
     drive(&mut w, &mut eng);
     eng.run(&mut w);
-    let tb = &w.tb;
+    let tb = &mut w.tb;
     tb.oracle.finish();
     tb.oracle.audit_pool("skb pool", &tb.skb_pool);
     tb.oracle.assert_clean(name);

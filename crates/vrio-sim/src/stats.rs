@@ -2,8 +2,6 @@
 //! percentiles (Table 4), and busy-time tracking for per-core CPU
 //! utilization traces (Figure 15).
 
-use std::cell::{Cell, RefCell};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Streaming mean / variance / min / max (Welford's algorithm).
@@ -125,27 +123,19 @@ impl OnlineStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    /// Sample store behind interior mutability: percentile queries are
-    /// logically reads, so they lazily sort in place through the `RefCell`
-    /// and take `&self`. The simulation is single-threaded, and no borrow
-    /// is held across user code, so the runtime borrow can never conflict.
-    samples: RefCell<Vec<f64>>,
-    sorted: Cell<bool>,
+    /// Every sample, in the order pushed.
+    samples: Vec<f64>,
 }
 
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            samples: RefCell::new(Vec::new()),
-            sorted: Cell::new(true),
-        }
+        Histogram::default()
     }
 
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
-        self.samples.get_mut().push(x);
-        self.sorted.set(false);
+        self.samples.push(x);
     }
 
     /// Adds a duration sample in microseconds.
@@ -155,52 +145,40 @@ impl Histogram {
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples.borrow().len()
+        self.samples.len()
     }
 
     /// Returns `true` if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.borrow().is_empty()
+        self.samples.is_empty()
     }
 
-    /// Sample mean (0 if empty).
+    /// Sample mean (0 if empty), summed in the order pushed.
     pub fn mean(&self) -> f64 {
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        if self.samples.is_empty() {
             0.0
         } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        }
-    }
-
-    fn ensure_sorted(&self) {
-        if !self.sorted.get() {
-            // Samples that compare equal are bit-identical (they are
-            // NaN-free, and latencies are positive, so no -0.0 ties a
-            // +0.0): an unstable sort, which needs no scratch buffer,
-            // yields the very sequence a stable one does, so every
-            // percentile and every later `mean()` sum stay bit-identical.
-            self.samples
-                .borrow_mut()
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample in histogram"));
-            self.sorted.set(true);
+            self.samples.iter().sum::<f64>() / self.samples.len() as f64
         }
     }
 
     /// The `p`-th percentile (nearest-rank method), `p` in `[0, 100]`.
     /// Returns 0 if empty.
     ///
-    /// The first query after a push sorts the samples (cached until the
-    /// next push), so read-style accessors take `&self`.
+    /// Each query selects the rank from a copy of the samples, so the
+    /// histogram is never reordered and queries take `&self`. Samples
+    /// that compare equal are bit-identical (they are NaN-free, and
+    /// latencies are positive, so no -0.0 ties a +0.0), so the selected
+    /// value is the one a full sort puts at that rank.
     pub fn percentile(&self, p: f64) -> f64 {
-        self.ensure_sorted();
-        let samples = self.samples.borrow();
-        if samples.is_empty() {
+        let n = self.samples.len();
+        if n == 0 {
             return 0.0;
         }
-        let n = samples.len();
         let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        samples[rank.clamp(1, n) - 1]
+        let mut samples = self.samples.clone();
+        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN sample in histogram");
+        *samples.select_nth_unstable_by(rank.clamp(1, n) - 1, cmp).1
     }
 
     /// The largest sample (0 if empty).

@@ -119,7 +119,8 @@ mod tests {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         t.set_process(3, "vrio");
         t.set_thread_name(1000, "vm0 requests");
-        let s = t.begin("rr", 1000, Stage::GuestEnqueue, SimTime::from_nanos(100));
+        let s = 1;
+        t.begin(s, "rr", 1000, Stage::GuestEnqueue, SimTime::from_nanos(100));
         t.mark(s, Stage::Wire, SimTime::from_nanos(600));
         t.end(s, SimTime::from_nanos(2100));
         t.instant("sync_exit", 1000, SimTime::from_nanos(150));
@@ -152,8 +153,10 @@ mod tests {
         let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
         let depth = tm.track("steer.iohost0.worker0.depth", TrackKind::Gauge);
         let shed = tm.track("admission.iohost0.shed", TrackKind::Counter);
-        tm.record(depth, SimTime::from_nanos(10_000), 4.0);
-        tm.record(shed, SimTime::from_nanos(10_000), 2.0);
+        tm.sample(SimTime::from_nanos(10_000), |s| {
+            s.record(depth, 4.0);
+            s.record(shed, 2.0);
+        });
         let telem = tm.export();
 
         let text = render_chrome_trace_with_counters(&[t.export()], &[(3, &telem)]);

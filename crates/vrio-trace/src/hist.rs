@@ -163,8 +163,8 @@ impl LogHistogram {
     /// minimum/maximum; interior ranks return the geometric midpoint of the
     /// bucket holding the rank-th smallest sample, which is within
     /// [`Self::RELATIVE_ERROR_BOUND`] of the exact answer. Unlike
-    /// [`vrio_sim::Histogram::percentile`] this takes `&self` and never
-    /// sorts.
+    /// [`vrio_sim::Histogram::percentile`] this never copies the samples
+    /// to select a rank.
     pub fn percentile(&self, p: f64) -> f64 {
         debug_assert!(!p.is_nan(), "NaN percentile query");
         if self.count == 0 {

@@ -10,14 +10,14 @@
 //! makes that accounting observable per request:
 //!
 //! * [`Tracer`] — a zero-overhead-when-disabled, ring-buffered structured
-//!   event tracer. Flows open a span per request ([`Tracer::begin`]) and
+//!   event tracer. Flows open a span per request id ([`Tracer::begin`]) and
 //!   mark lifecycle [`Stage`] transitions; per-stage durations sum exactly
 //!   to the end-to-end latency by construction. Tracing is observe-only:
 //!   no RNG draws, no event scheduling, bit-identical simulation results.
 //! * [`LogHistogram`] — an HDR-style log-bucketed histogram with bounded
 //!   memory and ≤ 1 % relative percentile error
 //!   ([`LogHistogram::RELATIVE_ERROR_BOUND`]), replacing the exact-sample
-//!   [`vrio_sim::Histogram`] sort on hot percentile paths.
+//!   [`vrio_sim::Histogram`] selection on hot percentile paths.
 //! * [`MetricsRegistry`] — named counters / gauges / histograms with
 //!   deterministic JSON export.
 //! * [`render_chrome_trace`] — Chrome trace-event JSON (Perfetto-loadable),
@@ -34,9 +34,10 @@
 //!
 //! let mut tracer = Tracer::new(&TraceConfig::memory());
 //! tracer.set_process(0, "vrio");
-//! let span = tracer.begin("rr", 1000, Stage::GuestEnqueue, SimTime::ZERO);
-//! tracer.mark(span, Stage::Wire, SimTime::from_nanos(700));
-//! tracer.end(span, SimTime::from_nanos(2_000));
+//! let req = 1;
+//! tracer.begin(req, "rr", 1000, Stage::GuestEnqueue, SimTime::ZERO);
+//! tracer.mark(req, Stage::Wire, SimTime::from_nanos(700));
+//! tracer.end(req, SimTime::from_nanos(2_000));
 //!
 //! let breakdown = tracer.breakdown();
 //! let rr = breakdown.kind("rr").unwrap();
@@ -69,5 +70,5 @@ pub use timeseries::{
     TELEM_SCHEMA_VERSION,
 };
 pub use tracer::{
-    EventPhase, SpanId, Stage, TraceConfig, TraceEvent, TraceExport, TraceSink, Tracer, NUM_STAGES,
+    EventPhase, Stage, TraceConfig, TraceEvent, TraceExport, TraceSink, Tracer, NUM_STAGES,
 };

@@ -183,8 +183,8 @@ impl TelemetryExport {
 ///
 /// let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
 /// let depth = tm.track("q.depth", TrackKind::Gauge);
-/// tm.record(depth, SimTime::from_nanos(0), 3.0);
-/// tm.record(depth, SimTime::from_nanos(10_000), 5.0);
+/// tm.sample(SimTime::from_nanos(0), |s| s.record(depth, 3.0));
+/// tm.sample(SimTime::from_nanos(10_000), |s| s.record(depth, 5.0));
 /// let ex = tm.export();
 /// assert_eq!(ex.tracks.len(), 1);
 /// assert_eq!(ex.tracks[0].points, vec![(0, 3.0), (10_000, 5.0)]);
@@ -252,16 +252,10 @@ impl Telemetry {
         TrackId(inner.tracks.len() - 1)
     }
 
-    /// Records one sample on an interned track. Samples must arrive in
-    /// non-decreasing time order per track (debug-asserted): the fixed
-    /// sampling grid guarantees it.
-    pub fn record(&mut self, id: TrackId, at: SimTime, value: f64) {
-        self.sample(at, |s| s.record(id, value));
-    }
-
     /// Records a whole sample at `at`: `f` records each track's value
     /// through the [`Sample`] it is handed. On a disabled sampler `f` is
-    /// not called.
+    /// not called. Samples must arrive in non-decreasing time order per
+    /// track (debug-asserted): the fixed sampling grid guarantees it.
     ///
     /// ```
     /// use vrio_sim::{SimDuration, SimTime};
@@ -343,9 +337,9 @@ mod tests {
         let mut tm = Telemetry::off();
         assert!(!tm.enabled());
         let x = tm.track("x", TrackKind::Gauge);
-        tm.record(x, t(0), 1.0);
+        tm.sample(t(0), |s| s.record(x, 1.0));
         let y = tm.track("y", TrackKind::Counter);
-        tm.record(y, t(5), 2.0);
+        tm.sample(t(5), |s| s.record(y, 2.0));
         let ex = tm.export();
         assert!(ex.tracks.is_empty());
         assert!(ex.interval.is_zero());
@@ -372,10 +366,12 @@ mod tests {
         let depth = tm.track("a.depth", TrackKind::Gauge);
         let unsampled = tm.track("c.idle", TrackKind::Gauge);
         assert_eq!(tm.track("b.total", TrackKind::Counter), total, "interned");
-        tm.record(total, t(0), 0.0);
-        tm.record(depth, t(0), 1.0);
-        tm.record(total, t(1_000), 4.0);
-        tm.record(depth, t(1_000), 2.0);
+        for (at, n) in [(t(0), 0.0), (t(1_000), 4.0)] {
+            tm.sample(at, |s| {
+                s.record(total, n);
+                s.record(depth, n / 4.0 + 1.0);
+            });
+        }
         assert_ne!(unsampled, depth);
         let ex = tm.export();
         // Sorted by name, not by interning order; a track that was never
@@ -394,9 +390,9 @@ mod tests {
     fn clones_copy_the_buffer() {
         let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(1)));
         let id = tm.track("copied", TrackKind::Gauge);
-        tm.record(id, t(0), 7.0);
+        tm.sample(t(0), |s| s.record(id, 7.0));
         let mut other = tm.clone();
-        other.record(id, t(1), 8.0);
+        other.sample(t(1), |s| s.record(id, 8.0));
         assert_eq!(tm.export().track("copied").unwrap().points, vec![(0, 7.0)]);
         assert_eq!(
             other.export().track("copied").unwrap().points,
@@ -408,7 +404,7 @@ mod tests {
     fn json_document_has_the_stable_schema() {
         let mut tm = Telemetry::new(&TelemetryConfig::sampling(SimDuration::micros(10)));
         let q = tm.track("q", TrackKind::Gauge);
-        tm.record(q, t(10_000), 3.0);
+        tm.sample(t(10_000), |s| s.record(q, 3.0));
         let doc = tm.export().to_json();
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_f64),

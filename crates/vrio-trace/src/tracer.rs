@@ -154,17 +154,6 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// Handle to an open request span, returned by [`Tracer::begin`]. Copyable
-/// plain data, so flow steps and tables hold it by value; `SpanId::NONE`
-/// is the inert handle returned when tracing is off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub(crate) u64);
-
-impl SpanId {
-    /// The inert span handle (all operations on it are no-ops).
-    pub const NONE: SpanId = SpanId(0);
-}
-
 /// Phase of a recorded trace event (maps onto Chrome trace-event `ph`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventPhase {
@@ -209,7 +198,7 @@ struct Inner {
     thread_names: BTreeMap<u32, String>,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    next_id: u64,
+    /// The open spans, by request id.
     open: HashMap<u64, OpenSpan>,
     breakdown: Breakdown,
 }
@@ -221,6 +210,24 @@ impl Inner {
             self.dropped += 1;
         }
         self.events.push_back(ev);
+    }
+
+    /// Attributes the time since the last mark of `open`, the span of
+    /// request `req`, to the stage that was active, emitting it as a
+    /// slice unless it is empty.
+    fn close_segment(&mut self, req: u64, open: &mut OpenSpan, now: SimTime) {
+        let seg = now - open.last;
+        open.acc[open.stage.index()] += seg;
+        if !seg.is_zero() {
+            self.push_event(TraceEvent {
+                phase: EventPhase::Complete,
+                name: open.stage.name(),
+                ts: open.last,
+                dur: seg,
+                tid: open.tid,
+                req,
+            });
+        }
     }
 }
 
@@ -259,7 +266,6 @@ impl Tracer {
                     thread_names: BTreeMap::new(),
                     events: VecDeque::new(),
                     dropped: 0,
-                    next_id: 1,
                     open: HashMap::new(),
                     breakdown: Breakdown::default(),
                 }),
@@ -290,17 +296,14 @@ impl Tracer {
         }
     }
 
-    /// Opens a request-lifecycle span of the given kind (`"rr"`, `"stream"`,
-    /// `"blk"`, …) on track `tid`, starting in `stage` at time `now`.
-    /// Returns [`SpanId::NONE`] when tracing is off.
-    pub fn begin(&mut self, kind: &'static str, tid: u32, stage: Stage, now: SimTime) -> SpanId {
-        let Some(i) = &mut self.inner else {
-            return SpanId::NONE;
-        };
-        let id = i.next_id;
-        i.next_id += 1;
+    /// Opens the lifecycle span of request `req` (the caller's id, unique
+    /// among open spans and never 0) of the given kind (`"rr"`,
+    /// `"stream"`, `"blk"`, …) on track `tid`, starting in `stage` at time
+    /// `now`. Its events carry `req`.
+    pub fn begin(&mut self, req: u64, kind: &'static str, tid: u32, stage: Stage, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
         i.open.insert(
-            id,
+            req,
             OpenSpan {
                 kind,
                 tid,
@@ -310,83 +313,50 @@ impl Tracer {
                 acc: [SimDuration::ZERO; NUM_STAGES],
             },
         );
-        SpanId(id)
     }
 
-    /// Records a stage transition on an open span: the time since the
-    /// previous mark is attributed (and emitted as a slice) for the stage
-    /// that was active, then the span enters `stage`.
-    pub fn mark(&mut self, span: SpanId, stage: Stage, now: SimTime) {
+    /// Records a stage transition on request `req`'s open span: the time
+    /// since the previous mark is attributed (and emitted as a slice) for
+    /// the stage that was active, then the span enters `stage`. A request
+    /// with no open span is ignored.
+    pub fn mark(&mut self, req: u64, stage: Stage, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
-        if span == SpanId::NONE {
-            return;
-        }
-        let Some(mut open) = i.open.remove(&span.0) else {
+        let Some(mut open) = i.open.remove(&req) else {
             return;
         };
-        let seg = now - open.last;
-        open.acc[open.stage.index()] += seg;
-        if !seg.is_zero() {
-            let ev = TraceEvent {
-                phase: EventPhase::Complete,
-                name: open.stage.name(),
-                ts: open.last,
-                dur: seg,
-                tid: open.tid,
-                req: span.0,
-            };
-            i.push_event(ev);
-        }
+        i.close_segment(req, &mut open, now);
         open.stage = stage;
         open.last = now;
-        i.open.insert(span.0, open);
+        i.open.insert(req, open);
     }
 
-    /// Closes a span at `now`: the trailing segment is attributed to the
-    /// current stage, a request-level slice spanning the whole lifetime is
-    /// emitted, and the per-stage durations are folded into the breakdown.
-    pub fn end(&mut self, span: SpanId, now: SimTime) {
+    /// Closes request `req`'s span at `now`: the trailing segment is
+    /// attributed to the current stage, a request-level slice spanning
+    /// the whole lifetime is emitted, and the per-stage durations are
+    /// folded into the breakdown.
+    pub fn end(&mut self, req: u64, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
-        if span == SpanId::NONE {
-            return;
-        }
-        let Some(mut open) = i.open.remove(&span.0) else {
+        let Some(mut open) = i.open.remove(&req) else {
             return;
         };
-        let seg = now - open.last;
-        open.acc[open.stage.index()] += seg;
-        if !seg.is_zero() {
-            let ev = TraceEvent {
-                phase: EventPhase::Complete,
-                name: open.stage.name(),
-                ts: open.last,
-                dur: seg,
-                tid: open.tid,
-                req: span.0,
-            };
-            i.push_event(ev);
-        }
+        i.close_segment(req, &mut open, now);
         let total = now - open.t0;
-        let ev = TraceEvent {
+        i.push_event(TraceEvent {
             phase: EventPhase::Complete,
             name: open.kind,
             ts: open.t0,
             dur: total,
             tid: open.tid,
-            req: span.0,
-        };
-        i.push_event(ev);
+            req,
+        });
         i.breakdown.record(open.kind, &open.acc, total);
     }
 
-    /// Discards an open span without recording it (e.g. a request whose
-    /// frame was dropped and abandoned rather than retried).
-    pub fn abort(&mut self, span: SpanId) {
+    /// Discards request `req`'s open span without recording it (e.g. a
+    /// request whose frame was dropped and abandoned rather than retried).
+    pub fn abort(&mut self, req: u64) {
         let Some(i) = &mut self.inner else { return };
-        if span == SpanId::NONE {
-            return;
-        }
-        i.open.remove(&span.0);
+        i.open.remove(&req);
     }
 
     /// Emits a point-in-time marker (exits, interrupts, faults, retx, …).
@@ -471,10 +441,10 @@ mod tests {
     fn off_tracer_is_inert() {
         let mut t = Tracer::new(&TraceConfig::off());
         assert!(!t.enabled());
-        let s = t.begin("rr", 1, Stage::Generator, SimTime::ZERO);
-        assert_eq!(s, SpanId::NONE);
-        t.mark(s, Stage::Wire, SimTime::from_nanos(10));
-        t.end(s, SimTime::from_nanos(20));
+        t.begin(1, "rr", 1, Stage::Generator, SimTime::ZERO);
+        t.mark(1, Stage::Wire, SimTime::from_nanos(10));
+        t.end(1, SimTime::from_nanos(20));
+        assert_eq!(t.open_spans(), 0);
         t.instant("x", 0, SimTime::ZERO);
         assert_eq!(t.buffered(), 0);
         assert!(t.breakdown().kinds().next().is_none());
@@ -483,7 +453,8 @@ mod tests {
     #[test]
     fn span_segments_sum_to_total() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
-        let s = t.begin("rr", 1, Stage::GuestEnqueue, SimTime::from_nanos(100));
+        let s = 1;
+        t.begin(s, "rr", 1, Stage::GuestEnqueue, SimTime::from_nanos(100));
         t.mark(s, Stage::Wire, SimTime::from_nanos(400));
         t.mark(s, Stage::Backend, SimTime::from_nanos(1000));
         t.end(s, SimTime::from_nanos(1500));
@@ -510,7 +481,8 @@ mod tests {
     #[test]
     fn zero_length_segments_emit_no_events() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
-        let s = t.begin("rr", 1, Stage::Kick, SimTime::from_nanos(5));
+        let s = 1;
+        t.begin(s, "rr", 1, Stage::Kick, SimTime::from_nanos(5));
         t.mark(s, Stage::Wire, SimTime::from_nanos(5)); // zero-length kick
         t.end(s, SimTime::from_nanos(10));
         // Events: wire segment + request slice (no kick segment).
@@ -520,7 +492,8 @@ mod tests {
     #[test]
     fn abort_discards_without_recording() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
-        let s = t.begin("blk", 1, Stage::GuestEnqueue, SimTime::ZERO);
+        let s = 1;
+        t.begin(s, "blk", 1, Stage::GuestEnqueue, SimTime::ZERO);
         assert_eq!(t.open_spans(), 1);
         t.abort(s);
         assert_eq!(t.open_spans(), 0);

@@ -100,7 +100,7 @@ pub use iohost::{
     AdaptivePollConfig, ControlError, DeviceKind, DeviceRegistry, DeviceSpec, PollMode, Steering,
     WorkerId, WorkerPoll,
 };
-pub use oracle::{FlowToken, Oracle, OracleConfig, OracleReport, Violation};
+pub use oracle::{Oracle, OracleConfig, OracleReport, Violation};
 pub use proto::{DeviceId, VrioHdr, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 pub use testbed::{
     blk_request, net_request_response, stream_batch, BlkOutcome, HasTestbed, Resource, RrOutcome,

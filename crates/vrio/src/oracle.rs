@@ -29,20 +29,22 @@
 //! Like the tracer, the oracle is **strictly observe-only**: it owns no
 //! RNG and schedules no events, so enabling it is bit-identical to
 //! disabling it (asserted under active fault injection in
-//! `tests/oracle.rs`). The testbed owns its oracle, and a run's result
-//! takes it over; its ledger sits in a `RefCell`, so every method takes
-//! `&self` and a finished result can still be checked. A clone is an
-//! independent copy, as a fork of its world needs. Violations are recorded,
-//! not panicked, so a run can complete and report everything it found;
-//! [`Oracle::assert_clean`] is the panicking gate for tests and CI.
+//! `tests/oracle.rs`). The oracle is plain data, like the tracer: the
+//! testbed owns it and records through `&mut self`, and a run's result
+//! takes it over, where the reports read it through `&self`. A clone is
+//! an independent copy, as a fork of its world needs. The ledger is keyed
+//! by the testbed's request ids, the ones the tracer's spans carry.
+//! Violations are recorded, not panicked, so a run can complete and
+//! report everything it found; [`Oracle::assert_clean`] is the panicking
+//! gate for tests and CI.
 //!
 //! To add an invariant: add a recording method on [`Oracle`] (it must draw
 //! no randomness and schedule nothing), call it from the flow or probe
 //! site that observes the relevant state, and give violations a stable
 //! `invariant` name plus a message carrying enough identifiers (VM, queue,
-//! span, counts) to act on.
+//! request id, counts) to act on.
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 
 use vrio_hv::QueueAudit;
 use vrio_sim::SimTime;
@@ -72,18 +74,6 @@ impl OracleConfig {
     pub fn enabled(&self) -> bool {
         self.enabled
     }
-}
-
-/// Handle to one request in the exactly-once ledger, returned by
-/// [`Oracle::flow_begin`]. Copyable plain data, so flow steps and tables
-/// hold it by value; [`FlowToken::NONE`] is the inert handle returned
-/// when the oracle is off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowToken(u64);
-
-impl FlowToken {
-    /// The inert token (all ledger operations on it are no-ops).
-    pub const NONE: FlowToken = FlowToken(0);
 }
 
 /// One recorded invariant violation.
@@ -154,8 +144,8 @@ const MAX_VIOLATIONS: usize = 256;
 #[derive(Default, Clone)]
 struct Inner {
     checks: u64,
-    /// The exactly-once ledger: tokens are dense from 1, so token `t`
-    /// lives at index `t - 1`.
+    /// The exactly-once ledger: request ids are dense from 1, so request
+    /// `id` lives at index `id - 1`.
     flows: Vec<FlowState>,
     flows_completed: u64,
     flows_dropped: u64,
@@ -197,7 +187,11 @@ impl Inner {
 /// give the invariant catalog and the observe-only construction.
 #[derive(Clone, Default)]
 pub struct Oracle {
-    inner: Option<RefCell<Inner>>,
+    inner: Option<Inner>,
+    /// The first mismatch [`Oracle::check_bytes`] found. That check runs
+    /// through `&self` on a finished run's result (perfbench's self-test
+    /// injects a violation so), so it cannot record in the ledger.
+    late: OnceCell<Violation>,
 }
 
 impl std::fmt::Debug for Oracle {
@@ -205,23 +199,63 @@ impl std::fmt::Debug for Oracle {
         match &self.inner {
             None => write!(f, "Oracle(off)"),
             Some(i) => {
-                let i = i.borrow();
                 write!(
                     f,
                     "Oracle(checks: {}, violations: {})",
                     i.checks,
-                    i.violations.len()
+                    self.violations().len()
                 )
             }
         }
     }
 }
 
+/// What differs between `actual` and the `expected` parts back to back,
+/// as a byte-conservation message for `what`; `None` when they match.
+/// Concatenates nothing unless they differ.
+fn mismatch(what: &str, expected: &[&[u8]], actual: &[u8]) -> Option<String> {
+    let mut rest = actual;
+    let same = expected
+        .iter()
+        .all(|part| match rest.split_at_checked(part.len()) {
+            Some((head, tail)) if head == *part => {
+                rest = tail;
+                true
+            }
+            _ => false,
+        });
+    if same && rest.is_empty() {
+        return None;
+    }
+    let expected = &expected.concat()[..];
+    Some(if expected.len() != actual.len() {
+        format!(
+            "{what}: byte count changed in flight — {} bytes in, {} bytes out",
+            expected.len(),
+            actual.len()
+        )
+    } else {
+        let at = expected
+            .iter()
+            .zip(actual)
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        format!(
+            "{what}: payload corrupted in flight — first difference at byte {at} \
+             ({:#04x} became {:#04x}) of {}",
+            expected[at],
+            actual[at],
+            expected.len()
+        )
+    })
+}
+
 impl Oracle {
     /// Builds an oracle from the configuration.
     pub fn new(config: &OracleConfig) -> Self {
         Oracle {
-            inner: config.enabled.then(RefCell::default),
+            inner: config.enabled.then(Inner::default),
+            late: OnceCell::new(),
         }
     }
 
@@ -232,59 +266,60 @@ impl Oracle {
 
     // ---- exactly-once request ledger ------------------------------------
 
-    /// Enters a new request into the ledger. Call once per generated
-    /// request; the token identifies it for the lifetime of the flow.
-    pub fn flow_begin(&self, kind: &'static str, now: SimTime) -> FlowToken {
-        let Some(inner) = &self.inner else {
-            return FlowToken::NONE;
-        };
-        let mut i = inner.borrow_mut();
+    /// Enters request `id` into the ledger. Call once per generated
+    /// request, with the ids counting from 1; a request begun out of turn
+    /// (its id reused or skipped) is a violation and stays out of it.
+    pub fn flow_begin(&mut self, id: u64, kind: &'static str, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
+        if id != i.flows.len() as u64 + 1 {
+            let expected = i.flows.len() + 1;
+            i.violate(
+                "exactly-once",
+                format!(
+                    "{kind} request {id} begun at {now:?} where request {expected} was due \
+                     — a request id was reused or skipped"
+                ),
+            );
+            return;
+        }
         i.flows.push(FlowState::Open {
             kind,
             begun: now,
             last_mark: now,
         });
-        FlowToken(i.flows.len() as u64)
     }
 
-    /// Records that a flow's request or response was lost to a modeled
+    /// Records that request `id` or its response was lost to a modeled
     /// drop (firewall, channel loss, IOhost outage) with no retransmission
     /// to recover it. Closes the ledger entry: a later completion of the
-    /// same flow is a violation.
-    pub fn flow_drop(&self, token: FlowToken, now: SimTime) {
-        self.close_flow(token, now, Closed::Dropped);
+    /// same request is a violation.
+    pub fn flow_drop(&mut self, id: u64, now: SimTime) {
+        self.close_flow(id, now, Closed::Dropped);
     }
 
-    /// Records a flow completion. Every begun flow must reach exactly one
-    /// of [`Oracle::flow_complete`] / [`Oracle::flow_drop`]; a second
-    /// closure or a completion of an unknown token is a violation.
-    pub fn flow_complete(&self, token: FlowToken, now: SimTime) {
-        self.close_flow(token, now, Closed::Completed);
+    /// Records the completion of request `id`. Every begun request must
+    /// reach exactly one of [`Oracle::flow_complete`] /
+    /// [`Oracle::flow_drop`]; a second closure or a closure of a request
+    /// never begun is a violation.
+    pub fn flow_complete(&mut self, id: u64, now: SimTime) {
+        self.close_flow(id, now, Closed::Completed);
     }
 
-    fn close_flow(&self, token: FlowToken, now: SimTime, how: Closed) {
-        let Some(inner) = &self.inner else { return };
-        if token == FlowToken::NONE {
-            return;
-        }
-        let mut i = inner.borrow_mut();
+    fn close_flow(&mut self, id: u64, now: SimTime, how: Closed) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         let how_name = |how: Closed| match how {
             Closed::Completed => "completed",
             Closed::Dropped => "dropped",
         };
-        // Tokens come only from `flow_begin`, so they index the ledger.
-        let at = (token.0 - 1) as usize;
+        let at = id.wrapping_sub(1) as usize;
         match i.flows.get(at).copied() {
             Some(FlowState::Open { kind, begun, .. }) => {
                 i.flows[at] = FlowState::Closed { kind, how };
                 if now < begun {
                     i.violate(
                         "causality",
-                        format!(
-                            "{kind} flow {} closed at {now:?}, before it began at {begun:?}",
-                            token.0
-                        ),
+                        format!("{kind} flow {id} closed at {now:?}, before it began at {begun:?}"),
                     );
                 }
                 match how {
@@ -294,9 +329,8 @@ impl Oracle {
             }
             Some(FlowState::Closed { kind, how: prev }) => {
                 let msg = format!(
-                    "{kind} flow {} closed twice: already {} and now {} at {now:?} \
+                    "{kind} flow {id} closed twice: already {} and now {} at {now:?} \
                      — a completion was delivered more than once",
-                    token.0,
                     how_name(prev),
                     how_name(how),
                 );
@@ -304,9 +338,8 @@ impl Oracle {
             }
             Some(FlowState::Leaked) | None => {
                 let msg = format!(
-                    "flow {} {} at {now:?} but was never begun — \
+                    "flow {id} {} at {now:?} but was never begun — \
                      a completion appeared out of thin air",
-                    token.0,
                     how_name(how),
                 );
                 i.violate("exactly-once", msg);
@@ -317,9 +350,8 @@ impl Oracle {
     /// End-of-run ledger audit: every flow still open leaked — it was
     /// begun but neither completed nor accounted as a modeled drop. Call
     /// after the engine drains.
-    pub fn finish(&self) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn finish(&mut self) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         let mut leaked = Vec::new();
         for (at, entry) in i.flows.iter_mut().enumerate() {
@@ -356,9 +388,8 @@ impl Oracle {
     /// every queue whose VM touched its rings since its last audit, so
     /// each ring state a mark sees is audited once (debug builds verify
     /// every skipped queue against its last audited snapshot).
-    pub fn audit_queue(&self, vm: usize, q: &QueueAudit) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn audit_queue(&mut self, vm: usize, q: &QueueAudit) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         let scope = |law: &str| format!("vm{vm}/{}: {law}", q.name);
         let published = q.driver.chains_published;
@@ -482,56 +513,29 @@ impl Oracle {
 
     // ---- byte conservation ------------------------------------------------
 
-    /// [`Oracle::check_parts`] with one expected part. Every caller in
-    /// the workspace passes its parts to `check_parts`; this stays only
-    /// for perfbench's self-test, a package outside the workspace.
+    /// Checks `actual` against `expected` as [`Oracle::check_parts`]
+    /// does, on a finished run's result: it records its first mismatch
+    /// and counts no check. Every caller in the workspace checks through
+    /// `check_parts` while the run records; this stays only for
+    /// perfbench's self-test, a package outside the workspace.
     pub fn check_bytes(&self, what: &'static str, expected: &[u8], actual: &[u8]) {
-        self.check_parts(what, &[expected], actual);
+        if let (true, Some(message)) = (self.enabled(), mismatch(what, &[expected], actual)) {
+            let invariant = "byte-conservation";
+            // Only the first mismatch is kept.
+            let _ = self.late.set(Violation { invariant, message });
+        }
     }
 
     /// Checks that a payload survived a transformation pipeline
     /// byte-for-byte (encapsulation → wire → decapsulation): `actual`
     /// must be the `expected` parts back to back. One check, with no
     /// concatenation unless it fails.
-    pub fn check_parts(&self, what: &'static str, expected: &[&[u8]], actual: &[u8]) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn check_parts(&mut self, what: &'static str, expected: &[&[u8]], actual: &[u8]) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
-        let mut rest = actual;
-        let same = expected
-            .iter()
-            .all(|part| match rest.split_at_checked(part.len()) {
-                Some((head, tail)) if head == *part => {
-                    rest = tail;
-                    true
-                }
-                _ => false,
-            });
-        if same && rest.is_empty() {
-            return;
+        if let Some(msg) = mismatch(what, expected, actual) {
+            i.violate("byte-conservation", msg);
         }
-        let expected = &expected.concat()[..];
-        let msg = if expected.len() != actual.len() {
-            format!(
-                "{what}: byte count changed in flight — {} bytes in, {} bytes out",
-                expected.len(),
-                actual.len()
-            )
-        } else {
-            let at = expected
-                .iter()
-                .zip(actual)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            format!(
-                "{what}: payload corrupted in flight — first difference at byte {at} \
-                 ({:#04x} became {:#04x}) of {}",
-                expected[at],
-                actual[at],
-                expected.len()
-            )
-        };
-        i.violate("byte-conservation", msg);
     }
 
     /// Like [`Oracle::check_parts`] but compares a reassembled [`Skb`]
@@ -540,9 +544,8 @@ impl Oracle {
     /// as `check_parts`, so enabling it is output-identical.
     ///
     /// [`Skb`]: vrio_net::Skb
-    pub fn check_skb(&self, what: &'static str, expected: &[u8], skb: &vrio_net::Skb) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn check_skb(&mut self, what: &'static str, expected: &[u8], skb: &vrio_net::Skb) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         if skb.eq_contents(expected) {
             return;
@@ -562,9 +565,8 @@ impl Oracle {
     /// have been returned. A leaked SKB means payload bytes left the
     /// conservation books while still alive — recorded under the
     /// byte-conservation invariant. Call alongside [`Oracle::finish`].
-    pub fn audit_pool(&self, what: &'static str, pool: &vrio_net::SkbPool) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn audit_pool(&mut self, what: &'static str, pool: &vrio_net::SkbPool) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         if let Err(e) = pool.leak_check() {
             i.violate(
@@ -583,9 +585,8 @@ impl Oracle {
     /// to `worker`. While the device has requests in flight they must all
     /// stay on the same worker — otherwise per-device FIFO ordering is
     /// lost (paper §4.1).
-    pub fn steer_assign(&self, device: u32, worker: usize) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn steer_assign(&mut self, device: u32, worker: usize) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         let (inflight, owner) = i.steer_state(device).unwrap_or((0, worker));
         if inflight > 0 && owner != worker {
@@ -610,9 +611,8 @@ impl Oracle {
     /// still counts the in-flight request and the handoff itself, so the
     /// fifo-steering invariant resumes on the new owner and chaos reports
     /// can surface migration counts.
-    pub fn steer_handoff(&self, device: u32, worker: usize) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn steer_handoff(&mut self, device: u32, worker: usize) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         let (inflight, owner) = i.steer_state(device).unwrap_or((0, worker));
         if owner != worker {
@@ -624,16 +624,13 @@ impl Oracle {
     /// Sanctioned steering handoffs recorded via [`Oracle::steer_handoff`]
     /// (0 when the oracle is off).
     pub fn steer_handoffs(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |inner| inner.borrow().steer_handoffs)
+        self.inner.as_ref().map_or(0, |i| i.steer_handoffs)
     }
 
     /// Records a steering completion: one of `device`'s in-flight requests
     /// finished. A completion with nothing in flight is a violation.
-    pub fn steer_release(&self, device: u32) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn steer_release(&mut self, device: u32) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         match i.steer.get_mut(device as usize) {
             Some(Some((inflight, _))) if *inflight > 0 => *inflight -= 1,
@@ -649,19 +646,17 @@ impl Oracle {
 
     // ---- monotone causality -----------------------------------------------
 
-    /// Observes a lifecycle mark of flow `token`. A flow's marks must
-    /// never run backwards in time. Marks of a closed flow (a stale
-    /// block attempt that the retransmission overtook) and of no flow
-    /// ([`FlowToken::NONE`]) are skipped.
-    pub fn on_mark(&self, token: FlowToken, stage: Stage, now: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        if token == FlowToken::NONE {
+    /// Observes a lifecycle mark of request `id`. A request's marks must
+    /// never run backwards in time. Marks of a closed request (a stale
+    /// block attempt that the retransmission overtook) are skipped, and
+    /// so are those of id 0, which names no request.
+    pub fn on_mark(&mut self, id: u64, stage: Stage, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
+        if id == 0 {
             return;
         }
-        let mut i = inner.borrow_mut();
         i.checks += 1;
-        let at = (token.0 - 1) as usize;
-        let Some(FlowState::Open { last_mark, .. }) = i.flows.get_mut(at) else {
+        let Some(FlowState::Open { last_mark, .. }) = i.flows.get_mut(id as usize - 1) else {
             return;
         };
         if now >= *last_mark {
@@ -672,18 +667,16 @@ impl Oracle {
         i.violate(
             "causality",
             format!(
-                "flow {} marked '{stage}' at {now:?}, before its previous mark \
-                 at {prev:?} — lifecycle stages ran backwards",
-                token.0
+                "flow {id} marked '{stage}' at {now:?}, before its previous mark \
+                 at {prev:?} — lifecycle stages ran backwards"
             ),
         );
     }
 
     /// Observes one engine event firing (wired through
     /// `Engine::set_probe`). The simulated clock must be monotone.
-    pub fn on_engine_event(&self, now: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        let mut i = inner.borrow_mut();
+    pub fn on_engine_event(&mut self, now: SimTime) {
+        let Some(i) = &mut self.inner else { return };
         i.checks += 1;
         if let Some(last) = i.last_engine_event {
             if now < last {
@@ -700,45 +693,30 @@ impl Oracle {
 
     /// Total individual invariant checks performed so far.
     pub fn checks(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |inner| inner.borrow().checks)
+        self.inner.as_ref().map_or(0, |i| i.checks)
     }
 
     /// All recorded violations (empty when the oracle is off or clean).
     pub fn violations(&self) -> Vec<Violation> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |inner| inner.borrow().violations.clone())
+        let recorded = self.inner.iter().flat_map(|i| &i.violations);
+        recorded.chain(self.late.get()).cloned().collect()
     }
 
     /// Whether no violation has been recorded.
     pub fn is_clean(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_none_or(|inner| inner.borrow().violations.is_empty())
+        self.inner.as_ref().is_none_or(|i| i.violations.is_empty()) && self.late.get().is_none()
     }
 
     /// Snapshot of the run's oracle accounting.
     pub fn report(&self) -> OracleReport {
-        match &self.inner {
-            None => OracleReport {
-                checks: 0,
-                flows_begun: 0,
-                flows_completed: 0,
-                flows_dropped: 0,
-                violations: Vec::new(),
-                violations_dropped: 0,
-            },
-            Some(inner) => {
-                let i = inner.borrow();
-                OracleReport {
-                    checks: i.checks,
-                    flows_begun: i.flows.len() as u64,
-                    flows_completed: i.flows_completed,
-                    flows_dropped: i.flows_dropped,
-                    violations: i.violations.clone(),
-                    violations_dropped: i.violations_dropped,
-                }
-            }
+        let i = self.inner.as_ref();
+        OracleReport {
+            checks: self.checks(),
+            flows_begun: i.map_or(0, |i| i.flows.len() as u64),
+            flows_completed: i.map_or(0, |i| i.flows_completed),
+            flows_dropped: i.map_or(0, |i| i.flows_dropped),
+            violations: self.violations(),
+            violations_dropped: i.map_or(0, |i| i.violations_dropped),
         }
     }
 
@@ -810,11 +788,10 @@ mod tests {
 
     #[test]
     fn disabled_oracle_is_inert_and_clean() {
-        let o = Oracle::new(&OracleConfig::off());
+        let mut o = Oracle::new(&OracleConfig::off());
         assert!(!o.enabled());
-        let tok = o.flow_begin("x", t(0));
-        assert_eq!(tok, FlowToken::NONE);
-        o.flow_complete(tok, t(1));
+        o.flow_begin(1, "x", t(0));
+        o.flow_complete(1, t(1));
         o.finish();
         o.audit_queue(0, &healthy_queue());
         assert_eq!(o.checks(), 0);
@@ -824,9 +801,10 @@ mod tests {
 
     #[test]
     fn clean_lifecycle_records_no_violations() {
-        let o = on();
-        let a = o.flow_begin("net_rr", t(0));
-        let b = o.flow_begin("blk", t(1));
+        let mut o = on();
+        let (a, b) = (1, 2);
+        o.flow_begin(a, "net_rr", t(0));
+        o.flow_begin(b, "blk", t(1));
         o.audit_queue(0, &healthy_queue());
         o.steer_assign(0, 1);
         o.steer_release(0);
@@ -847,8 +825,9 @@ mod tests {
 
     #[test]
     fn seeded_double_completion_fires_exactly_once() {
-        let o = on();
-        let tok = o.flow_begin("net_rr", t(0));
+        let mut o = on();
+        let tok = 1;
+        o.flow_begin(tok, "net_rr", t(0));
         o.flow_complete(tok, t(5));
         o.flow_complete(tok, t(9)); // a duplicate completion delivery
         let v = o.violations();
@@ -863,10 +842,52 @@ mod tests {
     }
 
     #[test]
+    fn seeded_reused_request_id_fires_exactly_once() {
+        let mut o = on();
+        o.flow_begin(1, "net_rr", t(0));
+        o.flow_begin(1, "blk", t(1)); // a second request under id 1
+        let v = o.violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "exactly-once");
+        assert!(v[0].message.contains("blk request 1"), "{}", v[0].message);
+        assert!(
+            v[0].message.contains("reused or skipped"),
+            "{}",
+            v[0].message
+        );
+        // The request begun out of turn stays out of the ledger.
+        assert_eq!(o.report().flows_begun, 1);
+    }
+
+    #[test]
+    fn check_bytes_records_on_a_finished_oracle() {
+        let mut o = on();
+        o.flow_begin(1, "blk", t(0));
+        o.flow_complete(1, t(1));
+        o.finish();
+        let finished = o;
+        finished.check_bytes("late", b"payload", b"payload");
+        assert!(finished.is_clean());
+        finished.check_bytes("late", b"payload", b"pAyload");
+        finished.check_bytes("later", b"x", b"y");
+        let v = finished.violations();
+        assert_eq!(v.len(), 1, "only the first mismatch is kept: {v:?}");
+        assert_eq!(v[0].invariant, "byte-conservation");
+        assert!(v[0].message.starts_with("late:"), "{}", v[0].message);
+        assert_eq!(finished.report().violations, v);
+        assert!(!finished.is_clean());
+        // An inert oracle checks nothing.
+        let off = Oracle::new(&OracleConfig::off());
+        off.check_bytes("late", b"x", b"y");
+        assert!(off.is_clean());
+    }
+
+    #[test]
     fn seeded_dropped_completion_fires_exactly_once_leak() {
-        let o = on();
-        let kept = o.flow_begin("blk", t(0));
-        let _lost = o.flow_begin("blk", t(1));
+        let mut o = on();
+        let kept = 1;
+        o.flow_begin(kept, "blk", t(0));
+        o.flow_begin(2, "blk", t(1));
         o.flow_complete(kept, t(5));
         // `lost`'s completion never arrives and no drop was modeled.
         o.finish();
@@ -879,7 +900,7 @@ mod tests {
 
     #[test]
     fn seeded_corrupt_ring_counters_fire_descriptor_conservation() {
-        let o = on();
+        let mut o = on();
         // The device "completes" a chain it never popped.
         let mut q = healthy_queue();
         q.device.used_pushed = q.device.chains_popped + 1;
@@ -891,7 +912,7 @@ mod tests {
         assert!(v[0].message.contains("never popped"), "{}", v[0].message);
 
         // A descriptor freed while its chain is still in flight.
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.free_descriptors = 256;
         q.pinned_descriptors = 0;
@@ -902,7 +923,7 @@ mod tests {
 
         // In-flight accounting that disagrees with the ops counters
         // (a leaked ring slot).
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.in_flight_chains = 7;
         o.audit_queue(0, &q);
@@ -915,7 +936,7 @@ mod tests {
 
     #[test]
     fn seeded_pinned_leak_fires_and_names_the_layout() {
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.layout = "packed";
         q.pinned_descriptors = 0; // one chain in flight yet nothing pinned
@@ -928,7 +949,7 @@ mod tests {
         assert!(v[0].message.contains("leaked"), "{}", v[0].message);
 
         // The opposite book error: a pinned descriptor also on the free list.
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.pinned_descriptors = 2;
         o.audit_queue(0, &q);
@@ -939,7 +960,7 @@ mod tests {
 
     #[test]
     fn seeded_leaked_indirect_slot_fires() {
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.indirect = Some(IndirectAudit {
             capacity: 128,
@@ -965,7 +986,7 @@ mod tests {
 
     #[test]
     fn seeded_indirect_double_free_fires() {
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.indirect = Some(IndirectAudit {
             capacity: 128,
@@ -985,7 +1006,7 @@ mod tests {
 
     #[test]
     fn clean_indirect_books_record_no_violations() {
-        let o = on();
+        let mut o = on();
         let mut q = healthy_queue();
         q.indirect = Some(IndirectAudit {
             capacity: 128,
@@ -998,7 +1019,7 @@ mod tests {
 
     #[test]
     fn seeded_truncated_payload_fires_byte_conservation() {
-        let o = on();
+        let mut o = on();
         o.check_parts("blk tso reassembly", &[b"0123456789"], b"01234");
         let v = o.violations();
         assert_eq!(v.len(), 1);
@@ -1009,7 +1030,7 @@ mod tests {
             v[0].message
         );
 
-        let o = on();
+        let mut o = on();
         o.check_parts("wire", &[b"abcdef"], b"abXdef");
         let v = o.violations();
         assert!(
@@ -1021,7 +1042,7 @@ mod tests {
 
     #[test]
     fn seeded_leaked_skb_fires_byte_conservation() {
-        let o = on();
+        let mut o = on();
         let mut pool = vrio_net::SkbPool::new();
         let kept = pool.acquire(0);
         let _leaked = pool.acquire(0);
@@ -1043,7 +1064,7 @@ mod tests {
         );
 
         // A balanced pool is clean.
-        let o = on();
+        let mut o = on();
         let mut pool = vrio_net::SkbPool::new();
         let skb = pool.acquire(0);
         pool.release(skb).unwrap();
@@ -1053,7 +1074,7 @@ mod tests {
 
     #[test]
     fn seeded_worker_migration_fires_fifo_steering() {
-        let o = on();
+        let mut o = on();
         o.steer_assign(7, 0);
         o.steer_assign(7, 1); // migrates while one request is in flight
         let v = o.violations();
@@ -1062,7 +1083,7 @@ mod tests {
         assert!(v[0].message.contains("device 7"), "{}", v[0].message);
         assert!(v[0].message.contains("worker 1"), "{}", v[0].message);
 
-        let o = on();
+        let mut o = on();
         o.steer_release(3); // completion with nothing in flight
         let v = o.violations();
         assert_eq!(v[0].invariant, "fifo-steering");
@@ -1071,7 +1092,7 @@ mod tests {
 
     #[test]
     fn sanctioned_handoff_does_not_fire_fifo_steering() {
-        let o = on();
+        let mut o = on();
         o.steer_assign(7, 0);
         o.steer_release(7);
         // Failover re-pins the device to a worker on the backup IOhost:
@@ -1089,8 +1110,9 @@ mod tests {
 
     #[test]
     fn seeded_reordered_marks_fire_causality() {
-        let o = on();
-        let flow = o.flow_begin("net_rr", t(10));
+        let mut o = on();
+        let flow = 1;
+        o.flow_begin(flow, "net_rr", t(10));
         o.on_mark(flow, Stage::GuestEnqueue, t(10));
         o.on_mark(flow, Stage::Wire, t(12));
         o.on_mark(flow, Stage::Backend, t(11)); // runs backwards
@@ -1100,7 +1122,7 @@ mod tests {
         assert!(v[0].message.contains("backwards"), "{}", v[0].message);
 
         // The engine clock running backwards is also caught.
-        let o = on();
+        let mut o = on();
         o.on_engine_event(t(5));
         o.on_engine_event(t(4));
         let v = o.violations();
@@ -1109,16 +1131,17 @@ mod tests {
     }
 
     #[test]
-    fn inert_spans_are_skipped() {
-        // With tracing off every flow shares SpanId::NONE, so marks are
-        // ordered per flow: interleaved flows are not time travel.
-        let o = on();
-        let a = o.flow_begin("net_rr", t(0));
-        let b = o.flow_begin("blk", t(0));
+    fn marks_are_ordered_per_request() {
+        // Marks are ordered per request: interleaved requests are not
+        // time travel.
+        let mut o = on();
+        let (a, b) = (1, 2);
+        o.flow_begin(a, "net_rr", t(0));
+        o.flow_begin(b, "blk", t(0));
         o.on_mark(a, Stage::Wire, t(10));
         o.on_mark(b, Stage::Wire, t(5));
-        // Marks of no flow, and of a closed one, are not checked.
-        o.on_mark(FlowToken::NONE, Stage::Wire, t(1));
+        // Marks of no request, and of a closed one, are not checked.
+        o.on_mark(0, Stage::Wire, t(1));
         o.flow_complete(a, t(12));
         o.on_mark(a, Stage::Interrupt, t(11));
         assert!(o.is_clean(), "{:?}", o.violations());
@@ -1126,7 +1149,7 @@ mod tests {
 
     #[test]
     fn assert_clean_panics_with_every_violation_listed() {
-        let o = on();
+        let mut o = on();
         o.check_parts("a", &[b"x"], b"y");
         o.steer_release(0);
         let err =
@@ -1140,7 +1163,7 @@ mod tests {
 
     #[test]
     fn violation_recording_is_capped_but_counted() {
-        let o = on();
+        let mut o = on();
         for _ in 0..(MAX_VIOLATIONS + 10) {
             o.steer_release(0);
         }
@@ -1151,9 +1174,10 @@ mod tests {
 
     #[test]
     fn clones_are_independent() {
-        let o = on();
-        let tok = o.flow_begin("x", t(0));
-        let fork = o.clone();
+        let mut o = on();
+        let tok = 1;
+        o.flow_begin(tok, "x", t(0));
+        let mut fork = o.clone();
         o.flow_complete(tok, t(1));
         o.finish();
         assert!(o.is_clean());

@@ -6,12 +6,11 @@ use vrio_block::{BlockKind, BlockRequest};
 use vrio_hv::IoModel;
 use vrio_net::{reassemble_train, segment_message_into, MTU_VRIO_JUMBO};
 use vrio_sim::{Engine, Reserved, SimDuration, SimTime};
-use vrio_trace::{SpanId, Stage};
+use vrio_trace::Stage;
 
 use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
 use super::{req_track, BlkOutcome, HasTestbed, Testbed};
 use crate::interpose::Direction;
-use crate::oracle::FlowToken;
 use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 use crate::transport::{Attempt, ResponseAction, TimeoutAction};
 
@@ -30,8 +29,9 @@ pub(super) struct BlkReq {
     /// only a vRIO retransmission encodes the message anew.
     msg: Bytes,
     t0: SimTime,
-    span: SpanId,
-    flow: FlowToken,
+    /// The request's id: its trace span's and oracle ledger entry's, the
+    /// same across all its attempts.
+    id: u64,
     /// The world's name for the request ([`HasTestbed::on_blk`]).
     tag: u64,
     /// vRIO: the transport's record of the latest attempt, whose timer
@@ -123,12 +123,12 @@ fn queue_next<W: HasTestbed>(timers: &mut [RetxTimer], eng: &mut Engine<W>) {
 fn complete<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, status: u8, read: &[u8]) {
     let tb = w.tb();
     let b = &tb.blks[blk];
-    let (vm, id, head, t0, span, flow, tag) = (b.vm, b.req.id, b.head, b.t0, b.span, b.flow, b.tag);
+    let (vm, req_id, head, t0, id, tag) = (b.vm, b.req.id, b.head, b.t0, b.id, b.tag);
     let mut reaped = std::mem::take(&mut tb.blk_reaped);
     let rings = tb.rings(vm);
     rings.blk_complete(head, status, read).expect("complete");
     rings.blk_reap_into(&mut reaped).expect("reap");
-    let own = reaped.iter().position(|c| c.id == id);
+    let own = reaped.iter().position(|c| c.id == req_id);
     let c = reaped.swap_remove(own.expect("own completion"));
     reaped.clear();
     tb.blk_reaped = reaped;
@@ -136,9 +136,9 @@ fn complete<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize, status: u
     if status == vrio_virtio::BLK_S_IOERR {
         tb.trace.instant("blk_device_error", req_track(vm), now);
     }
-    tb.trace.end(span, now);
+    tb.trace.end(id, now);
     // The oracle observes the completion exactly when the guest does.
-    tb.oracle.flow_complete(flow, now);
+    tb.oracle.flow_complete(id, now);
     w.on_blk(
         eng,
         tag,
@@ -173,11 +173,10 @@ pub(super) fn vrio_send<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usiz
     arm(w, eng, blk, timeout);
 }
 
-/// What a back end executes for one block attempt, kept in the
-/// testbed's attempt table until it runs or its flow stops. Each attempt
-/// has its own, because two attempts of one request can be in flight at
-/// once, and an attempt can still reach its back end after its request
-/// completed.
+/// What a back end executes for one block attempt, carried by the
+/// attempt's flow until it runs or the flow stops. Each attempt has its
+/// own, because two attempts of one request can be in flight at once, and
+/// an attempt can still reach its back end after its request completed.
 #[derive(Clone)]
 pub(super) struct BlkExec {
     vm: usize,
@@ -338,18 +337,14 @@ pub fn blk_request<W: HasTestbed>(
     );
     let t0 = eng.now();
     let costs = tb.config.costs.clone();
-    let span = tb
-        .trace
-        .begin("blk", req_track(vm), Stage::GuestEnqueue, t0);
-    let flow = tb.oracle.flow_begin("blk", t0);
+    let id = tb.begin_request("blk", vm, Stage::GuestEnqueue, t0);
 
     // The front-end publishes the request on the real virtio ring; the
     // local back-end half (sidecore/vhost/transport) fetches it at once,
     // straight into the vRIO message after its header and request id.
-    let id = req.id.0.to_le_bytes();
     let mut msg = Vec::with_capacity(BLK_MSG_PREFIX + req.data.len());
     msg.extend_from_slice(&[0; VRIO_HDR_SIZE]);
-    msg.extend_from_slice(&id);
+    msg.extend_from_slice(&req.id.0.to_le_bytes());
     let rings = tb.rings(vm);
     rings.blk_submit(&req).expect("blk ring slot");
     let (head, _hdr) = rings
@@ -363,7 +358,7 @@ pub fn blk_request<W: HasTestbed>(
         tb.count(CounterKind::Exit);
         submit_work += costs.exit;
     }
-    let mut prologue = tb.program(span, flow);
+    let mut prologue = tb.program(id);
     prologue.push(Step::ChargeVm(vm, submit_work));
 
     let mut b = BlkReq {
@@ -372,8 +367,7 @@ pub fn blk_request<W: HasTestbed>(
         head,
         msg: Bytes::new(),
         t0,
-        span,
-        flow,
+        id,
         tag,
         attempt: Attempt::default(),
         holders: 1,
@@ -401,12 +395,12 @@ pub fn blk_request<W: HasTestbed>(
 pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let tb = w.tb();
     let b = &tb.blks[blk];
-    let (vm, span, flow) = (b.vm, b.span, b.flow);
+    let (vm, id) = (b.vm, b.id);
     let (req, fetched) = (b.req.clone(), b.msg.slice(BLK_MSG_PREFIX..));
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
     let backend = tb.pick_backend_at(vm, 0); // local models: iohost unused
-    let mut s = tb.program(span, flow);
+    let mut s = tb.program(id);
     s.mark(Stage::Backend);
 
     let moved = moved_bytes(&req);
@@ -438,12 +432,12 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
     let svc = tb.config.block_profile.service_time(req.kind, moved as u64);
     s.mark(Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
-    s.push(tb.blk_execute_step(BlkExec {
+    s.execute(BlkExec {
         vm,
         req,
         data: fetched,
         wire_id: None,
-    }));
+    });
 
     // Completion pass back to the guest.
     s.mark(Stage::Interrupt);
@@ -482,7 +476,7 @@ pub(super) fn local_backend<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: 
 fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let tb = w.tb();
     let b = &tb.blks[blk];
-    let (vm, t0, span, flow) = (b.vm, b.t0, b.span, b.flow);
+    let (vm, t0, id) = (b.vm, b.t0, b.id);
     let (wire_id, req) = (b.attempt.wire_id(), b.req.clone());
     // Transport: the encapsulated message (real bytes: header, request id
     // and payload in one buffer), segmented if needed.
@@ -490,7 +484,7 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let model = tb.config.model;
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
-    let mut s = tb.program(span, flow);
+    let mut s = tb.program(id);
     s.mark(Stage::Encap);
 
     let frags = vrio_net::fragment_count(encoded.len().max(1), MTU_VRIO_JUMBO) as u64;
@@ -551,12 +545,12 @@ fn vrio_attempt<W: HasTestbed>(w: &mut W, eng: &mut Engine<W>, blk: usize) {
     let svc = tb.config.block_profile.service_time(req.kind, moved as u64);
     s.mark(Stage::Device);
     s.push(Step::Charge(CoreRef::Disk(vm), svc));
-    s.push(tb.blk_execute_step(BlkExec {
+    s.execute(BlkExec {
         vm,
         req,
         data: encoded,
         wire_id: Some(wire_id),
-    }));
+    });
     s.push(Step::ReleaseBackend { vm, backend });
 
     // Response path: worker -> wire -> transport -> guest.

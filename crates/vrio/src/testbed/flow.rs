@@ -4,14 +4,13 @@
 
 use bytes::Bytes;
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{DropCause, SpanId, Stage};
+use vrio_trace::{DropCause, Stage};
 
 use super::blk::{self, BlkExec};
 use super::net::NetFlow;
-use super::{HasTestbed, RrOutcome, Testbed};
+use super::{req_track, HasTestbed, RrOutcome, Testbed};
 use crate::admission::Decision;
 use crate::interpose::Direction;
-use crate::oracle::FlowToken;
 use crate::proto::{VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 use crate::transport::ResponseAction;
 
@@ -72,11 +71,11 @@ pub(super) enum Step {
     RingPush(usize),
     /// Mark the packet picked up by its backend (occupancy −1).
     RingPop(usize),
-    /// Record a stage transition on a request's trace span and oracle
-    /// ledger entry. Processed inline (never scheduled), so pushing marks
-    /// into a flow perturbs neither event ordering nor RNG streams —
-    /// traced runs stay bit-identical.
-    Mark(SpanId, FlowToken, Stage),
+    /// Record a stage transition of the flow's request on its trace span
+    /// and oracle ledger entry. Processed inline (never scheduled), so
+    /// pushing marks into a flow perturbs neither event ordering nor RNG
+    /// streams — traced runs stay bit-identical.
+    Mark(Stage),
     /// A net frame for VM `vm` reaches IOhost worker `backend`
     /// ([`Testbed::iohost_arrival`]). A drop ends the flow and closes its
     /// records ([`Next::Lost`]): the request is lost, and TCP above
@@ -85,9 +84,9 @@ pub(super) enum Step {
     /// A block frame reaches the IOhost, through the same gate. A drop
     /// ends only this attempt; the retransmission timer recovers it.
     BlkArrival { vm: usize, backend: usize },
-    /// Hand the frame in slot `i` of the testbed's rx frame table to the
-    /// guest's rx ring ([`Testbed::deliver_rx`]).
-    DeliverRx(usize),
+    /// Hand the frame the flow carries to the guest's rx ring
+    /// ([`Testbed::deliver_rx`]).
+    DeliverRx,
     /// The guest transmits the canonical `len`-byte response. When its tx
     /// ring is full, the request is shed ([`DropCause::ShedQueue`]).
     SendTx { vm: usize, len: usize },
@@ -99,10 +98,9 @@ pub(super) enum Step {
     InterposeTx,
     /// Release VM `vm`'s steering designation on `backend`.
     ReleaseBackend { vm: usize, backend: usize },
-    /// Execute the block attempt in slot `i` of the testbed's attempt
-    /// table on the store ([`Testbed::blk_execute`]); a read's data
-    /// becomes the flow's data.
-    BlkExecute(usize),
+    /// Execute the block attempt the flow carries on the store
+    /// ([`Testbed::blk_execute`]); a read's data becomes the flow's data.
+    BlkExecute,
     /// VM `vm`'s transport receives the response to attempt `wire_id` of
     /// the block request in slot `blk` ([`Testbed::blk_response`]):
     /// anything but the accepted response of the request's outstanding
@@ -114,11 +112,11 @@ pub(super) enum Step {
 }
 
 // Flows keep their steps in a `Vec`, so steps stay this small and plain:
-// the large payloads, an rx frame and a block attempt, wait in testbed
-// tables that the steps name by index. Steps, flow tables and block
-// tables hold no shared or thread-bound state, and neither does the
-// testbed as a whole: it owns its observers, so it and its engine clone
-// into an independent fork of the run.
+// a flow's request id and the one large payload it carries, an rx frame
+// or a block attempt, wait in its slot, where the steps find them. Steps,
+// flow tables and block tables hold no shared or thread-bound state, and
+// neither does the testbed as a whole: it owns its observers, so it and
+// its engine clone into an independent fork of the run.
 const _: () = {
     assert!(std::mem::size_of::<Step>() <= 32);
     const fn assert_copy<T: Copy>() {}
@@ -127,8 +125,6 @@ const _: () = {
     assert_send::<Step>();
     assert_send::<FlowTable>();
     assert_send::<Slab<blk::BlkReq>>();
-    assert_send::<Slab<RxFrame>>();
-    assert_send::<Slab<BlkExec>>();
     assert_send::<Testbed>();
     const fn assert_clone<T: Clone>() {}
     assert_clone::<Testbed>();
@@ -168,13 +164,26 @@ pub(super) enum FlowEnd {
     BlkDone(usize),
 }
 
+/// The one large payload a flow carries to the data step that takes it.
+/// No flow carries more than one: a frame for the guest or a block
+/// attempt.
+#[derive(Clone)]
+pub(super) enum Payload {
+    /// The frame its [`Step::DeliverRx`] hands the guest.
+    Rx(RxFrame),
+    /// The attempt its [`Step::BlkExecute`] executes.
+    Blk(BlkExec),
+}
+
 /// A flow's step program under construction.
 pub(super) struct Program {
     steps: Vec<Step>,
-    /// The span and ledger entry stage marks go to; `None` when neither
-    /// the tracer nor the oracle is on, so the program carries no marks
-    /// at all.
-    marks: Option<(SpanId, FlowToken)>,
+    /// Whether the tracer or the oracle is on; when neither is, the
+    /// program carries no marks at all.
+    marks: bool,
+    /// The request the flow's marks go to.
+    id: u64,
+    payload: Option<Payload>,
 }
 
 // The flows that compile programs are generic over the world, so they are
@@ -187,12 +196,37 @@ impl Program {
         self.steps.push(step);
     }
 
-    /// Appends a stage transition on the flow's span ([`Step::Mark`]).
+    /// Appends a stage transition of the flow's request ([`Step::Mark`]).
     #[inline]
     pub fn mark(&mut self, stage: Stage) {
-        if let Some((span, flow)) = self.marks {
-            self.steps.push(Step::Mark(span, flow, stage));
+        if self.marks {
+            self.steps.push(Step::Mark(stage));
         }
+    }
+
+    /// Appends the step delivering to VM `vm` the frame `payload`,
+    /// arriving as a vRIO message with the encoded header `vrio_hdr` if
+    /// given ([`RxFrame`]); the program carries the frame until then.
+    pub fn deliver(&mut self, vm: usize, payload: Bytes, vrio_hdr: Option<[u8; VRIO_HDR_SIZE]>) {
+        let frame = RxFrame {
+            vm,
+            payload,
+            vrio_hdr,
+        };
+        self.carry(Payload::Rx(frame));
+        self.steps.push(Step::DeliverRx);
+    }
+
+    /// Appends the step executing block attempt `x`; the program carries
+    /// the attempt until then.
+    pub fn execute(&mut self, x: BlkExec) {
+        self.carry(Payload::Blk(x));
+        self.steps.push(Step::BlkExecute);
+    }
+
+    fn carry(&mut self, payload: Payload) {
+        debug_assert!(self.payload.is_none(), "a flow carries one payload");
+        self.payload = Some(payload);
     }
 
     /// Runs the program as chained engine events: parks it in the
@@ -204,7 +238,9 @@ impl Program {
         let slot = w.tb().flows.insert(Parked {
             steps: self.steps,
             next: 0,
+            id: self.id,
             data: Bytes::new(),
+            payload: self.payload,
             end,
         });
         drive(w, eng, slot, false);
@@ -298,9 +334,10 @@ impl<T> std::ops::IndexMut<usize> for Slab<T> {
 }
 
 /// The flows waiting on the engine. A flow runs in place in its slot: its
-/// steps and data never leave it until the flow ends, and the resume
-/// event carries only the slot index, so once the table and the engine's
-/// heap have grown, a wait allocates nothing.
+/// steps, payload and data never leave it until the flow ends, and the
+/// resume event carries only the slot index, so once the table and the
+/// engine's heap have grown, a wait allocates nothing. Freeing a slot
+/// drops whatever payload its flow still carries.
 pub(super) type FlowTable = Slab<Parked>;
 
 /// One [`FlowTable`] slot.
@@ -309,6 +346,11 @@ pub(super) struct Parked {
     steps: Vec<Step>,
     /// The index of the next step to run.
     next: usize,
+    /// The request the flow's marks go to.
+    id: u64,
+    /// The payload its [`Step::DeliverRx`] or [`Step::BlkExecute`] takes;
+    /// `None` when it carries none, or once that step ran.
+    payload: Option<Payload>,
     /// What the flow's data steps produced: the response a
     /// [`Step::FetchTx`] fetched, or the data a [`Step::BlkExecute`] read.
     data: Bytes,
@@ -381,13 +423,31 @@ fn after(now: SimTime, d: SimDuration) -> Next {
 }
 
 impl Testbed {
+    /// Mints the next request id, counting from 1, and opens request
+    /// `kind`'s trace span and oracle ledger entry under it at `t0`: the
+    /// one name the request's observers know it by.
+    pub(super) fn begin_request(
+        &mut self,
+        kind: &'static str,
+        vm: usize,
+        stage: Stage,
+        t0: SimTime,
+    ) -> u64 {
+        self.requests += 1;
+        let id = self.requests;
+        self.trace.begin(id, kind, req_track(vm), stage, t0);
+        self.oracle.flow_begin(id, kind, t0);
+        id
+    }
+
     /// An empty program, on recycled step storage, whose stage marks go
-    /// to `span` and to the oracle's entry `flow`.
-    pub(super) fn program(&mut self, span: SpanId, flow: FlowToken) -> Program {
-        let tracing = self.trace.enabled() || self.oracle.enabled();
+    /// to request `id`.
+    pub(super) fn program(&mut self, id: u64) -> Program {
         Program {
             steps: self.step_pool.pop().unwrap_or_default(),
-            marks: tracing.then_some((span, flow)),
+            marks: self.trace.enabled() || self.oracle.enabled(),
+            id,
+            payload: None,
         }
     }
 
@@ -400,47 +460,21 @@ impl Testbed {
         }
     }
 
-    /// A step delivering to VM `vm` the frame `payload`, arriving as a
-    /// vRIO message with the encoded header `vrio_hdr` if given
-    /// ([`RxFrame`]). The frame waits in the rx frame table until the
-    /// step runs or its flow ends early.
-    pub(super) fn deliver_step(
-        &mut self,
-        vm: usize,
-        payload: Bytes,
-        vrio_hdr: Option<[u8; VRIO_HDR_SIZE]>,
-    ) -> Step {
-        let frame = RxFrame {
-            vm,
-            payload,
-            vrio_hdr,
-        };
-        Step::DeliverRx(self.rx_frames.insert(frame))
-    }
-
-    /// A step executing block attempt `x`, which waits in the attempt
-    /// table until the step runs or its flow ends early.
-    pub(super) fn blk_execute_step(&mut self, x: BlkExec) -> Step {
-        Step::BlkExecute(self.blk_execs.insert(x))
-    }
-
     /// Ends a flow that stopped (`how`) before its `unrun` steps ran:
-    /// frees the table slots those steps name, and closes the records of
-    /// a request lost or dropped there, after a drop releasing the
-    /// steering designations the unrun steps hold.
+    /// closes the records of a request lost or dropped there, after a
+    /// drop releasing the steering designations the unrun steps hold.
     fn end_early(&mut self, unrun: &[Step], end: FlowEnd, how: Next, now: SimTime) {
-        for step in unrun {
-            match *step {
-                Step::DeliverRx(i) => drop(self.rx_frames.remove(i)),
-                Step::BlkExecute(i) => drop(self.blk_execs.remove(i)),
-                Step::ReleaseBackend { vm, backend } if matches!(how, Next::Drop(_)) => {
-                    self.release_backend(vm, backend)
+        let cause = match how {
+            Next::Lost(cause) => cause,
+            Next::Drop(cause) => {
+                for step in unrun {
+                    if let Step::ReleaseBackend { vm, backend } = *step {
+                        self.release_backend(vm, backend);
+                    }
                 }
-                _ => {}
+                cause
             }
-        }
-        let (Next::Lost(cause) | Next::Drop(cause)) = how else {
-            return;
+            _ => return,
         };
         let FlowEnd::Rr { net, .. } = end else {
             unreachable!("only request-responses are lost or dropped mid-flow");
@@ -508,10 +542,11 @@ impl Testbed {
                 *p = p.saturating_sub(1);
                 self.worker_poll[b].on_activity(now);
             }
-            Step::Mark(span, flow, stage) => {
-                self.trace.mark(span, stage, now);
+            Step::Mark(stage) => {
+                let id = self.flows[i].id;
+                self.trace.mark(id, stage, now);
                 if self.oracle.enabled() {
-                    self.oracle.on_mark(flow, stage, now);
+                    self.oracle.on_mark(id, stage, now);
                     self.audit_rings();
                 }
             }
@@ -525,8 +560,10 @@ impl Testbed {
                     return Next::Stop;
                 }
             }
-            Step::DeliverRx(f) => {
-                let frame = self.rx_frames.remove(f);
+            Step::DeliverRx => {
+                let Some(Payload::Rx(frame)) = self.flows[i].payload.take() else {
+                    unreachable!("a delivering flow carries its frame");
+                };
                 self.deliver_rx(frame);
             }
             Step::SendTx { vm, len } => {
@@ -543,8 +580,10 @@ impl Testbed {
                 self.flows[i].data = self.interpose_transform(Direction::Outbound, payload);
             }
             Step::ReleaseBackend { vm, backend } => self.release_backend(vm, backend),
-            Step::BlkExecute(x) => {
-                let x = self.blk_execs.remove(x);
+            Step::BlkExecute => {
+                let Some(Payload::Blk(x)) = self.flows[i].payload.take() else {
+                    unreachable!("an executing flow carries its attempt");
+                };
                 self.flows[i].data = self.blk_execute(x);
             }
             Step::RetxAccept { vm, blk, wire_id } => {
@@ -662,14 +701,16 @@ mod tests {
     }
 
     /// Runs one lifecycle mark and returns the oracle checks it made. The
-    /// mark belongs to no flow, so every check is a queue audit; it runs
-    /// as the one step of a flow parked for it.
+    /// mark belongs to no request (id 0), so every check is a queue
+    /// audit; it runs as the one step of a flow parked for it.
     fn mark(tb: &mut Testbed) -> u64 {
         let before = tb.oracle.checks();
         let i = tb.flows.insert(Parked {
-            steps: vec![Step::Mark(SpanId::NONE, FlowToken::NONE, Stage::Wire)],
+            steps: vec![Step::Mark(Stage::Wire)],
             next: 0,
+            id: 0,
             data: Bytes::new(),
+            payload: None,
             end: FlowEnd::BlkDone(0),
         });
         assert!(matches!(tb.advance(i, SimTime::ZERO), Next::Go));
@@ -794,17 +835,11 @@ mod tests {
         assert!(retx.device_errors > 0, "no block request gave up");
         assert!(retx.stale_responses > 0, "no response was stale");
         assert_eq!(retx.block_completed + retx.device_errors, 400);
-        // Drained: nothing parked, no block request left in the table, no
-        // payload left waiting for a step, and every span closed, those
-        // of requests lost at the arrival gate included.
+        // Drained: nothing parked (so no payload left waiting for a
+        // step), no block request left in the table, and every span
+        // closed, those of requests lost at the arrival gate included.
         assert_eq!(tb.flows.occupied(), 0, "parked flows outlived the run");
         assert_eq!(tb.blks.occupied(), 0, "block requests outlived the run");
-        assert_eq!(tb.rx_frames.occupied(), 0, "rx frames outlived the run");
-        assert_eq!(
-            tb.blk_execs.occupied(),
-            0,
-            "block attempts outlived the run"
-        );
         assert_eq!(tb.trace.open_spans(), 0, "spans outlived the run");
         assert!(
             tb.retx_timers.iter().all(Vec::is_empty),
@@ -829,7 +864,7 @@ mod tests {
         config.retx.initial_timeout = SimDuration::micros(200);
         config.trace = vrio_trace::TraceConfig::memory();
         config.oracle = OracleConfig::on();
-        let tb = drain_lossy(config);
+        let mut tb = drain_lossy(config);
         tb.oracle.finish();
         let retx = tb.reliability_report();
         assert!(retx.stale_responses > 0, "no attempt was overtaken");

@@ -44,7 +44,7 @@ use crate::proto::DeviceId;
 use crate::transport::{BlockRetx, RetxConfig};
 
 pub use blk::blk_request;
-use flow::{CoreRef, CounterKind, FlowTable, RxFrame, Slab, Step};
+use flow::{CoreRef, CounterKind, FlowTable, Slab, Step};
 pub use net::{net_request_response, stream_batch};
 
 /// Gives the engine world access to the embedded [`Testbed`] and hands it
@@ -619,13 +619,12 @@ pub struct Testbed {
     flows: FlowTable,
     /// The block requests in flight.
     blks: Slab<blk::BlkReq>,
-    /// Frames waiting for the [`Step::DeliverRx`] that names them.
-    rx_frames: Slab<RxFrame>,
+    /// The id of the last request begun (`Testbed::begin_request`):
+    /// requests are numbered from 1 in the order they begin.
+    requests: u64,
     /// What the guest read of the last frame delivered to it; kept for
     /// its capacity.
     rx_read: Vec<u8>,
-    /// Block attempts waiting for the [`Step::BlkExecute`] that names them.
-    blk_execs: Slab<blk::BlkExec>,
     /// Per VM: the armed retransmission timers of its block requests.
     retx_timers: Vec<Vec<blk::RetxTimer>>,
     /// Block completions just reaped; kept for its capacity.
@@ -787,9 +786,8 @@ impl Testbed {
             step_pool: Vec::new(),
             flows: FlowTable::default(),
             blks: Slab::default(),
-            rx_frames: Slab::default(),
+            requests: 0,
             rx_read: Vec::new(),
-            blk_execs: Slab::default(),
             retx_timers: vec![Vec::new(); config.num_vms],
             blk_reaped: Vec::new(),
             trace,

@@ -5,48 +5,45 @@ use bytes::Bytes;
 use vrio_hv::IoModel;
 use vrio_net::MTU_VRIO_JUMBO;
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{DropCause, SpanId, Stage};
+use vrio_trace::{DropCause, Stage};
 
 use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
-use super::{req_track, HasTestbed, Testbed};
+use super::{HasTestbed, Testbed};
 use crate::health::Route;
 use crate::interpose::Direction;
-use crate::oracle::FlowToken;
 use crate::proto::{DeviceId, VrioMsg, VrioMsgKind, VRIO_HDR_SIZE};
 
-/// One net request's observer records: its trace span, oracle ledger
-/// entry and SLO tenant.
+/// One net request's observer records: its SLO tenant and the id of its
+/// trace span and oracle ledger entry.
 #[derive(Clone, Copy)]
 pub(super) struct NetFlow {
     vm: usize,
     t0: SimTime,
-    span: SpanId,
-    flow: FlowToken,
+    id: u64,
 }
 
 impl NetFlow {
     /// Opens the request's records at `t0`.
     fn begin(tb: &mut Testbed, kind: &'static str, vm: usize, stage: Stage, t0: SimTime) -> Self {
-        let span = tb.trace.begin(kind, req_track(vm), stage, t0);
-        let flow = tb.oracle.flow_begin(kind, t0);
+        let id = tb.begin_request(kind, vm, stage, t0);
         tb.slo.offer(vm);
-        NetFlow { vm, t0, span, flow }
+        NetFlow { vm, t0, id }
     }
 
     /// Closes the records of a request completed at `now`, returning its
     /// latency.
     pub(super) fn complete(self, tb: &mut Testbed, now: SimTime) -> SimDuration {
         let latency = now - self.t0;
-        tb.trace.end(self.span, now);
-        tb.oracle.flow_complete(self.flow, now);
+        tb.trace.end(self.id, now);
+        tb.oracle.flow_complete(self.id, now);
         tb.slo.complete(self.vm, latency.as_micros_f64());
         latency
     }
 
     /// Closes the records of a request dropped at `now` for `cause`.
     pub(super) fn dropped(self, tb: &mut Testbed, cause: DropCause, now: SimTime) {
-        tb.trace.abort(self.span);
-        tb.oracle.flow_drop(self.flow, now);
+        tb.trace.abort(self.id);
+        tb.oracle.flow_drop(self.id, now);
         tb.slo.record_drop(self.vm, cause);
     }
 
@@ -105,7 +102,7 @@ pub fn net_request_response<W: HasTestbed>(
     // under Apache-style transactions, Fig 5/12).
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
 
-    let mut s = tb.program(f.span, f.flow);
+    let mut s = tb.program(f.id);
 
     // 1. Generator sends the request.
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
@@ -121,7 +118,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.nic_dma));
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
-            s.push(tb.deliver_step(vm, req.clone(), None));
+            s.deliver(vm, req.clone(), None);
             s.mark(Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
@@ -138,7 +135,7 @@ pub fn net_request_response<W: HasTestbed>(
             let Some(fwd) = fwd else {
                 return f.firewalled(tb);
             };
-            s.push(tb.deliver_step(vm, fwd, None));
+            s.deliver(vm, fwd, None);
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
             s.mark(Stage::Interrupt);
@@ -201,7 +198,7 @@ pub fn net_request_response<W: HasTestbed>(
             s.push(Step::Fixed(costs.eli_delivery));
             s.push(Step::Count(CounterKind::GuestIntr));
             // Transport decapsulates (real decode) and hands to front-end.
-            s.push(tb.deliver_step(vm, msg.payload, Some(msg.hdr.encode())));
+            s.deliver(vm, msg.payload, Some(msg.hdr.encode()));
             s.mark(Stage::Interrupt);
             let w1 = tb.jitter(costs.guest_interrupt + costs.vrio_decap + costs.guest_stack_rx);
             s.push(Step::ChargeVm(vm, w1));
@@ -218,7 +215,7 @@ pub fn net_request_response<W: HasTestbed>(
             let Some(fwd) = fwd else {
                 return f.firewalled(tb);
             };
-            s.push(tb.deliver_step(vm, fwd, None));
+            s.deliver(vm, fwd, None);
             s.push(Step::Count(CounterKind::Injection));
             s.push(Step::Charge(
                 CoreRef::Backend(backend),
@@ -403,7 +400,7 @@ fn fallback_request_response<W: HasTestbed>(
     let t0 = eng.now();
     let f = NetFlow::begin(tb, "net_rr_fallback", vm, Stage::Generator, t0);
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
-    let mut s = tb.program(f.span, f.flow);
+    let mut s = tb.program(f.id);
 
     let gen_work = tb.jitter(costs.generator_stack) + tb.gen_extra(vm);
     s.push(Step::Charge(CoreRef::Gen(vm), gen_work));
@@ -422,7 +419,7 @@ fn fallback_request_response<W: HasTestbed>(
     );
     s.push(Step::Count(CounterKind::Injection));
     s.push(Step::ChargeVm(vm, w_in));
-    s.push(tb.deliver_step(vm, req.clone(), None));
+    s.deliver(vm, req.clone(), None);
     s.push(Step::Count(CounterKind::GuestIntr));
     s.push(Step::Count(CounterKind::Exit)); // EOI
     s.mark(Stage::Interrupt);
@@ -487,7 +484,7 @@ pub fn stream_batch<W: HasTestbed>(
     // Coarse three-stage span: guest batch production, backend+wire
     // traversal, generator-side receive.
     let f = NetFlow::begin(tb, "stream_batch", vm, Stage::GuestEnqueue, t0);
-    let mut s = tb.program(f.span, f.flow);
+    let mut s = tb.program(f.id);
 
     // Guest produces the batch.
     let mut per_msg = costs.stream_guest_per_msg;

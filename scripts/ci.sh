@@ -23,6 +23,21 @@ if [ -n "$RC" ]; then
     exit 1
 fi
 
+echo "==> observers record through &mut self: no RefCell in production code"
+# The testbed's observers are plain data that record through &mut self,
+# so a world has one owner and no borrow flag on its hot path. Same cut
+# as above. profiler.rs is the one exception: perfbench times
+# Profiler::scope through a shared reference, so its timings sit behind
+# a RefCell.
+REFCELL=$(git ls-files 'crates/*/src/*.rs' | grep -vx 'crates/vrio-sim/src/profiler.rs' \
+    | xargs awk 'FNR==1{stop=0} /^#\[cfg\(test\)\]/{stop=1}
+        !stop && /(^|[^A-Za-z0-9_])RefCell([^A-Za-z0-9_]|$)/{print FILENAME ":" FNR ": " $0}')
+if [ -n "$REFCELL" ]; then
+    echo "$REFCELL"
+    echo "FAIL: RefCell in production code"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
