@@ -9,7 +9,9 @@
 //! the `ReliabilityCounters`, the full SLO ledger, the aggregated
 //! `RingOps` and `channel_drops`. A traced case also folds in its
 //! rendered Chrome trace and the oracle's report, so the request ids
-//! that reach `args.req` and the oracle's accounting are pinned too. A
+//! that reach `args.req` and the oracle's accounting are pinned too; a
+//! sampled case folds in its `TELEM` document and the Chrome trace with
+//! its telemetry as counter tracks, so the telemetry bytes are pinned. A
 //! change in RNG draw order, step order, latency or drop attribution
 //! moves the digest of the cases it touches, which the failure message
 //! names.
@@ -25,11 +27,12 @@ use vrio::{
     EncryptionService, FirewallService, HasTestbed, OracleConfig, Outage, RetxConfig, RrOutcome,
     Testbed, TestbedConfig,
 };
+use vrio_bench::telemetry_bundle;
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{render_chrome_trace, DropCause, TraceConfig};
+use vrio_trace::{render_chrome_trace_with_counters, DropCause, TelemetryConfig, TraceConfig};
 
 /// The digest accumulator: 64-bit FNV-1a.
 struct Digest(u64);
@@ -152,8 +155,17 @@ fn run_case(
     d.u64(rep.flows_begun);
     d.u64(rep.flows_completed);
     d.u64(rep.flows_dropped);
+    if tb.telemetry.enabled() {
+        let telem = tb.telemetry.export();
+        let doc = telemetry_bundle(&[("vrio".to_string(), telem.clone())]);
+        d.bytes(doc.render_pretty().as_bytes());
+    }
     if tb.trace.enabled() {
-        d.bytes(render_chrome_trace(&[tb.trace.export()]).as_bytes());
+        // Telemetry off exports no tracks, and so no counter events.
+        let telem = tb.telemetry.export();
+        let trace = tb.trace.export();
+        let pid = trace.pid;
+        d.bytes(render_chrome_trace_with_counters(&[trace], &[(pid, &telem)]).as_bytes());
         d.bytes(format!("{rep:?}").as_bytes());
     }
     d.0
@@ -259,6 +271,15 @@ fn encrypting(tb: &mut Testbed) {
 fn firewalled(tb: &mut Testbed) {
     tb.chain
         .push(Box::new(FirewallService::new(vec![b"EVIL".to_vec()])));
+}
+
+/// Samples the world's telemetry on its fixed grid through the horizon.
+fn sample_telemetry_grid(w: &mut World, eng: &mut Engine<World>) {
+    fn sample(w: &mut World, eng: &mut Engine<World>, _: u64) {
+        w.tb.sample_telemetry(eng.now());
+    }
+    let interval = w.tb.telemetry.interval().expect("telemetry on");
+    eng.schedule_series(SimTime::ZERO + interval, interval, w.deadline, sample, 0);
 }
 
 fn no_setup(_: &mut Testbed) {}
@@ -522,6 +543,51 @@ fn all_cases() -> Vec<(String, u64)> {
                 let rel = tb.reliability_report();
                 assert!(rel.device_errors > 0, "no device error: {rel:?}");
                 assert!(rel.injected_delay_spikes > 0 && rel.injected_duplicates > 0);
+                assert_eq!(tb.trace.dropped(), 0, "the trace ring overflowed");
+            },
+        );
+        out.push((name, d));
+    }
+
+    {
+        // A sampled and traced two-worker vRIO rack with RR and block
+        // traffic under bursty loss and delay spikes: its TELEM document
+        // and the Chrome trace with telemetry counter tracks.
+        let name = "telem_mixed_rr_blk_vrio".to_string();
+        let mut c = base(IoModel::Vrio, 4);
+        c.trace = TraceConfig::memory();
+        c.telemetry = TelemetryConfig::sampling(SimDuration::micros(50));
+        c.faults = FaultConfig {
+            ge: Some(GeConfig {
+                p_good_to_bad: 0.05,
+                p_bad_to_good: 0.2,
+                loss_good: 0.01,
+                loss_bad: 0.6,
+            }),
+            delay_spike_prob: 0.05,
+            delay_spike: SimDuration::micros(80),
+            duplicate_prob: 0.0,
+        };
+        c.retx = RetxConfig {
+            initial_timeout: SimDuration::micros(300),
+            min_rto: SimDuration::micros(100),
+            ..RetxConfig::default()
+        };
+        let d = run_case(
+            &name,
+            c,
+            ms(4),
+            no_setup,
+            |w, eng| {
+                sample_telemetry_grid(w, eng);
+                open_loop_rr(w, eng, SimDuration::micros(30), mixed_resp_len, plain_req);
+                start_blk_loops(w, eng, 0..4);
+            },
+            |tb| {
+                assert_eq!(tb.backends.len(), 2, "a two-worker rack");
+                let rel = tb.reliability_report();
+                assert!(rel.injected_losses > 0 && rel.injected_delay_spikes > 0);
+                assert!(rel.retransmissions > 0, "no block retransmission");
                 assert_eq!(tb.trace.dropped(), 0, "the trace ring overflowed");
             },
         );
