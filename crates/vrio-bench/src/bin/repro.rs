@@ -231,7 +231,7 @@ fn main() {
                 let doc = with_experiment(rep.json.clone(), name);
                 outputs.write(format!("{dir}/BENCH_{name}.json"), &doc.render_pretty());
                 if let Some(telem) = &rep.telemetry {
-                    outputs.write(format!("{dir}/TELEM_{name}.json"), &telem.render_pretty());
+                    outputs.write(format!("{dir}/TELEM_{name}.json"), telem);
                 }
                 if let Some(prof) = &rep.profile {
                     outputs.write(format!("{dir}/PROF_{name}.json"), &prof.render_pretty());
@@ -257,7 +257,7 @@ fn main() {
         if telemetry {
             outputs.write(
                 format!("{dir}/TELEM_sweep_{}.json", spec.name),
-                &telemetry_bundle(&sweep.telemetry_runs()).render_pretty(),
+                &telemetry_bundle(&sweep.telemetry_runs()),
             );
         }
         ran += 1;
@@ -277,14 +277,19 @@ fn main() {
             &chaos.to_json().render_pretty(),
         );
         if telemetry {
-            let runs: Vec<_> = chaos
+            let names: Vec<String> = chaos
                 .replicas
                 .iter()
-                .map(|r| (format!("r{}", r.replica), r.telemetry.clone()))
+                .map(|r| format!("r{}", r.replica))
+                .collect();
+            let runs: Vec<_> = names
+                .iter()
+                .zip(&chaos.replicas)
+                .map(|(name, r)| (name.as_str(), &r.telemetry))
                 .collect();
             outputs.write(
                 format!("{dir}/TELEM_chaos_{}.json", campaign.name),
-                &telemetry_bundle(&runs).render_pretty(),
+                &telemetry_bundle(&runs),
             );
         }
         ran += 1;

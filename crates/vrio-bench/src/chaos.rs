@@ -544,7 +544,7 @@ pub fn run_replica(c: &ChaosCampaign, replica: usize) -> ReplicaResult {
         handoffs: w.tb.handoffs,
         report: w.tb.reliability_report(),
         slo: w.tb.slo.clone(),
-        telemetry: w.tb.telemetry.export(),
+        telemetry: std::mem::take(&mut w.tb.telemetry).export(),
         buckets,
     }
 }
@@ -975,7 +975,7 @@ mod tests {
                 .telemetry
                 .track("health.vmhost0.route")
                 .expect("route track sampled");
-            assert!(!route.points.is_empty());
+            assert!(!route.values.is_empty());
         }
         for r in &off.replicas {
             assert!(r.telemetry.tracks.is_empty());
@@ -998,7 +998,7 @@ mod tests {
             let r = run_replica(&c, 0);
             assert_eq!(r.buckets.len(), c.num_buckets());
             let route = r.telemetry.track("health.vmhost0.route").unwrap();
-            let ticks: Vec<u64> = route.points.iter().map(|&(t, _)| t).collect();
+            let ticks: Vec<u64> = route.points(&r.telemetry.times).map(|(t, _)| t).collect();
             let want: Vec<u64> = (1..=c.num_buckets() as u64)
                 .map(|k| (c.bucket.as_nanos() * k).min(c.horizon.as_nanos()))
                 .collect();

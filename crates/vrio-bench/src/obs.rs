@@ -12,7 +12,7 @@ use vrio::{OracleConfig, TestbedConfig};
 use vrio_hv::IoModel;
 use vrio_sim::{ProfReport, SimDuration};
 use vrio_trace::{
-    render_chrome_trace_with_counters, Json, MetricsRegistry, Stage, TelemetryConfig,
+    render_chrome_trace_with_counters, Json, MetricsRegistry, RequestKind, Stage, TelemetryConfig,
     TelemetryExport, TraceConfig, TraceExport, REPORT_SCHEMA_VERSION,
 };
 use vrio_workloads::netperf_rr;
@@ -32,9 +32,9 @@ pub struct ObsReport {
     /// Chrome trace-event JSON array (load in Perfetto / `chrome://tracing`).
     /// With telemetry enabled it additionally carries counter tracks.
     pub chrome: String,
-    /// The `TELEM_*.json` bundle (one run per model), when telemetry
-    /// sampling was requested.
-    pub telemetry: Option<Json>,
+    /// The rendered `TELEM_*.json` bundle (one run per model), when
+    /// telemetry sampling was requested.
+    pub telemetry: Option<String>,
     /// The `PROF_*.json` bundle (wall-clock; never byte-diffed), when
     /// self-profiling was requested.
     pub profile: Option<Json>,
@@ -65,7 +65,7 @@ pub fn latency_breakdown_instrumented(
     let mut exports: Vec<TraceExport> = Vec::new();
     let mut models: Vec<(String, Json)> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut telem_runs: Vec<(String, TelemetryExport)> = Vec::new();
+    let mut telem_runs: Vec<(&str, TelemetryExport)> = Vec::new();
     let mut prof_runs: Vec<(String, ProfReport)> = Vec::new();
 
     for model in IoModel::ALL {
@@ -83,7 +83,7 @@ pub fn latency_breakdown_instrumented(
             r.oracle.assert_clean(model.name());
         }
         if telemetry {
-            telem_runs.push((model.name().to_string(), r.telemetry.clone()));
+            telem_runs.push((model.name(), r.telemetry));
         }
         if profile {
             prof_runs.push((model.name().to_string(), r.profile.clone()));
@@ -95,7 +95,7 @@ pub fn latency_breakdown_instrumented(
 
         let breakdown = r.trace.breakdown();
         let kb = breakdown
-            .kind("net_rr")
+            .kind(RequestKind::NetRr)
             .expect("traced RR run records net_rr spans");
 
         let mut row = vec![model.to_string()];
@@ -146,6 +146,8 @@ pub fn latency_breakdown_instrumented(
         .map(|(pid, (_, export))| (pid as u32, export))
         .collect();
     let chrome = render_chrome_trace_with_counters(&exports, &counters);
+    let telem_runs: Vec<(&str, &TelemetryExport)> =
+        telem_runs.iter().map(|(name, run)| (*name, run)).collect();
 
     ObsReport {
         text,
@@ -218,7 +220,7 @@ mod tests {
         );
         assert!(plain.telemetry.is_none() && plain.profile.is_none());
         // The bundles carry one run per model.
-        let telem = inst.telemetry.expect("telemetry bundle");
+        let telem = Json::parse(&inst.telemetry.expect("telemetry bundle")).unwrap();
         let runs = telem.get("runs").expect("runs");
         for model in IoModel::ALL {
             let run = runs.get(model.name()).expect("per-model telemetry run");

@@ -673,14 +673,14 @@ impl SweepResult {
         m
     }
 
-    /// The per-scenario telemetry exports, keyed by scenario key in
-    /// expansion order — the input shape of `telemetry_bundle`. Empty
-    /// exports (telemetry off) are skipped.
-    pub fn telemetry_runs(&self) -> Vec<(String, TelemetryExport)> {
+    /// The per-scenario telemetry exports, borrowed and keyed by scenario
+    /// key in expansion order — the input shape of `telemetry_bundle`.
+    /// Empty exports (telemetry off) are skipped.
+    pub fn telemetry_runs(&self) -> Vec<(&str, &TelemetryExport)> {
         self.results
             .iter()
             .filter(|r| !r.telemetry.tracks.is_empty())
-            .map(|r| (r.key.clone(), r.telemetry.clone()))
+            .map(|r| (r.key.as_str(), &r.telemetry))
             .collect()
     }
 

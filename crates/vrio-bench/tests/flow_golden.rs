@@ -27,12 +27,13 @@ use vrio::{
     EncryptionService, FirewallService, HasTestbed, OracleConfig, Outage, RetxConfig, RrOutcome,
     Testbed, TestbedConfig,
 };
-use vrio_bench::telemetry_bundle;
 use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{render_chrome_trace_with_counters, DropCause, TelemetryConfig, TraceConfig};
+use vrio_trace::{
+    render_chrome_trace_with_counters, telemetry_bundle, DropCause, TelemetryConfig, TraceConfig,
+};
 
 /// The digest accumulator: 64-bit FNV-1a.
 struct Digest(u64);
@@ -155,14 +156,12 @@ fn run_case(
     d.u64(rep.flows_begun);
     d.u64(rep.flows_completed);
     d.u64(rep.flows_dropped);
-    if tb.telemetry.enabled() {
-        let telem = tb.telemetry.export();
-        let doc = telemetry_bundle(&[("vrio".to_string(), telem.clone())]);
-        d.bytes(doc.render_pretty().as_bytes());
+    // Telemetry off exports no tracks, and so no counter events.
+    let telem = std::mem::take(&mut tb.telemetry).export();
+    if !telem.tracks.is_empty() {
+        d.bytes(telemetry_bundle(&[("vrio", &telem)]).as_bytes());
     }
     if tb.trace.enabled() {
-        // Telemetry off exports no tracks, and so no counter events.
-        let telem = tb.telemetry.export();
         let trace = tb.trace.export();
         let pid = trace.pid;
         d.bytes(render_chrome_trace_with_counters(&[trace], &[(pid, &telem)]).as_bytes());

@@ -70,7 +70,7 @@ fn sampler_is_bit_identical_under_ge_faults_and_stream_load() {
         .telemetry
         .track("retx.outstanding")
         .expect("retransmission gauge sampled");
-    assert!(!retx.points.is_empty());
+    assert!(!retx.values.is_empty());
 
     // Same property for the stream path (no reliability export there, so
     // the bit-identity check rides goodput and message counts).
@@ -105,9 +105,9 @@ fn sampled_tracks_cover_the_steering_and_ring_planes() {
         let track = ex
             .track(name)
             .unwrap_or_else(|| panic!("track {name} missing"));
-        assert!(!track.points.is_empty(), "{name} has no points");
+        assert!(!track.values.is_empty(), "{name} has no points");
         // Points land on the 50 µs grid the config asked for.
-        for &(t_ns, _) in &track.points {
+        for (t_ns, _) in track.points(&ex.times) {
             assert_eq!(t_ns % 50_000, 0, "{name} sampled off-grid at {t_ns}ns");
         }
     }

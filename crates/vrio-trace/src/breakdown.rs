@@ -14,7 +14,7 @@ use vrio_sim::{OnlineStats, SimDuration};
 
 use crate::hist::LogHistogram;
 use crate::json::Json;
-use crate::tracer::{Stage, NUM_STAGES};
+use crate::tracer::{RequestKind, Stage, NUM_STAGES};
 
 /// Version stamped into every JSON report this crate emits. Bump on any
 /// key rename/removal; additions are allowed without a bump.
@@ -30,7 +30,7 @@ pub struct StageAcc {
     pub hist: LogHistogram,
 }
 
-/// Latency breakdown for one request kind (`"rr"`, `"stream"`, `"blk"`).
+/// Latency breakdown for one [`RequestKind`].
 #[derive(Debug, Clone)]
 pub struct KindBreakdown {
     /// Completed requests folded in.
@@ -124,14 +124,14 @@ impl KindBreakdown {
 /// All per-kind breakdowns recorded by one tracer.
 #[derive(Debug, Clone, Default)]
 pub struct Breakdown {
-    kinds: BTreeMap<&'static str, KindBreakdown>,
+    kinds: BTreeMap<RequestKind, KindBreakdown>,
 }
 
 impl Breakdown {
     /// Folds one completed request into the breakdown.
     pub fn record(
         &mut self,
-        kind: &'static str,
+        kind: RequestKind,
         acc: &[SimDuration; NUM_STAGES],
         total: SimDuration,
     ) {
@@ -148,12 +148,12 @@ impl Breakdown {
     }
 
     /// The breakdown for one request kind, if any requests of it completed.
-    pub fn kind(&self, name: &str) -> Option<&KindBreakdown> {
-        self.kinds.get(name)
+    pub fn kind(&self, kind: RequestKind) -> Option<&KindBreakdown> {
+        self.kinds.get(&kind)
     }
 
-    /// Iterates `(kind, breakdown)` in stable (alphabetical) order.
-    pub fn kinds(&self) -> impl Iterator<Item = (&'static str, &KindBreakdown)> {
+    /// Iterates `(kind, breakdown)` in stable (name) order.
+    pub fn kinds(&self) -> impl Iterator<Item = (RequestKind, &KindBreakdown)> {
         self.kinds.iter().map(|(k, v)| (*k, v))
     }
 }
@@ -170,9 +170,9 @@ mod tests {
             acc[Stage::Wire.index()] = SimDuration::nanos(1000 * i);
             acc[Stage::Backend.index()] = SimDuration::nanos(500 * i);
             let total = SimDuration::nanos(1500 * i);
-            bd.record("rr", &acc, total);
+            bd.record(RequestKind::NetRr, &acc, total);
         }
-        let kb = bd.kind("rr").unwrap();
+        let kb = bd.kind(RequestKind::NetRr).unwrap();
         assert_eq!(kb.completed, 100);
         let rel = (kb.stage_sum_us() - kb.total.mean()).abs() / kb.total.mean();
         assert!(rel < 1e-12, "rel {rel}");
@@ -183,8 +183,8 @@ mod tests {
         let mut bd = Breakdown::default();
         let mut acc = [SimDuration::ZERO; NUM_STAGES];
         acc[Stage::Backend.index()] = SimDuration::micros(10);
-        bd.record("rr", &acc, SimDuration::micros(10));
-        let j = bd.kind("rr").unwrap().to_json();
+        bd.record(RequestKind::NetRr, &acc, SimDuration::micros(10));
+        let j = bd.kind(RequestKind::NetRr).unwrap().to_json();
         for key in [
             "completed",
             "mean_latency_us",

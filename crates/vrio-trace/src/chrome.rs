@@ -92,7 +92,7 @@ pub fn render_chrome_trace_with_counters(
                 TrackKind::Gauge => "vrio.gauge",
                 TrackKind::Counter => "vrio.counter",
             };
-            for &(at, value) in &track.points {
+            for (at, value) in track.points(&telem.times) {
                 events.push(Json::obj(vec![
                     ("ph", Json::str("C")),
                     ("name", Json::str(&track.name)),
@@ -111,7 +111,7 @@ pub fn render_chrome_trace_with_counters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::{Stage, TraceConfig, Tracer};
+    use crate::tracer::{RequestKind, Stage, TraceConfig, Tracer};
     use vrio_sim::SimTime;
 
     #[test]
@@ -120,7 +120,13 @@ mod tests {
         t.set_process(3, "vrio");
         t.set_thread_name(1000, "vm0 requests");
         let s = 1;
-        t.begin(s, "rr", 1000, Stage::GuestEnqueue, SimTime::from_nanos(100));
+        t.begin(
+            s,
+            RequestKind::NetRr,
+            1000,
+            Stage::GuestEnqueue,
+            SimTime::from_nanos(100),
+        );
         t.mark(s, Stage::Wire, SimTime::from_nanos(600));
         t.end(s, SimTime::from_nanos(2100));
         t.instant("sync_exit", 1000, SimTime::from_nanos(150));
@@ -137,7 +143,7 @@ mod tests {
         // The request slice spans the whole lifetime in microseconds.
         let rr = arr
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("rr"))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("net_rr"))
             .unwrap();
         assert_eq!(rr.get("ts").and_then(Json::as_f64), Some(0.1));
         assert_eq!(rr.get("dur").and_then(Json::as_f64), Some(2.0));

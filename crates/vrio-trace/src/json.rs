@@ -176,13 +176,13 @@ impl Json {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
+pub(crate) fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
+pub(crate) fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
@@ -192,7 +192,7 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -30,17 +30,17 @@
 //!
 //! ```
 //! use vrio_sim::SimTime;
-//! use vrio_trace::{render_chrome_trace, Stage, TraceConfig, Tracer};
+//! use vrio_trace::{render_chrome_trace, RequestKind, Stage, TraceConfig, Tracer};
 //!
 //! let mut tracer = Tracer::new(&TraceConfig::memory());
 //! tracer.set_process(0, "vrio");
 //! let req = 1;
-//! tracer.begin(req, "rr", 1000, Stage::GuestEnqueue, SimTime::ZERO);
+//! tracer.begin(req, RequestKind::NetRr, 1000, Stage::GuestEnqueue, SimTime::ZERO);
 //! tracer.mark(req, Stage::Wire, SimTime::from_nanos(700));
 //! tracer.end(req, SimTime::from_nanos(2_000));
 //!
 //! let breakdown = tracer.breakdown();
-//! let rr = breakdown.kind("rr").unwrap();
+//! let rr = breakdown.kind(RequestKind::NetRr).unwrap();
 //! assert!((rr.stage_sum_us() - rr.total.mean()).abs() < 1e-12);
 //!
 //! let chrome = render_chrome_trace(&[tracer.export()]);
@@ -66,9 +66,10 @@ pub use json::{Json, JsonError};
 pub use metrics::MetricsRegistry;
 pub use slo::{DropCause, SloLedger, TenantSlo};
 pub use timeseries::{
-    Sample, Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackId, TrackKind,
-    TELEM_SCHEMA_VERSION,
+    telemetry_bundle, Sample, Telemetry, TelemetryConfig, TelemetryExport, TrackExport, TrackId,
+    TrackKind, TELEM_SCHEMA_VERSION,
 };
 pub use tracer::{
-    EventPhase, Stage, TraceConfig, TraceEvent, TraceExport, TraceSink, Tracer, NUM_STAGES,
+    EventPhase, RequestKind, Stage, TraceConfig, TraceEvent, TraceExport, TraceSink, Tracer,
+    NUM_STAGES,
 };

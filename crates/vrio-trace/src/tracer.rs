@@ -154,6 +154,49 @@ impl std::fmt::Display for Stage {
     }
 }
 
+/// The kind of a request the testbed begins: the name its trace span,
+/// latency-breakdown row and oracle messages carry. Declared in name
+/// order, so the breakdown's rows sort as their names do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RequestKind {
+    /// A block request (`"blk"`).
+    Blk,
+    /// A request-response through the I/O model (`"net_rr"`).
+    NetRr,
+    /// A request-response on the local virtio path while the VMhost's
+    /// IOhosts are out (`"net_rr_fallback"`).
+    NetRrFallback,
+    /// A batch of stream messages (`"stream_batch"`).
+    StreamBatch,
+}
+
+impl RequestKind {
+    /// Every kind, in name order.
+    pub const ALL: [RequestKind; 4] = [
+        RequestKind::Blk,
+        RequestKind::NetRr,
+        RequestKind::NetRrFallback,
+        RequestKind::StreamBatch,
+    ];
+
+    /// Stable snake_case name: the Chrome slice name of a request's whole
+    /// span and the breakdown's key.
+    pub fn name(self) -> &'static str {
+        match self {
+            RequestKind::Blk => "blk",
+            RequestKind::NetRr => "net_rr",
+            RequestKind::NetRrFallback => "net_rr_fallback",
+            RequestKind::StreamBatch => "stream_batch",
+        }
+    }
+}
+
+impl std::fmt::Display for RequestKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Phase of a recorded trace event (maps onto Chrome trace-event `ph`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventPhase {
@@ -168,7 +211,8 @@ pub enum EventPhase {
 pub struct TraceEvent {
     /// Event phase.
     pub phase: EventPhase,
-    /// Event name (a [`Stage::name`], request kind, or instant label).
+    /// Event name (a [`Stage::name`], [`RequestKind::name`], or instant
+    /// label).
     pub name: &'static str,
     /// Start timestamp.
     pub ts: SimTime,
@@ -182,7 +226,7 @@ pub struct TraceEvent {
 
 #[derive(Debug, Clone)]
 struct OpenSpan {
-    kind: &'static str,
+    kind: RequestKind,
     tid: u32,
     t0: SimTime,
     last: SimTime,
@@ -190,45 +234,54 @@ struct OpenSpan {
     acc: [SimDuration; NUM_STAGES],
 }
 
-#[derive(Debug, Clone)]
-struct Inner {
-    capacity: usize,
-    pid: u32,
-    process_name: String,
-    thread_names: BTreeMap<u32, String>,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-    /// The open spans, by request id.
-    open: HashMap<u64, OpenSpan>,
-    breakdown: Breakdown,
+impl OpenSpan {
+    /// Attributes the time since the last mark of this span, request
+    /// `req`'s, to the stage that was active, emitting it as a slice on
+    /// `ring` unless it is empty.
+    fn close_segment(&mut self, req: u64, now: SimTime, ring: &mut EventRing) {
+        let seg = now - self.last;
+        self.acc[self.stage.index()] += seg;
+        if !seg.is_zero() {
+            ring.push(TraceEvent {
+                phase: EventPhase::Complete,
+                name: self.stage.name(),
+                ts: self.last,
+                dur: seg,
+                tid: self.tid,
+                req,
+            });
+        }
+    }
 }
 
-impl Inner {
-    fn push_event(&mut self, ev: TraceEvent) {
+/// The bounded event buffer: the newest `capacity` events.
+#[derive(Debug, Clone)]
+struct EventRing {
+    capacity: usize,
+    events: VecDeque<TraceEvent>,
+    /// Events evicted to make room.
+    dropped: u64,
+}
+
+impl EventRing {
+    fn push(&mut self, ev: TraceEvent) {
         if self.events.len() >= self.capacity {
             self.events.pop_front();
             self.dropped += 1;
         }
         self.events.push_back(ev);
     }
+}
 
-    /// Attributes the time since the last mark of `open`, the span of
-    /// request `req`, to the stage that was active, emitting it as a
-    /// slice unless it is empty.
-    fn close_segment(&mut self, req: u64, open: &mut OpenSpan, now: SimTime) {
-        let seg = now - open.last;
-        open.acc[open.stage.index()] += seg;
-        if !seg.is_zero() {
-            self.push_event(TraceEvent {
-                phase: EventPhase::Complete,
-                name: open.stage.name(),
-                ts: open.last,
-                dur: seg,
-                tid: open.tid,
-                req,
-            });
-        }
-    }
+#[derive(Debug, Clone)]
+struct Inner {
+    pid: u32,
+    process_name: String,
+    thread_names: BTreeMap<u32, String>,
+    ring: EventRing,
+    /// The open spans, by request id.
+    open: HashMap<u64, OpenSpan>,
+    breakdown: Breakdown,
 }
 
 /// A snapshot of everything a tracer recorded, ready for Chrome export.
@@ -260,12 +313,14 @@ impl Tracer {
             TraceSink::Off => Tracer::default(),
             TraceSink::Memory { capacity } => Tracer {
                 inner: Some(Inner {
-                    capacity: capacity.max(1),
                     pid: 0,
                     process_name: String::new(),
                     thread_names: BTreeMap::new(),
-                    events: VecDeque::new(),
-                    dropped: 0,
+                    ring: EventRing {
+                        capacity: capacity.max(1),
+                        events: VecDeque::new(),
+                        dropped: 0,
+                    },
                     open: HashMap::new(),
                     breakdown: Breakdown::default(),
                 }),
@@ -297,10 +352,9 @@ impl Tracer {
     }
 
     /// Opens the lifecycle span of request `req` (the caller's id, unique
-    /// among open spans and never 0) of the given kind (`"rr"`,
-    /// `"stream"`, `"blk"`, …) on track `tid`, starting in `stage` at time
-    /// `now`. Its events carry `req`.
-    pub fn begin(&mut self, req: u64, kind: &'static str, tid: u32, stage: Stage, now: SimTime) {
+    /// among open spans and never 0) of the given kind on track `tid`,
+    /// starting in `stage` at time `now`. Its events carry `req`.
+    pub fn begin(&mut self, req: u64, kind: RequestKind, tid: u32, stage: Stage, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
         i.open.insert(
             req,
@@ -321,13 +375,12 @@ impl Tracer {
     /// with no open span is ignored.
     pub fn mark(&mut self, req: u64, stage: Stage, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
-        let Some(mut open) = i.open.remove(&req) else {
+        let Some(open) = i.open.get_mut(&req) else {
             return;
         };
-        i.close_segment(req, &mut open, now);
+        open.close_segment(req, now, &mut i.ring);
         open.stage = stage;
         open.last = now;
-        i.open.insert(req, open);
     }
 
     /// Closes request `req`'s span at `now`: the trailing segment is
@@ -339,11 +392,11 @@ impl Tracer {
         let Some(mut open) = i.open.remove(&req) else {
             return;
         };
-        i.close_segment(req, &mut open, now);
+        open.close_segment(req, now, &mut i.ring);
         let total = now - open.t0;
-        i.push_event(TraceEvent {
+        i.ring.push(TraceEvent {
             phase: EventPhase::Complete,
-            name: open.kind,
+            name: open.kind.name(),
             ts: open.t0,
             dur: total,
             tid: open.tid,
@@ -362,7 +415,7 @@ impl Tracer {
     /// Emits a point-in-time marker (exits, interrupts, faults, retx, …).
     pub fn instant(&mut self, name: &'static str, tid: u32, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
-        i.push_event(TraceEvent {
+        i.ring.push(TraceEvent {
             phase: EventPhase::Instant,
             name,
             ts: now,
@@ -376,7 +429,7 @@ impl Tracer {
     /// `BusyTracker` intervals as per-core utilization tracks).
     pub fn slice(&mut self, name: &'static str, tid: u32, start: SimTime, end: SimTime) {
         let Some(i) = &mut self.inner else { return };
-        i.push_event(TraceEvent {
+        i.ring.push(TraceEvent {
             phase: EventPhase::Complete,
             name,
             ts: start,
@@ -388,12 +441,12 @@ impl Tracer {
 
     /// Events evicted from the ring buffer so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.dropped)
+        self.inner.as_ref().map_or(0, |i| i.ring.dropped)
     }
 
     /// Number of events currently buffered.
     pub fn buffered(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.events.len())
+        self.inner.as_ref().map_or(0, |i| i.ring.events.len())
     }
 
     /// Spans begun but not yet ended/aborted.
@@ -426,8 +479,8 @@ impl Tracer {
                     .iter()
                     .map(|(k, v)| (*k, v.clone()))
                     .collect(),
-                events: i.events.iter().cloned().collect(),
-                dropped: i.dropped,
+                events: i.ring.events.iter().cloned().collect(),
+                dropped: i.ring.dropped,
             },
         }
     }
@@ -441,7 +494,7 @@ mod tests {
     fn off_tracer_is_inert() {
         let mut t = Tracer::new(&TraceConfig::off());
         assert!(!t.enabled());
-        t.begin(1, "rr", 1, Stage::Generator, SimTime::ZERO);
+        t.begin(1, RequestKind::NetRr, 1, Stage::Generator, SimTime::ZERO);
         t.mark(1, Stage::Wire, SimTime::from_nanos(10));
         t.end(1, SimTime::from_nanos(20));
         assert_eq!(t.open_spans(), 0);
@@ -454,16 +507,32 @@ mod tests {
     fn span_segments_sum_to_total() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = 1;
-        t.begin(s, "rr", 1, Stage::GuestEnqueue, SimTime::from_nanos(100));
+        t.begin(
+            s,
+            RequestKind::NetRr,
+            1,
+            Stage::GuestEnqueue,
+            SimTime::from_nanos(100),
+        );
         t.mark(s, Stage::Wire, SimTime::from_nanos(400));
         t.mark(s, Stage::Backend, SimTime::from_nanos(1000));
         t.end(s, SimTime::from_nanos(1500));
         let bd = t.breakdown();
-        let kb = bd.kind("rr").unwrap();
+        let kb = bd.kind(RequestKind::NetRr).unwrap();
         assert_eq!(kb.completed, 1);
         let sum: f64 = Stage::ALL.iter().map(|st| kb.stage_mean_us(*st)).sum();
         assert!((sum - kb.total.mean()).abs() < 1e-9);
         assert!((kb.total.mean() - 1.4).abs() < 1e-12); // 1400 ns = 1.4 µs
+    }
+
+    #[test]
+    fn request_kinds_sort_as_their_names() {
+        let names: Vec<&str> = RequestKind::ALL.iter().map(|k| k.name()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+        assert!(RequestKind::ALL.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(RequestKind::NetRrFallback.to_string(), "net_rr_fallback");
     }
 
     #[test]
@@ -482,7 +551,13 @@ mod tests {
     fn zero_length_segments_emit_no_events() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = 1;
-        t.begin(s, "rr", 1, Stage::Kick, SimTime::from_nanos(5));
+        t.begin(
+            s,
+            RequestKind::NetRr,
+            1,
+            Stage::Kick,
+            SimTime::from_nanos(5),
+        );
         t.mark(s, Stage::Wire, SimTime::from_nanos(5)); // zero-length kick
         t.end(s, SimTime::from_nanos(10));
         // Events: wire segment + request slice (no kick segment).
@@ -493,10 +568,10 @@ mod tests {
     fn abort_discards_without_recording() {
         let mut t = Tracer::new(&TraceConfig::memory_with_capacity(64));
         let s = 1;
-        t.begin(s, "blk", 1, Stage::GuestEnqueue, SimTime::ZERO);
+        t.begin(s, RequestKind::Blk, 1, Stage::GuestEnqueue, SimTime::ZERO);
         assert_eq!(t.open_spans(), 1);
         t.abort(s);
         assert_eq!(t.open_spans(), 0);
-        assert!(t.breakdown().kind("blk").is_none());
+        assert!(t.breakdown().kind(RequestKind::Blk).is_none());
     }
 }

@@ -398,7 +398,7 @@ pub fn run_filebench_with(
 
     let horizon = deadline;
     let window = SimDuration::millis(1);
-    let tb = world.tb;
+    let mut tb = world.tb;
     let (inv, vol) = tb.vms.iter().fold((0, 0), |(i, v), vm| {
         (
             i + vm.cpu.involuntary_switches(),
@@ -421,7 +421,7 @@ pub fn run_filebench_with(
             .map(|b| b.busy.utilization_trace(horizon, window))
             .collect(),
         reliability: tb.reliability_report(),
-        telemetry: tb.telemetry.export(),
+        telemetry: std::mem::take(&mut tb.telemetry).export(),
         profile: eng.profiler().export(),
         ring_ops: tb.ring_ops(),
         trace: tb.trace,

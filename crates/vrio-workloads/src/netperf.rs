@@ -153,7 +153,7 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
     world.tb.oracle.finish();
     world.tb.oracle.audit_pool("skb pool", &world.tb.skb_pool);
 
-    let tb = world.tb;
+    let mut tb = world.tb;
     RrResult {
         mean_latency_us: world.hist.mean(),
         requests_per_sec: world.completed as f64 / duration.as_secs_f64(),
@@ -161,7 +161,7 @@ pub fn netperf_rr_sized(config: TestbedConfig, duration: SimDuration, resp_len: 
         contention: tb.backend_contention(),
         counters: tb.counters,
         reliability: tb.reliability_report(),
-        telemetry: tb.telemetry.export(),
+        telemetry: std::mem::take(&mut tb.telemetry).export(),
         profile: eng.profiler().export(),
         ring_ops: tb.ring_ops(),
         // A clone, not a move: it sheds the latency histograms' spare
@@ -321,12 +321,12 @@ pub fn netperf_stream_sized(
     } else {
         busy.as_secs_f64() * ghz * 1e9 / world.delivered_msgs as f64
     };
-    let tb = world.tb;
+    let mut tb = world.tb;
     StreamResult {
         gbps,
         messages: world.delivered_msgs,
         cycles_per_msg,
-        telemetry: tb.telemetry.export(),
+        telemetry: std::mem::take(&mut tb.telemetry).export(),
         profile: eng.profiler().export(),
         ring_ops: tb.ring_ops(),
         slo: tb.slo.clone(),

@@ -48,7 +48,7 @@ use std::cell::OnceCell;
 
 use vrio_hv::QueueAudit;
 use vrio_sim::SimTime;
-use vrio_trace::Stage;
+use vrio_trace::{RequestKind, Stage};
 
 /// Configuration for the oracle: plain data so [`TestbedConfig`] stays
 /// `Send`; the live oracle is built by `Testbed::new`.
@@ -122,20 +122,24 @@ enum Closed {
 #[derive(Debug, Clone, Copy)]
 enum FlowState {
     Open {
-        kind: &'static str,
+        kind: RequestKind,
         begun: SimTime,
         /// The time of the flow's last lifecycle mark; `begun` before the
         /// first.
         last_mark: SimTime,
     },
     Closed {
-        kind: &'static str,
+        kind: RequestKind,
         how: Closed,
     },
     /// Reported leaked by [`Oracle::finish`]; a later closure counts as
     /// one of a flow that was never begun.
     Leaked,
 }
+
+// The ledger holds one entry per request of a run: two times, a one-byte
+// kind and the variant's tag.
+const _: () = assert!(std::mem::size_of::<FlowState>() == 24);
 
 /// Recorded violations are capped to keep a badly broken run from
 /// ballooning; the overflow is still counted.
@@ -269,7 +273,7 @@ impl Oracle {
     /// Enters request `id` into the ledger. Call once per generated
     /// request, with the ids counting from 1; a request begun out of turn
     /// (its id reused or skipped) is a violation and stays out of it.
-    pub fn flow_begin(&mut self, id: u64, kind: &'static str, now: SimTime) {
+    pub fn flow_begin(&mut self, id: u64, kind: RequestKind, now: SimTime) {
         let Some(i) = &mut self.inner else { return };
         if id != i.flows.len() as u64 + 1 {
             let expected = i.flows.len() + 1;
@@ -790,7 +794,7 @@ mod tests {
     fn disabled_oracle_is_inert_and_clean() {
         let mut o = Oracle::new(&OracleConfig::off());
         assert!(!o.enabled());
-        o.flow_begin(1, "x", t(0));
+        o.flow_begin(1, RequestKind::StreamBatch, t(0));
         o.flow_complete(1, t(1));
         o.finish();
         o.audit_queue(0, &healthy_queue());
@@ -803,8 +807,8 @@ mod tests {
     fn clean_lifecycle_records_no_violations() {
         let mut o = on();
         let (a, b) = (1, 2);
-        o.flow_begin(a, "net_rr", t(0));
-        o.flow_begin(b, "blk", t(1));
+        o.flow_begin(a, RequestKind::NetRr, t(0));
+        o.flow_begin(b, RequestKind::Blk, t(1));
         o.audit_queue(0, &healthy_queue());
         o.steer_assign(0, 1);
         o.steer_release(0);
@@ -827,7 +831,7 @@ mod tests {
     fn seeded_double_completion_fires_exactly_once() {
         let mut o = on();
         let tok = 1;
-        o.flow_begin(tok, "net_rr", t(0));
+        o.flow_begin(tok, RequestKind::NetRr, t(0));
         o.flow_complete(tok, t(5));
         o.flow_complete(tok, t(9)); // a duplicate completion delivery
         let v = o.violations();
@@ -844,8 +848,8 @@ mod tests {
     #[test]
     fn seeded_reused_request_id_fires_exactly_once() {
         let mut o = on();
-        o.flow_begin(1, "net_rr", t(0));
-        o.flow_begin(1, "blk", t(1)); // a second request under id 1
+        o.flow_begin(1, RequestKind::NetRr, t(0));
+        o.flow_begin(1, RequestKind::Blk, t(1)); // a second request under id 1
         let v = o.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].invariant, "exactly-once");
@@ -862,7 +866,7 @@ mod tests {
     #[test]
     fn check_bytes_records_on_a_finished_oracle() {
         let mut o = on();
-        o.flow_begin(1, "blk", t(0));
+        o.flow_begin(1, RequestKind::Blk, t(0));
         o.flow_complete(1, t(1));
         o.finish();
         let finished = o;
@@ -886,8 +890,8 @@ mod tests {
     fn seeded_dropped_completion_fires_exactly_once_leak() {
         let mut o = on();
         let kept = 1;
-        o.flow_begin(kept, "blk", t(0));
-        o.flow_begin(2, "blk", t(1));
+        o.flow_begin(kept, RequestKind::Blk, t(0));
+        o.flow_begin(2, RequestKind::Blk, t(1));
         o.flow_complete(kept, t(5));
         // `lost`'s completion never arrives and no drop was modeled.
         o.finish();
@@ -1112,7 +1116,7 @@ mod tests {
     fn seeded_reordered_marks_fire_causality() {
         let mut o = on();
         let flow = 1;
-        o.flow_begin(flow, "net_rr", t(10));
+        o.flow_begin(flow, RequestKind::NetRr, t(10));
         o.on_mark(flow, Stage::GuestEnqueue, t(10));
         o.on_mark(flow, Stage::Wire, t(12));
         o.on_mark(flow, Stage::Backend, t(11)); // runs backwards
@@ -1136,8 +1140,8 @@ mod tests {
         // time travel.
         let mut o = on();
         let (a, b) = (1, 2);
-        o.flow_begin(a, "net_rr", t(0));
-        o.flow_begin(b, "blk", t(0));
+        o.flow_begin(a, RequestKind::NetRr, t(0));
+        o.flow_begin(b, RequestKind::Blk, t(0));
         o.on_mark(a, Stage::Wire, t(10));
         o.on_mark(b, Stage::Wire, t(5));
         // Marks of no request, and of a closed one, are not checked.
@@ -1176,7 +1180,7 @@ mod tests {
     fn clones_are_independent() {
         let mut o = on();
         let tok = 1;
-        o.flow_begin(tok, "x", t(0));
+        o.flow_begin(tok, RequestKind::StreamBatch, t(0));
         let mut fork = o.clone();
         o.flow_complete(tok, t(1));
         o.finish();

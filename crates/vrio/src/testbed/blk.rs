@@ -6,7 +6,7 @@ use vrio_block::{BlockKind, BlockRequest};
 use vrio_hv::IoModel;
 use vrio_net::{reassemble_train, segment_message_into, MTU_VRIO_JUMBO};
 use vrio_sim::{Engine, Reserved, SimDuration, SimTime};
-use vrio_trace::Stage;
+use vrio_trace::{RequestKind, Stage};
 
 use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
 use super::{req_track, BlkOutcome, HasTestbed, Testbed};
@@ -337,7 +337,7 @@ pub fn blk_request<W: HasTestbed>(
     );
     let t0 = eng.now();
     let costs = tb.config.costs.clone();
-    let id = tb.begin_request("blk", vm, Stage::GuestEnqueue, t0);
+    let id = tb.begin_request(RequestKind::Blk, vm, Stage::GuestEnqueue, t0);
 
     // The front-end publishes the request on the real virtio ring; the
     // local back-end half (sidecore/vhost/transport) fetches it at once,

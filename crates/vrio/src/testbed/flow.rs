@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{DropCause, Stage};
+use vrio_trace::{DropCause, RequestKind, Stage};
 
 use super::blk::{self, BlkExec};
 use super::net::NetFlow;
@@ -428,7 +428,7 @@ impl Testbed {
     /// one name the request's observers know it by.
     pub(super) fn begin_request(
         &mut self,
-        kind: &'static str,
+        kind: RequestKind,
         vm: usize,
         stage: Stage,
         t0: SimTime,

@@ -1589,10 +1589,10 @@ mod tests {
         while eng.step(&mut tb) {
             tb.sample_telemetry(eng.now());
             samples += 1;
-            let ex = tb.telemetry.export();
+            let ex = tb.telemetry.clone().export();
             let last = |name: String| {
                 let track = ex.track(&name).unwrap_or_else(|| panic!("no track {name}"));
-                track.points.last().expect("sampled").1.to_bits()
+                track.values.last().expect("sampled").to_bits()
             };
             for (v, vm) in tb.vms.iter().enumerate() {
                 for q in vm.ring_audit() {

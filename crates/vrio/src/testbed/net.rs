@@ -5,7 +5,7 @@ use bytes::Bytes;
 use vrio_hv::IoModel;
 use vrio_net::MTU_VRIO_JUMBO;
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{DropCause, Stage};
+use vrio_trace::{DropCause, RequestKind, Stage};
 
 use super::flow::{CoreRef, CounterKind, FlowEnd, Step};
 use super::{HasTestbed, Testbed};
@@ -24,7 +24,7 @@ pub(super) struct NetFlow {
 
 impl NetFlow {
     /// Opens the request's records at `t0`.
-    fn begin(tb: &mut Testbed, kind: &'static str, vm: usize, stage: Stage, t0: SimTime) -> Self {
+    fn begin(tb: &mut Testbed, kind: RequestKind, vm: usize, stage: Stage, t0: SimTime) -> Self {
         let id = tb.begin_request(kind, vm, stage, t0);
         tb.slo.offer(vm);
         NetFlow { vm, t0, id }
@@ -94,7 +94,7 @@ pub fn net_request_response<W: HasTestbed>(
     let t0 = eng.now();
     // Lifecycle span: stage transitions ride the step list as inline
     // `Step::Mark`s, so tracing never reorders events or touches RNG.
-    let f = NetFlow::begin(tb, "net_rr", vm, Stage::Generator, t0);
+    let f = NetFlow::begin(tb, RequestKind::NetRr, vm, Stage::Generator, t0);
     let req_wire = req.len() + 64; // headers on the wire
     let resp_wire = resp_len + 64;
     // Responses larger than one MSS leave as multiple wire packets, each
@@ -398,7 +398,7 @@ fn fallback_request_response<W: HasTestbed>(
     let costs = tb.config.costs.clone();
     let host = tb.vm_host[vm];
     let t0 = eng.now();
-    let f = NetFlow::begin(tb, "net_rr_fallback", vm, Stage::Generator, t0);
+    let f = NetFlow::begin(tb, RequestKind::NetRrFallback, vm, Stage::Generator, t0);
     let packets = (resp_len.div_ceil(1448)).max(1) as u64;
     let mut s = tb.program(f.id);
 
@@ -483,7 +483,7 @@ pub fn stream_batch<W: HasTestbed>(
     let t0 = eng.now();
     // Coarse three-stage span: guest batch production, backend+wire
     // traversal, generator-side receive.
-    let f = NetFlow::begin(tb, "stream_batch", vm, Stage::GuestEnqueue, t0);
+    let f = NetFlow::begin(tb, RequestKind::StreamBatch, vm, Stage::GuestEnqueue, t0);
     let mut s = tb.program(f.id);
 
     // Guest produces the batch.

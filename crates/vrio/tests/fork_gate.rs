@@ -13,7 +13,7 @@ use vrio_block::{BlockRequest, RequestId};
 use vrio_hv::{IoModel, ReliabilityCounters};
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::{Engine, SimDuration, SimTime};
-use vrio_trace::{render_chrome_trace, TelemetryConfig, TraceConfig};
+use vrio_trace::{render_chrome_trace, telemetry_bundle, TelemetryConfig, TraceConfig};
 
 /// Requests issued, 7 µs apart.
 const REQUESTS: u64 = 40;
@@ -83,7 +83,7 @@ fn finish(mut tb: Testbed, mut eng: Engine<Testbed>) -> (ReliabilityCounters, Ve
     let outputs = vec![
         format!("{:?}", tb.oracle.report()),
         tb.slo.to_json().render_pretty(),
-        tb.telemetry.export().to_json().render_pretty(),
+        telemetry_bundle(&[("fork", &std::mem::take(&mut tb.telemetry).export())]),
         render_chrome_trace(&[tb.trace.export()]),
         format!("{:?}", tb.ring_ops()),
         format!("{} events, last at {}", eng.events_fired(), eng.now()),

@@ -7,7 +7,7 @@ use vrio::TestbedConfig;
 use vrio_hv::IoModel;
 use vrio_net::{FaultConfig, GeConfig};
 use vrio_sim::SimDuration;
-use vrio_trace::{render_chrome_trace, Json, Stage, TraceConfig};
+use vrio_trace::{render_chrome_trace, Json, RequestKind, Stage, TraceConfig};
 use vrio_workloads::{netperf_rr, netperf_stream, run_filebench, Personality, RrResult};
 
 fn rr_config(model: IoModel, trace: TraceConfig) -> TestbedConfig {
@@ -105,7 +105,7 @@ fn stage_breakdown_sums_to_end_to_end_mean() {
         c.trace = TraceConfig::memory();
         let r = netperf_rr(c, SimDuration::millis(30));
         let bd = r.trace.breakdown();
-        let kb = bd.kind("net_rr").expect("net_rr spans recorded");
+        let kb = bd.kind(RequestKind::NetRr).expect("net_rr spans recorded");
         assert!(kb.completed > 100, "{model}: only {} spans", kb.completed);
         let mean = kb.total.mean();
         let sum = kb.stage_sum_us();
