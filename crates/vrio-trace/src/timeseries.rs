@@ -8,6 +8,17 @@
 //! Workloads schedule observe-only sampling marks on a fixed grid of the
 //! simulation clock and record named tracks of `(t, value)` points.
 //!
+//! The points are stored as columns. Every sample records every started
+//! track at the same instant, so the sampler keeps one shared time axis
+//! with one entry per sample, and a track keeps only its values and the
+//! index of its first sample: its `k`-th value belongs to sample
+//! `first + k`, because a track that has started records exactly once in
+//! every later sample (debug-asserted). [`Telemetry::export`] consumes
+//! the sampler and hands the columns over without copying them, and
+//! [`telemetry_bundle`] writes the `TELEM_*.json` document straight from
+//! them, in the bytes a pretty-printed [`Json`](crate::Json) tree would
+//! render but without building one.
+//!
 //! Like the tracer and the oracle, telemetry is **observe-only**: the
 //! sampler draws no randomness and mutates no simulation state, so a run
 //! with sampling enabled is bit-identical to one without (the workloads'

@@ -171,14 +171,6 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Every kind, in name order.
-    pub const ALL: [RequestKind; 4] = [
-        RequestKind::Blk,
-        RequestKind::NetRr,
-        RequestKind::NetRrFallback,
-        RequestKind::StreamBatch,
-    ];
-
     /// Stable snake_case name: the Chrome slice name of a request's whole
     /// span and the breakdown's key.
     pub fn name(self) -> &'static str {
@@ -527,11 +519,10 @@ mod tests {
 
     #[test]
     fn request_kinds_sort_as_their_names() {
-        let names: Vec<&str> = RequestKind::ALL.iter().map(|k| k.name()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-        assert!(RequestKind::ALL.windows(2).all(|w| w[0] < w[1]));
+        use RequestKind::*;
+        let kinds = [Blk, NetRr, NetRrFallback, StreamBatch];
+        assert!(kinds.windows(2).all(|w| w[0] < w[1]));
+        assert!(kinds.windows(2).all(|w| w[0].name() < w[1].name()));
         assert_eq!(RequestKind::NetRrFallback.to_string(), "net_rr_fallback");
     }
 
