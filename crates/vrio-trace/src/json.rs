@@ -177,8 +177,12 @@ impl Json {
 }
 
 pub(crate) fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+    const SPACES: &str = "                                ";
+    let mut width = 2 * depth;
+    while width > 0 {
+        let run = width.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        width -= run;
     }
 }
 

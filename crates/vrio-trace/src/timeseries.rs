@@ -158,13 +158,7 @@ impl TelemetryExport {
     /// tree. Timestamps stay integer nanoseconds, so the document is exact
     /// (and diffs byte-identically); Perfetto-facing exports convert to µs.
     fn write_pretty(&self, out: &mut String, depth: usize) {
-        out.push_str("{\n");
-        field(out, depth + 1, "schema_version");
-        write_num(out, TELEM_SCHEMA_VERSION as f64);
-        out.push_str(",\n");
-        field(out, depth + 1, "kind");
-        write_str(out, "telemetry");
-        out.push_str(",\n");
+        open_document(out, depth, "telemetry");
         field(out, depth + 1, "interval_us");
         write_num(out, self.interval.as_secs_f64() * 1e6);
         out.push_str(",\n");
@@ -188,6 +182,18 @@ impl TelemetryExport {
         indent(out, depth);
         out.push('}');
     }
+}
+
+/// Opens a document object at `depth` with its `schema_version` and
+/// `kind` entries, ready for the next entry.
+fn open_document(out: &mut String, depth: usize, kind: &str) {
+    out.push_str("{\n");
+    field(out, depth + 1, "schema_version");
+    write_num(out, TELEM_SCHEMA_VERSION as f64);
+    out.push_str(",\n");
+    field(out, depth + 1, "kind");
+    write_str(out, kind);
+    out.push_str(",\n");
 }
 
 /// Writes `"key": ` on a new entry line at `depth`.
@@ -232,13 +238,7 @@ fn pretty_block<T>(
 /// preserved (callers pass deterministic expansion order).
 pub fn telemetry_bundle(runs: &[(&str, &TelemetryExport)]) -> String {
     let mut out = String::new();
-    out.push_str("{\n");
-    field(&mut out, 1, "schema_version");
-    write_num(&mut out, TELEM_SCHEMA_VERSION as f64);
-    out.push_str(",\n");
-    field(&mut out, 1, "kind");
-    write_str(&mut out, "telemetry_bundle");
-    out.push_str(",\n");
+    open_document(&mut out, 0, "telemetry_bundle");
     field(&mut out, 1, "runs");
     pretty_block(&mut out, 1, ('{', '}'), runs, |out, &(name, run)| {
         write_str(out, name);
@@ -428,8 +428,9 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    fn points(ex: &TelemetryExport, name: &str) -> Vec<(u64, f64)> {
-        ex.track(name).unwrap().points(&ex.times).collect()
+    fn assert_points(ex: &TelemetryExport, name: &str, want: &[(u64, f64)]) {
+        let got: Vec<_> = ex.track(name).unwrap().points(&ex.times).collect();
+        assert_eq!(got, want, "{name}");
     }
 
     /// The document as a [`Json`] tree, rendered through
@@ -517,7 +518,7 @@ mod tests {
         // sampled is not exported.
         let names: Vec<&str> = ex.tracks.iter().map(|tr| tr.name.as_str()).collect();
         assert_eq!(names, vec!["a.depth", "b.total"]);
-        assert_eq!(points(&ex, "a.depth"), vec![(0, 1.0), (1_000, 2.0)]);
+        assert_points(&ex, "a.depth", &[(0, 1.0), (1_000, 2.0)]);
         assert_eq!(ex.track("b.total").unwrap().kind, TrackKind::Counter);
         assert!(ex.track("missing").is_none());
     }
@@ -537,11 +538,8 @@ mod tests {
         let ex = tm.export();
         assert_eq!(ex.times, vec![0, 1_000, 2_000], "one time per sample");
         assert_eq!(ex.track("late").unwrap().first, 1);
-        assert_eq!(
-            points(&ex, "late"),
-            vec![(1_000, 1_000.0), (2_000, 2_000.0)]
-        );
-        assert_eq!(points(&ex, "early").len(), 3);
+        assert_points(&ex, "late", &[(1_000, 1_000.0), (2_000, 2_000.0)]);
+        assert_points(&ex, "early", &[(0, 1.0), (1_000, 2.0), (2_000, 2.0)]);
     }
 
     #[test]
@@ -561,8 +559,8 @@ mod tests {
         tm.sample(t(0), |s| s.record(id, 7.0));
         let mut other = tm.clone();
         other.sample(t(1), |s| s.record(id, 8.0));
-        assert_eq!(points(&tm.export(), "copied"), vec![(0, 7.0)]);
-        assert_eq!(points(&other.export(), "copied"), vec![(0, 7.0), (1, 8.0)]);
+        assert_points(&tm.export(), "copied", &[(0, 7.0)]);
+        assert_points(&other.export(), "copied", &[(0, 7.0), (1, 8.0)]);
     }
 
     #[test]
